@@ -25,11 +25,21 @@ from .dynamics import (
     Trajectory,
     fidelity,
     lindblad_operators,
+    node_times,
     populations,
     propagate_lindblad,
     propagate_schrodinger,
 )
-from .experiments import CODE_VERSION, ResultRecord, SweepSpec, build_schedule, run_sweep
+from .experiments import (
+    CODE_VERSION,
+    ResultRecord,
+    RunSpec,
+    SweepSpec,
+    build_schedule,
+    evaluate_point,
+    run_points,
+    run_sweep,
+)
 from .pulse_design import (
     DressedControls,
     GaussianComponent,
@@ -72,6 +82,7 @@ __all__ = [
     "NoiseModel",
     "PulseSchedule",
     "ResultRecord",
+    "RunSpec",
     "ScheduleParams",
     "SweepSpec",
     "TimeGrid",
@@ -86,6 +97,7 @@ __all__ = [
     "dressed_pulses",
     "dressing_transform",
     "drive_hamiltonian",
+    "evaluate_point",
     "effective_eigenframe",
     "effective_hamiltonian",
     "excitation_operator",
@@ -95,9 +107,11 @@ __all__ = [
     "intermediate_population_bound",
     "lindblad_operators",
     "modified_controls",
+    "node_times",
     "populations",
     "propagate_lindblad",
     "propagate_schrodinger",
+    "run_points",
     "run_sweep",
     "schedule_angles",
     "stirap_pulses",

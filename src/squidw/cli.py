@@ -21,23 +21,15 @@ import glob
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import experiments
 from .dressed_frames import M_X, M_Y, M_Z, dressing_transform, verify_cancellation
-from .dynamics import (
-    ConvergenceError,
-    NoiseModel,
-    TimeGrid,
-    fidelity,
-    lindblad_operators,
-    propagate_lindblad,
-    propagate_schrodinger,
-)
-from .experiments import SweepSpec, build_schedule
-from .pulse_design import ScheduleParams, scaled, with_duration
+from .dynamics import ConvergenceError, NoiseModel, TimeGrid, propagate_schrodinger
+from .experiments import RunSpec, SweepSpec, build_schedule
+from .pulse_design import ScheduleParams
 from .state_space import (
     PSI1,
     PSI2,
@@ -165,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta-g", dest="delta_g", type=float, help="fractional coupling error")
         p.add_argument("--steps", dest="n_steps", type=int, help="RK4 steps (default 2000)")
         p.add_argument("--mode", choices=("rescale", "truncate"), help="duration-error interpretation")
-        p.add_argument("--jobs", type=int, help="worker processes for sweeps")
+        p.add_argument("--jobs", type=int, help="accepted and ignored: runs are batched in one process")
         p.add_argument("--no-meta", action="store_true", help="skip .meta.json sidecars")
 
     p_pulses = sub.add_parser("pulses", help="export waveforms to per-qubit CSVs")
@@ -270,29 +262,24 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
 
 def _cmd_simulate(cfg: RunConfig, frames: int) -> int:
     outdir = _ensure_outdir(cfg)
-    if cfg.delta_t <= -1.0:
-        raise ValueError("delta_t must exceed -1")
-    omega0 = cfg.omega0 if cfg.flavor == "stirap" else None
-    run_t = 1.0 + cfg.delta_t
-    if cfg.mode == "rescale":
-        schedule = build_schedule(cfg.flavor, ScheduleParams(T=run_t, A=cfg.A), omega0)
-    else:
-        schedule = with_duration(build_schedule(cfg.flavor, ScheduleParams(A=cfg.A), omega0), run_t)
-    if cfg.delta_omega != 0.0:
-        schedule = scaled(schedule, 1.0 + cfg.delta_omega)
-    coupling = CouplingConfig(g=cfg.g * (1.0 + cfg.delta_g), T=run_t)
-    hc = cavity_hamiltonian(coupling)
-    h_fn = lambda t: hc + drive_hamiltonian(schedule.qubit_amplitudes(t))
-    noise = NoiseModel(kappa=cfg.kappa, gamma=cfg.gamma, gamma_phi=cfg.gamma_phi)
-    grid = TimeGrid(cfg.n_steps)
-    psi0 = basis_state(PSI1)
-    if noise.is_closed:
-        traj = propagate_schrodinger(h_fn, psi0, grid, duration=run_t, n_frames=frames)
-    else:
-        rho0 = np.outer(psi0, psi0.conj())
-        traj = propagate_lindblad(
-            h_fn, lindblad_operators(noise), rho0, grid, duration=run_t, n_frames=frames
-        )
+    # simulate takes absolute rates; a run spec holds them relative to g.
+    g_eff = CouplingConfig(g=cfg.g * (1.0 + cfg.delta_g)).g
+    spec = RunSpec(
+        flavor=cfg.flavor,
+        g=cfg.g,
+        A=cfg.A,
+        kappa_over_g=cfg.kappa / g_eff,
+        gamma_over_g=cfg.gamma / g_eff,
+        gammaphi_over_g=cfg.gamma_phi / g_eff,
+        delta_t=cfg.delta_t,
+        delta_omega=cfg.delta_omega,
+        delta_g=cfg.delta_g,
+        omega0=cfg.omega0 if cfg.flavor == "stirap" else None,
+        n_steps=cfg.n_steps,
+        mode=cfg.mode,
+        n_frames=frames,
+    )
+    [(record, traj)] = experiments.run_points([spec])
     experiments._write_trajectory(
         outdir,
         "simulate",
@@ -307,7 +294,7 @@ def _cmd_simulate(cfg: RunConfig, frames: int) -> int:
         },
     )
     _strip_meta(cfg)
-    print(f"F(T) = {fidelity(traj.final_state):.6f}")
+    print(f"F(T) = {record.fidelity:.6f}")
     print(f"drift = {traj.drift:.3e}, wrote {os.path.join(outdir, 'simulate.csv')}")
     return 0
 
@@ -337,14 +324,14 @@ def _cmd_sweep(cfg: RunConfig, axis_args: list) -> int:
         n_steps=cfg.n_steps,
         mode=cfg.mode,
     )
-    records = experiments.run_sweep(spec, outdir, jobs=cfg.jobs)
+    records = experiments.run_sweep(spec, outdir)
     _strip_meta(cfg)
     print(f"{len(records)} points, wrote {os.path.join(outdir, 'sweep.csv')}")
     return 0
 
 
 def _reproduce_fig3(cfg: RunConfig, outdir: str) -> list:
-    records = experiments.run_coupling_sweep(outdir=outdir, jobs=cfg.jobs, n_steps=cfg.n_steps)
+    records = experiments.run_coupling_sweep(outdir=outdir, n_steps=cfg.n_steps)
     by_g = {r.g: r.fidelity for r in records}
     return [
         _verdict("fig3 g=30", by_g[30.0] >= 0.99, f"F={by_g[30.0]:.4f}, need >= 0.99"),
@@ -397,7 +384,7 @@ def _reproduce_fig5(cfg: RunConfig, outdir: str) -> list:
 
 
 def _reproduce_fig6(cfg: RunConfig, outdir: str) -> list:
-    records = experiments.run_decoherence_grid(outdir=outdir, jobs=cfg.jobs, n_steps=cfg.n_steps)
+    records = experiments.run_decoherence_grid(outdir=outdir, n_steps=cfg.n_steps)
     out = []
     per_axis: dict[str, list] = {}
     for rec in records:
@@ -424,7 +411,7 @@ def _reproduce_fig6(cfg: RunConfig, outdir: str) -> list:
 
 
 def _reproduce_fig7(cfg: RunConfig, outdir: str) -> list:
-    records = experiments.run_dephasing_comparison(outdir=outdir, jobs=cfg.jobs, n_steps=cfg.n_steps)
+    records = experiments.run_dephasing_comparison(outdir=outdir, n_steps=cfg.n_steps)
     protocol = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "gaussian"}
     stirap = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "stirap"}
     ref_p, tol_p = experiments.DEPHASING_REFERENCE["protocol"]
@@ -451,7 +438,7 @@ def _reproduce_fig7(cfg: RunConfig, outdir: str) -> list:
 
 def _reproduce_fig8(cfg: RunConfig, outdir: str) -> list:
     records = experiments.run_variation_scan(
-        outdir=outdir, jobs=cfg.jobs, n_steps=cfg.n_steps, mode=cfg.mode
+        outdir=outdir, n_steps=cfg.n_steps, mode=cfg.mode
     )
     by_triple = {(r.delta_t, r.delta_omega, r.delta_g): r.fidelity for r in records}
     base = by_triple[(0.0, 0.0, 0.0)]
@@ -489,7 +476,7 @@ def _reproduce_fig8(cfg: RunConfig, outdir: str) -> list:
 
 def _reproduce_table1(cfg: RunConfig, outdir: str) -> list:
     _, comparisons = experiments.run_reference_decoherence_table(
-        outdir=outdir, jobs=cfg.jobs, n_steps=cfg.n_steps
+        outdir=outdir, n_steps=cfg.n_steps
     )
     return [
         _verdict(
@@ -503,7 +490,7 @@ def _reproduce_table1(cfg: RunConfig, outdir: str) -> list:
 
 def _reproduce_table2(cfg: RunConfig, outdir: str) -> list:
     _, comparisons = experiments.run_variation_grid(
-        outdir=outdir, jobs=cfg.jobs, n_steps=cfg.n_steps, mode=cfg.mode
+        outdir=outdir, n_steps=cfg.n_steps, mode=cfg.mode
     )
     out = [
         _verdict(
@@ -608,27 +595,23 @@ def _cmd_verify(cfg: RunConfig) -> int:
         f"F={fid:.6f}, max |P_phi0 - sin^2 mu| = {tracking:.2e}",
     )
 
-    schedule = build_schedule("gaussian", ScheduleParams(A=cfg.A), None)
-    h_fn = lambda t: hc + drive_hamiltonian(schedule.qubit_amplitudes(t))
-    psi0 = basis_state(PSI1)
-    grid = TimeGrid(max(1000, min(cfg.n_steps, 2000)))
-    traj_s = propagate_schrodinger(h_fn, psi0, grid, duration=1.0)
-    rho0 = np.outer(psi0, psi0.conj())
-    traj_l = propagate_lindblad(h_fn, lindblad_operators(NoiseModel()), rho0, grid, duration=1.0)
-    gap = abs(fidelity(traj_s.final_state) - fidelity(traj_l.final_state))
+    closed = RunSpec(g=cfg.g, A=cfg.A, n_steps=max(1000, min(cfg.n_steps, 2000)))
+    results = experiments.run_points([closed, replace(closed, master_equation=True)])
+    gap = abs(results[0][0].fidelity - results[1][0].fidelity)
     check("zero-noise equivalence", gap < 1e-7, f"|F_schrodinger - F_lindblad| = {gap:.2e}")
 
+    schedule = build_schedule("gaussian", ScheduleParams(A=cfg.A), None)
     segments = 10
     seg_h = [
         hc + drive_hamiltonian(schedule.qubit_amplitudes((i + 0.5) / segments))
         for i in range(segments)
     ]
-    psi_exact = psi0.copy()
-    psi_rk = psi0.copy()
+    psi_exact = basis_state(PSI1)
+    psi_rk = psi_exact[None]
     for h in seg_h:
         psi_exact = _expm_hermitian(h, 1.0 / segments) @ psi_exact
         psi_rk = propagate_schrodinger(
-            lambda t, h=h: h, psi_rk, TimeGrid(400), duration=1.0 / segments
+            lambda k, h=h: h[None], psi_rk, TimeGrid(400), duration=1.0 / segments
         ).final_state
     rk_dev = float(np.max(np.abs(psi_rk - psi_exact)))
     check("integrator vs matrix exponential", rk_dev < 1e-8, f"max state deviation {rk_dev:.2e}")

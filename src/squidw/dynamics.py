@@ -6,6 +6,13 @@ lower levels, per-qubit dephasing on both transitions, cavity photon loss).
 Both propagators use fixed-step classical RK4 so results are bit-reproducible;
 norm and trace drift are tracked as convergence diagnostics, never corrected
 by renormalization.
+
+Both propagators integrate a batch: B points that share a step count and a
+duration advance together, each state carrying a leading batch axis. The
+Hamiltonian is supplied as h_fn(k), the (B, 10, 10) stack at RK4 node
+t_k = k h / 2 (see node_times), so callers sample their drives once on the
+node grid and assemble H there. Every product, reduction and gate is taken
+point by point, so a point's bytes are the same whatever batch it ran in.
 """
 
 from __future__ import annotations
@@ -73,16 +80,33 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored frames (at most MAX_FRAMES) plus endpoint diagnostics."""
+    """Stored frames (at most MAX_FRAMES) plus endpoint diagnostics.
 
-    times: np.ndarray
-    states: list  # state vector or density matrix per stored frame
-    fidelities: np.ndarray
-    populations: np.ndarray  # frames x 10, diagonal occupation
+    A propagator returns the trajectory of its whole batch: every per-point
+    field has a leading batch axis of length B. point(b) gives the trajectory
+    of one point, with that axis removed and the diagnostics as floats.
+    """
+
+    times: np.ndarray  # stored frame times, shared by the batch
+    states: np.ndarray  # state vector or density matrix per point and stored frame
+    fidelities: np.ndarray  # points x frames
+    populations: np.ndarray  # points x frames x 10, diagonal occupation
     final_state: np.ndarray
-    drift: float  # |norm - 1| or |trace - 1| at the final time
-    min_eigenvalue: float | None  # density runs only
+    drift: np.ndarray  # |norm - 1| or |trace - 1| at the final time, per point
+    min_eigenvalue: np.ndarray | None  # density runs only, per point
     n_steps: int
+
+    def point(self, b: int) -> "Trajectory":
+        return Trajectory(
+            times=self.times,
+            states=self.states[b],
+            fidelities=self.fidelities[b],
+            populations=self.populations[b],
+            final_state=self.final_state[b],
+            drift=float(self.drift[b]),
+            min_eigenvalue=None if self.min_eigenvalue is None else float(self.min_eigenvalue[b]),
+            n_steps=self.n_steps,
+        )
 
 
 def fidelity(state: np.ndarray, target: np.ndarray | None = None) -> float:
@@ -99,15 +123,47 @@ def populations(traj: Trajectory) -> np.ndarray:
     return traj.populations
 
 
-def _state_populations(state: np.ndarray) -> np.ndarray:
-    if state.ndim == 1:
-        return np.abs(state) ** 2
-    return np.real(np.diag(state))
+def node_times(n_steps: int, duration: float) -> np.ndarray:
+    """The 2 n_steps + 1 RK4 nodes t_k = k h / 2, h = duration / n_steps.
+
+    Even nodes are the step boundaries s h, odd nodes the midpoints
+    s h + h / 2; the last node is exactly `duration`.
+    """
+    h = duration / n_steps
+    t = np.empty(2 * n_steps + 1)
+    t[0::2] = np.arange(n_steps + 1) * h
+    t[1::2] = t[0:-1:2] + 0.5 * h
+    t[-1] = duration
+    return t
 
 
 def _frame_indices(n_steps: int, n_frames: int) -> np.ndarray:
     n_frames = int(min(max(n_frames, 2), MAX_FRAMES, n_steps + 1))
     return np.unique(np.linspace(0, n_steps, n_frames).round().astype(int))
+
+
+def _trajectory(frames, keep, final, drift, min_eig, grid, duration) -> Trajectory:
+    """Package (frames, B, ...) stored states; fidelities are taken point by point."""
+    states = np.ascontiguousarray(np.moveaxis(frames, 0, 1))
+    if states.ndim == 3:
+        pops = np.abs(states) ** 2
+    else:
+        pops = np.real(np.diagonal(states, axis1=-2, axis2=-1))
+    return Trajectory(
+        times=node_times(grid.n_steps, duration)[2 * keep],
+        states=states,
+        fidelities=np.array([[fidelity(s) for s in point] for point in states]),
+        populations=pops,
+        final_state=final,
+        drift=drift,
+        min_eigenvalue=min_eig,
+        n_steps=grid.n_steps,
+    )
+
+
+def _which(b: int, values: np.ndarray) -> str:
+    """Names point b in an error message when the batch has more than one."""
+    return f" (batch point {b})" if len(values) > 1 else ""
 
 
 def propagate_schrodinger(
@@ -117,49 +173,46 @@ def propagate_schrodinger(
     duration: float = 1.0,
     n_frames: int = 2,
 ) -> Trajectory:
-    """Fixed-step RK4 on i dpsi/dt = H(t) psi; no renormalization."""
+    """Fixed-step RK4 on i dpsi/dt = H(t) psi for B states; no renormalization.
+
+    psi0 has shape (B, 10). h_fn(k) returns the (B, 10, 10) Hamiltonians at
+    node k of node_times(grid.n_steps, duration); step s calls it at nodes
+    2s, 2s+1 and 2s+2. Every product is taken point by point, so a point's
+    result does not depend on the batch it runs in.
+    """
     grid = grid or TimeGrid()
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    psi = np.array(psi0, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != DIM:
+        raise ValueError(f"psi0 must have shape (B, {DIM})")
+    if any(abs(np.linalg.norm(p) - 1.0) > 1e-9 for p in psi):
         raise ValueError("psi0 must be normalized")
     n = grid.n_steps
     h = duration / n
     keep = _frame_indices(n, n_frames)
-    keep_set = set(int(i) for i in keep)
-
-    times, states = [], []
-    if 0 in keep_set:
-        times.append(0.0)
-        states.append(psi.copy())
-    t = 0.0
-    for step in range(1, n + 1):
-        h1 = h_fn(t)
-        h2 = h_fn(t + 0.5 * h)
-        h3 = h_fn(t + h)
+    frames = np.empty((len(keep),) + psi.shape, dtype=complex)
+    frames[0] = psi
+    stored = 1
+    psi = psi[..., None]
+    for step in range(n):
+        h1 = h_fn(2 * step)
+        h2 = h_fn(2 * step + 1)
+        h3 = h_fn(2 * step + 2)
         k1 = -1j * (h1 @ psi)
         k2 = -1j * (h2 @ (psi + 0.5 * h * k1))
         k3 = -1j * (h2 @ (psi + 0.5 * h * k2))
         k4 = -1j * (h3 @ (psi + h * k3))
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * h
-        if step in keep_set:
-            times.append(t)
-            states.append(psi.copy())
+        if stored < len(keep) and keep[stored] == step + 1:
+            frames[stored] = psi[..., 0]
+            stored += 1
 
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    traj = Trajectory(
-        times=np.array(times),
-        states=states,
-        fidelities=np.array([fidelity(s) for s in states]),
-        populations=np.array([_state_populations(s) for s in states]),
-        final_state=psi,
-        drift=float(drift),
-        min_eigenvalue=None,
-        n_steps=n,
-    )
-    if drift > NORM_TOL:
+    psi = psi[..., 0]
+    drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
+    traj = _trajectory(frames, keep, psi, drift, None, grid, duration)
+    b = int(np.argmax(drift))
+    if drift[b] > NORM_TOL:
         raise ConvergenceError(
-            f"norm drift {drift:.3e} exceeds {NORM_TOL:.0e} after {n} steps"
+            f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}"
         )
     return traj
 
@@ -249,71 +302,66 @@ def propagate_lindblad(
     duration: float = 1.0,
     n_frames: int = 2,
 ) -> Trajectory:
-    """Fixed-step RK4 on the Lindblad master equation.
+    """Fixed-step RK4 on the Lindblad master equation for B density matrices.
 
-    The Hamiltonian commutator and the dissipator are evaluated directly on
-    the 10x10 matrix; rho is re-symmetrized once per step to absorb float
-    drift. Trace and positivity are monitored at stored frames and gate the
-    result.
+    rho0 has shape (B, 10, 10) and lindblads holds one operator list per
+    point; their dissipator tables are stacked. h_fn follows the contract of
+    propagate_schrodinger; each step calls it at nodes 2s, 2s+1 (twice) and
+    2s+2. The Hamiltonian commutator and the dissipator are evaluated
+    directly on each 10x10 matrix; rho is re-symmetrized once per step to
+    absorb float drift. Trace and positivity are monitored at stored frames
+    and gate the result.
     """
     grid = grid or TimeGrid()
-    rho = np.asarray(rho0, dtype=complex).copy()
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"rho0 must be {DIM}x{DIM}")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("rho0 must be Hermitian with unit trace")
-    gain, scatter, generic = _dissipator_tables(lindblads)
-    gen_pairs = [(L, L.conj().T @ L) for L in generic]
+    rho = np.array(rho0, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (DIM, DIM):
+        raise ValueError(f"rho0 must have shape (B, {DIM}, {DIM})")
+    for r in rho:
+        if abs(np.trace(r).real - 1.0) > 1e-9 or np.max(np.abs(r - r.conj().T)) > 1e-9:
+            raise ValueError("rho0 must be Hermitian with unit trace")
+    if len(lindblads) != len(rho):
+        raise ValueError(f"need one operator list per point, got {len(lindblads)} for {len(rho)}")
+    tables = [_dissipator_tables(ops) for ops in lindblads]
+    if any(generic for _, _, generic in tables):
+        raise ValueError("only single-entry jumps and real diagonal operators are supported")
+    gain = np.stack([t[0] for t in tables])
+    scatter = np.stack([t[1] for t in tables]).astype(complex)
 
-    def rhs(t: float, r: np.ndarray) -> np.ndarray:
-        H = h_fn(t)
+    def rhs(k: int, r: np.ndarray) -> np.ndarray:
+        H = h_fn(k)
         out = -1j * (H @ r - r @ H) + gain * r
-        out[_DIAG_IDX, _DIAG_IDX] += scatter @ r.diagonal()
-        for L, LdL in gen_pairs:
-            out += L @ r @ L.conj().T - 0.5 * (LdL @ r + r @ LdL)
+        out[:, _DIAG_IDX, _DIAG_IDX] += (scatter @ r[:, _DIAG_IDX, _DIAG_IDX, None])[..., 0]
         return out
 
     n = grid.n_steps
     h = duration / n
     keep = _frame_indices(n, n_frames)
-    keep_set = set(int(i) for i in keep)
-
-    times, states = [], []
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    if 0 in keep_set:
-        times.append(0.0)
-        states.append(rho.copy())
-    t = 0.0
-    for step in range(1, n + 1):
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * h, rho + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, rho + 0.5 * h * k2)
-        k4 = rhs(t + h, rho + h * k3)
+    frames = np.empty((len(keep),) + rho.shape, dtype=complex)
+    frames[0] = rho
+    stored = 1
+    min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
+    for step in range(n):
+        k1 = rhs(2 * step, rho)
+        k2 = rhs(2 * step + 1, rho + 0.5 * h * k1)
+        k3 = rhs(2 * step + 1, rho + 0.5 * h * k2)
+        k4 = rhs(2 * step + 2, rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        t = step * h
-        if step in keep_set:
-            times.append(t)
-            states.append(rho.copy())
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho).min()))
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        if stored < len(keep) and keep[stored] == step + 1:
+            frames[stored] = rho
+            stored += 1
+            min_eig = np.minimum(min_eig, np.linalg.eigvalsh(rho).min(axis=-1))
 
-    drift = abs(float(np.trace(rho).real) - 1.0)
-    traj = Trajectory(
-        times=np.array(times),
-        states=states,
-        fidelities=np.array([fidelity(s) for s in states]),
-        populations=np.array([_state_populations(s) for s in states]),
-        final_state=rho,
-        drift=drift,
-        min_eigenvalue=min_eig,
-        n_steps=n,
-    )
-    if drift > TRACE_TOL:
+    drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])
+    traj = _trajectory(frames, keep, rho, drift, min_eig, grid, duration)
+    b = int(np.argmax(drift))
+    if drift[b] > TRACE_TOL:
         raise ConvergenceError(
-            f"trace drift {drift:.3e} exceeds {TRACE_TOL:.0e} after {n} steps"
+            f"trace drift {drift[b]:.3e} exceeds {TRACE_TOL:.0e} after {n} steps{_which(b, drift)}"
         )
-    if min_eig < EIG_TOL:
+    b = int(np.argmin(min_eig))
+    if min_eig[b] < EIG_TOL:
         raise ConvergenceError(
-            f"density matrix eigenvalue {min_eig:.3e} below {EIG_TOL:.0e}"
+            f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}{_which(b, min_eig)}"
         )
     return traj

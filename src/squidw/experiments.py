@@ -1,10 +1,20 @@
 """Named, reproducible experiment drivers plus generic sweep machinery.
 
+Every run is described by a frozen `RunSpec` (flavor, coupling, noise ratios,
+variation errors, grid, stored frames) and goes through one builder,
+`run_points`. It groups a driver's specs into batches that share closed/open,
+n_steps, duration and n_frames. For each batch it stacks the cavity
+Hamiltonians H_c(g) as (B, 10, 10), samples the two channel envelopes once
+at the 2n+1 RK4 nodes and integrates H = H_c + a(t) D_a + b(t) D_b for the
+whole batch in one propagator call (with the stacked dissipator tables for
+open runs). Batches run one after another in the calling process; the
+drivers' `jobs` argument is accepted for compatibility and ignored.
+
 Every driver writes `<name>.csv` (RFC-4180, header row) and `<name>.meta.json`
 (schema-versioned) into an output directory and returns its records. Table
 drivers additionally emit `<name>_compare.csv` holding reference value,
 computed value, delta, and verdict per row. All runs are deterministic:
-identical inputs produce byte-identical files, with or without a worker pool.
+identical inputs produce byte-identical files, whatever the batching.
 
 The bundled reference tables are the expected outcomes used by the regression
 suite and the `reproduce` command.
@@ -15,9 +25,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,6 +36,7 @@ from .dynamics import (
     Trajectory,
     fidelity,
     lindblad_operators,
+    node_times,
     propagate_lindblad,
     propagate_schrodinger,
 )
@@ -42,6 +52,7 @@ from .pulse_design import (
     with_duration,
 )
 from .state_space import (
+    DIM,
     PSI1,
     CouplingConfig,
     basis_state,
@@ -217,36 +228,6 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} has no values")
 
 
-def _base_job(spec: SweepSpec) -> dict:
-    return {
-        "label": "",
-        "flavor": spec.flavor,
-        "g": spec.g,
-        "A": spec.A,
-        "kappa_over_g": spec.noise.kappa / spec.g,
-        "gamma_over_g": spec.noise.gamma / spec.g,
-        "gammaphi_over_g": spec.noise.gamma_phi / spec.g,
-        "delta_t": spec.variation[0],
-        "delta_omega": spec.variation[1],
-        "delta_g": spec.variation[2],
-        "omega0": spec.omega0,
-        "n_steps": spec.n_steps,
-        "mode": spec.mode,
-    }
-
-
-_AXIS_TO_KEY = {
-    "g": "g",
-    "kappa_over_g": "kappa_over_g",
-    "gamma_over_g": "gamma_over_g",
-    "gammaphi_over_g": "gammaphi_over_g",
-    "dT_over_T": "delta_t",
-    "dOmega_over_Omega": "delta_omega",
-    "dg_over_g": "delta_g",
-    "omega0_stirap": "omega0",
-}
-
-
 def build_schedule(
     flavor: str,
     params: ScheduleParams,
@@ -263,72 +244,243 @@ def build_schedule(
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def evaluate_point(job: dict) -> ResultRecord:
-    """Run one sweep point described by primitives (worker-safe)."""
-    flavor = job["flavor"]
-    mode = job.get("mode", "rescale")
-    d_t = float(job.get("delta_t", 0.0))
-    d_omega = float(job.get("delta_omega", 0.0))
-    d_g = float(job.get("delta_g", 0.0))
-    if d_t <= -1.0:
-        raise ValueError("delta_t must exceed -1")
+@dataclass(frozen=True)
+class RunSpec:
+    """One run from |psi1>: drive, coupling, noise, errors, grid and frames.
 
-    if mode == "rescale":
-        run_t = 1.0 + d_t
-        schedule = build_schedule(flavor, ScheduleParams(T=run_t, A=job.get("A", 0.5)), job.get("omega0"))
-    elif mode == "truncate":
-        run_t = 1.0 + d_t
-        schedule = build_schedule(flavor, ScheduleParams(T=1.0, A=job.get("A", 0.5)), job.get("omega0"))
-        schedule = with_duration(schedule, run_t)
-    else:
-        raise ValueError(f"unknown variation mode {mode!r}")
-    if d_omega != 0.0:
-        schedule = scaled(schedule, 1.0 + d_omega)
+    Rates are ratios to the nominal coupling g and act at the erroneous
+    coupling g (1 + delta_g). The run lasts 1 + delta_t; `mode` says how the
+    waveforms meet that duration (see run_variation_grid). master_equation
+    integrates the density matrix even when every rate is zero.
+    """
 
-    g_eff = float(job["g"]) * (1.0 + d_g)
-    cfg = CouplingConfig(g=g_eff, T=run_t)
-    hc = cavity_hamiltonian(cfg)
+    label: str = ""
+    flavor: str = "gaussian"
+    g: float = 30.0
+    A: float = 0.5
+    kappa_over_g: float = 0.0
+    gamma_over_g: float = 0.0
+    gammaphi_over_g: float = 0.0
+    delta_t: float = 0.0
+    delta_omega: float = 0.0
+    delta_g: float = 0.0
+    omega0: float | None = None
+    n_steps: int = 2000
+    mode: str = "rescale"
+    n_frames: int = 2
+    master_equation: bool = False
 
-    def h_fn(t: float) -> np.ndarray:
-        return hc + drive_hamiltonian(schedule.qubit_amplitudes(t))
+    def __post_init__(self) -> None:
+        for name in ("g", "A", "kappa_over_g", "gamma_over_g", "gammaphi_over_g",
+                     "delta_t", "delta_omega", "delta_g"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.omega0 is not None:
+            object.__setattr__(self, "omega0", float(self.omega0))
+        object.__setattr__(self, "label", str(self.label))
+        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_frames", int(self.n_frames))
+        if self.flavor not in _FLAVORS:
+            raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown variation mode {self.mode!r}")
+        if self.delta_t <= -1.0:
+            raise ValueError("delta_t must exceed -1")
 
-    noise = NoiseModel(
-        kappa=job.get("kappa_over_g", 0.0) * g_eff,
-        gamma=job.get("gamma_over_g", 0.0) * g_eff,
-        gamma_phi=job.get("gammaphi_over_g", 0.0) * g_eff,
+    @classmethod
+    def from_job(cls, job: dict) -> "RunSpec":
+        """A spec from a dict of its fields; an unknown key is an error, not a default."""
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(job) - known)
+        if unknown:
+            raise ValueError(f"unknown run key {unknown[0]!r}; choose from {sorted(known)}")
+        return cls(**job)
+
+    @property
+    def duration(self) -> float:
+        return 1.0 + self.delta_t
+
+    @property
+    def coupling(self) -> CouplingConfig:
+        return CouplingConfig(g=self.g * (1.0 + self.delta_g), T=self.duration)
+
+    @property
+    def noise(self) -> NoiseModel:
+        g_eff = self.coupling.g
+        return NoiseModel(
+            kappa=self.kappa_over_g * g_eff,
+            gamma=self.gamma_over_g * g_eff,
+            gamma_phi=self.gammaphi_over_g * g_eff,
+        )
+
+    @property
+    def closed(self) -> bool:
+        return not self.master_equation and self.noise.is_closed
+
+    def schedule(self) -> PulseSchedule:
+        if self.mode == "rescale":
+            params = ScheduleParams(T=self.duration, A=self.A)
+            schedule = build_schedule(self.flavor, params, self.omega0)
+        else:
+            schedule = build_schedule(self.flavor, ScheduleParams(T=1.0, A=self.A), self.omega0)
+            schedule = with_duration(schedule, self.duration)
+        if self.delta_omega != 0.0:
+            schedule = scaled(schedule, 1.0 + self.delta_omega)
+        return schedule
+
+    def record(self, traj: Trajectory) -> ResultRecord:
+        """The CSV row of this run, from its one-point trajectory."""
+        return ResultRecord(
+            label=self.label,
+            flavor=self.flavor,
+            g=self.g,
+            kappa_over_g=self.kappa_over_g,
+            gamma_over_g=self.gamma_over_g,
+            gammaphi_over_g=self.gammaphi_over_g,
+            delta_t=self.delta_t,
+            delta_omega=self.delta_omega,
+            delta_g=self.delta_g,
+            omega0=self.omega0,
+            n_steps=self.n_steps,
+            duration=self.duration,
+            fidelity=fidelity(traj.final_state),
+            drift=traj.drift,
+            min_eigenvalue=traj.min_eigenvalue,
+        )
+
+
+_AXIS_TO_KEY = {
+    "g": "g",
+    "kappa_over_g": "kappa_over_g",
+    "gamma_over_g": "gamma_over_g",
+    "gammaphi_over_g": "gammaphi_over_g",
+    "dT_over_T": "delta_t",
+    "dOmega_over_Omega": "delta_omega",
+    "dg_over_g": "delta_g",
+    "omega0_stirap": "omega0",
+}
+
+
+def _sweep_specs(spec: SweepSpec) -> list[RunSpec]:
+    """The grid of a sweep, one RunSpec per point, labelled by its axis values."""
+    base = RunSpec(
+        flavor=spec.flavor,
+        g=spec.g,
+        A=spec.A,
+        kappa_over_g=spec.noise.kappa / spec.g,
+        gamma_over_g=spec.noise.gamma / spec.g,
+        gammaphi_over_g=spec.noise.gamma_phi / spec.g,
+        delta_t=spec.variation[0],
+        delta_omega=spec.variation[1],
+        delta_g=spec.variation[2],
+        omega0=spec.omega0,
+        n_steps=spec.n_steps,
+        mode=spec.mode,
     )
-    grid = TimeGrid(n_steps=int(job.get("n_steps", 2000)))
-    psi0 = basis_state(PSI1)
-    if noise.is_closed:
-        traj = propagate_schrodinger(h_fn, psi0, grid, duration=run_t)
-    else:
-        rho0 = np.outer(psi0, psi0.conj())
-        traj = propagate_lindblad(h_fn, lindblad_operators(noise), rho0, grid, duration=run_t)
+    points = [{}]
+    for axis_name, values in spec.axes:
+        key = _AXIS_TO_KEY[axis_name]
+        points = [dict(p, **{key: float(v)}) for p in points for v in values]
+    return [
+        replace(base, label=",".join(f"{k}={v:g}" for k, v in sorted(p.items())) or "base", **p)
+        for p in points
+    ]
 
-    return ResultRecord(
-        label=str(job.get("label", "")),
-        flavor=flavor,
-        g=float(job["g"]),
-        kappa_over_g=float(job.get("kappa_over_g", 0.0)),
-        gamma_over_g=float(job.get("gamma_over_g", 0.0)),
-        gammaphi_over_g=float(job.get("gammaphi_over_g", 0.0)),
-        delta_t=d_t,
-        delta_omega=d_omega,
-        delta_g=d_g,
-        omega0=job.get("omega0"),
-        n_steps=grid.n_steps,
-        duration=run_t,
-        fidelity=fidelity(traj.final_state),
-        drift=traj.drift,
-        min_eigenvalue=traj.min_eigenvalue,
+
+# Channel a drives qubits 1-3 and channel b qubit 4, each at sqrt(2) times
+# its envelope (PulseSchedule.qubit_amplitudes), so the drive part of H is
+# a(t) D_a + b(t) D_b.
+_SQRT2 = math.sqrt(2.0)
+_CHANNEL_DRIVES = (
+    drive_hamiltonian([_SQRT2, _SQRT2, _SQRT2, 0.0]),
+    drive_hamiltonian([0.0, 0.0, 0.0, _SQRT2]),
+)
+# The effective three-level model: omega_a couples W, omega_b couples psi1.
+_EFFECTIVE_DRIVES = (effective_hamiltonian(1.0, 0.0), effective_hamiltonian(0.0, 1.0))
+
+
+# RK4 nodes whose envelopes are sampled at a time, so that a batch holds a
+# block of its drive history rather than all 2n+1 nodes of it.
+_NODE_BLOCK = 256
+
+
+def _integrate(
+    h0, drives, sample, state0, duration, n_steps, n_frames, lindblads=None
+) -> Trajectory:
+    """B points on one grid: H_b(t_k) = h0[b] + a_b(t_k) D_a + b_b(t_k) D_b.
+
+    h0 is (B, 10, 10), drives the pair (D_a, D_b) and sample(ts) the
+    (len(ts), B, 2) channel envelopes at the times ts. The envelopes are
+    sampled block by block at node_times(n_steps, duration), and H is
+    assembled at each node the propagator asks for, never stored for the
+    whole run. lindblads, one operator list per point, selects the master
+    equation.
+    """
+    d_a, d_b = drives
+    nodes = node_times(n_steps, duration)
+    block = {"start": -1, "envelopes": None}
+
+    def h_fn(k: int) -> np.ndarray:
+        start = k - k % _NODE_BLOCK
+        if start != block["start"]:
+            block["start"], block["envelopes"] = start, sample(nodes[start : start + _NODE_BLOCK])
+        env = block["envelopes"][k - start]
+        return h0 + env[:, 0, None, None] * d_a + env[:, 1, None, None] * d_b
+
+    grid = TimeGrid(n_steps)
+    batch = len(h0)
+    if lindblads is None:
+        psi0 = np.tile(state0, (batch, 1))
+        return propagate_schrodinger(h_fn, psi0, grid, duration=duration, n_frames=n_frames)
+    rho0 = np.tile(np.outer(state0, state0.conj()), (batch, 1, 1))
+    return propagate_lindblad(h_fn, lindblads, rho0, grid, duration=duration, n_frames=n_frames)
+
+
+def _run_batch(specs: list[RunSpec]) -> list[tuple[ResultRecord, Trajectory]]:
+    """Integrate specs that share closed/open, n_steps, duration and n_frames."""
+    first = specs[0]
+    h0 = np.stack([cavity_hamiltonian(s.coupling) for s in specs])
+    schedules = [s.schedule() for s in specs]
+    lindblads = None if first.closed else [lindblad_operators(s.noise) for s in specs]
+    traj = _integrate(
+        h0,
+        _CHANNEL_DRIVES,
+        lambda ts: np.stack([sch.envelopes(ts) for sch in schedules], axis=1),
+        basis_state(PSI1),
+        first.duration,
+        first.n_steps,
+        first.n_frames,
+        lindblads,
     )
+    points = [traj.point(b) for b in range(len(specs))]
+    return [(s.record(p), p) for s, p in zip(specs, points)]
 
 
-def _map_jobs(jobs: list[dict], n_jobs: int = 1) -> list[ResultRecord]:
-    if n_jobs <= 1 or len(jobs) <= 1:
-        return [evaluate_point(j) for j in jobs]
-    with multiprocessing.Pool(min(n_jobs, len(jobs))) as pool:
-        return pool.map(evaluate_point, jobs)
+def run_points(specs) -> list[tuple[ResultRecord, Trajectory]]:
+    """Run every spec through one builder; (record, trajectory) per spec, in order.
+
+    Specs that share closed/open, n_steps, duration and n_frames form one
+    batch. A point's result does not depend on its batch, so any grouping
+    gives the same bytes.
+    """
+    specs = list(specs)
+    batches: dict[tuple, list[int]] = {}
+    for i, s in enumerate(specs):
+        batches.setdefault((s.closed, s.n_steps, s.duration, s.n_frames), []).append(i)
+    out = [None] * len(specs)
+    for members in batches.values():
+        for i, pair in zip(members, _run_batch([specs[i] for i in members])):
+            out[i] = pair
+    return out
+
+
+def _records(specs) -> list[ResultRecord]:
+    return [record for record, _ in run_points(specs)]
+
+
+def evaluate_point(job) -> ResultRecord:
+    """Run one point (a batch of one); job is a RunSpec or a dict of its fields."""
+    spec = job if isinstance(job, RunSpec) else RunSpec.from_job(job)
+    return _run_batch([spec])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +573,7 @@ def _write_trajectory(outdir, name: str, traj: Trajectory, meta: dict, label: st
 
 def run_sweep(spec: SweepSpec, outdir=None, jobs: int = 1, name: str = "sweep"):
     """Expand the spec's axes into a grid and evaluate every point."""
-    base = _base_job(spec)
-    points = [{}]
-    for axis_name, values in spec.axes:
-        key = _AXIS_TO_KEY[axis_name]
-        points = [dict(p, **{key: float(v)}) for p in points for v in values]
-    jobs_list = []
-    for p in points:
-        job = dict(base)
-        job.update(p)
-        job["label"] = ",".join(f"{k}={v:g}" for k, v in sorted(p.items())) or "base"
-        jobs_list.append(job)
-    records = _map_jobs(jobs_list, jobs)
+    records = _records(_sweep_specs(spec))
     _emit(
         outdir,
         name,
@@ -455,21 +596,12 @@ def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int =
     spec = SweepSpec(
         flavor="gaussian", axes=(("g", tuple(g_values)),), n_steps=n_steps
     )
-    return run_sweep(spec, outdir, jobs, name="coupling_sweep")
+    return run_sweep(spec, outdir, name="coupling_sweep")
 
 
 def run_population_trace(outdir=None, g: float = 30.0, n_steps: int = 2000, n_frames: int = 401):
     """Basis-state populations along the headline closed-system run."""
-    cfg = CouplingConfig(g=g)
-    schedule = gaussian_fit_pulses()
-    hc = cavity_hamiltonian(cfg)
-
-    def h_fn(t: float) -> np.ndarray:
-        return hc + drive_hamiltonian(schedule.qubit_amplitudes(t))
-
-    traj = propagate_schrodinger(
-        h_fn, basis_state(PSI1), TimeGrid(n_steps), duration=1.0, n_frames=n_frames
-    )
+    [(_, traj)] = run_points([RunSpec(g=g, n_steps=n_steps, n_frames=n_frames)])
     _write_trajectory(
         outdir,
         "population_trace",
@@ -480,44 +612,27 @@ def run_population_trace(outdir=None, g: float = 30.0, n_steps: int = 2000, n_fr
 
 
 def run_stirap_comparison(configs=None, outdir=None, jobs: int = 1, n_steps: int = 2000, n_frames: int = 201):
-    """Fidelity curves: the protocol at g = 30/T versus the STIRAP baseline."""
+    """Fidelity curves: the protocol at g = 30/T versus the STIRAP baseline.
+
+    The curves share one grid, so they run as one batch.
+    """
     if configs is None:
         configs = [(omega0, g) for omega0, g, _, _ in STIRAP_REFERENCE] + [STIRAP_STRONG]
-    curves: dict[str, Trajectory] = {}
-    records: list[ResultRecord] = []
-
-    def trace(label, flavor, g, omega0=None):
-        cfg = CouplingConfig(g=g)
-        schedule = build_schedule(flavor, ScheduleParams(), omega0)
-        hc = cavity_hamiltonian(cfg)
-        h_fn = lambda t: hc + drive_hamiltonian(schedule.qubit_amplitudes(t))
-        traj = propagate_schrodinger(
-            h_fn, basis_state(PSI1), TimeGrid(n_steps), duration=1.0, n_frames=n_frames
+    specs = [RunSpec(label="protocol_g30", g=30.0, n_steps=n_steps, n_frames=n_frames)]
+    specs += [
+        RunSpec(
+            label=f"stirap_{omega0:g}_{g:g}",
+            flavor="stirap",
+            g=g,
+            omega0=omega0,
+            n_steps=n_steps,
+            n_frames=n_frames,
         )
-        curves[label] = traj
-        records.append(
-            ResultRecord(
-                label=label,
-                flavor=flavor,
-                g=g,
-                kappa_over_g=0.0,
-                gamma_over_g=0.0,
-                gammaphi_over_g=0.0,
-                delta_t=0.0,
-                delta_omega=0.0,
-                delta_g=0.0,
-                omega0=omega0,
-                n_steps=n_steps,
-                duration=1.0,
-                fidelity=fidelity(traj.final_state),
-                drift=traj.drift,
-                min_eigenvalue=None,
-            )
-        )
-
-    trace("protocol_g30", "gaussian", 30.0)
-    for omega0, g in configs:
-        trace(f"stirap_{omega0:g}_{g:g}", "stirap", float(g), float(omega0))
+        for omega0, g in configs
+    ]
+    results = run_points(specs)
+    records = [record for record, _ in results]
+    curves: dict[str, Trajectory] = {s.label: traj for s, (_, traj) in zip(specs, results)}
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
@@ -547,10 +662,14 @@ def run_decoherence_grid(axes=None, outdir=None, jobs: int = 1, n_steps: int = 2
             ("gamma_over_g", values),
             ("gammaphi_over_g", tuple(np.linspace(0.0, 1.0e-3, 6))),
         ]
-    records = []
-    for axis_name, values in axes:
-        spec = SweepSpec(flavor="gaussian", axes=((axis_name, tuple(values)),), n_steps=n_steps)
-        records.extend(run_sweep(spec, None, jobs, name="decoherence_grid"))
+    specs = [
+        spec
+        for axis_name, values in axes
+        for spec in _sweep_specs(
+            SweepSpec(flavor="gaussian", axes=((axis_name, tuple(values)),), n_steps=n_steps)
+        )
+    ]
+    records = _records(specs)
     _emit(
         outdir,
         "decoherence_grid",
@@ -562,20 +681,17 @@ def run_decoherence_grid(axes=None, outdir=None, jobs: int = 1, n_steps: int = 2
 
 def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = 2000):
     """All 17 reference decoherence rows plus the side-by-side comparison."""
-    jobs_list = []
-    for kog, gog, pog, _ in TABLE1_REFERENCE:
-        jobs_list.append(
-            {
-                "label": f"k{kog:g}_g{gog:g}_p{pog:g}",
-                "flavor": "gaussian",
-                "g": 30.0,
-                "kappa_over_g": kog,
-                "gamma_over_g": gog,
-                "gammaphi_over_g": pog,
-                "n_steps": n_steps,
-            }
+    specs = [
+        RunSpec(
+            label=f"k{kog:g}_g{gog:g}_p{pog:g}",
+            kappa_over_g=kog,
+            gamma_over_g=gog,
+            gammaphi_over_g=pog,
+            n_steps=n_steps,
         )
-    records = _map_jobs(jobs_list, jobs)
+        for kog, gog, pog, _ in TABLE1_REFERENCE
+    ]
+    records = _records(specs)
     comparisons = [
         _compare(rec.label, ref[3], rec.fidelity, FIDELITY_TOLERANCE)
         for rec, ref in zip(records, TABLE1_REFERENCE)
@@ -593,29 +709,21 @@ def run_dephasing_comparison(values=None, outdir=None, jobs: int = 1, n_steps: i
     """
     if values is None:
         values = tuple(np.linspace(0.0, 1.0e-3, 6))
-    jobs_list = []
-    for v in values:
-        jobs_list.append(
-            {
-                "label": f"protocol_p{v:g}",
-                "flavor": "gaussian",
-                "g": 30.0,
-                "gammaphi_over_g": float(v),
-                "n_steps": n_steps,
-            }
+    specs = [
+        RunSpec(label=f"protocol_p{v:g}", gammaphi_over_g=v, n_steps=n_steps) for v in values
+    ]
+    specs += [
+        RunSpec(
+            label=f"stirap_p{v:g}",
+            flavor="stirap",
+            g=STIRAP_STRONG[1],
+            gammaphi_over_g=v,
+            omega0=STIRAP_STRONG[0],
+            n_steps=n_steps,
         )
-    for v in values:
-        jobs_list.append(
-            {
-                "label": f"stirap_p{v:g}",
-                "flavor": "stirap",
-                "g": STIRAP_STRONG[1],
-                "gammaphi_over_g": float(v),
-                "omega0": STIRAP_STRONG[0],
-                "n_steps": n_steps,
-            }
-        )
-    records = _map_jobs(jobs_list, jobs)
+        for v in values
+    ]
+    records = _records(specs)
     _emit(
         outdir,
         "dephasing_comparison",
@@ -646,21 +754,18 @@ def run_variation_grid(rows=None, outdir=None, jobs: int = 1, n_steps: int = 200
         refs = [r[3] for r in TABLE2_REFERENCE]
     else:
         refs = None
-    jobs_list = []
-    for dt, do, dg in rows:
-        jobs_list.append(
-            {
-                "label": f"dT{dt:+g}_dO{do:+g}_dg{dg:+g}",
-                "flavor": "gaussian",
-                "g": 30.0,
-                "delta_t": float(dt),
-                "delta_omega": float(do),
-                "delta_g": float(dg),
-                "n_steps": n_steps,
-                "mode": mode,
-            }
+    specs = [
+        RunSpec(
+            label=f"dT{dt:+g}_dO{do:+g}_dg{dg:+g}",
+            delta_t=dt,
+            delta_omega=do,
+            delta_g=dg,
+            n_steps=n_steps,
+            mode=mode,
         )
-    records = _map_jobs(jobs_list, jobs)
+        for dt, do, dg in rows
+    ]
+    records = _records(specs)
     comparisons = None
     if refs is not None:
         comparisons = [
@@ -680,7 +785,7 @@ def run_variation_scan(outdir=None, jobs: int = 1, n_steps: int = 2000, mode: st
     rows += [(0.0, 0.0, d) for d in deltas]
     rows += [(a, b, 0.0) for a in (0.10, -0.10) for b in (0.10, -0.10)]
     records, _ = run_variation_grid(
-        rows=rows, outdir=outdir, jobs=jobs, n_steps=n_steps, mode=mode, name="variation_scan"
+        rows=rows, outdir=outdir, n_steps=n_steps, mode=mode, name="variation_scan"
     )
     return records
 
@@ -689,15 +794,13 @@ def run_realistic_parameters(outdir=None, n_steps: int = 2000):
     """Single open-system run at experimentally quoted rate ratios."""
     kog, gog, pog = REALISTIC_RATIOS
     record = evaluate_point(
-        {
-            "label": "realistic",
-            "flavor": "gaussian",
-            "g": 30.0,
-            "kappa_over_g": kog,
-            "gamma_over_g": gog,
-            "gammaphi_over_g": pog,
-            "n_steps": n_steps,
-        }
+        RunSpec(
+            label="realistic",
+            kappa_over_g=kog,
+            gamma_over_g=gog,
+            gammaphi_over_g=pog,
+            n_steps=n_steps,
+        )
     )
     comparison = _compare("realistic", REALISTIC_REFERENCE, record.fidelity, FIDELITY_TOLERANCE)
     _emit(outdir, "realistic", [record], {"ratios": list(REALISTIC_RATIOS), "n_steps": n_steps})
@@ -714,13 +817,14 @@ def run_effective_model(params: ScheduleParams | None = None, n_steps: int = 200
     """
     p = params or ScheduleParams()
 
-    def h_fn(t: float) -> np.ndarray:
-        c = modified_controls(t, p)
-        return effective_hamiltonian(c.omega_a, c.omega_b)
+    def sample(ts):
+        controls = [modified_controls(t, p) for t in ts]
+        return np.array([[[c.omega_a, c.omega_b]] for c in controls])
 
-    traj = propagate_schrodinger(
-        h_fn, basis_state(PSI1), TimeGrid(n_steps), duration=p.T, n_frames=500
-    )
+    traj = _integrate(
+        np.zeros((1, DIM, DIM), dtype=complex), _EFFECTIVE_DRIVES, sample,
+        basis_state(PSI1), p.T, n_steps, 500,
+    ).point(0)
     phi0 = dark_state()
     max_dev = 0.0
     for t, state in zip(traj.times, traj.states):

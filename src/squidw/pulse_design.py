@@ -149,8 +149,8 @@ class GaussianComponent:
         if self.amplitude <= 0 or self.width <= 0:
             raise ValueError("Gaussian component needs positive amplitude and width")
 
-    def __call__(self, t: float, T: float) -> float:
-        return (self.amplitude / T) * math.exp(-(((t - self.center * T) / (self.width * T)) ** 2))
+    def __call__(self, t, T: float):
+        return (self.amplitude / T) * np.exp(-(((t - self.center * T) / (self.width * T)) ** 2))
 
 
 # Two-component fits to the exact dressed controls (A = 0.5). Channel a drives
@@ -170,10 +170,11 @@ class PulseSchedule:
     """A complete set of drive waveforms.
 
     channel_a(t) feeds qubits 1-3, channel_b(t) feeds qubit 4, each multiplied
-    by sqrt(2) to give per-qubit Rabi amplitudes. Channel callables are defined
-    for all t (flavors with a natural support window return 0 outside it), so
-    a schedule can be evaluated past its nominal duration when a run is
-    deliberately cut short or overextended.
+    by sqrt(2) to give per-qubit Rabi amplitudes. Channel callables take a
+    time or an array of times and are defined for all t (flavors with a
+    natural support window return 0 outside it), so a schedule can be
+    evaluated past its nominal duration when a run is deliberately cut short
+    or overextended.
     """
 
     flavor: str
@@ -186,25 +187,40 @@ class PulseSchedule:
         b = _SQRT2 * self.channel_b(t)
         return np.array([a, a, a, b])
 
+    def envelopes(self, ts) -> np.ndarray:
+        """Channel envelopes (a, b) at every time in ts, shape (len(ts), 2)."""
+        ts = np.asarray(ts, dtype=float)
+        return np.stack([self.channel_a(ts), self.channel_b(ts)], axis=-1)
+
     @cached_property
     def peak_amplitude(self) -> float:
         """Max per-qubit Rabi amplitude over a dense grid (units 1/T)."""
         ts = np.linspace(0.0, self.duration, 2001)
-        return max(
-            max(_SQRT2 * abs(self.channel_a(t)) for t in ts),
-            max(_SQRT2 * abs(self.channel_b(t)) for t in ts),
-        )
+        return float(_SQRT2 * np.max(np.abs(self.envelopes(ts))))
+
+
+def _pointwise(fn: Callable[[float], float]) -> Callable:
+    """fn applied to a time or elementwise to an array of times."""
+
+    def channel(t):
+        if np.ndim(t) == 0:
+            return fn(float(t))
+        return np.array([fn(float(s)) for s in np.ravel(t)]).reshape(np.shape(t))
+
+    return channel
 
 
 def dressed_pulses(params: ScheduleParams | None = None) -> PulseSchedule:
     """Exact corrected controls as a schedule; zero outside [0, T]."""
     p = params or ScheduleParams()
 
+    @_pointwise
     def chan_a(t: float) -> float:
         if not (0.0 <= t <= p.T):
             return 0.0
         return modified_controls(t, p).omega_a
 
+    @_pointwise
     def chan_b(t: float) -> float:
         if not (0.0 <= t <= p.T):
             return 0.0
@@ -217,10 +233,10 @@ def gaussian_fit_pulses(params: ScheduleParams | None = None) -> PulseSchedule:
     """Two-component Gaussian approximations of the dressed controls."""
     p = params or ScheduleParams()
 
-    def chan_a(t: float) -> float:
+    def chan_a(t):
         return sum(c(t, p.T) for c in GAUSSIAN_FIT_A)
 
-    def chan_b(t: float) -> float:
+    def chan_b(t):
         return sum(c(t, p.T) for c in GAUSSIAN_FIT_B)
 
     return PulseSchedule(flavor="gaussian", duration=p.T, channel_a=chan_a, channel_b=chan_b)
@@ -243,11 +259,11 @@ def stirap_pulses(
     t0 = 0.15 * p.T if t0 is None else t0
     tc = 0.20 * p.T if tc is None else tc
 
-    def chan_a(t: float) -> float:
-        return omega0 * math.exp(-(((t - (0.5 * p.T - t0)) / tc) ** 2))
+    def chan_a(t):
+        return omega0 * np.exp(-(((t - (0.5 * p.T - t0)) / tc) ** 2))
 
-    def chan_b(t: float) -> float:
-        return omega0 * math.exp(-(((t - (0.5 * p.T + t0)) / tc) ** 2))
+    def chan_b(t):
+        return omega0 * np.exp(-(((t - (0.5 * p.T + t0)) / tc) ** 2))
 
     return PulseSchedule(flavor="stirap", duration=p.T, channel_a=chan_a, channel_b=chan_b)
 

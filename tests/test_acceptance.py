@@ -62,6 +62,7 @@ from squidw.state_space import (
 )
 
 from scipy.linalg import expm
+from single_point import one_point
 
 
 def _closed_fidelity(g: float, n_steps: int = 2000) -> float:
@@ -269,11 +270,11 @@ def test_criterion_09_property_suite(criterion):
     psi0 = basis_state(PSI1)
     rho0 = np.outer(psi0, psi0.conj())
     noise = NoiseModel(kappa=0.3, gamma=0.1, gamma_phi=0.03)
-    noisy = propagate_lindblad(h_fn, lindblad_operators(noise), rho0, TimeGrid(2000))
+    noisy = one_point(propagate_lindblad, h_fn, lindblad_operators(noise), rho0, TimeGrid(2000))
     checks["trace preservation"] = noisy.drift <= 1e-8
 
-    traj_s = propagate_schrodinger(h_fn, psi0, TimeGrid(2000))
-    traj_l = propagate_lindblad(h_fn, lindblad_operators(NoiseModel()), rho0, TimeGrid(2000))
+    traj_s = one_point(propagate_schrodinger, h_fn, psi0, TimeGrid(2000))
+    traj_l = one_point(propagate_lindblad, h_fn, lindblad_operators(NoiseModel()), rho0, TimeGrid(2000))
     checks["closed-open agreement"] = (
         abs(fidelity(traj_s.final_state) - fidelity(traj_l.final_state)) < 1e-7
     )
@@ -286,8 +287,12 @@ def test_criterion_09_property_suite(criterion):
     psi_exact, psi_rk = psi0.copy(), psi0.copy()
     for h in seg_h:
         psi_exact = expm(-1j * h / segments) @ psi_exact
-        psi_rk = propagate_schrodinger(
-            lambda t, h=h: h, psi_rk, TimeGrid(per_seg), duration=1.0 / segments
+        psi_rk = one_point(
+            propagate_schrodinger,
+            lambda t, h=h: h,
+            psi_rk,
+            TimeGrid(per_seg),
+            duration=1.0 / segments,
         ).final_state
     checks["matrix exponential oracle"] = float(np.max(np.abs(psi_rk - psi_exact))) < 1e-8
 
@@ -303,10 +308,11 @@ def test_criterion_09_property_suite(criterion):
         c = modified_controls(t, p)
         return effective_hamiltonian(c.omega_a, c.omega_b)
 
-    eff = propagate_schrodinger(h_eff, psi0, TimeGrid(2000)).final_state
+    eff = one_point(propagate_schrodinger, h_eff, psi0, TimeGrid(2000)).final_state
     dsch = dressed_pulses(p)
     hc300 = cavity_hamiltonian(CouplingConfig(g=300.0))
-    full = propagate_schrodinger(
+    full = one_point(
+        propagate_schrodinger,
         lambda t: hc300 + drive_hamiltonian(dsch.qubit_amplitudes(t)),
         psi0,
         TimeGrid(4000),

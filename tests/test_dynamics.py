@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from single_point import one_point
 
 from squidw.dynamics import (
     EIG_TOL,
@@ -16,6 +17,7 @@ from squidw.dynamics import (
     _dissipator_tables,
     fidelity,
     lindblad_operators,
+    node_times,
     populations,
     propagate_lindblad,
     propagate_schrodinger,
@@ -88,12 +90,59 @@ def test_dephasing_operators_are_balanced_diagonals():
 
 
 # ---------------------------------------------------------------------------
+# batched call contract
+
+
+def test_batched_propagators_keep_the_call_contract():
+    """One call integrates the batch: one Trajectory with the integer step
+    count, per-point endpoint diagnostics, and H built 3 (closed) or 4 (open)
+    times per step at nodes 2s, 2s+1 (twice when open) and 2s+2."""
+    grid = TimeGrid(120)
+    sch = gaussian_fit_pulses(ScheduleParams())
+    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (5.0, 10.0, 20.0)])
+    nodes = node_times(grid.n_steps, 1.0)
+    calls = []
+
+    def h_fn(k):
+        calls.append(k)
+        return hc + drive_hamiltonian(sch.qubit_amplitudes(nodes[k]))
+
+    psi0 = np.tile(basis_state(PSI1), (3, 1))
+    traj = propagate_schrodinger(h_fn, psi0, grid)
+    n = grid.n_steps
+    assert calls == [k for s in range(n) for k in (2 * s, 2 * s + 1, 2 * s + 2)]
+    assert type(traj.n_steps) is int and traj.n_steps == n
+    assert traj.final_state.shape == (3, DIM) and traj.drift.shape == (3,)
+    assert traj.min_eigenvalue is None
+    for b in range(3):
+        alone = propagate_schrodinger(lambda k: h_fn(k)[b : b + 1], psi0[b : b + 1], grid)
+        assert np.array_equal(alone.final_state[0], traj.final_state[b])
+        assert alone.drift[0] == traj.drift[b]
+
+    calls.clear()
+    ops = [lindblad_operators(NoiseModel(kappa=k, gamma_phi=0.1)) for k in (0.5, 1.0, 2.0)]
+    rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
+    traj = propagate_lindblad(h_fn, ops, rho0, grid, n_frames=4)
+    assert calls == [k for s in range(n) for k in (2 * s, 2 * s + 1, 2 * s + 1, 2 * s + 2)]
+    assert type(traj.n_steps) is int and traj.n_steps == n
+    assert traj.final_state.shape == (3, DIM, DIM)
+    assert traj.drift.shape == traj.min_eigenvalue.shape == (3,)
+    assert traj.states.shape == (3, 4, DIM, DIM) and traj.fidelities.shape == (3, 4)
+    one = traj.point(1)
+    assert isinstance(one.drift, float) and isinstance(one.min_eigenvalue, float)
+    assert np.array_equal(one.final_state, traj.final_state[1])
+    # more cavity loss, less photon population left at the end
+    photon = traj.final_state[:, PSI3, PSI3].real
+    assert photon[0] > photon[1] > photon[2]
+
+
+# ---------------------------------------------------------------------------
 # closed-system propagation
 
 
 def test_no_drive_leaves_initial_state_alone():
     hc = cavity_hamiltonian(CouplingConfig(g=30.0))
-    traj = propagate_schrodinger(lambda t: hc, basis_state(PSI1), TimeGrid(500))
+    traj = one_point(propagate_schrodinger, lambda t: hc, basis_state(PSI1), TimeGrid(500))
     assert abs(abs(traj.final_state[PSI1]) - 1.0) < 1e-12
     assert fidelity(traj.final_state) < 1e-24
 
@@ -110,18 +159,22 @@ def test_rk4_matches_piecewise_matrix_exponential():
     psi_rk = basis_state(PSI1)
     for h in seg_h:
         psi_exact = expm(-1j * h / segments) @ psi_exact
-        psi_rk = propagate_schrodinger(
-            lambda t, h=h: h, psi_rk, TimeGrid(per_seg), duration=1.0 / segments
+        psi_rk = one_point(
+            propagate_schrodinger,
+            lambda t, h=h: h,
+            psi_rk,
+            TimeGrid(per_seg),
+            duration=1.0 / segments,
         ).final_state
     assert np.max(np.abs(psi_rk - psi_exact)) < 1e-8
 
 
 def test_rk4_is_fourth_order():
     h_fn = _gaussian_h(5.0)
-    ref = propagate_schrodinger(h_fn, basis_state(PSI1), TimeGrid(6400)).final_state
+    ref = one_point(propagate_schrodinger, h_fn, basis_state(PSI1), TimeGrid(6400)).final_state
     errs = [
         np.linalg.norm(
-            propagate_schrodinger(h_fn, basis_state(PSI1), TimeGrid(n)).final_state - ref
+            one_point(propagate_schrodinger, h_fn, basis_state(PSI1), TimeGrid(n)).final_state - ref
         )
         for n in (200, 400)
     ]
@@ -133,11 +186,11 @@ def test_schrodinger_norm_gate_trips_on_stiff_underresolved_run():
     sch = stirap_pulses(50.0)
     h_fn = lambda t: hc + drive_hamiltonian(sch.qubit_amplitudes(t))
     with pytest.raises(ConvergenceError):
-        propagate_schrodinger(h_fn, basis_state(PSI1), TimeGrid(100))
+        one_point(propagate_schrodinger, h_fn, basis_state(PSI1), TimeGrid(100))
 
 
 def test_permutation_symmetry_of_closed_dynamics():
-    traj = propagate_schrodinger(_gaussian_h(30.0), basis_state(PSI1), TimeGrid(2000))
+    traj = one_point(propagate_schrodinger, _gaussian_h(30.0), basis_state(PSI1), TimeGrid(2000))
     psi = traj.final_state
     for a, b in ((PSI4, PSI5), (PSI7, PSI8)):
         swapped = psi.copy()
@@ -147,8 +200,8 @@ def test_permutation_symmetry_of_closed_dynamics():
 
 
 def test_trajectory_frames_and_populations():
-    traj = propagate_schrodinger(
-        _gaussian_h(30.0), basis_state(PSI1), TimeGrid(1000), n_frames=101
+    traj = one_point(
+        propagate_schrodinger, _gaussian_h(30.0), basis_state(PSI1), TimeGrid(1000), n_frames=101
     )
     assert len(traj.states) == 101
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
@@ -158,15 +211,15 @@ def test_trajectory_frames_and_populations():
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-9
     assert traj.fidelities[0] == pytest.approx(0.0, abs=1e-30)
     assert traj.fidelities[-1] > 0.99
-    big = propagate_schrodinger(
-        _gaussian_h(10.0), basis_state(PSI1), TimeGrid(1000), n_frames=5000
+    big = one_point(
+        propagate_schrodinger, _gaussian_h(10.0), basis_state(PSI1), TimeGrid(1000), n_frames=5000
     )
     assert len(big.states) <= MAX_FRAMES
 
 
 def test_schrodinger_input_validation():
     with pytest.raises(ValueError):
-        propagate_schrodinger(_gaussian_h(10.0), 2.0 * basis_state(PSI1), TimeGrid(100))
+        one_point(propagate_schrodinger, _gaussian_h(10.0), 2.0 * basis_state(PSI1), TimeGrid(100))
     with pytest.raises(ValueError):
         TimeGrid(50)
     with pytest.raises(ValueError):
@@ -180,9 +233,9 @@ def test_schrodinger_input_validation():
 def test_zero_noise_master_equation_matches_schrodinger():
     h_fn = _gaussian_h(30.0)
     psi0 = basis_state(PSI1)
-    traj_s = propagate_schrodinger(h_fn, psi0, TimeGrid(2000))
+    traj_s = one_point(propagate_schrodinger, h_fn, psi0, TimeGrid(2000))
     rho0 = np.outer(psi0, psi0.conj())
-    traj_l = propagate_lindblad(h_fn, lindblad_operators(NoiseModel()), rho0, TimeGrid(2000))
+    traj_l = one_point(propagate_lindblad, h_fn, lindblad_operators(NoiseModel()), rho0, TimeGrid(2000))
     assert abs(fidelity(traj_s.final_state) - fidelity(traj_l.final_state)) < 1e-7
     pure = np.outer(traj_s.final_state, traj_s.final_state.conj())
     assert np.max(np.abs(traj_l.final_state - pure)) < 1e-7
@@ -192,7 +245,7 @@ def test_cavity_decay_follows_exponential_law():
     kappa = 0.8
     ops = lindblad_operators(NoiseModel(kappa=kappa))
     rho0 = np.outer(basis_state(PSI3), basis_state(PSI3).conj())
-    traj = propagate_lindblad(lambda t: np.zeros((DIM, DIM)), ops, rho0, TimeGrid(1000))
+    traj = one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, rho0, TimeGrid(1000))
     p3 = traj.final_state[PSI3, PSI3].real
     pg = traj.final_state[GROUND, GROUND].real
     assert p3 == pytest.approx(math.exp(-kappa), abs=1e-10)
@@ -216,7 +269,7 @@ def test_fast_dissipator_matches_superoperator_oracle():
 
     rho0 = _random_density(rng)
     duration, n = 0.3, 200
-    traj = propagate_lindblad(lambda t: h, ops, rho0, TimeGrid(n), duration=duration)
+    traj = one_point(propagate_lindblad, lambda t: h, ops, rho0, TimeGrid(n), duration=duration)
 
     vec = rho0.reshape(-1)
     dt = duration / n
@@ -248,7 +301,7 @@ def test_open_run_preserves_trace_hermiticity_positivity():
     h_fn = _gaussian_h(30.0)
     noise = NoiseModel(kappa=0.033 * 30, gamma=0.0073 * 30, gamma_phi=0.001 * 30)
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
-    traj = propagate_lindblad(h_fn, lindblad_operators(noise), rho0, TimeGrid(2000), n_frames=51)
+    traj = one_point(propagate_lindblad, h_fn, lindblad_operators(noise), rho0, TimeGrid(2000), n_frames=51)
     assert traj.drift < 1e-10
     assert traj.min_eigenvalue is not None and traj.min_eigenvalue > EIG_TOL
     for rho in traj.states[::10]:
@@ -259,8 +312,8 @@ def test_open_run_preserves_trace_hermiticity_positivity():
 def test_permutation_symmetry_of_open_dynamics():
     noise = NoiseModel(kappa=0.1, gamma=0.05, gamma_phi=0.02)
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
-    traj = propagate_lindblad(
-        _gaussian_h(30.0), lindblad_operators(noise), rho0, TimeGrid(1000)
+    traj = one_point(
+        propagate_lindblad, _gaussian_h(30.0), lindblad_operators(noise), rho0, TimeGrid(1000)
     )
     rho = traj.final_state
     perm = list(range(DIM))
@@ -274,13 +327,23 @@ def test_lindblad_input_validation():
     ops = lindblad_operators(NoiseModel())
     good = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
     with pytest.raises(ValueError):
-        propagate_lindblad(lambda t: np.zeros((DIM, DIM)), ops, 2.0 * good, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, 2.0 * good, TimeGrid(100))
     skew = good.copy()
     skew[0, 1] = 0.5
     with pytest.raises(ValueError):
-        propagate_lindblad(lambda t: np.zeros((DIM, DIM)), ops, skew, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, skew, TimeGrid(100))
     with pytest.raises(ValueError):
-        propagate_lindblad(lambda t: np.zeros((DIM, DIM)), ops, np.eye(4), TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, np.eye(4), TimeGrid(100))
+
+
+def test_lindblad_rejects_operators_it_cannot_tabulate():
+    good = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
+    two_entries = np.zeros((DIM, DIM))
+    two_entries[PSI7, PSI4] = two_entries[PSI8, PSI5] = 1.0
+    complex_diagonal = np.diag(np.full(DIM, 1j))
+    for op in (two_entries, complex_diagonal):
+        with pytest.raises(ValueError, match="single-entry jumps and real diagonal"):
+            one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), [op], good, TimeGrid(100))
 
 
 # ---------------------------------------------------------------------------

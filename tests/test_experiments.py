@@ -6,10 +6,12 @@ import json
 
 import numpy as np
 import pytest
+from single_point import one_point
 
 from squidw.dynamics import NoiseModel
 from squidw.experiments import (
     ResultRecord,
+    RunSpec,
     SweepSpec,
     TABLE2_QUADRANT_ORDER,
     TABLE2_REFERENCE,
@@ -17,11 +19,14 @@ from squidw.experiments import (
     evaluate_point,
     run_dephasing_comparison,
     run_effective_model,
+    run_points,
     run_realistic_parameters,
     run_stirap_comparison,
     run_sweep,
     run_variation_grid,
     variation_quadrants,
+    _emit,
+    _write_trajectory,
 )
 from squidw.pulse_design import ScheduleParams
 
@@ -51,6 +56,63 @@ def test_parallel_sweep_matches_serial(tmp_path):
     run_sweep(spec, str(d1), jobs=1)
     run_sweep(spec, str(d2), jobs=2)
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
+
+
+# Closed and open points, two durations and stored frames. The closed batch
+# is wide: overlaps computed across a batch (a (B, 10) @ (10,) product)
+# round differently from the single-point ones once B reaches a dozen or so.
+MIXED = [
+    RunSpec(label=f"c{g:g}", g=g, delta_omega=0.1 * (g % 2), n_steps=400, n_frames=5)
+    for g in np.linspace(10.0, 30.0, 16)
+] + [
+    RunSpec(label="o30", g=30.0, kappa_over_g=1e-2, n_steps=400, n_frames=5),
+    RunSpec(label="c30s", g=30.0, delta_t=-0.1, mode="truncate", n_steps=400, n_frames=5),
+    RunSpec(label="o25", g=25.0, gamma_over_g=5e-3, delta_g=-0.1, n_steps=400, n_frames=5),
+    RunSpec(label="o30s", g=30.0, gammaphi_over_g=1e-3, delta_t=-0.1, mode="truncate", n_steps=400),
+    RunSpec(label="c25s", g=25.0, delta_t=-0.1, mode="truncate", n_steps=400, n_frames=5),
+    RunSpec(label="o20", g=20.0, kappa_over_g=5e-3, gammaphi_over_g=5e-4, n_steps=400, n_frames=5),
+    RunSpec(label="o20s", g=20.0, gamma_over_g=1e-2, delta_t=-0.1, mode="truncate", n_steps=400),
+]
+
+
+def _write_run(outdir, records, trajectories):
+    _emit(str(outdir), "mixed", records, {"points": len(records)})
+    for record, traj in zip(records, trajectories):
+        _write_trajectory(str(outdir), f"traj_{record.label}", traj, {"label": record.label})
+
+
+def test_batch_composition_does_not_change_bytes(tmp_path):
+    """One batch per grid, one point at a time, or split into two halves:
+    the same bytes, the drift and min_eigenvalue columns included."""
+    batched = run_points(MIXED)
+    assert {r.min_eigenvalue is None for r, _ in batched} == {True, False}
+    _write_run(tmp_path / "batched", *zip(*batched))
+    alone = [run_points([spec])[0] for spec in MIXED]
+    # evaluate_point is the same batch of one
+    assert [evaluate_point(spec) for spec in MIXED[-4:]] == [r for r, _ in alone[-4:]]
+    _write_run(tmp_path / "alone", *zip(*alone))
+    half = len(MIXED) // 2
+    _write_run(tmp_path / "split", *zip(*(run_points(MIXED[:half]) + run_points(MIXED[half:]))))
+    names = sorted(p.name for p in (tmp_path / "batched").iterdir())
+    assert len(names) == 2 + 2 * len(MIXED)
+    for other in ("alone", "split"):
+        assert sorted(p.name for p in (tmp_path / other).iterdir()) == names
+        for name in names:
+            expected = (tmp_path / "batched" / name).read_bytes()
+            assert (tmp_path / other / name).read_bytes() == expected, name
+
+
+def test_stirap_comparison_bytes_do_not_depend_on_jobs(tmp_path):
+    for jobs in (1, 2):
+        run_stirap_comparison(outdir=str(tmp_path / f"jobs{jobs}"), jobs=jobs)
+    names = sorted(p.name for p in (tmp_path / "jobs1").glob("stirap_comparison*"))
+    assert names == [
+        "stirap_comparison.csv",
+        "stirap_comparison.meta.json",
+        "stirap_comparison_final.csv",
+    ]
+    for name in names:
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +217,11 @@ def test_effective_agrees_with_full_model_at_strong_coupling():
         c = modified_controls(t, p)
         return effective_hamiltonian(c.omega_a, c.omega_b)
 
-    eff = propagate_schrodinger(h_eff, basis_state(PSI1), TimeGrid(2000)).final_state
+    eff = one_point(propagate_schrodinger, h_eff, basis_state(PSI1), TimeGrid(2000)).final_state
     sch = dressed_pulses(p)
     hc = cavity_hamiltonian(CouplingConfig(g=300.0))
-    full = propagate_schrodinger(
+    full = one_point(
+        propagate_schrodinger,
         lambda t: hc + drive_hamiltonian(sch.qubit_amplitudes(t)),
         basis_state(PSI1),
         TimeGrid(4000),
@@ -206,6 +269,12 @@ def test_evaluate_point_validation():
         evaluate_point(dict(label="", flavor="gaussian", g=30.0, delta_t=-1.0))
     with pytest.raises(ValueError):
         evaluate_point(dict(label="", flavor="gaussian", g=30.0, mode="stretch"))
+
+
+def test_evaluate_point_rejects_unknown_keys():
+    # a misspelt rate must not silently turn an open run into a closed one
+    with pytest.raises(ValueError, match="'kappa_over_G'"):
+        evaluate_point(dict(label="", flavor="gaussian", g=30.0, kappa_over_G=1e-2))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .dynamics import (
     fidelity,
     lindblad_operators,
     node_times,
-    populations,
     propagate_lindblad,
     propagate_schrodinger,
 )
@@ -65,7 +64,6 @@ from .state_space import (
     effective_eigenframe,
     effective_hamiltonian,
     excitation_operator,
-    full_hamiltonian,
     w_state,
 )
 
@@ -102,13 +100,11 @@ __all__ = [
     "effective_hamiltonian",
     "excitation_operator",
     "fidelity",
-    "full_hamiltonian",
     "gaussian_fit_pulses",
     "intermediate_population_bound",
     "lindblad_operators",
     "modified_controls",
     "node_times",
-    "populations",
     "propagate_lindblad",
     "propagate_schrodinger",
     "run_points",

@@ -18,42 +18,19 @@ from __future__ import annotations
 
 import argparse
 import glob
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import experiments
-from .dressed_frames import M_X, M_Y, M_Z, dressing_transform, verify_cancellation
-from .dynamics import ConvergenceError, NoiseModel, TimeGrid, propagate_schrodinger
+from .dynamics import ConvergenceError, NoiseModel
 from .experiments import RunSpec, SweepSpec, build_schedule
 from .pulse_design import ScheduleParams
-from .state_space import (
-    PSI1,
-    PSI2,
-    PSI6,
-    CouplingConfig,
-    basis_state,
-    cavity_hamiltonian,
-    drive_hamiltonian,
-)
+from .state_space import CouplingConfig
 
 ENV_OUTDIR = "SQUIDW_OUT"
-
-_TARGETS = (
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "table1",
-    "table2",
-    "realistic",
-    "all",
-)
 
 
 @dataclass
@@ -181,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="regenerate a named study with verdicts")
     add_common(p_rep)
-    p_rep.add_argument("target", choices=_TARGETS)
+    p_rep.add_argument("target", choices=(*_REPRODUCERS, "all"))
 
     p_ver = sub.add_parser("verify", help="frame-cancellation and oracle checks")
     add_common(p_ver)
@@ -224,11 +201,6 @@ def _strip_meta(cfg: RunConfig) -> None:
         return
     for path in glob.glob(os.path.join(cfg.outdir, "*.meta.json")):
         os.remove(path)
-
-
-def _verdict(label: str, passed: bool, detail: str) -> bool:
-    print(f"{'PASS' if passed else 'FAIL'} {label}: {detail}")
-    return passed
 
 
 # ---------------------------------------------------------------------------
@@ -330,208 +302,25 @@ def _cmd_sweep(cfg: RunConfig, axis_args: list) -> int:
     return 0
 
 
-def _reproduce_fig3(cfg: RunConfig, outdir: str) -> list:
-    records = experiments.run_coupling_sweep(outdir=outdir, n_steps=cfg.n_steps)
-    by_g = {r.g: r.fidelity for r in records}
-    return [
-        _verdict("fig3 g=30", by_g[30.0] >= 0.99, f"F={by_g[30.0]:.4f}, need >= 0.99"),
-        _verdict("fig3 g=10", by_g[10.0] >= 0.98, f"F={by_g[10.0]:.4f}, need >= 0.98"),
-        _verdict("fig3 g=1", by_g[1.0] < 0.9, f"F={by_g[1.0]:.4f}, need < 0.9"),
-    ]
+def _reproducer(target: str):
+    """`reproduce TARGET`: run the target's check, print its verdicts and note."""
+
+    def reproduce(cfg: RunConfig, outdir: str) -> list:
+        check = experiments.CHECKS[target]
+        verdicts = check(outdir=outdir, n_steps=cfg.n_steps, mode=cfg.mode)
+        for v in verdicts:
+            print(f"{'PASS' if v.passed else 'FAIL'} {v.label}: {v.detail}")
+        note = check.note_for(verdicts)
+        if note:
+            print(f"note: {note}")
+        return [v.passed for v in verdicts]
+
+    return reproduce
 
 
-def _reproduce_fig4(cfg: RunConfig, outdir: str) -> list:
-    traj = experiments.run_population_trace(outdir=outdir, n_steps=cfg.n_steps)
-    pops = traj.populations
-    p1_start = pops[0][PSI1]
-    final = pops[-1]
-    thirds = [final[i] for i in range(6, 9)]
-    max_p3 = float(np.max(pops[:, 2]))
-    return [
-        _verdict("fig4 P1(0)", abs(p1_start - 1.0) < 1e-9, f"P1(0)={p1_start:.6f}"),
-        _verdict(
-            "fig4 W components",
-            all(abs(p - 1.0 / 3.0) <= 0.01 for p in thirds),
-            "P7,P8,P9(T)=" + ",".join(f"{p:.4f}" for p in thirds) + ", need 1/3 each +-0.01",
-        ),
-        _verdict("fig4 max P3", max_p3 < 0.01, f"max={max_p3:.5f}, need < 0.01"),
-    ]
-
-
-def _reproduce_fig5(cfg: RunConfig, outdir: str) -> list:
-    records, _ = experiments.run_stirap_comparison(outdir=outdir, n_steps=cfg.n_steps)
-    by_label = {r.label: r.fidelity for r in records}
-    protocol = by_label["protocol_g30"]
-    out = []
-    for omega0, g, ref, tol in experiments.STIRAP_REFERENCE:
-        f = by_label[f"stirap_{omega0:g}_{g:g}"]
-        out.append(
-            _verdict(
-                f"fig5 stirap ({omega0:g},{g:g})",
-                abs(f - ref) <= tol,
-                f"F={f:.4f}, reference {ref}+-{tol}",
-            )
-        )
-    strong = by_label[f"stirap_{experiments.STIRAP_STRONG[0]:g}_{experiments.STIRAP_STRONG[1]:g}"]
-    out.append(
-        _verdict(
-            "fig5 stirap (50,150)",
-            strong > 0.99 and strong < protocol,
-            f"F={strong:.4f}, need > 0.99 and below protocol {protocol:.4f}",
-        )
-    )
-    return out
-
-
-def _reproduce_fig6(cfg: RunConfig, outdir: str) -> list:
-    records = experiments.run_decoherence_grid(outdir=outdir, n_steps=cfg.n_steps)
-    out = []
-    per_axis: dict[str, list] = {}
-    for rec in records:
-        coords = (rec.kappa_over_g, rec.gamma_over_g, rec.gammaphi_over_g)
-        nonzero = [i for i, c in enumerate(coords) if c > 0]
-        axis = ("kappa_over_g", "gamma_over_g", "gammaphi_over_g")[nonzero[0]] if nonzero else None
-        if axis is None:
-            for name in ("kappa_over_g", "gamma_over_g", "gammaphi_over_g"):
-                per_axis.setdefault(name, []).append((0.0, rec.fidelity))
-        else:
-            per_axis.setdefault(axis, []).append((coords[nonzero[0]], rec.fidelity))
-    for name, pts in sorted(per_axis.items()):
-        pts.sort()
-        fids = [f for _, f in pts]
-        monotone = all(fids[i + 1] <= fids[i] + 1e-4 for i in range(len(fids) - 1))
-        out.append(
-            _verdict(
-                f"fig6 {name} monotone",
-                monotone,
-                f"F drops {fids[0]:.4f} -> {fids[-1]:.4f} over the scan",
-            )
-        )
-    return out
-
-
-def _reproduce_fig7(cfg: RunConfig, outdir: str) -> list:
-    records = experiments.run_dephasing_comparison(outdir=outdir, n_steps=cfg.n_steps)
-    protocol = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "gaussian"}
-    stirap = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "stirap"}
-    ref_p, tol_p = experiments.DEPHASING_REFERENCE["protocol"]
-    ref_s, tol_s = experiments.DEPHASING_REFERENCE["stirap"]
-    top = max(protocol)
-    return [
-        _verdict(
-            "fig7 protocol at 1e-3",
-            abs(protocol[top] - ref_p) <= tol_p,
-            f"F={protocol[top]:.4f}, reference {ref_p}+-{tol_p}",
-        ),
-        _verdict(
-            "fig7 stirap at 1e-3",
-            abs(stirap[top] - ref_s) <= tol_s,
-            f"F={stirap[top]:.4f}, reference {ref_s}+-{tol_s}",
-        ),
-        _verdict(
-            "fig7 ordering",
-            all(protocol[v] > stirap[v] for v in protocol),
-            "protocol above baseline at every dephasing value",
-        ),
-    ]
-
-
-def _reproduce_fig8(cfg: RunConfig, outdir: str) -> list:
-    records = experiments.run_variation_scan(
-        outdir=outdir, n_steps=cfg.n_steps, mode=cfg.mode
-    )
-    by_triple = {(r.delta_t, r.delta_omega, r.delta_g): r.fidelity for r in records}
-    base = by_triple[(0.0, 0.0, 0.0)]
-    dg_dev = max(abs(by_triple[(0.0, 0.0, s * 0.10)] - base) for s in (+1, -1))
-    quad = {
-        (a, b): by_triple[(a * 0.10, b * 0.10, 0.0)]
-        for a in (+1, -1)
-        for b in (+1, -1)
-    }
-    order = experiments.quadrant_order(quad)
-    ordered = order == experiments.TABLE2_QUADRANT_ORDER
-    out = [
-        _verdict(
-            "fig8 dg insensitivity",
-            dg_dev < 1e-3,
-            f"|F(dg=+-10%) - F(0)| = {dg_dev:.2e}, need < 1e-3",
-        ),
-        _verdict(
-            "fig8 sign correlation",
-            ordered,
-            "(dT,dOmega) quadrants "
-            + " > ".join(f"({a:+d},{b:+d})={quad[(a, b)]:.4f}" for a, b in order)
-            + ", published order "
-            + " > ".join(f"({a:+d},{b:+d})" for a, b in experiments.TABLE2_QUADRANT_ORDER),
-        ),
-    ]
-    if not ordered:
-        print(
-            "note: the published quadrant order needs a duration error that changes the "
-            "run; under --mode rescale dT is a near no-op, so the quad follows dOmega "
-            "alone. --mode truncate reproduces the order (see README)"
-        )
-    return out
-
-
-def _reproduce_table1(cfg: RunConfig, outdir: str) -> list:
-    _, comparisons = experiments.run_reference_decoherence_table(
-        outdir=outdir, n_steps=cfg.n_steps
-    )
-    return [
-        _verdict(
-            f"table1 {c['label']}",
-            c["passed"],
-            f"F={c['computed']:.4f}, reference {c['reference']}+-{c['tolerance']}",
-        )
-        for c in comparisons
-    ]
-
-
-def _reproduce_table2(cfg: RunConfig, outdir: str) -> list:
-    _, comparisons = experiments.run_variation_grid(
-        outdir=outdir, n_steps=cfg.n_steps, mode=cfg.mode
-    )
-    out = [
-        _verdict(
-            f"table2 {c['label']}",
-            c["passed"],
-            f"F={c['computed']:.4f}, reference {c['reference']}+-{c['tolerance']}",
-        )
-        for c in comparisons
-    ]
-    if not all(c["passed"] for c in comparisons):
-        print(
-            "note: the reference magnitudes are a known discrepancy under both duration-error "
-            "readings; their quadrant order is checked by `reproduce fig8` and holds under "
-            "--mode truncate (see README)"
-        )
-    return out
-
-
-def _reproduce_realistic(cfg: RunConfig, outdir: str) -> list:
-    _, comparison = experiments.run_realistic_parameters(outdir=outdir, n_steps=cfg.n_steps)
-    return [
-        _verdict(
-            "realistic",
-            comparison["passed"],
-            f"F={comparison['computed']:.4f}, reference {comparison['reference']}"
-            f"+-{comparison['tolerance']}",
-        )
-    ]
-
-
-_REPRODUCERS = {
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
-    "fig5": _reproduce_fig5,
-    "fig6": _reproduce_fig6,
-    "fig7": _reproduce_fig7,
-    "fig8": _reproduce_fig8,
-    "table1": _reproduce_table1,
-    "table2": _reproduce_table2,
-    "realistic": _reproduce_realistic,
-}
+_REPRODUCERS = {name: _reproducer(name) for name in experiments.CHECKS if name != "verify"}
+# The benchmark's closed_sweep workload judges its sweep through this name.
+_reproduce_fig3 = _REPRODUCERS["fig3"]
 
 
 def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
@@ -546,77 +335,11 @@ def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
     return 0
 
 
-def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
-
-
 def _cmd_verify(cfg: RunConfig) -> int:
-    ok = True
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        nonlocal ok
-        ok = ok and passed
-        print(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
-
-    comm = max(
-        float(np.max(np.abs(M_X @ M_Y - M_Y @ M_X - 1j * M_Z))),
-        float(np.max(np.abs(M_Y @ M_Z - M_Z @ M_Y - 1j * M_X))),
-        float(np.max(np.abs(M_Z @ M_X - M_X @ M_Z - 1j * M_Y))),
-    )
-    check("spin-1 commutators", comm < 1e-15, f"max residual {comm:.2e}")
-
-    params = ScheduleParams(A=cfg.A)
-    v0 = dressing_transform(0.0, params)
-    vt = dressing_transform(params.T, params)
-    dev = max(float(np.max(np.abs(v0 - np.eye(3)))), float(np.max(np.abs(vt - np.eye(3)))))
-    check("dressing endpoints", dev < 1e-10, f"max |V - I| {dev:.2e}")
-
-    report = verify_cancellation(params, n_grid=100)
-    check(
-        "dressed-frame cancellation",
-        report["passed"],
-        f"worst (0,+-) residual {max(report['max_offdiag_0p'], report['max_offdiag_0m']):.2e} "
-        f"relative, (+,-) {report['max_offdiag_pm']:.2e}",
-    )
-
-    coupling = CouplingConfig(g=cfg.g)
-    hc = cavity_hamiltonian(coupling)
-    block = hc[PSI2 : PSI6 + 1, PSI2 : PSI6 + 1]
-    eigs = np.sort(np.linalg.eigvalsh(block))
-    expected = np.sort([-math.sqrt(6) * cfg.g, 0.0, 0.0, 0.0, math.sqrt(6) * cfg.g])
-    spec_dev = float(np.max(np.abs(eigs - expected)))
-    check("cavity spectrum", spec_dev < 1e-9, f"max eigenvalue deviation {spec_dev:.2e}")
-
-    fid, tracking = experiments.run_effective_model(params, n_steps=cfg.n_steps)
-    check(
-        "effective-model shortcut",
-        fid >= 0.9999 and tracking <= 1e-3,
-        f"F={fid:.6f}, max |P_phi0 - sin^2 mu| = {tracking:.2e}",
-    )
-
-    closed = RunSpec(g=cfg.g, A=cfg.A, n_steps=max(1000, min(cfg.n_steps, 2000)))
-    results = experiments.run_points([closed, replace(closed, master_equation=True)])
-    gap = abs(results[0][0].fidelity - results[1][0].fidelity)
-    check("zero-noise equivalence", gap < 1e-7, f"|F_schrodinger - F_lindblad| = {gap:.2e}")
-
-    schedule = build_schedule("gaussian", ScheduleParams(A=cfg.A), None)
-    segments = 10
-    seg_h = [
-        hc + drive_hamiltonian(schedule.qubit_amplitudes((i + 0.5) / segments))
-        for i in range(segments)
-    ]
-    psi_exact = basis_state(PSI1)
-    psi_rk = psi_exact[None]
-    for h in seg_h:
-        psi_exact = _expm_hermitian(h, 1.0 / segments) @ psi_exact
-        psi_rk = propagate_schrodinger(
-            lambda k, h=h: h[None], psi_rk, TimeGrid(400), duration=1.0 / segments
-        ).final_state
-    rk_dev = float(np.max(np.abs(psi_rk - psi_exact)))
-    check("integrator vs matrix exponential", rk_dev < 1e-8, f"max state deviation {rk_dev:.2e}")
-
-    return 0 if ok else 1
+    verdicts = experiments.CHECKS["verify"](g=cfg.g, A=cfg.A, n_steps=cfg.n_steps)
+    for v in verdicts:
+        print(f"{'ok  ' if v.passed else 'FAIL'} {v.label}: {v.detail}")
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def main(argv=None) -> int:

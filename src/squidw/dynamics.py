@@ -118,11 +118,6 @@ def fidelity(state: np.ndarray, target: np.ndarray | None = None) -> float:
     return float(abs(w.conj() @ state @ w))
 
 
-def populations(traj: Trajectory) -> np.ndarray:
-    """Per-frame basis-state occupations P_1 .. P_9, P_G (frames x 10)."""
-    return traj.populations
-
-
 def node_times(n_steps: int, duration: float) -> np.ndarray:
     """The 2 n_steps + 1 RK4 nodes t_k = k h / 2, h = duration / n_steps.
 

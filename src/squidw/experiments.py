@@ -16,8 +16,11 @@ drivers additionally emit `<name>_compare.csv` holding reference value,
 computed value, delta, and verdict per row. All runs are deterministic:
 identical inputs produce byte-identical files, whatever the batching.
 
-The bundled reference tables are the expected outcomes used by the regression
-suite and the `reproduce` command.
+The bundled reference tables are the expected outcomes. `CHECKS` holds one
+entry per `reproduce` target plus `verify`: it runs the target's driver and
+judges the output into `Verdict` rows. The CLI prints those rows and the
+acceptance tests assert on them, so every reference check and its bound is
+written once, here.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ import csv
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from . import dressed_frames
 from .dynamics import (
     NoiseModel,
     TimeGrid,
@@ -54,6 +60,11 @@ from .pulse_design import (
 from .state_space import (
     DIM,
     PSI1,
+    PSI2,
+    PSI3,
+    PSI6,
+    PSI7,
+    PSI9,
     CouplingConfig,
     basis_state,
     cavity_hamiltonian,
@@ -137,6 +148,275 @@ DEPHASING_REFERENCE = {"protocol": (0.983, 0.01), "stirap": (0.942, 0.02)}
 
 REALISTIC_RATIOS = (1.32 / 180.0, 1.32 / 180.0, 0.01 / 180.0)
 REALISTIC_REFERENCE = 0.9659
+
+# Fig. 3: the closed-system fidelity needs a strong coupling. It clears the
+# strong floor at g = 30/T and the moderate floor from g = 10/T up, and stays
+# below the weak ceiling at g = 1/T, where the cavity cannot mediate.
+STRONG_COUPLING_FLOOR = 0.99
+MODERATE_COUPLING_FLOOR = 0.98
+WEAK_COUPLING_CEILING = 0.9
+
+
+# ---------------------------------------------------------------------------
+# reference checks: one entry per reproduce target, plus verify
+
+
+class Verdict(NamedTuple):
+    """One judged reference check.
+
+    known_discrepancy marks a check that fails under at least one reading of
+    the paper, as documented in README ("Known discrepancy").
+    """
+
+    label: str
+    passed: bool
+    detail: str
+    known_discrepancy: bool = False
+
+
+class Check(NamedTuple):
+    """A target's driver call, its judge, and the note its known discrepancy prints.
+
+    run(outdir=, n_steps=, mode=, g=, A=) calls the driver, taking the inputs
+    it needs; judge(output) turns the driver's output into verdicts.
+    """
+
+    run: Callable
+    judge: Callable
+    note: str = ""
+
+    def __call__(
+        self, outdir=None, n_steps: int = 2000, mode: str = "rescale", g: float = 30.0, A: float = 0.5
+    ) -> list[Verdict]:
+        return self.judge(self.run(outdir=outdir, n_steps=n_steps, mode=mode, g=g, A=A))
+
+    def note_for(self, verdicts) -> str:
+        """The note if a known discrepancy shows among the verdicts, else ''."""
+        shown = any(v.known_discrepancy and not v.passed for v in verdicts)
+        return self.note if shown else ""
+
+
+def _compared(label: str, c: dict, known_discrepancy: bool = False) -> Verdict:
+    """A verdict from a driver's reference comparison (see _compare)."""
+    return Verdict(
+        label,
+        c["passed"],
+        f"F={c['computed']:.4f}, reference {c['reference']}+-{c['tolerance']}",
+        known_discrepancy,
+    )
+
+
+def _judge_fig3(records) -> list[Verdict]:
+    f = {r.g: r.fidelity for r in records}
+    strong, moderate, weak = STRONG_COUPLING_FLOOR, MODERATE_COUPLING_FLOOR, WEAK_COUPLING_CEILING
+    return [
+        Verdict("fig3 g=30", f[30.0] >= strong, f"F={f[30.0]:.4f}, need >= {strong}"),
+        Verdict("fig3 g=10", f[10.0] >= moderate, f"F={f[10.0]:.4f}, need >= {moderate}"),
+        Verdict("fig3 g=1", f[1.0] < weak, f"F={f[1.0]:.4f}, need < {weak}"),
+    ]
+
+
+def _judge_fig4(traj) -> list[Verdict]:
+    pops = traj.populations
+    p1_start = pops[0][PSI1]
+    thirds = pops[-1][PSI7 : PSI9 + 1]
+    max_p3 = float(np.max(pops[:, PSI3]))
+    return [
+        Verdict("fig4 P1(0)", abs(p1_start - 1.0) < 1e-9, f"P1(0)={p1_start:.6f}"),
+        Verdict(
+            "fig4 W components",
+            all(abs(p - 1.0 / 3.0) <= 0.01 for p in thirds),
+            "P7,P8,P9(T)=" + ",".join(f"{p:.4f}" for p in thirds) + ", need 1/3 each +-0.01",
+        ),
+        Verdict("fig4 max P3", max_p3 < 0.01, f"max={max_p3:.5f}, need < 0.01"),
+    ]
+
+
+def _judge_fig5(output) -> list[Verdict]:
+    records, _ = output
+    f = {r.label: r.fidelity for r in records}
+    protocol = f["protocol_g30"]
+    out = []
+    for omega0, g, ref, tol in STIRAP_REFERENCE:
+        fid = f[f"stirap_{omega0:g}_{g:g}"]
+        out.append(
+            Verdict(
+                f"fig5 stirap ({omega0:g},{g:g})",
+                abs(fid - ref) <= tol,
+                f"F={fid:.4f}, reference {ref}+-{tol}",
+            )
+        )
+    omega0, g = STIRAP_STRONG
+    strong = f[f"stirap_{omega0:g}_{g:g}"]
+    out.append(
+        Verdict(
+            f"fig5 stirap ({omega0:g},{g:g})",
+            strong > 0.99 and strong < protocol,
+            f"F={strong:.4f}, need > 0.99 and below protocol {protocol:.4f}",
+        )
+    )
+    return out
+
+
+def _judge_fig6(records) -> list[Verdict]:
+    """Fidelity falls along each rate axis, up to 1e-4 of integrator noise."""
+    names = ("kappa_over_g", "gamma_over_g", "gammaphi_over_g")
+    per_axis: dict[str, list] = {}
+    for rec in records:
+        coords = (rec.kappa_over_g, rec.gamma_over_g, rec.gammaphi_over_g)
+        nonzero = [i for i, c in enumerate(coords) if c > 0]
+        if nonzero:
+            per_axis.setdefault(names[nonzero[0]], []).append((coords[nonzero[0]], rec.fidelity))
+        else:
+            for name in names:
+                per_axis.setdefault(name, []).append((0.0, rec.fidelity))
+    out = []
+    for name, pts in sorted(per_axis.items()):
+        fids = [f for _, f in sorted(pts)]
+        out.append(
+            Verdict(
+                f"fig6 {name} monotone",
+                all(fids[i + 1] <= fids[i] + 1e-4 for i in range(len(fids) - 1)),
+                f"F drops {fids[0]:.4f} -> {fids[-1]:.4f} over the scan",
+            )
+        )
+    return out
+
+
+def _judge_fig7(records) -> list[Verdict]:
+    protocol = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "gaussian"}
+    stirap = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "stirap"}
+    top = max(protocol)
+    out = []
+    for name, curve in (("protocol", protocol), ("stirap", stirap)):
+        ref, tol = DEPHASING_REFERENCE[name]
+        out.append(
+            Verdict(
+                f"fig7 {name} at 1e-3",
+                abs(curve[top] - ref) <= tol,
+                f"F={curve[top]:.4f}, reference {ref}+-{tol}",
+            )
+        )
+    out.append(
+        Verdict(
+            "fig7 ordering",
+            all(protocol[v] > stirap[v] for v in protocol),
+            "protocol above baseline at every dephasing value",
+        )
+    )
+    return out
+
+
+def _judge_fig8(records) -> list[Verdict]:
+    """Coupling-error insensitivity and the published (dT, dOmega) quadrant order."""
+    f = {(r.delta_t, r.delta_omega, r.delta_g): r.fidelity for r in records}
+    base = f[(0.0, 0.0, 0.0)]
+    dg_dev = max(abs(f[(0.0, 0.0, s * 0.10)] - base) for s in (+1, -1))
+    quad = {(a, b): f[(a * 0.10, b * 0.10, 0.0)] for a in (+1, -1) for b in (+1, -1)}
+    order = quadrant_order(quad)
+    return [
+        Verdict(
+            "fig8 dg insensitivity",
+            dg_dev < 1e-3,
+            f"|F(dg=+-10%) - F(0)| = {dg_dev:.2e}, need < 1e-3",
+        ),
+        Verdict(
+            "fig8 sign correlation",
+            order == TABLE2_QUADRANT_ORDER,
+            "(dT,dOmega) quadrants "
+            + " > ".join(f"({a:+d},{b:+d})={quad[(a, b)]:.4f}" for a, b in order)
+            + ", published order "
+            + " > ".join(f"({a:+d},{b:+d})" for a, b in TABLE2_QUADRANT_ORDER),
+            known_discrepancy=True,
+        ),
+    ]
+
+
+def _judge_verify(m: dict) -> list[Verdict]:
+    report = m["cancellation"]
+    return [
+        Verdict("spin-1 commutators", m["commutator"] < 1e-15, f"max residual {m['commutator']:.2e}"),
+        Verdict("dressing endpoints", m["endpoints"] < 1e-10, f"max |V - I| {m['endpoints']:.2e}"),
+        Verdict(
+            "dressed-frame cancellation",
+            report["passed"],
+            f"worst (0,+-) residual {max(report['max_offdiag_0p'], report['max_offdiag_0m']):.2e} "
+            f"relative, (+,-) {report['max_offdiag_pm']:.2e}",
+        ),
+        Verdict(
+            "cavity spectrum", m["spectrum"] < 1e-9, f"max eigenvalue deviation {m['spectrum']:.2e}"
+        ),
+        Verdict(
+            "effective-model shortcut",
+            m["effective_fidelity"] >= 0.9999 and m["tracking"] <= 1e-3,
+            f"F={m['effective_fidelity']:.6f}, max |P_phi0 - sin^2 mu| = {m['tracking']:.2e}",
+        ),
+        Verdict(
+            "zero-noise equivalence",
+            m["zero_noise_gap"] < 1e-7,
+            f"|F_schrodinger - F_lindblad| = {m['zero_noise_gap']:.2e}",
+        ),
+        Verdict(
+            "integrator vs matrix exponential",
+            m["integrator"] < 1e-8,
+            f"max state deviation {m['integrator']:.2e}",
+        ),
+    ]
+
+
+CHECKS = {
+    "fig3": Check(
+        lambda outdir, n_steps, **_: run_coupling_sweep(outdir=outdir, n_steps=n_steps),
+        _judge_fig3,
+    ),
+    "fig4": Check(
+        lambda outdir, n_steps, **_: run_population_trace(outdir=outdir, n_steps=n_steps),
+        _judge_fig4,
+    ),
+    "fig5": Check(
+        lambda outdir, n_steps, **_: run_stirap_comparison(outdir=outdir, n_steps=n_steps),
+        _judge_fig5,
+    ),
+    "fig6": Check(
+        lambda outdir, n_steps, **_: run_decoherence_grid(outdir=outdir, n_steps=n_steps),
+        _judge_fig6,
+    ),
+    "fig7": Check(
+        lambda outdir, n_steps, **_: run_dephasing_comparison(outdir=outdir, n_steps=n_steps),
+        _judge_fig7,
+    ),
+    "fig8": Check(
+        lambda outdir, n_steps, mode, **_: run_variation_scan(
+            outdir=outdir, n_steps=n_steps, mode=mode
+        ),
+        _judge_fig8,
+        "the published quadrant order needs a duration error that changes the run; under "
+        "--mode rescale dT is a near no-op, so the quad follows dOmega alone. --mode "
+        "truncate reproduces the order (see README)",
+    ),
+    "table1": Check(
+        lambda outdir, n_steps, **_: run_reference_decoherence_table(outdir=outdir, n_steps=n_steps),
+        lambda output: [_compared(f"table1 {c['label']}", c) for c in output[1]],
+    ),
+    "table2": Check(
+        lambda outdir, n_steps, mode, **_: run_variation_grid(
+            outdir=outdir, n_steps=n_steps, mode=mode
+        ),
+        lambda output: [_compared(f"table2 {c['label']}", c, True) for c in output[1]],
+        "the reference magnitudes are a known discrepancy under both duration-error "
+        "readings; their quadrant order is checked by `reproduce fig8` and holds under "
+        "--mode truncate (see README)",
+    ),
+    "realistic": Check(
+        lambda outdir, n_steps, **_: run_realistic_parameters(outdir=outdir, n_steps=n_steps),
+        lambda output: [_compared("realistic", output[1])],
+    ),
+    "verify": Check(
+        lambda g, A, n_steps, **_: _measure_verify(g, A, n_steps),
+        _judge_verify,
+    ),
+}
+
 
 _AXIS_NAMES = frozenset(
     {
@@ -832,3 +1112,52 @@ def run_effective_model(params: ScheduleParams | None = None, n_steps: int = 200
         pop = abs(np.vdot(phi0, state)) ** 2
         max_dev = max(max_dev, abs(pop - math.sin(mu) ** 2))
     return fidelity(traj.final_state), max_dev
+
+
+def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
+
+
+def _measure_verify(g: float, A: float, n_steps: int) -> dict:
+    """The numbers `verify` judges: dressed-frame algebra and integrator oracles."""
+    m_x, m_y, m_z = dressed_frames.SPIN1
+    out = {
+        "commutator": max(
+            float(np.max(np.abs(m_x @ m_y - m_y @ m_x - 1j * m_z))),
+            float(np.max(np.abs(m_y @ m_z - m_z @ m_y - 1j * m_x))),
+            float(np.max(np.abs(m_z @ m_x - m_x @ m_z - 1j * m_y))),
+        )
+    }
+
+    params = ScheduleParams(A=A)
+    out["endpoints"] = max(
+        float(np.max(np.abs(dressed_frames.dressing_transform(t, params) - np.eye(3))))
+        for t in (0.0, params.T)
+    )
+    out["cancellation"] = dressed_frames.verify_cancellation(params, n_grid=100)
+
+    hc = cavity_hamiltonian(CouplingConfig(g=g))
+    eigs = np.sort(np.linalg.eigvalsh(hc[PSI2 : PSI6 + 1, PSI2 : PSI6 + 1]))
+    expected = np.sort([-math.sqrt(6) * g, 0.0, 0.0, 0.0, math.sqrt(6) * g])
+    out["spectrum"] = float(np.max(np.abs(eigs - expected)))
+
+    out["effective_fidelity"], out["tracking"] = run_effective_model(params, n_steps=n_steps)
+
+    closed = RunSpec(g=g, A=A, n_steps=max(1000, min(n_steps, 2000)))
+    results = run_points([closed, replace(closed, master_equation=True)])
+    out["zero_noise_gap"] = abs(results[0][0].fidelity - results[1][0].fidelity)
+
+    # RK4 against the exact propagator of a piecewise-constant drive.
+    schedule = build_schedule("gaussian", params, None)
+    segments = 10
+    psi_exact = basis_state(PSI1)
+    psi_rk = psi_exact[None]
+    for i in range(segments):
+        h = hc + drive_hamiltonian(schedule.qubit_amplitudes((i + 0.5) / segments))
+        psi_exact = _expm_hermitian(h, 1.0 / segments) @ psi_exact
+        psi_rk = propagate_schrodinger(
+            lambda k, h=h: h[None], psi_rk, TimeGrid(400), duration=1.0 / segments
+        ).final_state
+    out["integrator"] = float(np.max(np.abs(psi_rk - psi_exact)))
+    return out

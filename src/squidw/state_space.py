@@ -123,17 +123,6 @@ def drive_hamiltonian(omega) -> np.ndarray:
     return h + h.conj().T
 
 
-def full_hamiltonian(cfg: CouplingConfig, pulses, t: float) -> np.ndarray:
-    """H(t) = cavity exchange + drives evaluated at time t.
-
-    `pulses` is any object with a duration attribute and a qubit_amplitudes(t)
-    method returning the 4 Rabi amplitudes (see pulse_design.PulseSchedule).
-    """
-    if not (0.0 <= t <= pulses.duration):
-        raise ValueError(f"t={t} outside pulse window [0, {pulses.duration}]")
-    return cavity_hamiltonian(cfg) + drive_hamiltonian(pulses.qubit_amplitudes(t))
-
-
 def excitation_operator() -> np.ndarray:
     """Diagonal total-excitation counter: 1 on the nine excited states, 0 on GROUND."""
     n = np.ones(DIM, dtype=complex)

@@ -18,7 +18,6 @@ from squidw.dynamics import (
     fidelity,
     lindblad_operators,
     node_times,
-    populations,
     propagate_lindblad,
     propagate_schrodinger,
 )
@@ -206,7 +205,7 @@ def test_trajectory_frames_and_populations():
     assert len(traj.states) == 101
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.times) > 0)
-    pops = populations(traj)
+    pops = traj.populations
     assert pops.shape == (101, DIM)
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-9
     assert traj.fidelities[0] == pytest.approx(0.0, abs=1e-30)

@@ -34,7 +34,6 @@ from squidw.state_space import (
     effective_eigenframe,
     effective_hamiltonian,
     excitation_operator,
-    full_hamiltonian,
     w_state,
 )
 
@@ -253,24 +252,6 @@ def test_eigenframe_endpoints_rotate_initial_into_target():
     zero1, _, _ = effective_eigenframe(math.pi / 2.0)
     assert np.max(np.abs(zero0 - basis_state(PSI1))) < 1e-15
     assert np.max(np.abs(zero1 - w_state())) < 1e-15
-
-
-def test_full_hamiltonian_window_and_composition():
-    class TwoLevelPulse:
-        duration = 2.0
-
-        def qubit_amplitudes(self, t):
-            return np.array([t, 2 * t, 3 * t, 4 * t])
-
-    cfg = CouplingConfig(g=2.0)
-    pulses = TwoLevelPulse()
-    h = full_hamiltonian(cfg, pulses, 0.5)
-    expected = cavity_hamiltonian(cfg) + drive_hamiltonian([0.5, 1.0, 1.5, 2.0])
-    assert np.array_equal(h, expected)
-    with pytest.raises(ValueError):
-        full_hamiltonian(cfg, pulses, -0.1)
-    with pytest.raises(ValueError):
-        full_hamiltonian(cfg, pulses, 2.5)
 
 
 def test_validation_rejects_bad_inputs():

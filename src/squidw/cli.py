@@ -323,6 +323,35 @@ _REPRODUCERS = {name: _reproducer(name) for name in experiments.CHECKS if name !
 _reproduce_fig3 = _REPRODUCERS["fig3"]
 
 
+# Settings that `reproduce` does not use, each with its flag: every target
+# runs at its published inputs, so setting one would be silently ignored.
+_REPRODUCE_IGNORES = {
+    "flavor": "--flavor",
+    "g": "--g",
+    "A": "--A",
+    "kappa": "--kappa",
+    "gamma": "--gamma",
+    "gamma_phi": "--gammaphi",
+    "omega0": "--omega0",
+    "delta_t": "--delta-t",
+    "delta_omega": "--delta-omega",
+    "delta_g": "--delta-g",
+}
+
+
+def _reject_ignored(args: argparse.Namespace, cfg: RunConfig) -> None:
+    """Refuse a flag, or a config value other than the default, that reproduce ignores."""
+    defaults = RunConfig()
+    for name, flag in _REPRODUCE_IGNORES.items():
+        if getattr(args, name, None) is not None:
+            raise ValueError(f"reproduce does not take {flag}: every target runs at its published settings")
+        if getattr(cfg, name) != getattr(defaults, name):
+            raise ValueError(
+                f"reproduce does not use config key {name} (= {getattr(cfg, name)!r}): "
+                "every target runs at its published settings"
+            )
+
+
 def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
     outdir = _ensure_outdir(cfg)
     targets = list(_REPRODUCERS) if target == "all" else [target]
@@ -358,6 +387,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(cfg, args.axis)
         if args.command == "reproduce":
+            _reject_ignored(args, cfg)
             return _cmd_reproduce(cfg, args.target)
         if args.command == "verify":
             return _cmd_verify(cfg)

@@ -13,6 +13,14 @@ Hamiltonian is supplied as h_fn(k), the (B, 10, 10) stack at RK4 node
 t_k = k h / 2 (see node_times), so callers sample their drives once on the
 node grid and assemble H there. Every product, reduction and gate is taken
 point by point, so a point's bytes are the same whatever batch it ran in.
+
+H must be real symmetric float64, as every Hamiltonian of `state_space` is;
+anything else raises ValueError. The kernels use that form: H psi and H rho
+are real matrix products on the float64 view of the complex state, and the
+commutator is -i[H, rho] = Y + Y^dag with Y = -i H rho, which keeps every
+RK4 stage of rho exactly Hermitian. The propagators call h_fn 3 (closed) or
+4 (open) times per step, with repeated nodes; a caller that assembles H
+should keep the last node's H rather than build it again.
 """
 
 from __future__ import annotations
@@ -161,6 +169,14 @@ def _which(b: int, values: np.ndarray) -> str:
     return f" (batch point {b})" if len(values) > 1 else ""
 
 
+def _real_h(h_fn, k: int) -> np.ndarray:
+    """h_fn(k), which must be a float64 array: the kernels view H as real."""
+    H = h_fn(k)
+    if not (isinstance(H, np.ndarray) and H.dtype == np.float64):
+        raise ValueError("h_fn must return real symmetric float64 Hamiltonians")
+    return H
+
+
 def propagate_schrodinger(
     h_fn,
     psi0: np.ndarray,
@@ -170,10 +186,11 @@ def propagate_schrodinger(
 ) -> Trajectory:
     """Fixed-step RK4 on i dpsi/dt = H(t) psi for B states; no renormalization.
 
-    psi0 has shape (B, 10). h_fn(k) returns the (B, 10, 10) Hamiltonians at
-    node k of node_times(grid.n_steps, duration); step s calls it at nodes
-    2s, 2s+1 and 2s+2. Every product is taken point by point, so a point's
-    result does not depend on the batch it runs in.
+    psi0 has shape (B, 10). h_fn(k) returns the (B, 10, 10) real symmetric
+    float64 Hamiltonians at node k of node_times(grid.n_steps, duration);
+    step s calls it at nodes 2s, 2s+1 and 2s+2. H psi is one real product on
+    the float64 view of psi. Every product is taken point by point, so a
+    point's result does not depend on the batch it runs in.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex)
@@ -188,14 +205,19 @@ def propagate_schrodinger(
     frames[0] = psi
     stored = 1
     psi = psi[..., None]
+
+    def rhs(H: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # (B, 10, 10) @ (B, 10, 2): real and imaginary parts in one product.
+        return -1j * (H @ p.view(np.float64)).view(complex)
+
     for step in range(n):
-        h1 = h_fn(2 * step)
-        h2 = h_fn(2 * step + 1)
-        h3 = h_fn(2 * step + 2)
-        k1 = -1j * (h1 @ psi)
-        k2 = -1j * (h2 @ (psi + 0.5 * h * k1))
-        k3 = -1j * (h2 @ (psi + 0.5 * h * k2))
-        k4 = -1j * (h3 @ (psi + h * k3))
+        h1 = _real_h(h_fn, 2 * step)
+        h2 = _real_h(h_fn, 2 * step + 1)
+        h3 = _real_h(h_fn, 2 * step + 2)
+        k1 = rhs(h1, psi)
+        k2 = rhs(h2, psi + 0.5 * h * k1)
+        k3 = rhs(h2, psi + 0.5 * h * k2)
+        k4 = rhs(h3, psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if stored < len(keep) and keep[stored] == step + 1:
             frames[stored] = psi[..., 0]
@@ -246,18 +268,27 @@ def lindblad_operators(noise: NoiseModel) -> list[np.ndarray]:
 
 
 def _classify_operators(ops):
-    """Split operators into single-entry jumps, diagonals, and the rest."""
+    """Split operators into single-entry jumps, real diagonals, and the rest.
+
+    The tests are exact: an operator with an off-diagonal entry and any other
+    nonzero, or a diagonal one with any imaginary part, however small, is not
+    tabulable and lands in the rest.
+    """
     jumps, diags, generic = [], [], []
     for L in ops:
-        L = np.asarray(L, dtype=complex)
-        nz = np.argwhere(np.abs(L) > 0)
-        if nz.size == 0:
+        L = np.asarray(L)
+        rows, cols = np.nonzero(L)
+        if rows.size == 0:
             continue
-        if np.allclose(L, np.diag(np.diag(L))) and np.allclose(np.diag(L).imag, 0.0):
-            diags.append(np.real(np.diag(L)).copy())
-        elif len(nz) == 1:
-            (dst, src) = nz[0]
-            jumps.append((int(dst), int(src), float(abs(L[dst, src]) ** 2)))
+        if np.array_equal(rows, cols):
+            d = np.diagonal(L)
+            if d.imag.any():
+                generic.append(L)
+            else:
+                diags.append(d.real.astype(float))
+        elif rows.size == 1:
+            dst, src = int(rows[0]), int(cols[0])
+            jumps.append((dst, src, float(abs(L[dst, src]) ** 2)))
         else:
             generic.append(L)
     return jumps, diags, generic
@@ -286,9 +317,6 @@ def _dissipator_tables(ops):
     return gain, scatter, generic
 
 
-_DIAG_IDX = np.arange(DIM)
-
-
 def propagate_lindblad(
     h_fn,
     lindblads,
@@ -302,9 +330,12 @@ def propagate_lindblad(
     rho0 has shape (B, 10, 10) and lindblads holds one operator list per
     point; their dissipator tables are stacked. h_fn follows the contract of
     propagate_schrodinger; each step calls it at nodes 2s, 2s+1 (twice) and
-    2s+2. The Hamiltonian commutator and the dissipator are evaluated
-    directly on each 10x10 matrix; rho is re-symmetrized once per step to
-    absorb float drift. Trace and positivity are monitored at stored frames
+    2s+2. The commutator takes one real product X = H rho on the float64
+    view of rho and forms -i[H, rho] = Y + Y^dag with Y = -i X, since
+    rho H = (H rho)^dag for real symmetric H and Hermitian rho. That form,
+    the real symmetric gain table and the real population scatter keep
+    every RK4 stage exactly Hermitian, so rho0 is symmetrized once on entry
+    and never again. Trace and positivity are monitored at stored frames
     and gate the result.
     """
     grid = grid or TimeGrid()
@@ -314,18 +345,23 @@ def propagate_lindblad(
     for r in rho:
         if abs(np.trace(r).real - 1.0) > 1e-9 or np.max(np.abs(r - r.conj().T)) > 1e-9:
             raise ValueError("rho0 must be Hermitian with unit trace")
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     if len(lindblads) != len(rho):
         raise ValueError(f"need one operator list per point, got {len(lindblads)} for {len(rho)}")
     tables = [_dissipator_tables(ops) for ops in lindblads]
     if any(generic for _, _, generic in tables):
         raise ValueError("only single-entry jumps and real diagonal operators are supported")
     gain = np.stack([t[0] for t in tables])
-    scatter = np.stack([t[1] for t in tables]).astype(complex)
+    scatter = np.stack([t[1] for t in tables])
 
     def rhs(k: int, r: np.ndarray) -> np.ndarray:
-        H = h_fn(k)
-        out = -1j * (H @ r - r @ H) + gain * r
-        out[:, _DIAG_IDX, _DIAG_IDX] += (scatter @ r[:, _DIAG_IDX, _DIAG_IDX, None])[..., 0]
+        # (B, 10, 10) @ (B, 10, 20): H rho in one real product.
+        y = -1j * (_real_h(h_fn, k) @ r.view(np.float64)).view(complex)
+        out = y + y.conj().transpose(0, 2, 1)
+        out += gain * r
+        # Strided views of the diagonals; rho's diagonal is exactly real.
+        pops = r.reshape(-1, DIM * DIM)[:, :: DIM + 1].real
+        out.reshape(-1, DIM * DIM)[:, :: DIM + 1] += (scatter @ pops[..., None])[..., 0]
         return out
 
     n = grid.n_steps
@@ -341,7 +377,6 @@ def propagate_lindblad(
         k3 = rhs(2 * step + 1, rho + 0.5 * h * k2)
         k4 = rhs(2 * step + 2, rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
         if stored < len(keep) and keep[stored] == step + 1:
             frames[stored] = rho
             stored += 1

@@ -691,20 +691,26 @@ def _integrate(
     h0 is (B, 10, 10), drives the pair (D_a, D_b) and sample(ts) the
     (len(ts), B, 2) channel envelopes at the times ts. The envelopes are
     sampled block by block at node_times(n_steps, duration), and H is
-    assembled at each node the propagator asks for, never stored for the
+    assembled once per node: h_fn keeps the last node's H, which the
+    propagators ask for again (the midpoint of an open step, and each step
+    boundary as the next step's first node). H is never stored for the
     whole run. lindblads, one operator list per point, selects the master
     equation.
     """
     d_a, d_b = drives
     nodes = node_times(n_steps, duration)
     block = {"start": -1, "envelopes": None}
+    last = {"k": -1, "H": None}
 
     def h_fn(k: int) -> np.ndarray:
+        if k == last["k"]:
+            return last["H"]
         start = k - k % _NODE_BLOCK
         if start != block["start"]:
             block["start"], block["envelopes"] = start, sample(nodes[start : start + _NODE_BLOCK])
         env = block["envelopes"][k - start]
-        return h0 + env[:, 0, None, None] * d_a + env[:, 1, None, None] * d_b
+        last["k"], last["H"] = k, h0 + env[:, 0, None, None] * d_a + env[:, 1, None, None] * d_b
+        return last["H"]
 
     grid = TimeGrid(n_steps)
     batch = len(h0)
@@ -1102,7 +1108,7 @@ def run_effective_model(params: ScheduleParams | None = None, n_steps: int = 200
         return np.array([[[c.omega_a, c.omega_b]] for c in controls])
 
     traj = _integrate(
-        np.zeros((1, DIM, DIM), dtype=complex), _EFFECTIVE_DRIVES, sample,
+        np.zeros((1, DIM, DIM)), _EFFECTIVE_DRIVES, sample,
         basis_state(PSI1), p.T, n_steps, 500,
     ).point(0)
     phi0 = dark_state()

@@ -20,6 +20,10 @@ ground state that dissipation leaks into):
 
 All rates and couplings are unitless multiples of 1/T (hbar = 1, protocol
 duration T = 1 unless stated otherwise).
+
+The couplings and Rabi amplitudes are real, so every Hamiltonian here is a
+real symmetric float64 array; the propagators in `dynamics` require that
+form. States stay complex.
 """
 
 from __future__ import annotations
@@ -99,28 +103,30 @@ def cavity_hamiltonian(cfg: CouplingConfig) -> np.ndarray:
     """Qubit-cavity exchange on the ten-state space.
 
     Nonzero couplings: <psi2|H|psi3> = sqrt(3) g (qubit 4 absorbs the photon)
-    and <psi4..6|H|psi3> = g (qubits 1-3), plus conjugates.
+    and <psi4..6|H|psi3> = g (qubits 1-3), plus their transposes; real
+    symmetric float64.
     """
-    h = np.zeros((DIM, DIM), dtype=complex)
+    h = np.zeros((DIM, DIM))
     h[PSI2, PSI3] = cfg.g4
     h[PSI4, PSI3] = cfg.g
     h[PSI5, PSI3] = cfg.g
     h[PSI6, PSI3] = cfg.g
-    return h + h.conj().T
+    return h + h.T
 
 
 def drive_hamiltonian(omega) -> np.ndarray:
     """Classical drives Omega_k on the |1> <-> |e> transition of each qubit.
 
-    omega is a length-4 sequence (Omega_1 .. Omega_4), units 1/T.
+    omega is a length-4 sequence of real amplitudes (Omega_1 .. Omega_4),
+    units 1/T; the result is real symmetric float64.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4,) or not np.all(np.isfinite(omega)):
         raise ValueError("omega must be 4 finite Rabi amplitudes")
-    h = np.zeros((DIM, DIM), dtype=complex)
+    h = np.zeros((DIM, DIM))
     for k in range(4):
         h[_EXCITED_OF_QUBIT[k], _ONE_OF_QUBIT[k]] = omega[k]
-    return h + h.conj().T
+    return h + h.T
 
 
 def excitation_operator() -> np.ndarray:
@@ -135,12 +141,14 @@ def effective_hamiltonian(omega_a: float, omega_b: float) -> np.ndarray:
 
     After adiabatic elimination of the cavity the dynamics reduce to
     H_eff = omega_a |W><phi0| - omega_b |psi1><phi0| + h.c.
+
+    The three states have real amplitudes, so H_eff is real symmetric float64.
     """
-    w = w_state()
-    phi0 = dark_state()
-    psi1 = basis_state(PSI1)
-    h = omega_a * np.outer(w, phi0.conj()) - omega_b * np.outer(psi1, phi0.conj())
-    return h + h.conj().T
+    w = w_state().real
+    phi0 = dark_state().real
+    psi1 = basis_state(PSI1).real
+    h = omega_a * np.outer(w, phi0) - omega_b * np.outer(psi1, phi0)
+    return h + h.T
 
 
 def effective_eigenframe(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -132,6 +132,39 @@ def test_reproduce_prints_verdicts(tmp_path, capsys):
     assert (tmp_path / "realistic_compare.csv").exists()
 
 
+def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
+    # every target runs at its published inputs; a physics flag would be ignored
+    for flag in (
+        ["--g", "30"],
+        ["--A", "0.4"],
+        ["--flavor", "stirap"],
+        ["--kappa", "5"],
+        ["--gamma", "1"],
+        ["--gammaphi", "1"],
+        ["--omega0", "40"],
+        ["--delta-t", "0.1"],
+        ["--delta-omega", "0.1"],
+        ["--delta-g", "0.1"],
+    ):
+        code, out, err = run(["reproduce", "realistic", *flag, "-o", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and flag[0] in err
+    path = tmp_path / "run.cfg"
+    path.write_text("kappa = 5\n")
+    code, out, err = run(["reproduce", "realistic", "--config", str(path), "-o", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "kappa" in err
+    # a full config file at the defaults is fine, as are the run-control flags
+    RunConfig().to_file(str(path))
+    code, out, _ = run(
+        ["reproduce", "realistic", "--config", str(path), "--steps", "1000", "--mode", "truncate",
+         "--jobs", "2", "--no-meta", "-o", str(tmp_path / "ok")],
+        capsys,
+    )
+    assert code == 0 and "PASS realistic" in out
+    assert not list((tmp_path / "ok").glob("*.meta.json"))
+
+
 def test_reproduce_fig8_quadrant_order_needs_truncate(tmp_path, capsys):
     # the published (dT, dOmega) quadrant order needs dT to change the run;
     # rescale re-parameterizes the waveforms and leaves dT nearly inert

@@ -6,14 +6,16 @@ import json
 
 import numpy as np
 import pytest
+import reference_kernels
 from single_point import one_point
 
-from squidw.dynamics import NoiseModel
+from squidw.dynamics import NoiseModel, fidelity, lindblad_operators
 from squidw.experiments import (
     CHECKS,
     ResultRecord,
     RunSpec,
     SweepSpec,
+    TABLE1_REFERENCE,
     TABLE2_QUADRANT_ORDER,
     TABLE2_REFERENCE,
     build_schedule,
@@ -30,6 +32,7 @@ from squidw.experiments import (
     _write_trajectory,
 )
 from squidw.pulse_design import ScheduleParams
+from squidw.state_space import PSI1, basis_state, cavity_hamiltonian, drive_hamiltonian
 
 
 def _spec(**kw):
@@ -114,6 +117,43 @@ def test_stirap_comparison_bytes_do_not_depend_on_jobs(tmp_path):
     ]
     for name in names:
         assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# accuracy
+
+
+def test_real_kernels_match_complex_reference():
+    """run_points' real-symmetric kernels against the general complex kernels
+    of tests/reference_kernels.py, with H assembled independently from
+    qubit_amplitudes: every fidelity agrees to 1e-12 on a mixed batch."""
+    n = 400
+    specs = [
+        RunSpec(label="gaussian g30", g=30.0, n_steps=n),
+        RunSpec(label="gaussian g10", g=10.0, n_steps=n),
+        RunSpec(label="stirap", flavor="stirap", g=30.0, omega0=9.8, n_steps=n),
+        RunSpec(label="truncate", delta_t=0.05, delta_omega=-0.05, mode="truncate", n_steps=n),
+        RunSpec(label="truncate open", delta_t=-0.05, kappa_over_g=0.01, mode="truncate", n_steps=n),
+    ]
+    specs += [
+        RunSpec(label=f"table1 {i}", kappa_over_g=k, gamma_over_g=g, gammaphi_over_g=p, n_steps=n)
+        for i, (k, g, p, _) in enumerate(TABLE1_REFERENCE)
+        if i % 4 == 0
+    ]
+    psi1 = basis_state(PSI1)
+    for spec, (record, _) in zip(specs, run_points(specs)):
+        hc = cavity_hamiltonian(spec.coupling)
+        schedule = spec.schedule()
+
+        def h_of_t(t):
+            return hc + drive_hamiltonian(schedule.qubit_amplitudes(t))
+
+        if spec.closed:
+            final = reference_kernels.schrodinger_final(h_of_t, psi1, n, spec.duration)
+        else:
+            ops = lindblad_operators(spec.noise)
+            final = reference_kernels.lindblad_final(h_of_t, ops, np.outer(psi1, psi1), n, spec.duration)
+        assert abs(record.fidelity - fidelity(final)) <= 1e-12, spec.label
 
 
 # ---------------------------------------------------------------------------

@@ -302,30 +302,43 @@ def _cmd_sweep(cfg: RunConfig, axis_args: list) -> int:
     return 0
 
 
-def _reproducer(target: str):
-    """`reproduce TARGET`: run the target's check, print its verdicts and note."""
+def _report(check, output) -> list:
+    """Judge a target's output, print its verdicts and note; pass/fail per verdict."""
+    verdicts = check.judge(output)
+    for v in verdicts:
+        print(f"{'PASS' if v.passed else 'FAIL'} {v.label}: {v.detail}")
+    note = check.note_for(verdicts)
+    if note:
+        print(f"note: {note}")
+    return [v.passed for v in verdicts]
 
-    def reproduce(cfg: RunConfig, outdir: str) -> list:
+
+def _reproducer(target: str):
+    """`reproduce TARGET`'s write-and-judge step, given the run_points results
+    of the target's plan; called alone, it runs the plan first."""
+
+    def reproduce(cfg: RunConfig, outdir: str, results=None) -> list:
         check = experiments.CHECKS[target]
-        verdicts = check(outdir=outdir, n_steps=cfg.n_steps, mode=cfg.mode)
-        for v in verdicts:
-            print(f"{'PASS' if v.passed else 'FAIL'} {v.label}: {v.detail}")
-        note = check.note_for(verdicts)
-        if note:
-            print(f"note: {note}")
-        return [v.passed for v in verdicts]
+        if results is None:
+            results = experiments.run_points(check.plan(cfg.n_steps, cfg.mode))
+        return _report(check, check.write(results, outdir, cfg.n_steps, cfg.mode))
 
     return reproduce
 
 
 _REPRODUCERS = {name: _reproducer(name) for name in experiments.CHECKS if name != "verify"}
-# The benchmark's closed_sweep workload judges its sweep through this name.
-_reproduce_fig3 = _REPRODUCERS["fig3"]
 
 
-# Settings that `reproduce` does not use, each with its flag: every target
-# runs at its published inputs, so setting one would be silently ignored.
-_REPRODUCE_IGNORES = {
+def _reproduce_fig3(cfg: RunConfig, outdir: str) -> list:
+    """fig3 judged on the records of experiments.run_coupling_sweep, looked up
+    at call time. The benchmark's closed_sweep workload judges its own sweep
+    through this name by replacing that driver."""
+    records = experiments.run_coupling_sweep(outdir=outdir, n_steps=cfg.n_steps)
+    return _report(experiments.CHECKS["fig3"], records)
+
+
+# Every setting some command ignores, with its flag.
+_SETTING_FLAGS = {
     "flavor": "--flavor",
     "g": "--g",
     "A": "--A",
@@ -336,28 +349,48 @@ _REPRODUCE_IGNORES = {
     "delta_t": "--delta-t",
     "delta_omega": "--delta-omega",
     "delta_g": "--delta-g",
+    "n_steps": "--steps",
+    "mode": "--mode",
+}
+
+# The settings each command uses, and why it takes no others; simulate and
+# sweep use them all.
+_USED_SETTINGS = {
+    "reproduce": ({"n_steps", "mode"}, "every target runs at its published settings"),
+    "verify": ({"g", "A", "n_steps"}, "verify uses only --g, --A and --steps"),
+    "pulses": ({"flavor", "A", "omega0"}, "pulses uses only --flavor, --A, --omega0 and --samples"),
 }
 
 
 def _reject_ignored(args: argparse.Namespace, cfg: RunConfig) -> None:
-    """Refuse a flag, or a config value other than the default, that reproduce ignores."""
+    """Refuse a flag, or a config value other than the default, that the command ignores."""
+    if cfg.command not in _USED_SETTINGS:
+        return
+    used, why = _USED_SETTINGS[cfg.command]
     defaults = RunConfig()
-    for name, flag in _REPRODUCE_IGNORES.items():
+    for name, flag in _SETTING_FLAGS.items():
+        if name in used:
+            continue
         if getattr(args, name, None) is not None:
-            raise ValueError(f"reproduce does not take {flag}: every target runs at its published settings")
+            raise ValueError(f"{cfg.command} does not take {flag}: {why}")
         if getattr(cfg, name) != getattr(defaults, name):
             raise ValueError(
-                f"reproduce does not use config key {name} (= {getattr(cfg, name)!r}): "
-                "every target runs at its published settings"
+                f"{cfg.command} does not use config key {name} (= {getattr(cfg, name)!r}): {why}"
             )
 
 
 def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
+    """Plan every target, integrate all their points in one run_points call,
+    then write, judge and print each target in order."""
     outdir = _ensure_outdir(cfg)
     targets = list(_REPRODUCERS) if target == "all" else [target]
+    plans = [experiments.CHECKS[name].plan(cfg.n_steps, cfg.mode) for name in targets]
+    results = experiments.run_points([spec for plan in plans for spec in plan])
     verdicts = []
-    for name in targets:
-        verdicts.extend(_REPRODUCERS[name](cfg, outdir))
+    start = 0
+    for name, plan in zip(targets, plans):
+        verdicts.extend(_REPRODUCERS[name](cfg, outdir, results[start : start + len(plan)]))
+        start += len(plan)
     _strip_meta(cfg)
     passed = sum(1 for v in verdicts if v)
     print(f"{passed} of {len(verdicts)} reference checks pass")
@@ -380,6 +413,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         cfg = _resolve(args)
+        _reject_ignored(args, cfg)
         if args.command == "pulses":
             return _cmd_pulses(cfg, args.samples)
         if args.command == "simulate":
@@ -387,7 +421,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(cfg, args.axis)
         if args.command == "reproduce":
-            _reject_ignored(args, cfg)
             return _cmd_reproduce(cfg, args.target)
         if args.command == "verify":
             return _cmd_verify(cfg)

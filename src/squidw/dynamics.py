@@ -7,12 +7,15 @@ Both propagators use fixed-step classical RK4 so results are bit-reproducible;
 norm and trace drift are tracked as convergence diagnostics, never corrected
 by renormalization.
 
-Both propagators integrate a batch: B points that share a step count and a
-duration advance together, each state carrying a leading batch axis. The
-Hamiltonian is supplied as h_fn(k), the (B, 10, 10) stack at RK4 node
-t_k = k h / 2 (see node_times), so callers sample their drives once on the
-node grid and assemble H there. Every product, reduction and gate is taken
-point by point, so a point's bytes are the same whatever batch it ran in.
+Both propagators integrate a batch: B points that share a step count advance
+together, each state carrying a leading batch axis. Duration and stored
+frames belong to each point: point b steps by h_b = duration_b / n_steps and
+stores its own n_frames_b frames. The Hamiltonian is supplied as h_fn(k), the
+(B, 10, 10) stack at RK4 node k, which for point b is the time
+t_k = k h_b / 2 (see node_times), so callers sample their drives once on each
+point's node grid and assemble H there. Every product, reduction and gate is
+taken point by point, so a point's bytes are the same whatever batch it ran
+in.
 
 H must be real symmetric float64, as every Hamiltonian of `state_space` is;
 anything else raises ValueError. The kernels use that form: H psi and H rho
@@ -48,7 +51,12 @@ EIG_TOL = -1e-6  # most negative admissible eigenvalue
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when drift diagnostics exceed their gates."""
+    """Raised when drift diagnostics exceed their gates; point is the batch
+    index of the point that failed worst, when the raiser knows it."""
+
+    def __init__(self, message: str, point: int | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 @dataclass(frozen=True)
@@ -88,25 +96,28 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored frames (at most MAX_FRAMES) plus endpoint diagnostics.
+    """Stored frames (at most MAX_FRAMES per point) plus endpoint diagnostics.
 
     A propagator returns the trajectory of its whole batch: every per-point
-    field has a leading batch axis of length B. point(b) gives the trajectory
-    of one point, with that axis removed and the diagnostics as floats.
+    field is indexed by point first. The per-frame fields (times, states,
+    fidelities, populations) are arrays with a leading batch axis of length
+    B when every point stores the same number of frames, and lists of B
+    per-point arrays otherwise. point(b) gives the trajectory of one point,
+    with its own frame times and the diagnostics as floats.
     """
 
-    times: np.ndarray  # stored frame times, shared by the batch
-    states: np.ndarray  # state vector or density matrix per point and stored frame
-    fidelities: np.ndarray  # points x frames
-    populations: np.ndarray  # points x frames x 10, diagonal occupation
+    times: np.ndarray | list  # stored frame times, per point
+    states: np.ndarray | list  # state vector or density matrix per point and stored frame
+    fidelities: np.ndarray | list  # per point and stored frame
+    populations: np.ndarray | list  # per point and stored frame, 10 diagonal occupations
     final_state: np.ndarray
     drift: np.ndarray  # |norm - 1| or |trace - 1| at the final time, per point
-    min_eigenvalue: np.ndarray | None  # density runs only, per point
+    min_eigenvalue: np.ndarray | None  # over each point's stored frames; density runs only
     n_steps: int
 
     def point(self, b: int) -> "Trajectory":
         return Trajectory(
-            times=self.times,
+            times=self.times[b],
             states=self.states[b],
             fidelities=self.fidelities[b],
             populations=self.populations[b],
@@ -145,22 +156,82 @@ def _frame_indices(n_steps: int, n_frames: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_steps, n_frames).round().astype(int))
 
 
-def _trajectory(frames, keep, final, drift, min_eig, grid, duration) -> Trajectory:
-    """Package (frames, B, ...) stored states; fidelities are taken point by point."""
-    states = np.ascontiguousarray(np.moveaxis(frames, 0, 1))
-    if states.ndim == 3:
-        pops = np.abs(states) ** 2
-    else:
-        pops = np.real(np.diagonal(states, axis1=-2, axis2=-1))
+def _durations(duration, batch: int) -> np.ndarray:
+    """One duration per point from a scalar or a (B,) sequence."""
+    d = np.asarray(duration, dtype=float)
+    if d.ndim > 1 or (d.ndim == 1 and len(d) != batch):
+        raise ValueError(
+            f"duration must be a scalar or have one entry per point, got shape {d.shape}"
+        )
+    return np.broadcast_to(d, (batch,))
+
+
+def _step_size(durations: np.ndarray, n_steps: int):
+    """h = duration / n_steps: one Python float when every point has the same
+    duration, else one per point shaped (B, 1, 1) to scale a batch of
+    states. Both give the same bytes; scaling by a Python float is about a
+    third cheaper than broadcasting a (B, 1, 1) factor, and about 0.4 us per
+    product cheaper than a numpy float64 on a batch of one."""
+    if len(set(durations.tolist())) == 1:
+        return float(durations[0]) / n_steps
+    return (durations / n_steps)[:, None, None]
+
+
+class _Frames:
+    """Each point's stored frames: only its own _frame_indices(n, n_frames_b).
+
+    store(step, state) copies the states of the points that keep step, and
+    returns their indices (None when no point keeps it).
+    """
+
+    def __init__(self, n_steps: int, n_frames, state0: np.ndarray):
+        batch = len(state0)
+        counts = np.broadcast_to(np.asarray(n_frames), (batch,))
+        by_count = {int(c): _frame_indices(n_steps, int(c)) for c in set(counts.tolist())}
+        self.keep = [by_count[int(c)] for c in counts]
+        at: dict[int, list] = {}
+        for b, keep in enumerate(self.keep):
+            for step in keep[1:]:
+                at.setdefault(int(step), []).append(b)
+        self._at = {step: np.array(points) for step, points in at.items()}
+        self.stored = [[s] for s in state0.copy()]
+
+    def store(self, step: int, state: np.ndarray):
+        points = self._at.get(step)
+        if points is not None:
+            for b, s in zip(points, state[points]):
+                self.stored[b].append(s)
+        return points
+
+
+def _batched(items: list):
+    """One array with a leading batch axis when the items share a shape, else the list."""
+    return np.stack(items) if len({item.shape for item in items}) == 1 else items
+
+
+def _trajectory(frames: _Frames, final, drift, min_eig, n_steps: int, durations) -> Trajectory:
+    """Package each point's stored states; fidelities are taken point by point."""
+    states = [np.array(s) for s in frames.stored]
+    nodes = {}
+    times = []
+    for d, keep in zip(durations.tolist(), frames.keep):
+        if d not in nodes:
+            nodes[d] = node_times(n_steps, d)
+        times.append(nodes[d][2 * keep])
     return Trajectory(
-        times=node_times(grid.n_steps, duration)[2 * keep],
-        states=states,
-        fidelities=np.array([[fidelity(s) for s in point] for point in states]),
-        populations=pops,
+        times=_batched(times),
+        states=_batched(states),
+        fidelities=_batched([np.array([fidelity(s) for s in point]) for point in states]),
+        populations=_batched(
+            [
+                np.abs(st) ** 2 if st.ndim == 2 else np.real(np.diagonal(st, axis1=-2, axis2=-1))
+                for st in states
+            ]
+        ),
         final_state=final,
         drift=drift,
         min_eigenvalue=min_eig,
-        n_steps=grid.n_steps,
+        n_steps=n_steps,
     )
 
 
@@ -181,16 +252,18 @@ def propagate_schrodinger(
     h_fn,
     psi0: np.ndarray,
     grid: TimeGrid | None = None,
-    duration: float = 1.0,
-    n_frames: int = 2,
+    duration: float | np.ndarray = 1.0,
+    n_frames: int | list = 2,
 ) -> Trajectory:
     """Fixed-step RK4 on i dpsi/dt = H(t) psi for B states; no renormalization.
 
-    psi0 has shape (B, 10). h_fn(k) returns the (B, 10, 10) real symmetric
-    float64 Hamiltonians at node k of node_times(grid.n_steps, duration);
-    step s calls it at nodes 2s, 2s+1 and 2s+2. H psi is one real product on
-    the float64 view of psi. Every product is taken point by point, so a
-    point's result does not depend on the batch it runs in.
+    psi0 has shape (B, 10). duration and n_frames are scalars or one value
+    per point. h_fn(k) returns the (B, 10, 10) real symmetric float64
+    Hamiltonians at node k, point b's at node k of
+    node_times(grid.n_steps, duration_b); step s calls it at nodes 2s, 2s+1
+    and 2s+2. H psi is one real product on the float64 view of psi. Every
+    product is taken point by point, so a point's result does not depend on
+    the batch it runs in.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex)
@@ -199,11 +272,10 @@ def propagate_schrodinger(
     if any(abs(np.linalg.norm(p) - 1.0) > 1e-9 for p in psi):
         raise ValueError("psi0 must be normalized")
     n = grid.n_steps
-    h = duration / n
-    keep = _frame_indices(n, n_frames)
-    frames = np.empty((len(keep),) + psi.shape, dtype=complex)
-    frames[0] = psi
-    stored = 1
+    durations = _durations(duration, len(psi))
+    h = _step_size(durations, n)
+    half, sixth = 0.5 * h, h / 6.0
+    frames = _Frames(n, n_frames, psi)
     psi = psi[..., None]
 
     def rhs(H: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -215,21 +287,20 @@ def propagate_schrodinger(
         h2 = _real_h(h_fn, 2 * step + 1)
         h3 = _real_h(h_fn, 2 * step + 2)
         k1 = rhs(h1, psi)
-        k2 = rhs(h2, psi + 0.5 * h * k1)
-        k3 = rhs(h2, psi + 0.5 * h * k2)
+        k2 = rhs(h2, psi + half * k1)
+        k3 = rhs(h2, psi + half * k2)
         k4 = rhs(h3, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if stored < len(keep) and keep[stored] == step + 1:
-            frames[stored] = psi[..., 0]
-            stored += 1
+        psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        frames.store(step + 1, psi[..., 0])
 
     psi = psi[..., 0]
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
-    traj = _trajectory(frames, keep, psi, drift, None, grid, duration)
+    traj = _trajectory(frames, psi, drift, None, n, durations)
     b = int(np.argmax(drift))
     if drift[b] > NORM_TOL:
         raise ConvergenceError(
-            f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}"
+            f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}",
+            b,
         )
     return traj
 
@@ -322,21 +393,21 @@ def propagate_lindblad(
     lindblads,
     rho0: np.ndarray,
     grid: TimeGrid | None = None,
-    duration: float = 1.0,
-    n_frames: int = 2,
+    duration: float | np.ndarray = 1.0,
+    n_frames: int | list = 2,
 ) -> Trajectory:
     """Fixed-step RK4 on the Lindblad master equation for B density matrices.
 
     rho0 has shape (B, 10, 10) and lindblads holds one operator list per
-    point; their dissipator tables are stacked. h_fn follows the contract of
-    propagate_schrodinger; each step calls it at nodes 2s, 2s+1 (twice) and
-    2s+2. The commutator takes one real product X = H rho on the float64
-    view of rho and forms -i[H, rho] = Y + Y^dag with Y = -i X, since
-    rho H = (H rho)^dag for real symmetric H and Hermitian rho. That form,
-    the real symmetric gain table and the real population scatter keep
-    every RK4 stage exactly Hermitian, so rho0 is symmetrized once on entry
-    and never again. Trace and positivity are monitored at stored frames
-    and gate the result.
+    point; their dissipator tables are stacked. h_fn, duration and n_frames
+    follow the contract of propagate_schrodinger; each step calls h_fn at
+    nodes 2s, 2s+1 (twice) and 2s+2. The commutator takes one real product
+    X = H rho on the float64 view of rho and forms -i[H, rho] = Y + Y^dag
+    with Y = -i X, since rho H = (H rho)^dag for real symmetric H and
+    Hermitian rho. That form, the real symmetric gain table and the real
+    population scatter keep every RK4 stage exactly Hermitian, so rho0 is
+    symmetrized once on entry and never again. Trace is checked at the end;
+    positivity at each point's own stored frames. Both gate the result.
     """
     grid = grid or TimeGrid()
     rho = np.array(rho0, dtype=complex)
@@ -365,33 +436,35 @@ def propagate_lindblad(
         return out
 
     n = grid.n_steps
-    h = duration / n
-    keep = _frame_indices(n, n_frames)
-    frames = np.empty((len(keep),) + rho.shape, dtype=complex)
-    frames[0] = rho
-    stored = 1
+    durations = _durations(duration, len(rho))
+    h = _step_size(durations, n)
+    half, sixth = 0.5 * h, h / 6.0
+    frames = _Frames(n, n_frames, rho)
     min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
     for step in range(n):
         k1 = rhs(2 * step, rho)
-        k2 = rhs(2 * step + 1, rho + 0.5 * h * k1)
-        k3 = rhs(2 * step + 1, rho + 0.5 * h * k2)
+        k2 = rhs(2 * step + 1, rho + half * k1)
+        k3 = rhs(2 * step + 1, rho + half * k2)
         k4 = rhs(2 * step + 2, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if stored < len(keep) and keep[stored] == step + 1:
-            frames[stored] = rho
-            stored += 1
-            min_eig = np.minimum(min_eig, np.linalg.eigvalsh(rho).min(axis=-1))
+        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stored = frames.store(step + 1, rho)
+        if stored is not None:
+            min_eig[stored] = np.minimum(
+                min_eig[stored], np.linalg.eigvalsh(rho[stored]).min(axis=-1)
+            )
 
     drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])
-    traj = _trajectory(frames, keep, rho, drift, min_eig, grid, duration)
+    traj = _trajectory(frames, rho, drift, min_eig, n, durations)
     b = int(np.argmax(drift))
     if drift[b] > TRACE_TOL:
         raise ConvergenceError(
-            f"trace drift {drift[b]:.3e} exceeds {TRACE_TOL:.0e} after {n} steps{_which(b, drift)}"
+            f"trace drift {drift[b]:.3e} exceeds {TRACE_TOL:.0e} after {n} steps{_which(b, drift)}",
+            b,
         )
     b = int(np.argmin(min_eig))
     if min_eig[b] < EIG_TOL:
         raise ConvergenceError(
-            f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}{_which(b, min_eig)}"
+            f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}{_which(b, min_eig)}",
+            b,
         )
     return traj

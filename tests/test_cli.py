@@ -165,6 +165,69 @@ def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
     assert not list((tmp_path / "ok").glob("*.meta.json"))
 
 
+def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
+    # verify uses only g, A and the step count; pulses only flavor, A and omega0
+    for argv, flag in (
+        (["verify", "--kappa", "50"], "--kappa"),
+        (["verify", "--flavor", "stirap"], "--flavor"),
+        (["verify", "--delta-g", "0.5"], "--delta-g"),
+        (["verify", "--mode", "truncate"], "--mode"),
+        (["pulses", "--g", "5"], "--g"),
+        (["pulses", "--kappa", "3"], "--kappa"),
+        (["pulses", "--steps", "100"], "--steps"),
+        (["pulses", "--delta-omega", "0.5"], "--delta-omega"),
+    ):
+        code, out, err = run([*argv, "-o", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and flag in err
+    path = tmp_path / "run.cfg"
+    path.write_text("gamma = 1\n")
+    code, out, err = run(["pulses", "--config", str(path), "-o", str(tmp_path)], capsys)
+    assert code == 1 and err.startswith("error:") and "gamma" in err
+    assert not list(tmp_path.glob("pulses_*"))
+    code, out, _ = run(
+        ["pulses", "--flavor", "stirap", "--A", "0.4", "--omega0", "40", "--samples", "11",
+         "-o", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and (tmp_path / "pulses_stirap_q4.csv").exists()
+
+
+def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
+    """`reproduce all` plans every target first: its 110 points run as one
+    closed and one open batch, and each target alone writes the same bytes
+    and verdicts."""
+    from squidw import experiments
+
+    calls = []
+    for name in ("propagate_schrodinger", "propagate_lindblad"):
+        original = getattr(experiments, name)
+
+        def counted(h_fn, *args, _name=name, _original=original, **kwargs):
+            traj = _original(h_fn, *args, **kwargs)
+            calls.append((_name, len(traj.final_state)))
+            return traj
+
+        monkeypatch.setattr(experiments, name, counted)
+    code, out, _ = run(["reproduce", "all", "--steps", "1000", "-o", str(tmp_path / "all")], capsys)
+    assert code == 0
+    assert sorted(calls) == [("propagate_lindblad", 43), ("propagate_schrodinger", 67)]
+    verdicts = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL", "note"))]
+    alone = []
+    for target in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "table2", "realistic"):
+        code, out, _ = run(
+            ["reproduce", target, "--steps", "1000", "-o", str(tmp_path / "each")], capsys
+        )
+        assert code == 0
+        alone += [line for line in out.splitlines() if line.startswith(("PASS", "FAIL", "note"))]
+    assert alone == verdicts
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert len(names) == 22 and sorted(p.name for p in (tmp_path / "each").iterdir()) == names
+    for name in names:
+        expected = (tmp_path / "all" / name).read_bytes()
+        assert (tmp_path / "each" / name).read_bytes() == expected, name
+
+
 def test_reproduce_fig8_quadrant_order_needs_truncate(tmp_path, capsys):
     # the published (dT, dOmega) quadrant order needs dT to change the run;
     # rescale re-parameterizes the waveforms and leaves dT nearly inert

@@ -9,7 +9,7 @@ import pytest
 import reference_kernels
 from single_point import one_point
 
-from squidw.dynamics import NoiseModel, fidelity, lindblad_operators
+from squidw.dynamics import ConvergenceError, NoiseModel, fidelity, lindblad_operators
 from squidw.experiments import (
     CHECKS,
     ResultRecord,
@@ -62,20 +62,31 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
 
 
-# Closed and open points, two durations and stored frames. The closed batch
-# is wide: overlaps computed across a batch (a (B, 10) @ (10,) product)
-# round differently from the single-point ones once B reaches a dozen or so.
+# Closed and open points under both duration readings, at five durations and
+# with 2, 5 or 21 stored frames; run_points puts every closed point in one
+# batch and every open point in another. The closed batch is wide: overlaps
+# computed across a batch (a (B, 10) @ (10,) product) round differently from
+# the single-point ones once B reaches a dozen or so.
 MIXED = [
     RunSpec(label=f"c{g:g}", g=g, delta_omega=0.1 * (g % 2), n_steps=400, n_frames=5)
     for g in np.linspace(10.0, 30.0, 16)
+] + [
+    RunSpec(label=f"r{dt:+g}", g=30.0, delta_t=dt, n_steps=400, n_frames=frames)
+    for dt, frames in ((-0.1, 2), (-0.05, 21), (0.05, 5), (0.1, 21))
 ] + [
     RunSpec(label="o30", g=30.0, kappa_over_g=1e-2, n_steps=400, n_frames=5),
     RunSpec(label="c30s", g=30.0, delta_t=-0.1, mode="truncate", n_steps=400, n_frames=5),
     RunSpec(label="o25", g=25.0, gamma_over_g=5e-3, delta_g=-0.1, n_steps=400, n_frames=5),
     RunSpec(label="o30s", g=30.0, gammaphi_over_g=1e-3, delta_t=-0.1, mode="truncate", n_steps=400),
     RunSpec(label="c25s", g=25.0, delta_t=-0.1, mode="truncate", n_steps=400, n_frames=5),
+    RunSpec(label="c30l", g=30.0, delta_t=0.1, mode="truncate", n_steps=400, n_frames=21),
     RunSpec(label="o20", g=20.0, kappa_over_g=5e-3, gammaphi_over_g=5e-4, n_steps=400, n_frames=5),
     RunSpec(label="o20s", g=20.0, gamma_over_g=1e-2, delta_t=-0.1, mode="truncate", n_steps=400),
+    RunSpec(label="o25r", g=25.0, kappa_over_g=2e-3, delta_t=0.05, n_steps=400, n_frames=21),
+    RunSpec(
+        label="o25l", g=25.0, gammaphi_over_g=5e-4, delta_t=0.1, mode="truncate", n_steps=400,
+        n_frames=21,
+    ),
 ]
 
 
@@ -86,10 +97,14 @@ def _write_run(outdir, records, trajectories):
 
 
 def test_batch_composition_does_not_change_bytes(tmp_path):
-    """One batch per grid, one point at a time, or split into two halves:
-    the same bytes, the drift and min_eigenvalue columns included."""
+    """One batch per closed/open, one point at a time, or split into two
+    halves: the same bytes, the drift and min_eigenvalue columns included.
+    Each point keeps its own frames, at its own times."""
     batched = run_points(MIXED)
     assert {r.min_eigenvalue is None for r, _ in batched} == {True, False}
+    for spec, (_, traj) in zip(MIXED, batched):
+        assert len(traj.times) == len(traj.states) == spec.n_frames
+        assert traj.times[0] == 0.0 and traj.times[-1] == spec.duration
     _write_run(tmp_path / "batched", *zip(*batched))
     alone = [run_points([spec])[0] for spec in MIXED]
     # evaluate_point is the same batch of one
@@ -291,6 +306,20 @@ def test_variation_grid_modes_differ(tmp_path):
     assert rec_r[0].fidelity != rec_t[0].fidelity
 
 
+def test_single_axis_sensitivities_are_pinned():
+    """1 - F from one 10% error at a time (gaussian, g = 30, 2000 steps), as
+    README's "Known discrepancy" quotes them. A model change that moves any
+    of them by more than 0.002 shows here."""
+    pinned = {
+        RunSpec(delta_omega=+0.10): 0.0250,
+        RunSpec(delta_omega=-0.10): 0.0281,
+        RunSpec(delta_t=+0.10, mode="truncate"): 0.00052,
+        RunSpec(delta_t=-0.10, mode="truncate"): 0.00275,
+    }
+    for (spec, expected), (record, _) in zip(pinned.items(), run_points(pinned)):
+        assert abs((1.0 - record.fidelity) - expected) <= 0.002, (spec, record.fidelity)
+
+
 def test_table2_quadrant_order_is_the_published_ranking():
     quads = variation_quadrants(TABLE2_REFERENCE)
     assert quads[(-1, 1)] == pytest.approx((0.9965 + 0.9964) / 2)
@@ -315,6 +344,16 @@ def test_only_known_discrepancies_fail():
     assert failed == flagged
     table2 = {label for label in flagged if label.startswith("table2 ")}
     assert flagged - table2 == {"fig8 sign correlation"} and len(table2) == 8
+
+
+def test_convergence_failure_names_the_run():
+    # one batch holds several drivers' points; the error says which run failed
+    specs = [
+        RunSpec(label="fine", g=10.0, n_steps=100),
+        RunSpec(label="stiff", flavor="stirap", g=150.0, omega0=50.0, n_steps=100),
+    ]
+    with pytest.raises(ConvergenceError, match=r"\(batch point 1\), run 'stiff'$"):
+        run_points(specs)
 
 
 def test_evaluate_point_validation():

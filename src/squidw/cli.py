@@ -314,14 +314,11 @@ def _report(check, output) -> list:
 
 
 def _reproducer(target: str):
-    """`reproduce TARGET`'s write-and-judge step, given the run_points results
-    of the target's plan; called alone, it runs the plan first."""
+    """`reproduce TARGET`'s write-and-judge step: the finish step of the
+    target's plan applied to the run_points results of its specs."""
 
-    def reproduce(cfg: RunConfig, outdir: str, results=None) -> list:
-        check = experiments.CHECKS[target]
-        if results is None:
-            results = experiments.run_points(check.plan(cfg.n_steps, cfg.mode))
-        return _report(check, check.write(results, outdir, cfg.n_steps, cfg.mode))
+    def reproduce(finish, results, outdir: str) -> list:
+        return _report(experiments.CHECKS[target], finish(results, outdir))
 
     return reproduce
 
@@ -385,12 +382,12 @@ def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
     outdir = _ensure_outdir(cfg)
     targets = list(_REPRODUCERS) if target == "all" else [target]
     plans = [experiments.CHECKS[name].plan(cfg.n_steps, cfg.mode) for name in targets]
-    results = experiments.run_points([spec for plan in plans for spec in plan])
+    results = experiments.run_points([spec for specs, _ in plans for spec in specs])
     verdicts = []
     start = 0
-    for name, plan in zip(targets, plans):
-        verdicts.extend(_REPRODUCERS[name](cfg, outdir, results[start : start + len(plan)]))
-        start += len(plan)
+    for name, (specs, finish) in zip(targets, plans):
+        verdicts.extend(_REPRODUCERS[name](finish, results[start : start + len(specs)], outdir))
+        start += len(specs)
     _strip_meta(cfg)
     passed = sum(1 for v in verdicts if v)
     print(f"{passed} of {len(verdicts)} reference checks pass")

@@ -18,12 +18,12 @@ computed value, delta, and verdict per row. All runs are deterministic:
 identical inputs produce byte-identical files, whatever the batching.
 
 The bundled reference tables are the expected outcomes. `CHECKS` holds one
-`Check` per `reproduce` target plus `verify`. A target's Check splits its
-driver into a plan (its RunSpecs) and a write step (results to the driver's
-output and files), and judges that output into `Verdict` rows; each driver
-run_X is its write step applied to run_points of its plan. `reproduce all`
+`Check` per `reproduce` target plus `verify`. A target's Check holds its
+driver's plan (the RunSpecs, plus a finish step that turns their results
+into the driver's output and files) and a judge that turns that output into
+`Verdict` rows; each driver run_X runs its own plan. `reproduce all`
 gathers every plan, integrates them in one run_points call (one closed and
-one open batch), then writes and judges target by target. The CLI prints
+one open batch), then finishes and judges target by target. The CLI prints
 the verdicts and the acceptance tests assert on them, so every reference
 check and its bound is written once, here.
 """
@@ -181,28 +181,23 @@ class Verdict(NamedTuple):
 
 
 class Check(NamedTuple):
-    """A reproduce target: its plan, its write step, its judge, and the note
-    its known discrepancy prints.
+    """A reproduce target: its plan, its judge, and the note its known
+    discrepancy prints.
 
-    plan(n_steps, mode) lists the target's RunSpecs; write(results, outdir,
-    n_steps, mode) turns their run_points results into the driver's output
-    (writing its files when outdir is given); judge(output) turns that output
-    into verdicts. Planning apart from running lets `reproduce all`
+    plan(n_steps, mode) returns the target's RunSpecs and its finish step;
+    finish(results, outdir) turns their run_points results into the driver's
+    output (writing its files when outdir is given); judge(output) turns that
+    output into verdicts. Planning apart from running lets `reproduce all`
     integrate every target's points in one run_points call.
     """
 
     plan: Callable
-    write: Callable
     judge: Callable
     note: str = ""
 
-    def __call__(
-        self, outdir=None, n_steps: int = 2000, mode: str = "rescale", g: float = 30.0, A: float = 0.5
-    ) -> list[Verdict]:
-        """Plan, run, write and judge this target alone. A target runs at its
-        published settings, so g and A, verify's inputs, are not used."""
-        results = run_points(self.plan(n_steps, mode))
-        return self.judge(self.write(results, outdir, n_steps, mode))
+    def __call__(self, outdir=None, n_steps: int = 2000, mode: str = "rescale") -> list[Verdict]:
+        """Plan, run, write and judge this target alone."""
+        return self.judge(_run_plan(self.plan(n_steps, mode), outdir))
 
     def note_for(self, verdicts) -> str:
         """The note if a known discrepancy shows among the verdicts, else ''."""
@@ -850,61 +845,58 @@ def _sweep_meta(spec: SweepSpec) -> dict:
     }
 
 
+# A driver is a plan, (RunSpecs, finish), with finish(results, outdir) turning
+# the run_points results of those specs into the driver's output and writing
+# its files when outdir is given. run_X runs its own plan; `reproduce all`
+# gathers every target's plan and runs them in one run_points call (see
+# CHECKS). A reproduce target plans from (n_steps, mode); one without a
+# duration error ignores mode.
+
+
+def _run_plan(plan, outdir):
+    specs, finish = plan
+    return finish(run_points(specs), outdir)
+
+
+def _plan_sweep(spec: SweepSpec, name: str):
+    def finish(results, outdir) -> list[ResultRecord]:
+        records = _records(results)
+        _emit(outdir, name, records, _sweep_meta(spec))
+        return records
+
+    return _sweep_specs(spec), finish
+
+
 def run_sweep(spec: SweepSpec, outdir=None, jobs: int = 1, name: str = "sweep"):
     """Expand the spec's axes into a grid and evaluate every point."""
-    records = _records(run_points(_sweep_specs(spec)))
-    _emit(outdir, name, records, _sweep_meta(spec))
-    return records
+    return _run_plan(_plan_sweep(spec, name), outdir)
 
 
-# Each reproduce driver below is its plan, plan(n_steps, mode) -> RunSpecs,
-# and its write step, write(results, outdir, n_steps, mode) -> the driver's
-# output with its files, so that `reproduce all` can run every driver's plan
-# in one run_points call; see CHECKS. A driver without a duration error
-# ignores mode. Keyword arguments after those carry a driver's own inputs.
-
-
-def _coupling_spec(n_steps: int, g_values=None) -> SweepSpec:
+def _plan_coupling_sweep(n_steps: int, mode=None, g_values=None):
     if g_values is None:
         g_values = [float(g) for g in range(1, 31)]
-    return SweepSpec(flavor="gaussian", axes=(("g", tuple(g_values)),), n_steps=n_steps)
-
-
-def _plan_coupling_sweep(n_steps: int, mode=None, g_values=None) -> list[RunSpec]:
-    return _sweep_specs(_coupling_spec(n_steps, g_values))
-
-
-def _write_coupling_sweep(results, outdir, n_steps: int, mode=None, g_values=None):
-    records = _records(results)
-    _emit(outdir, "coupling_sweep", records, _sweep_meta(_coupling_spec(n_steps, g_values)))
-    return records
+    spec = SweepSpec(flavor="gaussian", axes=(("g", tuple(g_values)),), n_steps=n_steps)
+    return _plan_sweep(spec, "coupling_sweep")
 
 
 def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
     """Closed-system final fidelity versus the coupling g (gaussian flavor)."""
-    results = run_points(_plan_coupling_sweep(n_steps, g_values=g_values))
-    return _write_coupling_sweep(results, outdir, n_steps, g_values=g_values)
+    return _run_plan(_plan_coupling_sweep(n_steps, g_values=g_values), outdir)
 
 
 def _plan_population_trace(n_steps: int, mode=None, g: float = 30.0, n_frames: int = 401):
-    return [RunSpec(g=g, n_steps=n_steps, n_frames=n_frames)]
+    def finish(results, outdir) -> Trajectory:
+        [(_, traj)] = results
+        meta = {"flavor": "gaussian", "g": g, "n_steps": n_steps, "closed_system": True}
+        _write_trajectory(outdir, "population_trace", traj, meta)
+        return traj
 
-
-def _write_population_trace(results, outdir, n_steps: int, mode=None) -> Trajectory:
-    [(record, traj)] = results
-    _write_trajectory(
-        outdir,
-        "population_trace",
-        traj,
-        {"flavor": "gaussian", "g": record.g, "n_steps": n_steps, "closed_system": True},
-    )
-    return traj
+    return [RunSpec(g=g, n_steps=n_steps, n_frames=n_frames)], finish
 
 
 def run_population_trace(outdir=None, g: float = 30.0, n_steps: int = 2000, n_frames: int = 401):
     """Basis-state populations along the headline closed-system run."""
-    results = run_points(_plan_population_trace(n_steps, g=g, n_frames=n_frames))
-    return _write_population_trace(results, outdir, n_steps)
+    return _run_plan(_plan_population_trace(n_steps, g=g, n_frames=n_frames), outdir)
 
 
 def _plan_stirap_comparison(n_steps: int, mode=None, configs=None, n_frames: int = 201):
@@ -922,35 +914,34 @@ def _plan_stirap_comparison(n_steps: int, mode=None, configs=None, n_frames: int
         )
         for omega0, g in configs
     ]
-    return specs
 
+    def finish(results, outdir):
+        records = _records(results)
+        curves: dict[str, Trajectory] = {record.label: traj for record, traj in results}
+        if outdir is not None:
+            os.makedirs(outdir, exist_ok=True)
+            rows = []
+            for label, traj in curves.items():
+                rows.extend((label, traj.times[i], traj.fidelities[i]) for i in range(len(traj.times)))
+            write_csv(os.path.join(outdir, "stirap_comparison.csv"), ("label", "t", "fidelity"), rows)
+            write_meta(
+                os.path.join(outdir, "stirap_comparison.meta.json"),
+                "stirap_comparison",
+                {"configs": [[r.omega0, r.g] for r in records[1:]], "n_steps": n_steps},
+            )
+            write_csv(
+                os.path.join(outdir, "stirap_comparison_final.csv"),
+                ResultRecord.CSV_HEADER,
+                [r.row() for r in records],
+            )
+        return records, curves
 
-def _write_stirap_comparison(results, outdir, n_steps: int, mode=None):
-    records = _records(results)
-    curves: dict[str, Trajectory] = {record.label: traj for record, traj in results}
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
-        rows = []
-        for label, traj in curves.items():
-            rows.extend((label, traj.times[i], traj.fidelities[i]) for i in range(len(traj.times)))
-        write_csv(os.path.join(outdir, "stirap_comparison.csv"), ("label", "t", "fidelity"), rows)
-        write_meta(
-            os.path.join(outdir, "stirap_comparison.meta.json"),
-            "stirap_comparison",
-            {"configs": [[r.omega0, r.g] for r in records[1:]], "n_steps": n_steps},
-        )
-        write_csv(
-            os.path.join(outdir, "stirap_comparison_final.csv"),
-            ResultRecord.CSV_HEADER,
-            [r.row() for r in records],
-        )
-    return records, curves
+    return specs, finish
 
 
 def run_stirap_comparison(configs=None, outdir=None, jobs: int = 1, n_steps: int = 2000, n_frames: int = 201):
     """Fidelity curves: the protocol at g = 30/T versus the STIRAP baseline."""
-    results = run_points(_plan_stirap_comparison(n_steps, configs=configs, n_frames=n_frames))
-    return _write_stirap_comparison(results, outdir, n_steps)
+    return _run_plan(_plan_stirap_comparison(n_steps, configs=configs, n_frames=n_frames), outdir)
 
 
 _DECOHERENCE_AXES = (
@@ -960,8 +951,8 @@ _DECOHERENCE_AXES = (
 )
 
 
-def _plan_decoherence_grid(n_steps: int, mode=None, axes=_DECOHERENCE_AXES) -> list[RunSpec]:
-    return [
+def _plan_decoherence_grid(n_steps: int, mode=None, axes=_DECOHERENCE_AXES):
+    specs = [
         spec
         for axis_name, values in axes
         for spec in _sweep_specs(
@@ -969,27 +960,27 @@ def _plan_decoherence_grid(n_steps: int, mode=None, axes=_DECOHERENCE_AXES) -> l
         )
     ]
 
+    def finish(results, outdir) -> list[ResultRecord]:
+        records = _records(results)
+        _emit(
+            outdir,
+            "decoherence_grid",
+            records,
+            {"axes": [[n, [float(v) for v in vs]] for n, vs in axes], "n_steps": n_steps, "g": 30.0},
+        )
+        return records
 
-def _write_decoherence_grid(results, outdir, n_steps: int, mode=None, axes=_DECOHERENCE_AXES):
-    records = _records(results)
-    _emit(
-        outdir,
-        "decoherence_grid",
-        records,
-        {"axes": [[n, [float(v) for v in vs]] for n, vs in axes], "n_steps": n_steps, "g": 30.0},
-    )
-    return records
+    return specs, finish
 
 
 def run_decoherence_grid(axes=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
     """One-dimensional decoherence scans around the closed-system baseline."""
     axes = _DECOHERENCE_AXES if axes is None else axes
-    results = run_points(_plan_decoherence_grid(n_steps, axes=axes))
-    return _write_decoherence_grid(results, outdir, n_steps, axes=axes)
+    return _run_plan(_plan_decoherence_grid(n_steps, axes=axes), outdir)
 
 
-def _plan_decoherence_table(n_steps: int, mode=None) -> list[RunSpec]:
-    return [
+def _plan_decoherence_table(n_steps: int, mode=None):
+    specs = [
         RunSpec(
             label=f"k{kog:g}_g{gog:g}_p{pog:g}",
             kappa_over_g=kog,
@@ -1000,21 +991,22 @@ def _plan_decoherence_table(n_steps: int, mode=None) -> list[RunSpec]:
         for kog, gog, pog, _ in TABLE1_REFERENCE
     ]
 
+    def finish(results, outdir):
+        records = _records(results)
+        comparisons = [
+            _compare(rec.label, ref[3], rec.fidelity, FIDELITY_TOLERANCE)
+            for rec, ref in zip(records, TABLE1_REFERENCE)
+        ]
+        _emit(outdir, "table1", records, {"rows": len(records), "g": 30.0, "n_steps": n_steps})
+        _emit_compare(outdir, "table1", comparisons)
+        return records, comparisons
 
-def _write_decoherence_table(results, outdir, n_steps: int, mode=None):
-    records = _records(results)
-    comparisons = [
-        _compare(rec.label, ref[3], rec.fidelity, FIDELITY_TOLERANCE)
-        for rec, ref in zip(records, TABLE1_REFERENCE)
-    ]
-    _emit(outdir, "table1", records, {"rows": len(records), "g": 30.0, "n_steps": n_steps})
-    _emit_compare(outdir, "table1", comparisons)
-    return records, comparisons
+    return specs, finish
 
 
 def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = 2000):
     """All 17 reference decoherence rows plus the side-by-side comparison."""
-    return _write_decoherence_table(run_points(_plan_decoherence_table(n_steps)), outdir, n_steps)
+    return _run_plan(_plan_decoherence_table(n_steps), outdir)
 
 
 _DEPHASING_VALUES = tuple(np.linspace(0.0, 1.0e-3, 6))
@@ -1035,23 +1027,23 @@ def _plan_dephasing_comparison(n_steps: int, mode=None, values=_DEPHASING_VALUES
         )
         for v in values
     ]
-    return specs
 
+    def finish(results, outdir) -> list[ResultRecord]:
+        records = _records(results)
+        _emit(
+            outdir,
+            "dephasing_comparison",
+            records,
+            {
+                "gammaphi_over_g": [float(v) for v in values],
+                "n_steps": n_steps,
+                "assumption": "baseline pair (omega0, g) = (50, 150)/T, the only "
+                "configuration of the comparison set that clears 0.99 when closed",
+            },
+        )
+        return records
 
-def _write_dephasing_comparison(results, outdir, n_steps: int, mode=None, values=_DEPHASING_VALUES):
-    records = _records(results)
-    _emit(
-        outdir,
-        "dephasing_comparison",
-        records,
-        {
-            "gammaphi_over_g": [float(v) for v in values],
-            "n_steps": n_steps,
-            "assumption": "baseline pair (omega0, g) = (50, 150)/T, the only "
-            "configuration of the comparison set that clears 0.99 when closed",
-        },
-    )
-    return records
+    return specs, finish
 
 
 def run_dephasing_comparison(values=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
@@ -1061,16 +1053,17 @@ def run_dephasing_comparison(values=None, outdir=None, jobs: int = 1, n_steps: i
     of the comparison set; this choice is recorded in the metadata.
     """
     values = _DEPHASING_VALUES if values is None else values
-    results = run_points(_plan_dephasing_comparison(n_steps, values=values))
-    return _write_dephasing_comparison(results, outdir, n_steps, values=values)
+    return _run_plan(_plan_dephasing_comparison(n_steps, values=values), outdir)
 
 
 _TABLE2_ROWS = tuple((dt, do, dg) for dt, do, dg, _ in TABLE2_REFERENCE)
 _TABLE2_REFS = tuple(r[3] for r in TABLE2_REFERENCE)
 
 
-def _plan_variation(n_steps: int, mode: str, rows=_TABLE2_ROWS) -> list[RunSpec]:
-    return [
+def _plan_variation(n_steps: int, mode: str, rows=_TABLE2_ROWS, name="table2", refs=_TABLE2_REFS):
+    """The variation rows; finish compares them with refs (one per row)
+    unless refs is None."""
+    specs = [
         RunSpec(
             label=f"dT{dt:+g}_dO{do:+g}_dg{dg:+g}",
             delta_t=dt,
@@ -1082,19 +1075,19 @@ def _plan_variation(n_steps: int, mode: str, rows=_TABLE2_ROWS) -> list[RunSpec]
         for dt, do, dg in rows
     ]
 
+    def finish(results, outdir):
+        records = _records(results)
+        comparisons = None
+        if refs is not None:
+            comparisons = [
+                _compare(rec.label, ref, rec.fidelity, FIDELITY_TOLERANCE)
+                for rec, ref in zip(records, refs)
+            ]
+            _emit_compare(outdir, name, comparisons)
+        _emit(outdir, name, records, {"mode": mode, "rows": len(records), "n_steps": n_steps})
+        return records, comparisons
 
-def _write_variation(results, outdir, n_steps: int, mode: str, name="table2", refs=_TABLE2_REFS):
-    """The variation records, compared with refs (one per row) unless refs is None."""
-    records = _records(results)
-    comparisons = None
-    if refs is not None:
-        comparisons = [
-            _compare(rec.label, ref, rec.fidelity, FIDELITY_TOLERANCE)
-            for rec, ref in zip(records, refs)
-        ]
-        _emit_compare(outdir, name, comparisons)
-    _emit(outdir, name, records, {"mode": mode, "rows": len(records), "n_steps": n_steps})
-    return records, comparisons
+    return specs, finish
 
 
 def run_variation_grid(rows=None, outdir=None, jobs: int = 1, n_steps: int = 2000, mode: str = "rescale", name: str = "table2"):
@@ -1110,8 +1103,7 @@ def run_variation_grid(rows=None, outdir=None, jobs: int = 1, n_steps: int = 200
     """
     refs = _TABLE2_REFS if rows is None else None
     rows = _TABLE2_ROWS if rows is None else rows
-    results = run_points(_plan_variation(n_steps, mode, rows))
-    return _write_variation(results, outdir, n_steps, mode, name, refs)
+    return _run_plan(_plan_variation(n_steps, mode, rows, name, refs), outdir)
 
 
 _SCAN_DELTAS = (-0.10, -0.05, 0.0, 0.05, 0.10)
@@ -1123,44 +1115,39 @@ _SCAN_ROWS = (
 )
 
 
-def _plan_variation_scan(n_steps: int, mode: str) -> list[RunSpec]:
-    return _plan_variation(n_steps, mode, _SCAN_ROWS)
-
-
-def _write_variation_scan(results, outdir, n_steps: int, mode: str) -> list[ResultRecord]:
-    return _write_variation(results, outdir, n_steps, mode, "variation_scan", None)[0]
+def _plan_variation_scan(n_steps: int, mode: str):
+    specs, finish = _plan_variation(n_steps, mode, _SCAN_ROWS, "variation_scan", None)
+    return specs, lambda results, outdir: finish(results, outdir)[0]
 
 
 def run_variation_scan(outdir=None, jobs: int = 1, n_steps: int = 2000, mode: str = "rescale"):
     """Single-axis error scans plus the sign-correlation quad at dg = 0."""
-    results = run_points(_plan_variation_scan(n_steps, mode))
-    return _write_variation_scan(results, outdir, n_steps, mode)
+    return _run_plan(_plan_variation_scan(n_steps, mode), outdir)
 
 
-def _plan_realistic(n_steps: int, mode=None) -> list[RunSpec]:
+def _plan_realistic(n_steps: int, mode=None):
     kog, gog, pog = REALISTIC_RATIOS
-    return [
-        RunSpec(
-            label="realistic",
-            kappa_over_g=kog,
-            gamma_over_g=gog,
-            gammaphi_over_g=pog,
-            n_steps=n_steps,
-        )
-    ]
+    spec = RunSpec(
+        label="realistic",
+        kappa_over_g=kog,
+        gamma_over_g=gog,
+        gammaphi_over_g=pog,
+        n_steps=n_steps,
+    )
 
+    def finish(results, outdir):
+        [(record, _)] = results
+        comparison = _compare("realistic", REALISTIC_REFERENCE, record.fidelity, FIDELITY_TOLERANCE)
+        _emit(outdir, "realistic", [record], {"ratios": list(REALISTIC_RATIOS), "n_steps": n_steps})
+        _emit_compare(outdir, "realistic", [comparison])
+        return record, comparison
 
-def _write_realistic(results, outdir, n_steps: int, mode=None):
-    [(record, _)] = results
-    comparison = _compare("realistic", REALISTIC_REFERENCE, record.fidelity, FIDELITY_TOLERANCE)
-    _emit(outdir, "realistic", [record], {"ratios": list(REALISTIC_RATIOS), "n_steps": n_steps})
-    _emit_compare(outdir, "realistic", [comparison])
-    return record, comparison
+    return [spec], finish
 
 
 def run_realistic_parameters(outdir=None, n_steps: int = 2000):
     """Single open-system run at experimentally quoted rate ratios."""
-    return _write_realistic(run_points(_plan_realistic(n_steps)), outdir, n_steps)
+    return _run_plan(_plan_realistic(n_steps), outdir)
 
 
 def run_effective_model(params: ScheduleParams | None = None, n_steps: int = 2000):
@@ -1246,28 +1233,26 @@ def _measure_verify(g: float, A: float, n_steps: int) -> dict:
 # One entry per reproduce target, in the order `reproduce all` prints them,
 # plus verify, which measures rather than plans.
 CHECKS = {
-    "fig3": Check(_plan_coupling_sweep, _write_coupling_sweep, _judge_fig3),
-    "fig4": Check(_plan_population_trace, _write_population_trace, _judge_fig4),
-    "fig5": Check(_plan_stirap_comparison, _write_stirap_comparison, _judge_fig5),
-    "fig6": Check(_plan_decoherence_grid, _write_decoherence_grid, _judge_fig6),
-    "fig7": Check(_plan_dephasing_comparison, _write_dephasing_comparison, _judge_fig7),
+    "fig3": Check(_plan_coupling_sweep, _judge_fig3),
+    "fig4": Check(_plan_population_trace, _judge_fig4),
+    "fig5": Check(_plan_stirap_comparison, _judge_fig5),
+    "fig6": Check(_plan_decoherence_grid, _judge_fig6),
+    "fig7": Check(_plan_dephasing_comparison, _judge_fig7),
     "fig8": Check(
         _plan_variation_scan,
-        _write_variation_scan,
         _judge_fig8,
         "the published quadrant order needs a duration error that changes the run; under "
         "--mode rescale dT is a near no-op, so the quad follows dOmega alone. --mode "
         "truncate reproduces the order (see README)",
     ),
-    "table1": Check(_plan_decoherence_table, _write_decoherence_table, _judge_table1),
+    "table1": Check(_plan_decoherence_table, _judge_table1),
     "table2": Check(
         _plan_variation,
-        _write_variation,
         _judge_table2,
         "the reference magnitudes are a known discrepancy under both duration-error "
         "readings; their quadrant order is checked by `reproduce fig8` and holds under "
         "--mode truncate (see README)",
     ),
-    "realistic": Check(_plan_realistic, _write_realistic, _judge_realistic),
+    "realistic": Check(_plan_realistic, _judge_realistic),
     "verify": _verify,
 }

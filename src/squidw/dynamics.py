@@ -18,12 +18,23 @@ taken point by point, so a point's bytes are the same whatever batch it ran
 in.
 
 H must be real symmetric float64, as every Hamiltonian of `state_space` is;
-anything else raises ValueError. The kernels use that form: H psi and H rho
-are real matrix products on the float64 view of the complex state, and the
-commutator is -i[H, rho] = Y + Y^dag with Y = -i H rho, which keeps every
-RK4 stage of rho exactly Hermitian. The propagators call h_fn 3 (closed) or
-4 (open) times per step, with repeated nodes; a caller that assembles H
-should keep the last node's H rather than build it again.
+anything else raises ValueError. The kernels use that form. H psi is a real
+matrix product on the float64 view of the complex state. The density matrix
+rho = A + iB (A real symmetric, B real antisymmetric) is integrated as the
+one real matrix M = A + B = Re rho + Im rho, which obeys
+
+    dM/dt = [H, M]^T + G o M + S diag(M)   (the last term on the diagonal)
+
+for the elementwise gain table G and population scatter S of the dissipator:
+two real products per node, and every elementwise op on half the bytes of
+the complex rho. Stored frames and the final state are unpacked as
+rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
+
+The propagators call h_fn 3 (closed) or 4 (open) times per step, with
+repeated nodes, and use each H before the next call: the array h_fn returns
+may be overwritten by its next call, so a caller can keep one H buffer,
+rewrite only its drive entries at a new node, and hand back the same buffer
+when a node is asked for again.
 """
 
 from __future__ import annotations
@@ -180,8 +191,8 @@ def _step_size(durations: np.ndarray, n_steps: int):
 class _Frames:
     """Each point's stored frames: only its own _frame_indices(n, n_frames_b).
 
-    store(step, state) copies the states of the points that keep step, and
-    returns their indices (None when no point keeps it).
+    at(step) gives the indices of the points that keep step (None when no
+    point does), and store(points, states) appends their states.
     """
 
     def __init__(self, n_steps: int, n_frames, state0: np.ndarray):
@@ -196,12 +207,12 @@ class _Frames:
         self._at = {step: np.array(points) for step, points in at.items()}
         self.stored = [[s] for s in state0.copy()]
 
-    def store(self, step: int, state: np.ndarray):
-        points = self._at.get(step)
-        if points is not None:
-            for b, s in zip(points, state[points]):
-                self.stored[b].append(s)
-        return points
+    def at(self, step: int):
+        return self._at.get(step)
+
+    def store(self, points: np.ndarray, states: np.ndarray) -> None:
+        for b, s in zip(points, states):
+            self.stored[b].append(s)
 
 
 def _batched(items: list):
@@ -260,10 +271,11 @@ def propagate_schrodinger(
     psi0 has shape (B, 10). duration and n_frames are scalars or one value
     per point. h_fn(k) returns the (B, 10, 10) real symmetric float64
     Hamiltonians at node k, point b's at node k of
-    node_times(grid.n_steps, duration_b); step s calls it at nodes 2s, 2s+1
-    and 2s+2. H psi is one real product on the float64 view of psi. Every
-    product is taken point by point, so a point's result does not depend on
-    the batch it runs in.
+    node_times(grid.n_steps, duration_b); step s calls it at node 2s before
+    k1, at 2s+1 before k2 and k3, and at 2s+2 before k4, and the returned
+    array may be overwritten by the next call. H psi is one real product on
+    the float64 view of psi. Every product is taken point by point, so a
+    point's result does not depend on the batch it runs in.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex)
@@ -283,15 +295,16 @@ def propagate_schrodinger(
         return -1j * (H @ p.view(np.float64)).view(complex)
 
     for step in range(n):
-        h1 = _real_h(h_fn, 2 * step)
-        h2 = _real_h(h_fn, 2 * step + 1)
-        h3 = _real_h(h_fn, 2 * step + 2)
-        k1 = rhs(h1, psi)
-        k2 = rhs(h2, psi + half * k1)
-        k3 = rhs(h2, psi + half * k2)
-        k4 = rhs(h3, psi + h * k3)
+        # Each H is used before the next h_fn call, which may overwrite it.
+        k1 = rhs(_real_h(h_fn, 2 * step), psi)
+        h_mid = _real_h(h_fn, 2 * step + 1)
+        k2 = rhs(h_mid, psi + half * k1)
+        k3 = rhs(h_mid, psi + half * k2)
+        k4 = rhs(_real_h(h_fn, 2 * step + 2), psi + h * k3)
         psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        frames.store(step + 1, psi[..., 0])
+        points = frames.at(step + 1)
+        if points is not None:
+            frames.store(points, psi[points, :, 0])
 
     psi = psi[..., 0]
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
@@ -388,6 +401,16 @@ def _dissipator_tables(ops):
     return gain, scatter, generic
 
 
+def _unpack(m: np.ndarray) -> np.ndarray:
+    """rho = (M + M^T)/2 + i (M - M^T)/2 from the packed M = Re rho + Im rho;
+    exactly Hermitian, whatever M is."""
+    mt = m.swapaxes(-1, -2)
+    rho = np.empty(m.shape, dtype=complex)
+    rho.real = 0.5 * (m + mt)
+    rho.imag = 0.5 * (m - mt)
+    return rho
+
+
 def propagate_lindblad(
     h_fn,
     lindblads,
@@ -398,16 +421,20 @@ def propagate_lindblad(
 ) -> Trajectory:
     """Fixed-step RK4 on the Lindblad master equation for B density matrices.
 
-    rho0 has shape (B, 10, 10) and lindblads holds one operator list per
-    point; their dissipator tables are stacked. h_fn, duration and n_frames
-    follow the contract of propagate_schrodinger; each step calls h_fn at
-    nodes 2s, 2s+1 (twice) and 2s+2. The commutator takes one real product
-    X = H rho on the float64 view of rho and forms -i[H, rho] = Y + Y^dag
-    with Y = -i X, since rho H = (H rho)^dag for real symmetric H and
-    Hermitian rho. That form, the real symmetric gain table and the real
-    population scatter keep every RK4 stage exactly Hermitian, so rho0 is
-    symmetrized once on entry and never again. Trace is checked at the end;
-    positivity at each point's own stored frames. Both gate the result.
+    rho0 has shape (B, 10, 10). lindblads gives one operator list per point
+    (any iterable: it is read once, before stepping, and only the stacked
+    dissipator tables are kept). h_fn, duration and n_frames follow the
+    contract of propagate_schrodinger; each step calls h_fn at nodes 2s,
+    2s+1 (twice) and 2s+2, each just before the stage that uses it.
+
+    rho0 is symmetrized once on entry and packed as M = Re rho + Im rho (the
+    symmetric real part plus the antisymmetric imaginary part). For real
+    symmetric H, the real symmetric gain table G and the real population
+    scatter S, the master equation reads dM/dt = [H, M]^T + G o M plus
+    S diag(M) on the diagonal: two real products per RK4 stage. Stored
+    frames and the final state are unpacked as (M + M^T)/2 + i (M - M^T)/2,
+    so they are exactly Hermitian. Trace is checked at the end; positivity
+    with eigvalsh at each point's own stored frames. Both gate the result.
     """
     grid = grid or TimeGrid()
     rho = np.array(rho0, dtype=complex)
@@ -417,21 +444,22 @@ def propagate_lindblad(
         if abs(np.trace(r).real - 1.0) > 1e-9 or np.max(np.abs(r - r.conj().T)) > 1e-9:
             raise ValueError("rho0 must be Hermitian with unit trace")
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    if len(lindblads) != len(rho):
-        raise ValueError(f"need one operator list per point, got {len(lindblads)} for {len(rho)}")
     tables = [_dissipator_tables(ops) for ops in lindblads]
+    if len(tables) != len(rho):
+        raise ValueError(f"need one operator list per point, got {len(tables)} for {len(rho)}")
     if any(generic for _, _, generic in tables):
         raise ValueError("only single-entry jumps and real diagonal operators are supported")
     gain = np.stack([t[0] for t in tables])
     scatter = np.stack([t[1] for t in tables])
 
-    def rhs(k: int, r: np.ndarray) -> np.ndarray:
-        # (B, 10, 10) @ (B, 10, 20): H rho in one real product.
-        y = -1j * (_real_h(h_fn, k) @ r.view(np.float64)).view(complex)
-        out = y + y.conj().transpose(0, 2, 1)
-        out += gain * r
-        # Strided views of the diagonals; rho's diagonal is exactly real.
-        pops = r.reshape(-1, DIM * DIM)[:, :: DIM + 1].real
+    def rhs(k: int, m: np.ndarray) -> np.ndarray:
+        H = _real_h(h_fn, k)
+        x = H @ m
+        x -= m @ H
+        out = gain * m
+        out += x.swapaxes(1, 2)
+        # Strided views of the diagonals.
+        pops = m.reshape(-1, DIM * DIM)[:, :: DIM + 1]
         out.reshape(-1, DIM * DIM)[:, :: DIM + 1] += (scatter @ pops[..., None])[..., 0]
         return out
 
@@ -441,18 +469,20 @@ def propagate_lindblad(
     half, sixth = 0.5 * h, h / 6.0
     frames = _Frames(n, n_frames, rho)
     min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
+    m = rho.real + rho.imag
     for step in range(n):
-        k1 = rhs(2 * step, rho)
-        k2 = rhs(2 * step + 1, rho + half * k1)
-        k3 = rhs(2 * step + 1, rho + half * k2)
-        k4 = rhs(2 * step + 2, rho + h * k3)
-        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stored = frames.store(step + 1, rho)
-        if stored is not None:
-            min_eig[stored] = np.minimum(
-                min_eig[stored], np.linalg.eigvalsh(rho[stored]).min(axis=-1)
-            )
+        k1 = rhs(2 * step, m)
+        k2 = rhs(2 * step + 1, m + half * k1)
+        k3 = rhs(2 * step + 1, m + half * k2)
+        k4 = rhs(2 * step + 2, m + h * k3)
+        m = m + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        points = frames.at(step + 1)
+        if points is not None:
+            stored = _unpack(m[points])
+            frames.store(points, stored)
+            min_eig[points] = np.minimum(min_eig[points], np.linalg.eigvalsh(stored).min(axis=-1))
 
+    rho = _unpack(m)
     drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])
     traj = _trajectory(frames, rho, drift, min_eig, n, durations)
     b = int(np.argmax(drift))

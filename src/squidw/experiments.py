@@ -4,12 +4,12 @@ Every run is described by a frozen `RunSpec` (flavor, coupling, noise ratios,
 variation errors, grid, stored frames) and goes through one builder,
 `run_points`. It groups specs into batches that share closed/open and
 n_steps; duration and stored frames stay per point. For each batch it stacks
-the cavity Hamiltonians H_c(g) as (B, 10, 10), samples each point's two
-channel envelopes once at its own 2n+1 RK4 nodes and integrates
-H = H_c + a(t) D_a + b(t) D_b for the whole batch in one propagator call
-(with the stacked dissipator tables for open runs). Batches run one after
-another in the calling process; the drivers' `jobs` argument is accepted for
-compatibility and ignored.
+the cavity Hamiltonians H_c(g) as (B, 10, 10), samples the two channel
+envelopes of each distinct schedule once at its 2n+1 RK4 nodes and
+integrates H = H_c + a(t) D_a + b(t) D_b for the whole batch in one
+propagator call (with the stacked dissipator tables for open runs). Batches
+run one after another in the calling process; the drivers' `jobs` argument
+is accepted for compatibility and ignored.
 
 Every driver writes `<name>.csv` (RFC-4180, header row) and `<name>.meta.json`
 (schema-versioned) into an output directory and returns its records. Table
@@ -574,6 +574,10 @@ class RunSpec:
             schedule = scaled(schedule, 1.0 + self.delta_omega)
         return schedule
 
+    def schedule_key(self) -> tuple:
+        """The fields that set schedule(): equal keys, equal schedules."""
+        return (self.flavor, self.A, self.omega0, self.mode, self.delta_t, self.delta_omega)
+
     def record(self, traj: Trajectory) -> ResultRecord:
         """The CSV row of this run, from its one-point trajectory."""
         return ResultRecord(
@@ -658,29 +662,35 @@ def _integrate(
     h0 is (B, 10, 10), drives the pair (D_a, D_b), durations and n_frames
     one value per point, and sample(ts) the (len(ts[b]), B, 2) channel
     envelopes with point b's at its own times ts[b]. The envelopes are
-    sampled block by block at each point's node_times(n_steps, duration_b),
-    and H is assembled once per node: h_fn keeps the last node's H, which
-    the propagators ask for again (the midpoint of an open step, and each
-    step boundary as the next step's first node). H is never stored for the
-    whole run. lindblads, one operator list per point, selects the master
-    equation.
+    sampled block by block at each point's node_times(n_steps, duration_b).
+    h_fn keeps one H buffer, starting as h0: at a new node it rewrites only
+    the entries where D_a or D_b is nonzero, as h0 + a D_a + b D_b, and it
+    hands back the buffer untouched when the propagator asks for the same
+    node again (the midpoint of an open step, and each step boundary as the
+    next step's first node). So H is assembled once per node and never
+    stored for the whole run. lindblads, one operator list per point (any
+    iterable), selects the master equation.
     """
     d_a, d_b = drives
     grids = {d: node_times(n_steps, d) for d in set(durations)}
     nodes = [grids[d] for d in durations]
     block = {"start": -1, "envelopes": None}
-    last = {"k": -1, "H": None}
+    rows, cols = np.nonzero((d_a != 0) | (d_b != 0))
+    base, da, db = h0[:, rows, cols], d_a[rows, cols], d_b[rows, cols]
+    H = h0.copy()
+    last = {"k": -1}
 
     def h_fn(k: int) -> np.ndarray:
         if k == last["k"]:
-            return last["H"]
+            return H
         start = k - k % _NODE_BLOCK
         if start != block["start"]:
             block["start"] = start
             block["envelopes"] = sample([t[start : start + _NODE_BLOCK] for t in nodes])
         env = block["envelopes"][k - start]
-        last["k"], last["H"] = k, h0 + env[:, 0, None, None] * d_a + env[:, 1, None, None] * d_b
-        return last["H"]
+        H[:, rows, cols] = base + env[:, 0, None] * da + env[:, 1, None] * db
+        last["k"] = k
+        return H
 
     grid = TimeGrid(n_steps)
     batch = len(h0)
@@ -694,16 +704,32 @@ def _integrate(
 
 def _run_batch(specs: list[RunSpec]) -> list[tuple[ResultRecord, Trajectory]]:
     """Integrate specs that share closed/open and n_steps, each at its own
-    duration and with its own stored frames."""
+    duration and with its own stored frames.
+
+    Each distinct schedule is built and sampled once per node block, and its
+    samples serve every point that uses it. Open points' operator lists are
+    built one at a time while the propagator tabulates them, so none is
+    alive while it steps.
+    """
     first = specs[0]
     h0 = np.stack([cavity_hamiltonian(s.coupling) for s in specs])
-    schedules = [s.schedule() for s in specs]
-    lindblads = None if first.closed else [lindblad_operators(s.noise) for s in specs]
+    distinct: dict[tuple, int] = {}
+    which = [distinct.setdefault(s.schedule_key(), len(distinct)) for s in specs]
+    # Points that share a schedule share its duration, so the first one's
+    # node times serve them all.
+    firsts = [which.index(u) for u in range(len(distinct))]
+    schedules = [specs[b].schedule() for b in firsts]
+
+    def sample(ts):
+        samples = [sch.envelopes(ts[b]) for sch, b in zip(schedules, firsts)]
+        return np.stack(samples, axis=1)[:, which]
+
+    lindblads = None if first.closed else (lindblad_operators(s.noise) for s in specs)
     try:
         traj = _integrate(
             h0,
             _CHANNEL_DRIVES,
-            lambda ts: np.stack([sch.envelopes(t) for sch, t in zip(schedules, ts)], axis=1),
+            sample,
             basis_state(PSI1),
             [s.duration for s in specs],
             first.n_steps,

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, files, configuration precedence."""
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -195,9 +196,11 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
 
 def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
     """`reproduce all` plans every target first: its 110 points run as one
-    closed and one open batch. CI checks that each target alone writes the
+    closed and one open batch. Each batch samples every distinct schedule
+    once per block of RK4 nodes. CI checks that each target alone writes the
     same bytes and verdicts."""
     from squidw import experiments
+    from squidw.pulse_design import PulseSchedule
 
     calls = []
     for name in ("propagate_schrodinger", "propagate_lindblad"):
@@ -209,10 +212,36 @@ def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
             return traj
 
         monkeypatch.setattr(experiments, name, counted)
-    code, out, _ = run(["reproduce", "all", "--steps", "1000", "-o", str(tmp_path)], capsys)
+    batches = []
+    run_batch = experiments._run_batch
+
+    def recorded(specs):
+        batches.append(list(specs))
+        return run_batch(specs)
+
+    monkeypatch.setattr(experiments, "_run_batch", recorded)
+    samples = []
+    envelopes = PulseSchedule.envelopes
+
+    def sampled(schedule, ts):
+        samples.append(len(ts))
+        return envelopes(schedule, ts)
+
+    monkeypatch.setattr(PulseSchedule, "envelopes", sampled)
+    n_steps = 1000
+    code, out, _ = run(["reproduce", "all", "--steps", str(n_steps), "-o", str(tmp_path)], capsys)
     assert code == 0 and out.endswith("reference checks pass\n")
     assert sorted(calls) == [("propagate_lindblad", 43), ("propagate_schrodinger", 67)]
     assert len(list(tmp_path.iterdir())) == 22
+    # a schedule is set by flavor, A, omega0, mode, delta_t and delta_omega
+    distinct = [
+        len({(s.flavor, s.A, s.omega0, s.mode, s.delta_t, s.delta_omega) for s in specs})
+        for specs in batches
+    ]
+    assert sorted(distinct) == [2, 16]
+    blocks = math.ceil((2 * n_steps + 1) / experiments._NODE_BLOCK)
+    assert len(samples) == sum(distinct) * blocks
+    assert sum(samples) == sum(distinct) * (2 * n_steps + 1)
 
 
 def test_reproduce_fig8_quadrant_order_needs_truncate(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_kernels
 from scipy.linalg import expm
 from single_point import one_point
 
@@ -133,6 +134,41 @@ def test_batched_propagators_keep_the_call_contract():
     # more cavity loss, less photon population left at the end
     photon = traj.final_state[:, PSI3, PSI3].real
     assert photon[0] > photon[1] > photon[2]
+
+
+def test_h_fn_may_overwrite_the_array_it_returned():
+    """The propagators use each H before the next h_fn call, so an h_fn that
+    rewrites one buffer in place gives the same bytes as one that returns a
+    fresh array each call, on a batch of mixed durations and frame counts."""
+    grid = TimeGrid(150)
+    durations = np.array([1.0, 0.9, 1.1])
+    sch = gaussian_fit_pulses(ScheduleParams())
+    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (10.0, 20.0, 30.0)])
+    nodes = [node_times(grid.n_steps, d) for d in durations]
+
+    def fresh(k):
+        return hc + np.stack([drive_hamiltonian(sch.qubit_amplitudes(t[k])) for t in nodes])
+
+    buffer = np.empty_like(hc)
+
+    def in_place(k):
+        buffer[...] = fresh(k)
+        return buffer
+
+    psi0 = np.tile(basis_state(PSI1), (3, 1))
+    rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
+    ops = [lindblad_operators(NoiseModel(kappa=k, gamma=0.2, gamma_phi=0.1)) for k in (0.5, 1.0, 2.0)]
+    for propagate, args in ((propagate_schrodinger, (psi0,)), (propagate_lindblad, (ops, rho0))):
+        a, b = (
+            propagate(h_fn, *args, grid, duration=durations, n_frames=[2, 5, 11])
+            for h_fn in (fresh, in_place)
+        )
+        assert np.array_equal(a.final_state, b.final_state)
+        assert np.array_equal(a.drift, b.drift)
+        if a.min_eigenvalue is not None:
+            assert np.array_equal(a.min_eigenvalue, b.min_eigenvalue)
+        for sa, sb in zip(a.states, b.states):
+            assert np.array_equal(sa, sb)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +319,31 @@ def test_fast_dissipator_matches_superoperator_oracle():
         k4 = sup @ (vec + dt * k3)
         vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.max(np.abs(traj.final_state - vec.reshape(DIM, DIM))) < 1e-10
+
+
+def test_packed_kernel_matches_complex_reference_on_a_general_state():
+    """On the model's runs each entry of rho is in practice purely real or
+    purely imaginary, which would hide a mistake in packing rho as
+    M = Re rho + Im rho. Here the real and imaginary parts of rho0 overlap
+    and H(t) is a random real symmetric matrix that changes in time."""
+    rng = np.random.default_rng(7)
+    h0, h1, h2 = (a + a.T for a in rng.normal(size=(3, DIM, DIM)))
+
+    def h_of_t(t):
+        return h0 + math.cos(3.0 * t) * h1 + t * h2
+
+    ops = lindblad_operators(NoiseModel(kappa=0.9, gamma=0.4, gamma_phi=0.6))
+    rho0 = _random_density(rng)
+    assert np.all(((rho0.real != 0) & (rho0.imag != 0)) | np.eye(DIM, dtype=bool))
+    duration, n = 0.7, 300
+    traj = one_point(
+        propagate_lindblad, h_of_t, ops, rho0, TimeGrid(n), duration=duration, n_frames=31
+    )
+    ref = reference_kernels.lindblad_final(h_of_t, ops, rho0, n, duration)
+    assert np.max(np.abs(traj.final_state - ref)) <= 1e-12
+    assert len(traj.states) == 31
+    for rho in traj.states:
+        assert np.array_equal(rho, rho.conj().T)
 
 
 def test_dissipator_tables_split():

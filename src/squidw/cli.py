@@ -166,10 +166,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _defaults() -> RunConfig:
+    """The configuration before any config file or flag: the defaults, with
+    the output directory from SQUIDW_OUT when it is set."""
     cfg = RunConfig()
     if os.environ.get(ENV_OUTDIR):
         cfg.outdir = os.environ[ENV_OUTDIR]
+    return cfg
+
+
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    cfg = _defaults()
     if getattr(args, "config", None):
         cfg.apply(parse_config_file(args.config), source=args.config)
     cfg.command = args.command
@@ -215,11 +222,11 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
         cfg.flavor, ScheduleParams(A=cfg.A), cfg.omega0 if cfg.flavor == "stirap" else None
     )
     ts = np.linspace(0.0, schedule.duration, samples)
-    amps = np.array([schedule.qubit_amplitudes(t) for t in ts])
+    amps = schedule.qubit_amplitudes(ts)
     paths = []
     for k in range(4):
         path = os.path.join(outdir, f"pulses_{cfg.flavor}_q{k + 1}.csv")
-        experiments.write_csv(path, ("t", f"{cfg.flavor}_qubit{k + 1}"), zip(ts, amps[:, k]))
+        experiments.write_csv(path, ("t", f"{cfg.flavor}_qubit{k + 1}"), zip(ts, amps[k]))
         paths.append(path)
     experiments.write_meta(
         os.path.join(outdir, f"pulses_{cfg.flavor}.meta.json"),
@@ -348,27 +355,37 @@ _SETTING_FLAGS = {
     "delta_g": "--delta-g",
     "n_steps": "--steps",
     "mode": "--mode",
+    "outdir": "-o/--out",
+    "write_meta": "--no-meta",
 }
 
 # The settings each command uses, and why it takes no others; simulate and
-# sweep use them all.
+# sweep use them all. _FILES are the settings of the files a command writes.
+_FILES = {"outdir", "write_meta"}
 _USED_SETTINGS = {
-    "reproduce": ({"n_steps", "mode"}, "every target runs at its published settings"),
-    "verify": ({"g", "A", "n_steps"}, "verify uses only --g, --A and --steps"),
-    "pulses": ({"flavor", "A", "omega0"}, "pulses uses only --flavor, --A, --omega0 and --samples"),
+    "reproduce": ({"n_steps", "mode"} | _FILES, "every target runs at its published settings"),
+    "verify": ({"g", "A", "n_steps"}, "verify uses only --g, --A and --steps, and writes no files"),
+    "pulses": (
+        {"flavor", "A", "omega0"} | _FILES,
+        "pulses uses only --flavor, --A, --omega0 and --samples",
+    ),
 }
 
 
 def _reject_ignored(args: argparse.Namespace, cfg: RunConfig) -> None:
-    """Refuse a flag, or a config value other than the default, that the command ignores."""
+    """Refuse a flag, or a config value other than the default, that the command ignores.
+
+    SQUIDW_OUT is a default for every command, not a setting of one.
+    """
     if cfg.command not in _USED_SETTINGS:
         return
     used, why = _USED_SETTINGS[cfg.command]
-    defaults = RunConfig()
+    defaults = _defaults()
     for name, flag in _SETTING_FLAGS.items():
         if name in used:
             continue
-        if getattr(args, name, None) is not None:
+        given = args.no_meta if name == "write_meta" else getattr(args, name, None) is not None
+        if given:
             raise ValueError(f"{cfg.command} does not take {flag}: {why}")
         if getattr(cfg, name) != getattr(defaults, name):
             raise ValueError(

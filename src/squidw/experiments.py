@@ -7,7 +7,9 @@ n_steps; duration and stored frames stay per point. For each batch it stacks
 the cavity Hamiltonians H_c(g) as (B, 10, 10), samples the two channel
 envelopes of each distinct schedule once at its 2n+1 RK4 nodes and
 integrates H = H_c + a(t) D_a + b(t) D_b for the whole batch in one
-propagator call (with the stacked dissipator tables for open runs). Batches
+propagator call (with the stacked dissipator tables for open runs). An
+effective point (the three-level model `verify` checks) has no H_c and its
+own pair of drives, and may share a batch with cavity points. Batches
 run one after another in the calling process; the drivers' `jobs` argument
 is accepted for compatibility and ignored.
 
@@ -57,7 +59,6 @@ from .pulse_design import (
     ScheduleParams,
     dressed_pulses,
     gaussian_fit_pulses,
-    modified_controls,
     scaled,
     schedule_angles,
     stirap_pulses,
@@ -499,6 +500,11 @@ class RunSpec:
     coupling g (1 + delta_g). The run lasts 1 + delta_t; `mode` says how the
     waveforms meet that duration (see run_variation_grid). master_equation
     integrates the density matrix even when every rate is zero.
+
+    An effective point runs the three-level effective model: H = a(t) D_a +
+    b(t) D_b with the effective drives, no cavity (so g only labels its
+    record), and the envelopes of its schedule, which for the dressed flavor
+    are exactly Omega_a and Omega_b. It is closed and has no coupling error.
     """
 
     label: str = ""
@@ -516,6 +522,7 @@ class RunSpec:
     mode: str = "rescale"
     n_frames: int = 2
     master_equation: bool = False
+    effective: bool = False
 
     def __post_init__(self) -> None:
         for name in ("g", "A", "kappa_over_g", "gamma_over_g", "gammaphi_over_g",
@@ -532,6 +539,15 @@ class RunSpec:
             raise ValueError(f"unknown variation mode {self.mode!r}")
         if self.delta_t <= -1.0:
             raise ValueError("delta_t must exceed -1")
+        if self.effective and (
+            self.master_equation
+            or self.delta_g != 0.0
+            or any((self.kappa_over_g, self.gamma_over_g, self.gammaphi_over_g))
+        ):
+            raise ValueError(
+                "an effective point is closed and has no cavity: it takes no rates, "
+                "master_equation or delta_g"
+            )
 
     @classmethod
     def from_job(cls, job: dict) -> "RunSpec":
@@ -657,26 +673,28 @@ _NODE_BLOCK = 256
 def _integrate(
     h0, drives, sample, state0, durations, n_steps, n_frames, lindblads=None
 ) -> Trajectory:
-    """B points on one step count: H_b(t) = h0[b] + a_b(t) D_a + b_b(t) D_b.
+    """B points on one step count: H_b(t) = h0[b] + a_b(t) D_a[b] + b_b(t) D_b[b].
 
-    h0 is (B, 10, 10), drives the pair (D_a, D_b), durations and n_frames
-    one value per point, and sample(ts) the (len(ts[b]), B, 2) channel
-    envelopes with point b's at its own times ts[b]. The envelopes are
-    sampled block by block at each point's node_times(n_steps, duration_b).
-    h_fn keeps one H buffer, starting as h0: at a new node it rewrites only
-    the entries where D_a or D_b is nonzero, as h0 + a D_a + b D_b, and it
-    hands back the buffer untouched when the propagator asks for the same
-    node again (the midpoint of an open step, and each step boundary as the
-    next step's first node). So H is assembled once per node and never
-    stored for the whole run. lindblads, one operator list per point (any
-    iterable), selects the master equation.
+    h0 and each of the drives (D_a, D_b) are (B, 10, 10), durations and
+    n_frames one value per point, and sample(ts) the (len(ts[b]), B, 2)
+    channel envelopes with point b's at its own times ts[b]. The envelopes
+    are sampled block by block at each point's node_times(n_steps,
+    duration_b). h_fn keeps one H buffer, starting as h0: at a new node it
+    rewrites only the entries where some point's D_a or D_b is nonzero, as
+    h0 + a D_a + b D_b (a point whose drives are zero at such an entry gets
+    its h0 entry back exactly), and it hands back the buffer untouched when
+    the propagator asks for the same node again (the midpoint of an open
+    step, and each step boundary as the next step's first node). For a batch
+    of cavity points those are the same 8 entries as for one point. So H is
+    assembled once per node and never stored for the whole run. lindblads,
+    one operator list per point (any iterable), selects the master equation.
     """
     d_a, d_b = drives
     grids = {d: node_times(n_steps, d) for d in set(durations)}
     nodes = [grids[d] for d in durations]
     block = {"start": -1, "envelopes": None}
-    rows, cols = np.nonzero((d_a != 0) | (d_b != 0))
-    base, da, db = h0[:, rows, cols], d_a[rows, cols], d_b[rows, cols]
+    rows, cols = np.nonzero(((d_a != 0) | (d_b != 0)).any(axis=0))
+    base, da, db = h0[:, rows, cols], d_a[:, rows, cols], d_b[:, rows, cols]
     H = h0.copy()
     last = {"k": -1}
 
@@ -709,10 +727,14 @@ def _run_batch(specs: list[RunSpec]) -> list[tuple[ResultRecord, Trajectory]]:
     Each distinct schedule is built and sampled once per node block, and its
     samples serve every point that uses it. Open points' operator lists are
     built one at a time while the propagator tabulates them, so none is
-    alive while it steps.
+    alive while it steps. Effective points run without the cavity, on the
+    effective drives.
     """
     first = specs[0]
-    h0 = np.stack([cavity_hamiltonian(s.coupling) for s in specs])
+    h0 = np.stack(
+        [np.zeros((DIM, DIM)) if s.effective else cavity_hamiltonian(s.coupling) for s in specs]
+    )
+    drives = [_EFFECTIVE_DRIVES if s.effective else _CHANNEL_DRIVES for s in specs]
     distinct: dict[tuple, int] = {}
     which = [distinct.setdefault(s.schedule_key(), len(distinct)) for s in specs]
     # Points that share a schedule share its duration, so the first one's
@@ -728,7 +750,7 @@ def _run_batch(specs: list[RunSpec]) -> list[tuple[ResultRecord, Trajectory]]:
     try:
         traj = _integrate(
             h0,
-            _CHANNEL_DRIVES,
+            (np.stack([d_a for d_a, _ in drives]), np.stack([d_b for _, d_b in drives])),
             sample,
             basis_state(PSI1),
             [s.duration for s in specs],
@@ -1176,30 +1198,35 @@ def run_realistic_parameters(outdir=None, n_steps: int = 2000):
     return _run_plan(_plan_realistic(n_steps), outdir)
 
 
-def run_effective_model(params: ScheduleParams | None = None, n_steps: int = 2000):
+def _effective_spec(params: ScheduleParams, n_steps: int) -> RunSpec:
+    """The effective model under the exact corrected controls, 500 stored frames."""
+    return RunSpec(
+        label="effective_model",
+        flavor="dressed",
+        A=params.A,
+        delta_t=params.T - 1.0,
+        n_steps=n_steps,
+        n_frames=500,
+        effective=True,
+    )
+
+
+def run_effective_model(params: ScheduleParams | None = None, n_steps: int = 2000, point=None):
     """Three-level effective dynamics with the exact corrected controls.
 
     Returns (final fidelity, max |P_phi0 - sin^2 mu| over stored frames); the
     shortcut is exact at this level, so the fidelity should be ~1 and the
-    dark-subspace population should ride sin^2 mu tightly.
+    dark-subspace population should ride sin^2 mu tightly. point is the
+    (record, trajectory) of the effective run when it was already integrated
+    in a larger batch (as verify does); without it the run is made here.
     """
     p = params or ScheduleParams()
-
-    def sample(ts):
-        controls = [modified_controls(t, p) for t in ts[0]]
-        return np.array([[[c.omega_a, c.omega_b]] for c in controls])
-
-    traj = _integrate(
-        np.zeros((1, DIM, DIM)), _EFFECTIVE_DRIVES, sample,
-        basis_state(PSI1), [p.T], n_steps, [500],
-    ).point(0)
-    phi0 = dark_state()
-    max_dev = 0.0
-    for t, state in zip(traj.times, traj.states):
-        _, _, mu, _ = schedule_angles(t, p)
-        pop = abs(np.vdot(phi0, state)) ** 2
-        max_dev = max(max_dev, abs(pop - math.sin(mu) ** 2))
-    return fidelity(traj.final_state), max_dev
+    if point is None:
+        [point] = run_points([_effective_spec(p, n_steps)])
+    record, traj = point
+    _, _, mu, _ = schedule_angles(traj.times, ScheduleParams(T=record.duration, A=p.A))
+    pops = np.abs(traj.states @ dark_state().conj()) ** 2
+    return record.fidelity, float(np.max(np.abs(pops - np.sin(mu) ** 2)))
 
 
 def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
@@ -1213,7 +1240,12 @@ def _verify(g: float = 30.0, A: float = 0.5, n_steps: int = 2000) -> list[Verdic
 
 
 def _measure_verify(g: float, A: float, n_steps: int) -> dict:
-    """The numbers `verify` judges: dressed-frame algebra and integrator oracles."""
+    """The numbers `verify` judges: dressed-frame algebra and integrator oracles.
+
+    The effective model and the zero-noise Schrodinger/Lindblad pair run in
+    one run_points call (one closed batch of two at the default steps, and
+    one open batch); the integrator oracle is one more propagator call.
+    """
     m_x, m_y, m_z = dressed_frames.SPIN1
     out = {
         "commutator": max(
@@ -1235,23 +1267,33 @@ def _measure_verify(g: float, A: float, n_steps: int) -> dict:
     expected = np.sort([-math.sqrt(6) * g, 0.0, 0.0, 0.0, math.sqrt(6) * g])
     out["spectrum"] = float(np.max(np.abs(eigs - expected)))
 
-    out["effective_fidelity"], out["tracking"] = run_effective_model(params, n_steps=n_steps)
-
     closed = RunSpec(g=g, A=A, n_steps=max(1000, min(n_steps, 2000)))
-    results = run_points([closed, replace(closed, master_equation=True)])
-    out["zero_noise_gap"] = abs(results[0][0].fidelity - results[1][0].fidelity)
+    effective, schrodinger, lindblad = run_points(
+        [_effective_spec(params, n_steps), closed, replace(closed, master_equation=True)]
+    )
+    out["effective_fidelity"], out["tracking"] = run_effective_model(params, n_steps, effective)
+    out["zero_noise_gap"] = abs(schrodinger[0].fidelity - lindblad[0].fidelity)
 
-    # RK4 against the exact propagator of a piecewise-constant drive.
-    schedule = build_schedule("gaussian", params, None)
+    # RK4 against the exact propagator of a piecewise-constant drive. One
+    # call carries the 10 basis states through each of the 10 segments
+    # (point 10 i + j is basis state j under segment i's H), and the
+    # segment propagators are then chained on |psi1>.
     segments = 10
-    psi_exact = basis_state(PSI1)
-    psi_rk = psi_exact[None]
-    for i in range(segments):
-        h = hc + drive_hamiltonian(schedule.qubit_amplitudes((i + 0.5) / segments))
+    amplitudes = build_schedule("gaussian", params, None).qubit_amplitudes(
+        (np.arange(segments) + 0.5) / segments
+    )
+    hs = np.stack([hc + drive_hamiltonian(a) for a in amplitudes.T])
+    per_point = np.repeat(hs, DIM, axis=0)
+    columns = propagate_schrodinger(
+        lambda k: per_point,
+        np.tile(np.eye(DIM, dtype=complex), (segments, 1)),
+        TimeGrid(400),
+        duration=1.0 / segments,
+    ).final_state
+    psi_exact = psi_rk = basis_state(PSI1)
+    for h, u in zip(hs, columns.reshape(segments, DIM, DIM).transpose(0, 2, 1)):
         psi_exact = _expm_hermitian(h, 1.0 / segments) @ psi_exact
-        psi_rk = propagate_schrodinger(
-            lambda k, h=h: h[None], psi_rk, TimeGrid(400), duration=1.0 / segments
-        ).final_state
+        psi_rk = u @ psi_rk
     out["integrator"] = float(np.max(np.abs(psi_rk - psi_exact)))
     return out
 

@@ -53,65 +53,71 @@ class ScheduleParams:
             raise ValueError(f"A must lie in (0, pi/2), got {self.A}")
 
 
-def schedule_angles(t: float, params: ScheduleParams) -> tuple[float, float, float, float]:
+def _times(t, params: ScheduleParams) -> np.ndarray:
+    """t as a float array, every entry checked to lie in [0, T]."""
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= 0.0) & (t <= params.T))
+    if outside.any():
+        raise ValueError(f"t={t[outside].flat[0]} outside [0, {params.T}]")
+    return t
+
+
+def schedule_angles(t, params: ScheduleParams) -> tuple:
     """Mixing angle theta, tilt angle mu, and their analytic time derivatives.
 
     theta ramps 0 -> pi/2 with vanishing first and higher derivatives at the
     endpoints (theta_dot = (4 pi / 3T) sin^4(pi t / T)); mu opens and closes a
-    dressing window, mu = (A/2)(1 - cos(2 pi t / T)).
+    dressing window, mu = (A/2)(1 - cos(2 pi t / T)). t is a time or an array
+    of times in [0, T]; each angle has the shape of t.
     """
     T, A = params.T, params.A
-    if not (0.0 <= t <= T):
-        raise ValueError(f"t={t} outside [0, {T}]")
-    x = t / T
-    theta = (
-        math.pi * x / 2.0
-        - math.sin(2.0 * math.pi * x) / 3.0
-        + math.sin(4.0 * math.pi * x) / 24.0
-    )
-    theta_dot = (4.0 * math.pi / (3.0 * T)) * math.sin(math.pi * x) ** 4
-    mu = 0.5 * A * (1.0 - math.cos(2.0 * math.pi * x))
-    mu_dot = (math.pi * A / T) * math.sin(2.0 * math.pi * x)
+    x = _times(t, params) / T
+    theta = np.pi * x / 2.0 - np.sin(2.0 * np.pi * x) / 3.0 + np.sin(4.0 * np.pi * x) / 24.0
+    theta_dot = (4.0 * np.pi / (3.0 * T)) * np.sin(np.pi * x) ** 4
+    mu = 0.5 * A * (1.0 - np.cos(2.0 * np.pi * x))
+    mu_dot = (np.pi * A / T) * np.sin(2.0 * np.pi * x)
     return theta, theta_dot, mu, mu_dot
 
 
-def correction_gains(
-    t: float, params: ScheduleParams, omega_fn: Callable[[float], float] | None = None
-) -> tuple[float, float]:
+def correction_gains(t, params: ScheduleParams, omega_fn: Callable | None = None) -> tuple:
     """Gains (g_x, Omega + g_z) that cancel the nonadiabatic couplings.
 
     With the auxiliary angles xi = eta = 0 the gains are g_x = mu_dot and
     g_z = -Omega - theta_dot / tan(mu). The original amplitude Omega drops out
     of the combination returned here; pass omega_fn to route the computation
-    through an explicit Omega and verify that invariance.
+    through an explicit Omega and verify that invariance (it is called with
+    t as given). t is a time or an array of times; each gain has its shape.
     """
+    t = _times(t, params)
     _, theta_dot, mu, mu_dot = schedule_angles(t, params)
     eps = GUARD_BAND * params.T
-    if t < eps or t > params.T - eps:
-        ratio = 0.0  # analytic limit of theta_dot / tan(mu) at both endpoints
-    else:
-        ratio = theta_dot / math.tan(mu)
+    # Divide only outside the guard band, where tan(mu) > 0; inside it the
+    # ratio is its analytic limit 0 at both endpoints.
+    inside = (t >= eps) & (t <= params.T - eps)
+    ratio = np.zeros(t.shape)
+    ratio[inside] = theta_dot[inside] / np.tan(mu[inside])
     if omega_fn is None:
         return mu_dot, -ratio
-    omega = float(omega_fn(t))
+    omega = np.asarray(omega_fn(t), dtype=float)
     g_z = -omega - ratio
     return mu_dot, omega + g_z
 
 
 @dataclass(frozen=True)
 class DressedControls:
-    """Corrected control parameters at one instant."""
+    """Corrected control parameters at one instant, or one array per field
+    over an array of instants."""
 
-    theta_tilde: float
-    omega_tilde: float
-    omega_a: float
-    omega_b: float
+    theta_tilde: float | np.ndarray
+    omega_tilde: float | np.ndarray
+    omega_a: float | np.ndarray
+    omega_b: float | np.ndarray
 
 
 def modified_controls(
-    t: float, params: ScheduleParams, omega_fn: Callable[[float], float] | None = None
+    t, params: ScheduleParams, omega_fn: Callable | None = None
 ) -> DressedControls:
-    """Exact corrected drive at time t.
+    """Exact corrected drive at time t, or at every time of an array.
 
     Omega_tilde = hypot(g_x, Omega + g_z) and theta_tilde = theta +
     atan2(g_x, -(Omega + g_z)); the two-argument form keeps the correction
@@ -121,20 +127,20 @@ def modified_controls(
     """
     theta, _, _, _ = schedule_angles(t, params)
     g_x, omega_plus_gz = correction_gains(t, params, omega_fn)
-    omega_tilde = math.hypot(g_x, omega_plus_gz)
-    theta_tilde = theta + math.atan2(g_x, -omega_plus_gz)
+    omega_tilde = np.hypot(g_x, omega_plus_gz)
+    theta_tilde = theta + np.arctan2(g_x, -omega_plus_gz)
     return DressedControls(
         theta_tilde=theta_tilde,
         omega_tilde=omega_tilde,
-        omega_a=omega_tilde * math.cos(theta_tilde),
-        omega_b=omega_tilde * math.sin(theta_tilde),
+        omega_a=omega_tilde * np.cos(theta_tilde),
+        omega_b=omega_tilde * np.sin(theta_tilde),
     )
 
 
-def intermediate_population_bound(t: float, params: ScheduleParams) -> float:
+def intermediate_population_bound(t, params: ScheduleParams):
     """Population outside the dark subspace at time t, sin^2 mu(t)."""
     _, _, mu, _ = schedule_angles(t, params)
-    return math.sin(mu) ** 2
+    return np.sin(mu) ** 2
 
 
 @dataclass(frozen=True)
@@ -182,13 +188,16 @@ class PulseSchedule:
     channel_a: Callable[[float], float]
     channel_b: Callable[[float], float]
 
-    def qubit_amplitudes(self, t: float) -> np.ndarray:
+    def qubit_amplitudes(self, t) -> np.ndarray:
+        """Per-qubit Rabi amplitudes (q1, q2, q3, q4) at t, shape (4,), or at
+        every time of an array, shape (4, len(t))."""
         a = _SQRT2 * self.channel_a(t)
         b = _SQRT2 * self.channel_b(t)
         return np.array([a, a, a, b])
 
     def envelopes(self, ts) -> np.ndarray:
-        """Channel envelopes (a, b) at every time in ts, shape (len(ts), 2)."""
+        """Channel envelopes (a, b) at a time, shape (2,), or at every time
+        of an array, shape (len(ts), 2)."""
         ts = np.asarray(ts, dtype=float)
         return np.stack([self.channel_a(ts), self.channel_b(ts)], axis=-1)
 
@@ -199,34 +208,23 @@ class PulseSchedule:
         return float(_SQRT2 * np.max(np.abs(self.envelopes(ts))))
 
 
-def _pointwise(fn: Callable[[float], float]) -> Callable:
-    """fn applied to a time or elementwise to an array of times."""
-
-    def channel(t):
-        if np.ndim(t) == 0:
-            return fn(float(t))
-        return np.array([fn(float(s)) for s in np.ravel(t)]).reshape(np.shape(t))
-
-    return channel
-
-
 def dressed_pulses(params: ScheduleParams | None = None) -> PulseSchedule:
     """Exact corrected controls as a schedule; zero outside [0, T]."""
     p = params or ScheduleParams()
 
-    @_pointwise
-    def chan_a(t: float) -> float:
-        if not (0.0 <= t <= p.T):
-            return 0.0
-        return modified_controls(t, p).omega_a
+    def channel(component: str) -> Callable:
+        def envelope(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros(t.shape)
+            inside = (t >= 0.0) & (t <= p.T)
+            out[inside] = getattr(modified_controls(t[inside], p), component)
+            return out[()]
 
-    @_pointwise
-    def chan_b(t: float) -> float:
-        if not (0.0 <= t <= p.T):
-            return 0.0
-        return modified_controls(t, p).omega_b
+        return envelope
 
-    return PulseSchedule(flavor="dressed", duration=p.T, channel_a=chan_a, channel_b=chan_b)
+    return PulseSchedule(
+        flavor="dressed", duration=p.T, channel_a=channel("omega_a"), channel_b=channel("omega_b")
+    )
 
 
 def gaussian_fit_pulses(params: ScheduleParams | None = None) -> PulseSchedule:

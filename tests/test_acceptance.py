@@ -57,7 +57,7 @@ from squidw.state_space import (
 )
 
 from scipy.linalg import expm
-from single_point import one_point
+from single_point import one_point, sampled_once
 
 
 def _judged(verdicts) -> tuple[bool, str]:
@@ -251,16 +251,18 @@ def test_criterion_09_property_suite(criterion, verify_verdicts):
         sym = max(sym, float(np.max(np.abs(swapped - psi))))
     checks["permutation symmetry"] = sym < 1e-9
 
-    def h_eff(t):
-        c = modified_controls(t, p)
-        return effective_hamiltonian(c.omega_a, c.omega_b)
+    def h_eff(ts):
+        c = modified_controls(ts, p)
+        return [effective_hamiltonian(a, b) for a, b in zip(c.omega_a, c.omega_b)]
 
-    eff = one_point(propagate_schrodinger, h_eff, psi0, TimeGrid(2000)).final_state
+    eff = one_point(propagate_schrodinger, sampled_once(h_eff, 2000), psi0, TimeGrid(2000)).final_state
     dsch = dressed_pulses(p)
     hc300 = cavity_hamiltonian(CouplingConfig(g=300.0))
     full = one_point(
         propagate_schrodinger,
-        lambda t: hc300 + drive_hamiltonian(dsch.qubit_amplitudes(t)),
+        sampled_once(
+            lambda ts: [hc300 + drive_hamiltonian(a) for a in dsch.qubit_amplitudes(ts).T], 4000
+        ),
         psi0,
         TimeGrid(4000),
     ).final_state

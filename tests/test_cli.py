@@ -167,24 +167,35 @@ def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
 
 
 def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
-    # verify uses only g, A and the step count; pulses only flavor, A and omega0
+    # verify uses only g, A and the step count, and writes no files; pulses
+    # uses only flavor, A and omega0
+    out_flag = ["-o", str(tmp_path)]
     for argv, flag in (
         (["verify", "--kappa", "50"], "--kappa"),
         (["verify", "--flavor", "stirap"], "--flavor"),
         (["verify", "--delta-g", "0.5"], "--delta-g"),
         (["verify", "--mode", "truncate"], "--mode"),
-        (["pulses", "--g", "5"], "--g"),
-        (["pulses", "--kappa", "3"], "--kappa"),
-        (["pulses", "--steps", "100"], "--steps"),
-        (["pulses", "--delta-omega", "0.5"], "--delta-omega"),
+        (["verify", *out_flag], "-o"),
+        (["verify", "--no-meta"], "--no-meta"),
+        (["pulses", "--g", "5", *out_flag], "--g"),
+        (["pulses", "--kappa", "3", *out_flag], "--kappa"),
+        (["pulses", "--steps", "100", *out_flag], "--steps"),
+        (["pulses", "--delta-omega", "0.5", *out_flag], "--delta-omega"),
     ):
-        code, out, err = run([*argv, "-o", str(tmp_path)], capsys)
+        code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and flag in err
     path = tmp_path / "run.cfg"
-    path.write_text("gamma = 1\n")
-    code, out, err = run(["pulses", "--config", str(path), "-o", str(tmp_path)], capsys)
-    assert code == 1 and err.startswith("error:") and "gamma" in err
+    for command, text, key in (
+        ("pulses", "gamma = 1\n", "gamma"),
+        ("verify", f"outdir = {tmp_path / 'v'}\n", "outdir"),
+        ("verify", "write_meta = false\n", "write_meta"),
+    ):
+        path.write_text(text)
+        code, out, err = run([command, "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and key in err
+    assert not (tmp_path / "v").exists()
     assert not list(tmp_path.glob("pulses_*"))
     code, out, _ = run(
         ["pulses", "--flavor", "stirap", "--A", "0.4", "--omega0", "40", "--samples", "11",
@@ -194,13 +205,9 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
     assert code == 0 and (tmp_path / "pulses_stirap_q4.csv").exists()
 
 
-def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
-    """`reproduce all` plans every target first: its 110 points run as one
-    closed and one open batch. Each batch samples every distinct schedule
-    once per block of RK4 nodes. CI checks that each target alone writes the
-    same bytes and verdicts."""
+def _propagator_calls(monkeypatch) -> list:
+    """(propagator name, batch size) of every propagator call the drivers make from now on."""
     from squidw import experiments
-    from squidw.pulse_design import PulseSchedule
 
     calls = []
     for name in ("propagate_schrodinger", "propagate_lindblad"):
@@ -212,6 +219,18 @@ def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
             return traj
 
         monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
+    """`reproduce all` plans every target first: its 110 points run as one
+    closed and one open batch. Each batch samples every distinct schedule
+    once per block of RK4 nodes. CI checks that each target alone writes the
+    same bytes and verdicts."""
+    from squidw import experiments
+    from squidw.pulse_design import PulseSchedule
+
+    calls = _propagator_calls(monkeypatch)
     batches = []
     run_batch = experiments._run_batch
 
@@ -257,11 +276,29 @@ def test_reproduce_fig8_quadrant_order_needs_truncate(tmp_path, capsys):
         assert "PASS fig8 dg insensitivity" in out
 
 
-def test_verify_passes(tmp_path, capsys):
-    code, out, _ = run(["verify", "-o", str(tmp_path)], capsys)
+def test_verify_passes(tmp_path, capsys, monkeypatch):
+    # SQUIDW_OUT is a default for every command, so verify accepts it; it
+    # writes nothing there
+    monkeypatch.setenv(ENV_OUTDIR, str(tmp_path / "env"))
+    code, out, _ = run(["verify"], capsys)
     assert code == 0
     assert "FAIL" not in out
     assert "cancellation" in out
+    assert not (tmp_path / "env").exists()
+
+
+def test_verify_runs_three_propagator_calls(capsys, monkeypatch):
+    """The effective model joins the zero-noise Schrodinger point in one
+    closed batch of two, the zero-noise Lindblad point runs alone, and the
+    integrator oracle carries 10 basis states through 10 segments at once."""
+    calls = _propagator_calls(monkeypatch)
+    code, out, _ = run(["verify"], capsys)
+    assert code == 0 and "FAIL" not in out
+    assert calls == [
+        ("propagate_schrodinger", 2),
+        ("propagate_lindblad", 1),
+        ("propagate_schrodinger", 100),
+    ]
 
 
 # ---------------------------------------------------------------------------

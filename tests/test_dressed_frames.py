@@ -99,11 +99,15 @@ def test_adiabatic_hamiltonian_spectrum():
 def test_dressed_picture_hamiltonian_is_diagonal():
     """With the designed gains the dressed Hamiltonian is -(theta_dot/sin mu) M_z."""
     p = ScheduleParams(A=0.5)
-    for t in (0.1, 0.25, 0.5, 0.66, 0.9):
+    ts = (0.1, 0.25, 0.5, 0.66, 0.9)
+    # one 3x3 matrix per time of an array, each the scalar form's
+    at_once = dressed_picture_hamiltonian(np.array(ts), p)
+    for t, hv_array in zip(ts, at_once):
         _, theta_dot, mu, _ = schedule_angles(t, p)
         hv = dressed_picture_hamiltonian(t, p)
         expected = -(theta_dot / math.sin(mu)) * M_Z
         assert np.max(np.abs(hv - expected)) < 1e-10 * max(abs(theta_dot / math.sin(mu)), 1.0)
+        assert np.max(np.abs(hv_array - hv)) < 1e-13
 
 
 def test_verify_cancellation_passes_for_designed_gains():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 import reference_kernels
-from single_point import one_point
+from single_point import one_point, sampled_once
 
 from squidw.dynamics import ConvergenceError, NoiseModel, fidelity, lindblad_operators
 from squidw.experiments import (
@@ -63,8 +63,9 @@ def test_parallel_sweep_matches_serial(tmp_path):
 
 
 # Closed and open points under both duration readings, at five durations and
-# with 2, 5 or 21 stored frames; run_points puts every closed point in one
-# batch and every open point in another. The closed batch is wide: overlaps
+# with 2, 5 or 21 stored frames, plus an effective-model point among the
+# closed ones; run_points puts every closed point in one batch and every open
+# point in another. The closed batch is wide: overlaps
 # computed across a batch (a (B, 10) @ (10,) product) round differently from
 # the single-point ones once B reaches a dozen or so.
 MIXED = [
@@ -74,6 +75,7 @@ MIXED = [
     RunSpec(label=f"r{dt:+g}", g=30.0, delta_t=dt, n_steps=400, n_frames=frames)
     for dt, frames in ((-0.1, 2), (-0.05, 21), (0.05, 5), (0.1, 21))
 ] + [
+    RunSpec(label="eff", flavor="dressed", effective=True, n_steps=400, n_frames=21),
     RunSpec(label="o30", g=30.0, kappa_over_g=1e-2, n_steps=400, n_frames=5),
     RunSpec(label="c30s", g=30.0, delta_t=-0.1, mode="truncate", n_steps=400, n_frames=5),
     RunSpec(label="o25", g=25.0, gamma_over_g=5e-3, delta_g=-0.1, n_steps=400, n_frames=5),
@@ -99,7 +101,9 @@ def _write_run(outdir, records, trajectories):
 def test_batch_composition_does_not_change_bytes(tmp_path):
     """One batch per closed/open, one point at a time, or split into two
     halves: the same bytes, the drift and min_eigenvalue columns included.
-    Each point keeps its own frames, at its own times."""
+    Each point keeps its own frames, at its own times. The effective point
+    shares the cavity points' batch (whose H buffers then rewrite the union
+    of both drive patterns) without changing its bytes or theirs."""
     batched = run_points(MIXED)
     assert {r.min_eigenvalue is None for r, _ in batched} == {True, False}
     for spec, (_, traj) in zip(MIXED, batched):
@@ -263,16 +267,20 @@ def test_effective_agrees_with_full_model_at_strong_coupling():
 
     p = ScheduleParams()
 
-    def h_eff(t):
-        c = modified_controls(t, p)
-        return effective_hamiltonian(c.omega_a, c.omega_b)
+    def h_eff(ts):
+        c = modified_controls(ts, p)
+        return [effective_hamiltonian(a, b) for a, b in zip(c.omega_a, c.omega_b)]
 
-    eff = one_point(propagate_schrodinger, h_eff, basis_state(PSI1), TimeGrid(2000)).final_state
+    eff = one_point(
+        propagate_schrodinger, sampled_once(h_eff, 2000), basis_state(PSI1), TimeGrid(2000)
+    ).final_state
     sch = dressed_pulses(p)
     hc = cavity_hamiltonian(CouplingConfig(g=300.0))
     full = one_point(
         propagate_schrodinger,
-        lambda t: hc + drive_hamiltonian(sch.qubit_amplitudes(t)),
+        sampled_once(
+            lambda ts: [hc + drive_hamiltonian(a) for a in sch.qubit_amplitudes(ts).T], 4000
+        ),
         basis_state(PSI1),
         TimeGrid(4000),
     ).final_state
@@ -361,6 +369,20 @@ def test_evaluate_point_validation():
         evaluate_point(dict(label="", flavor="gaussian", g=30.0, delta_t=-1.0))
     with pytest.raises(ValueError):
         evaluate_point(dict(label="", flavor="gaussian", g=30.0, mode="stretch"))
+
+
+def test_effective_spec_rejects_settings_it_would_ignore():
+    # an effective point is closed and has no cavity
+    for bad in (
+        dict(kappa_over_g=1e-3),
+        dict(gamma_over_g=1e-3),
+        dict(gammaphi_over_g=1e-4),
+        dict(master_equation=True),
+        dict(delta_g=0.1),
+    ):
+        with pytest.raises(ValueError, match="effective"):
+            RunSpec(flavor="dressed", effective=True, **bad)
+    assert RunSpec(flavor="dressed", effective=True, delta_t=0.1, delta_omega=-0.1).closed
 
 
 def test_evaluate_point_rejects_unknown_keys():

@@ -8,6 +8,7 @@ import pytest
 from squidw.pulse_design import (
     GAUSSIAN_FIT_A,
     GAUSSIAN_FIT_B,
+    GUARD_BAND,
     GaussianComponent,
     ScheduleParams,
     correction_gains,
@@ -102,6 +103,50 @@ def test_guard_band_suppresses_endpoint_singularity():
     assert math.isfinite(opz) and abs(opz) < 1e-5
 
 
+def test_array_controls_match_scalar_controls():
+    """Every control takes an array of times and agrees elementwise with its
+    scalar form, endpoints and guard band included, without dividing by
+    tan 0 or raising any floating-point warning on the way."""
+    p = ScheduleParams(T=1.3, A=0.4)
+    eps = GUARD_BAND * p.T
+    ts = np.concatenate(
+        [np.linspace(0.0, p.T, 257), [0.5 * eps, eps, p.T - eps, p.T - 0.5 * eps, p.T]]
+    )
+    omega_fn = lambda t: 2.0 + np.sin(t)
+    with np.errstate(all="raise"):
+        angles = schedule_angles(ts, p)
+        gains = correction_gains(ts, p)
+        gains_via_omega = correction_gains(ts, p, omega_fn)
+        controls = modified_controls(ts, p)
+        envelopes = dressed_pulses(p).envelopes(ts)
+        for i, t in enumerate(ts):
+            for array, scalar in (
+                (angles, schedule_angles(t, p)),
+                (gains, correction_gains(t, p)),
+                (gains_via_omega, correction_gains(t, p, omega_fn)),
+            ):
+                np.testing.assert_allclose([a[i] for a in array], scalar, rtol=0, atol=1e-13)
+            c = modified_controls(t, p)
+            fields = ("theta_tilde", "omega_tilde", "omega_a", "omega_b")
+            np.testing.assert_allclose(
+                [getattr(controls, f)[i] for f in fields],
+                [getattr(c, f) for f in fields],
+                rtol=0,
+                atol=1e-13,
+            )
+            np.testing.assert_allclose(envelopes[i], [c.omega_a, c.omega_b], rtol=0, atol=1e-13)
+    assert np.all(gains[1][ts < eps] == 0.0) and np.all(gains[1][ts > p.T - eps] == 0.0)
+    for bad in (np.array([0.2, -1e-9]), np.array([0.2, p.T + 1e-9]), np.array([[0.1], [np.nan]])):
+        for fn in (schedule_angles, correction_gains, modified_controls):
+            with pytest.raises(ValueError):
+                fn(bad, p)
+    # the schedule itself is defined everywhere: 0 outside [0, T]
+    outside = np.array([-1.0, -1e-12, p.T + 1e-12, 2.0 * p.T])
+    with np.errstate(all="raise"):
+        assert np.all(dressed_pulses(p).envelopes(outside) == 0.0)
+    assert dressed_pulses(p).channel_a(-0.1) == 0.0
+
+
 def test_modified_controls_mirror_symmetry():
     p = ScheduleParams()
     for t in (0.08, 0.21, 0.33, 0.45):
@@ -115,8 +160,7 @@ def test_modified_controls_mirror_symmetry():
 def test_dressed_channel_a_peaks_before_channel_b():
     sch = dressed_pulses(ScheduleParams())
     ts = np.linspace(0.0, 1.0, 2001)
-    a = np.array([sch.channel_a(t) for t in ts])
-    b = np.array([sch.channel_b(t) for t in ts])
+    a, b = sch.channel_a(ts), sch.channel_b(ts)
     assert ts[np.argmax(a)] < 0.5 < ts[np.argmax(b)]
     # mirror pair: b is a reflected in t -> T - t
     assert np.max(np.abs(a - b[::-1])) < 1e-8
@@ -176,7 +220,7 @@ def test_gaussian_fit_tracks_exact_controls():
         (exact.channel_a, fit.channel_a),
         (exact.channel_b, fit.channel_b),
     ):
-        dev = np.array([chan_fit(t) - chan_exact(t) for t in ts])
+        dev = chan_fit(ts) - chan_exact(ts)
         assert np.max(np.abs(dev)) < 0.35
         assert math.sqrt(np.mean(dev**2)) < 0.15
     assert fit.peak_amplitude == pytest.approx(8.878, abs=0.02)

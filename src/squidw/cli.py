@@ -218,9 +218,8 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
     if samples < 2:
         raise ValueError("--samples must be at least 2")
     outdir = _ensure_outdir(cfg)
-    schedule = build_schedule(
-        cfg.flavor, ScheduleParams(A=cfg.A), cfg.omega0 if cfg.flavor == "stirap" else None
-    )
+    omega0 = cfg.omega0 if cfg.flavor == "stirap" else None
+    schedule = build_schedule(cfg.flavor, ScheduleParams(A=cfg.A), omega0)
     ts = np.linspace(0.0, schedule.duration, samples)
     amps = schedule.qubit_amplitudes(ts)
     paths = []
@@ -231,7 +230,7 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
     experiments.write_meta(
         os.path.join(outdir, f"pulses_{cfg.flavor}.meta.json"),
         "pulses",
-        {"flavor": cfg.flavor, "samples": samples, "omega0": cfg.omega0, "A": cfg.A},
+        {"flavor": cfg.flavor, "samples": samples, "omega0": omega0, "A": cfg.A},
     )
     _strip_meta(cfg)
     for p in paths:
@@ -360,7 +359,8 @@ _SETTING_FLAGS = {
 }
 
 # The settings each command uses, and why it takes no others; simulate and
-# sweep use them all. _FILES are the settings of the files a command writes.
+# sweep use them all. Only the stirap flavor uses omega0.
+# _FILES are the settings of the files a command writes.
 _FILES = {"outdir", "write_meta"}
 _USED_SETTINGS = {
     "reproduce": ({"n_steps", "mode"} | _FILES, "every target runs at its published settings"),
@@ -377,13 +377,17 @@ def _reject_ignored(args: argparse.Namespace, cfg: RunConfig) -> None:
 
     SQUIDW_OUT is a default for every command, not a setting of one.
     """
-    if cfg.command not in _USED_SETTINGS:
-        return
-    used, why = _USED_SETTINGS[cfg.command]
+    ignored = {}
+    if cfg.command in _USED_SETTINGS:
+        used, why = _USED_SETTINGS[cfg.command]
+        ignored = {name: why for name in _SETTING_FLAGS if name not in used}
+    if cfg.flavor != "stirap":
+        ignored.setdefault(
+            "omega0", f"--omega0 sets the stirap channel peak; flavor {cfg.flavor!r} has none"
+        )
     defaults = _defaults()
-    for name, flag in _SETTING_FLAGS.items():
-        if name in used:
-            continue
+    for name, why in ignored.items():
+        flag = _SETTING_FLAGS[name]
         given = args.no_meta if name == "write_meta" else getattr(args, name, None) is not None
         if given:
             raise ValueError(f"{cfg.command} does not take {flag}: {why}")

@@ -163,8 +163,14 @@ def node_times(n_steps: int, duration: float) -> np.ndarray:
 
 
 def _frame_indices(n_steps: int, n_frames: int) -> np.ndarray:
+    """The distinct steps of n_frames evenly spaced ones, 0 and n_steps included.
+
+    Rounded linspace is nondecreasing, so dropping consecutive repeats
+    leaves np.unique's result without the numpy.ma import np.unique costs.
+    """
     n_frames = int(min(max(n_frames, 2), MAX_FRAMES, n_steps + 1))
-    return np.unique(np.linspace(0, n_steps, n_frames).round().astype(int))
+    steps = np.linspace(0, n_steps, n_frames).round().astype(int)
+    return steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
 
 
 def _durations(duration, batch: int) -> np.ndarray:
@@ -274,7 +280,8 @@ def propagate_schrodinger(
     node_times(grid.n_steps, duration_b); step s calls it at node 2s before
     k1, at 2s+1 before k2 and k3, and at 2s+2 before k4, and the returned
     array may be overwritten by the next call. H psi is one real product on
-    the float64 view of psi. Every product is taken point by point, so a
+    the float64 view of psi, and the -i sits in the RK4 coefficients
+    (-i h/2, -i h, -i h/6). Every product is taken point by point, so a
     point's result does not depend on the batch it runs in.
     """
     grid = grid or TimeGrid()
@@ -286,13 +293,16 @@ def propagate_schrodinger(
     n = grid.n_steps
     durations = _durations(duration, len(psi))
     h = _step_size(durations, n)
-    half, sixth = 0.5 * h, h / 6.0
+    # The stages are H psi; the -i of dpsi/dt = -i H psi rides on the RK4
+    # coefficients. A product with -i only swaps parts and flips a sign, so
+    # this gives the bytes of stages -i H psi with real coefficients.
+    half, whole, sixth = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
     frames = _Frames(n, n_frames, psi)
     psi = psi[..., None]
 
     def rhs(H: np.ndarray, p: np.ndarray) -> np.ndarray:
         # (B, 10, 10) @ (B, 10, 2): real and imaginary parts in one product.
-        return -1j * (H @ p.view(np.float64)).view(complex)
+        return (H @ p.view(np.float64)).view(complex)
 
     for step in range(n):
         # Each H is used before the next h_fn call, which may overwrite it.
@@ -300,7 +310,7 @@ def propagate_schrodinger(
         h_mid = _real_h(h_fn, 2 * step + 1)
         k2 = rhs(h_mid, psi + half * k1)
         k3 = rhs(h_mid, psi + half * k2)
-        k4 = rhs(_real_h(h_fn, 2 * step + 2), psi + h * k3)
+        k4 = rhs(_real_h(h_fn, 2 * step + 2), psi + whole * k3)
         psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         points = frames.at(step + 1)
         if points is not None:
@@ -460,7 +470,8 @@ def propagate_lindblad(
         out += x.swapaxes(1, 2)
         # Strided views of the diagonals.
         pops = m.reshape(-1, DIM * DIM)[:, :: DIM + 1]
-        out.reshape(-1, DIM * DIM)[:, :: DIM + 1] += (scatter @ pops[..., None])[..., 0]
+        diag = out.reshape(-1, DIM * DIM)[:, :: DIM + 1]
+        diag += (scatter @ pops[..., None])[..., 0]
         return out
 
     n = grid.n_steps

@@ -2,8 +2,9 @@
 
 Every run is described by a frozen `RunSpec` (flavor, coupling, noise ratios,
 variation errors, grid, stored frames) and goes through one builder,
-`run_points`. It groups specs into batches that share closed/open and
-n_steps; duration and stored frames stay per point. For each batch it stacks
+`run_points`. It integrates specs that differ only in label once, and
+groups the distinct runs into batches that share closed/open and n_steps;
+duration and stored frames stay per point. For each batch it stacks
 the cavity Hamiltonians H_c(g) as (B, 10, 10), samples the two channel
 envelopes of each distinct schedule once at its 2n+1 RK4 nodes and
 integrates H = H_c + a(t) D_a + b(t) D_b for the whole batch in one
@@ -539,6 +540,10 @@ class RunSpec:
             raise ValueError(f"unknown variation mode {self.mode!r}")
         if self.delta_t <= -1.0:
             raise ValueError("delta_t must exceed -1")
+        if self.omega0 is not None and self.flavor != "stirap":
+            raise ValueError(
+                f"omega0 is the stirap channel peak; flavor {self.flavor!r} takes none"
+            )
         if self.effective and (
             self.master_equation
             or self.delta_g != 0.0
@@ -682,17 +687,19 @@ def _integrate(
     duration_b). h_fn keeps one H buffer, starting as h0: at a new node it
     rewrites only the entries where some point's D_a or D_b is nonzero, as
     h0 + a D_a + b D_b (a point whose drives are zero at such an entry gets
-    its h0 entry back exactly), and it hands back the buffer untouched when
-    the propagator asks for the same node again (the midpoint of an open
-    step, and each step boundary as the next step's first node). For a batch
-    of cavity points those are the same 8 entries as for one point. So H is
-    assembled once per node and never stored for the whole run. lindblads,
-    one operator list per point (any iterable), selects the master equation.
+    its h0 entry back exactly; a node block's entries are summed in one
+    broadcast when its envelopes are sampled), and it hands back the buffer
+    untouched when the propagator asks for the same node again (the
+    midpoint of an open step, and each step boundary as the next step's
+    first node). For a batch of cavity points those are the same 8 entries
+    as for one point. So H is assembled once per node and never stored for
+    the whole run. lindblads, one operator list per point (any iterable),
+    selects the master equation.
     """
     d_a, d_b = drives
     grids = {d: node_times(n_steps, d) for d in set(durations)}
     nodes = [grids[d] for d in durations]
-    block = {"start": -1, "envelopes": None}
+    block = {"start": -1, "entries": None}
     rows, cols = np.nonzero(((d_a != 0) | (d_b != 0)).any(axis=0))
     base, da, db = h0[:, rows, cols], d_a[:, rows, cols], d_b[:, rows, cols]
     H = h0.copy()
@@ -704,9 +711,14 @@ def _integrate(
         start = k - k % _NODE_BLOCK
         if start != block["start"]:
             block["start"] = start
-            block["envelopes"] = sample([t[start : start + _NODE_BLOCK] for t in nodes])
-        env = block["envelopes"][k - start]
-        H[:, rows, cols] = base + env[:, 0, None] * da + env[:, 1, None] * db
+            env = sample([t[start : start + _NODE_BLOCK] for t in nodes])[..., None]
+            # The block's drive entries, (nodes, B, entries), each summed as
+            # (base + a D_a) + b D_b.
+            entries = env[:, :, 0] * da
+            entries += base
+            entries += env[:, :, 1] * db
+            block["entries"] = entries
+        H[:, rows, cols] = block["entries"][k - start]
         last["k"] = k
         return H
 
@@ -720,9 +732,9 @@ def _integrate(
     return propagate_lindblad(h_fn, lindblads, rho0, grid, duration=duration, n_frames=n_frames)
 
 
-def _run_batch(specs: list[RunSpec]) -> list[tuple[ResultRecord, Trajectory]]:
+def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     """Integrate specs that share closed/open and n_steps, each at its own
-    duration and with its own stored frames.
+    duration and with its own stored frames; one trajectory per spec.
 
     Each distinct schedule is built and sampled once per node block, and its
     samples serve every point that uses it. Open points' operator lists are
@@ -763,26 +775,30 @@ def _run_batch(specs: list[RunSpec]) -> list[tuple[ResultRecord, Trajectory]]:
         if exc.point is None or not specs[exc.point].label:
             raise
         raise ConvergenceError(f"{exc}, run {specs[exc.point].label!r}") from exc
-    points = [traj.point(b) for b in range(len(specs))]
-    return [(s.record(p), p) for s, p in zip(specs, points)]
+    return [traj.point(b) for b in range(len(specs))]
 
 
 def run_points(specs) -> list[tuple[ResultRecord, Trajectory]]:
     """Run every spec through one builder; (record, trajectory) per spec, in order.
 
-    Specs that share closed/open and n_steps form one batch, whatever their
-    durations and stored frames. A point's result does not depend on its
-    batch, so any grouping gives the same bytes.
+    Specs that differ only in label are one run: it is integrated once, for
+    the first of them, and each records it under its own label. Runs that
+    share closed/open and n_steps form one batch, whatever their durations
+    and stored frames. A point's result does not depend on its batch, so any
+    grouping gives the same bytes.
     """
     specs = list(specs)
-    batches: dict[tuple, list[int]] = {}
-    for i, s in enumerate(specs):
-        batches.setdefault((s.closed, s.n_steps), []).append(i)
-    out = [None] * len(specs)
+    keys = [replace(s, label="") for s in specs]
+    runs: dict[RunSpec, RunSpec] = {}
+    for key, s in zip(keys, specs):
+        runs.setdefault(key, s)
+    batches: dict[tuple, list[RunSpec]] = {}
+    for key in runs:
+        batches.setdefault((key.closed, key.n_steps), []).append(key)
+    trajectories = {}
     for members in batches.values():
-        for i, pair in zip(members, _run_batch([specs[i] for i in members])):
-            out[i] = pair
-    return out
+        trajectories.update(zip(members, _run_batch([runs[key] for key in members])))
+    return [(s.record(trajectories[key]), trajectories[key]) for s, key in zip(specs, keys)]
 
 
 def _records(results) -> list[ResultRecord]:
@@ -792,7 +808,7 @@ def _records(results) -> list[ResultRecord]:
 def evaluate_point(job) -> ResultRecord:
     """Run one point (a batch of one); job is a RunSpec or a dict of its fields."""
     spec = job if isinstance(job, RunSpec) else RunSpec.from_job(job)
-    return _run_batch([spec])[0][0]
+    return spec.record(_run_batch([spec])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, files, configuration precedence."""
 
 import csv
+import json
 import math
 import os
 
@@ -168,7 +169,8 @@ def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
 
 def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
     # verify uses only g, A and the step count, and writes no files; pulses
-    # uses only flavor, A and omega0
+    # uses only flavor, A and omega0. Only the stirap flavor has an omega0,
+    # so pulses, simulate and sweep refuse it with any other.
     out_flag = ["-o", str(tmp_path)]
     for argv, flag in (
         (["verify", "--kappa", "50"], "--kappa"),
@@ -181,6 +183,12 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
         (["pulses", "--kappa", "3", *out_flag], "--kappa"),
         (["pulses", "--steps", "100", *out_flag], "--steps"),
         (["pulses", "--delta-omega", "0.5", *out_flag], "--delta-omega"),
+        (["pulses", "--omega0", "40", *out_flag], "--omega0"),
+        (["pulses", "--flavor", "dressed", "--omega0", "40", *out_flag], "--omega0"),
+        (["simulate", "--omega0", "40", *out_flag], "--omega0"),
+        (["sweep", "--omega0", "40", "--axis", "g=10,20", *out_flag], "--omega0"),
+        (["sweep", "--g", "10", "--axis", "omega0_stirap=10,20", "--steps", "400", *out_flag],
+         "omega0"),
     ):
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
@@ -190,19 +198,28 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
         ("pulses", "gamma = 1\n", "gamma"),
         ("verify", f"outdir = {tmp_path / 'v'}\n", "outdir"),
         ("verify", "write_meta = false\n", "write_meta"),
+        ("pulses", "omega0 = 40\n", "--omega0"),
+        ("simulate", "omega0 = 40\n", "--omega0"),
+        ("sweep", "flavor = dressed\nomega0 = 40\n", "--omega0"),
     ):
         path.write_text(text)
         code, out, err = run([command, "--config", str(path)], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:") and key in err
     assert not (tmp_path / "v").exists()
-    assert not list(tmp_path.glob("pulses_*"))
+    assert not list(tmp_path.glob("pulses_*")) and not list(tmp_path.glob("*.csv"))
+    # a config file at the defaults names omega0 = 50 for the gaussian flavor
+    RunConfig().to_file(str(path))
+    code, out, _ = run(["pulses", "--config", str(path), "-o", str(tmp_path / "ok")], capsys)
+    assert code == 0 and (tmp_path / "ok" / "pulses_gaussian_q1.csv").exists()
+    assert json.loads((tmp_path / "ok" / "pulses_gaussian.meta.json").read_text())["omega0"] is None
     code, out, _ = run(
         ["pulses", "--flavor", "stirap", "--A", "0.4", "--omega0", "40", "--samples", "11",
          "-o", str(tmp_path)],
         capsys,
     )
     assert code == 0 and (tmp_path / "pulses_stirap_q4.csv").exists()
+    assert json.loads((tmp_path / "pulses_stirap.meta.json").read_text())["omega0"] == 40.0
 
 
 def _propagator_calls(monkeypatch) -> list:
@@ -223,10 +240,11 @@ def _propagator_calls(monkeypatch) -> list:
 
 
 def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
-    """`reproduce all` plans every target first: its 110 points run as one
-    closed and one open batch. Each batch samples every distinct schedule
-    once per block of RK4 nodes. CI checks that each target alone writes the
-    same bytes and verdicts."""
+    """`reproduce all` plans every target first: its 110 points are 98
+    distinct runs (specs that differ only in label run once), which run as
+    one closed and one open batch. Each batch samples every distinct
+    schedule once per block of RK4 nodes. CI checks that each target alone
+    writes the same bytes and verdicts."""
     from squidw import experiments
     from squidw.pulse_design import PulseSchedule
 
@@ -250,7 +268,7 @@ def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
     n_steps = 1000
     code, out, _ = run(["reproduce", "all", "--steps", str(n_steps), "-o", str(tmp_path)], capsys)
     assert code == 0 and out.endswith("reference checks pass\n")
-    assert sorted(calls) == [("propagate_lindblad", 43), ("propagate_schrodinger", 67)]
+    assert sorted(calls) == [("propagate_lindblad", 38), ("propagate_schrodinger", 60)]
     assert len(list(tmp_path.iterdir())) == 22
     # a schedule is set by flavor, A, omega0, mode, delta_t and delta_omega
     distinct = [

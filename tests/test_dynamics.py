@@ -2,6 +2,9 @@
 and analytic decay laws."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import reference_kernels
 from scipy.linalg import expm
 from single_point import one_point
 
+import squidw
 from squidw.dynamics import (
     EIG_TOL,
     MAX_FRAMES,
@@ -16,6 +20,7 @@ from squidw.dynamics import (
     NoiseModel,
     TimeGrid,
     _dissipator_tables,
+    _frame_indices,
     fidelity,
     lindblad_operators,
     node_times,
@@ -250,6 +255,31 @@ def test_trajectory_frames_and_populations():
         propagate_schrodinger, _gaussian_h(10.0), basis_state(PSI1), TimeGrid(1000), n_frames=5000
     )
     assert len(big.states) <= MAX_FRAMES
+
+
+def test_frame_indices_match_np_unique():
+    # rounded linspace is nondecreasing, so dropping consecutive repeats is np.unique
+    for n_steps in (100, 101, 333, 1000, 2000):
+        for n_frames in (0, 2, 3, 7, 201, 401, n_steps, n_steps + 1, MAX_FRAMES, 5000):
+            capped = min(max(n_frames, 2), MAX_FRAMES, n_steps + 1)
+            expected = np.unique(np.linspace(0, n_steps, capped).round().astype(int))
+            got = _frame_indices(n_steps, n_frames)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (n_steps, n_frames)
+
+
+def test_integrating_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma (milliseconds and megabytes) on its first call
+    script = (
+        "import sys\n"
+        "from squidw.experiments import RunSpec, run_points\n"
+        "run_points([RunSpec(g=10.0, n_steps=100, n_frames=7)])\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(squidw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "numpy.ma was imported"
 
 
 def test_schrodinger_input_validation():

@@ -3,12 +3,14 @@
 import csv
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import reference_kernels
 from single_point import one_point, sampled_once
 
+from squidw import experiments
 from squidw.dynamics import ConvergenceError, NoiseModel, fidelity, lindblad_operators
 from squidw.experiments import (
     CHECKS,
@@ -98,13 +100,31 @@ def _write_run(outdir, records, trajectories):
         _write_trajectory(str(outdir), f"traj_{record.label}", traj, {"label": record.label})
 
 
-def test_batch_composition_does_not_change_bytes(tmp_path):
+def test_batch_composition_does_not_change_bytes(tmp_path, monkeypatch):
     """One batch per closed/open, one point at a time, or split into two
     halves: the same bytes, the drift and min_eigenvalue columns included.
     Each point keeps its own frames, at its own times. The effective point
     shares the cavity points' batch (whose H buffers then rewrite the union
-    of both drive patterns) without changing its bytes or theirs."""
-    batched = run_points(MIXED)
+    of both drive patterns) without changing its bytes or theirs. A copy of
+    a spec under another label is integrated once with it and recorded
+    under its own label."""
+    integrated = []
+    run_batch = experiments._run_batch
+
+    def counted(specs):
+        integrated.extend(specs)
+        return run_batch(specs)
+
+    monkeypatch.setattr(experiments, "_run_batch", counted)
+    original = next(i for i, s in enumerate(MIXED) if s.label == "o25")
+    copy = replace(MIXED[original], label="o25 again")
+    batched = run_points(MIXED + [copy])
+    assert len(integrated) == len(MIXED) and copy not in integrated
+    (copy_record, copy_traj), batched = batched[-1], batched[:-1]
+    record, traj = batched[original]
+    assert copy_record == replace(record, label="o25 again")
+    assert copy_traj.states.tobytes() == traj.states.tobytes()
+    assert copy_traj.final_state.tobytes() == traj.final_state.tobytes()
     assert {r.min_eigenvalue is None for r, _ in batched} == {True, False}
     for spec, (_, traj) in zip(MIXED, batched):
         assert len(traj.times) == len(traj.states) == spec.n_frames
@@ -360,6 +380,8 @@ def test_convergence_failure_names_the_run():
         RunSpec(label="fine", g=10.0, n_steps=100),
         RunSpec(label="stiff", flavor="stirap", g=150.0, omega0=50.0, n_steps=100),
     ]
+    # a run shared by two labels is named by the first
+    specs.append(replace(specs[1], label="stiff again"))
     with pytest.raises(ConvergenceError, match=r"\(batch point 1\), run 'stiff'$"):
         run_points(specs)
 
@@ -369,6 +391,10 @@ def test_evaluate_point_validation():
         evaluate_point(dict(label="", flavor="gaussian", g=30.0, delta_t=-1.0))
     with pytest.raises(ValueError):
         evaluate_point(dict(label="", flavor="gaussian", g=30.0, mode="stretch"))
+    # only the stirap flavor has a channel peak omega0
+    for flavor in ("gaussian", "dressed"):
+        with pytest.raises(ValueError, match="omega0"):
+            RunSpec(flavor=flavor, omega0=50.0)
 
 
 def test_effective_spec_rejects_settings_it_would_ignore():

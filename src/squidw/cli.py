@@ -239,7 +239,6 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, frames: int) -> int:
-    outdir = _ensure_outdir(cfg)
     # simulate takes absolute rates; a run spec holds them relative to g.
     g_eff = CouplingConfig(g=cfg.g * (1.0 + cfg.delta_g)).g
     spec = RunSpec(
@@ -257,6 +256,7 @@ def _cmd_simulate(cfg: RunConfig, frames: int) -> int:
         mode=cfg.mode,
         n_frames=frames,
     )
+    outdir = _ensure_outdir(cfg)
     [(record, traj)] = experiments.run_points([spec])
     experiments._write_trajectory(
         outdir,
@@ -289,7 +289,6 @@ def _parse_axis(text: str):
 
 
 def _cmd_sweep(cfg: RunConfig, axis_args: list) -> int:
-    outdir = _ensure_outdir(cfg)
     axes = tuple(_parse_axis(a) for a in axis_args)
     spec = SweepSpec(
         flavor=cfg.flavor,
@@ -302,7 +301,9 @@ def _cmd_sweep(cfg: RunConfig, axis_args: list) -> int:
         n_steps=cfg.n_steps,
         mode=cfg.mode,
     )
-    records = experiments.run_sweep(spec, outdir)
+    plan = experiments._plan_sweep(spec, "sweep")
+    outdir = _ensure_outdir(cfg)
+    records = experiments._run_plan(plan, outdir)
     _strip_meta(cfg)
     print(f"{len(records)} points, wrote {os.path.join(outdir, 'sweep.csv')}")
     return 0
@@ -400,9 +401,9 @@ def _reject_ignored(args: argparse.Namespace, cfg: RunConfig) -> None:
 def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
     """Plan every target, integrate all their points in one run_points call,
     then write, judge and print each target in order."""
-    outdir = _ensure_outdir(cfg)
     targets = list(_REPRODUCERS) if target == "all" else [target]
     plans = [experiments.CHECKS[name].plan(cfg.n_steps, cfg.mode) for name in targets]
+    outdir = _ensure_outdir(cfg)
     results = experiments.run_points([spec for specs, _ in plans for spec in specs])
     verdicts = []
     start = 0

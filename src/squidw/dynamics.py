@@ -30,11 +30,11 @@ two real products per node, and every elementwise op on half the bytes of
 the complex rho. Stored frames and the final state are unpacked as
 rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
 
-The propagators call h_fn 3 (closed) or 4 (open) times per step, with
-repeated nodes, and use each H before the next call: the array h_fn returns
-may be overwritten by its next call, so a caller can keep one H buffer,
-rewrite only its drive entries at a new node, and hand back the same buffer
-when a node is asked for again.
+h_fn is a stream: the propagators call it exactly once per node, in
+increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
+step's first stage, and the midpoint H both middle stages. Each H is used
+before the next call, which may overwrite it, so a caller can keep one H
+buffer and rewrite only its drive entries. Every H passes the float64 check.
 """
 
 from __future__ import annotations
@@ -229,12 +229,8 @@ def _batched(items: list):
 def _trajectory(frames: _Frames, final, drift, min_eig, n_steps: int, durations) -> Trajectory:
     """Package each point's stored states; fidelities are taken point by point."""
     states = [np.array(s) for s in frames.stored]
-    nodes = {}
-    times = []
-    for d, keep in zip(durations.tolist(), frames.keep):
-        if d not in nodes:
-            nodes[d] = node_times(n_steps, d)
-        times.append(nodes[d][2 * keep])
+    nodes = {d: node_times(n_steps, d) for d in set(durations.tolist())}
+    times = [nodes[d][2 * keep] for d, keep in zip(durations.tolist(), frames.keep)]
     return Trajectory(
         times=_batched(times),
         states=_batched(states),
@@ -258,7 +254,7 @@ def _which(b: int, values: np.ndarray) -> str:
 
 
 def _real_h(h_fn, k: int) -> np.ndarray:
-    """h_fn(k), which must be a float64 array: the kernels view H as real."""
+    """h_fn(k), checked at every node to be a float64 array: the kernels view H as real."""
     H = h_fn(k)
     if not (isinstance(H, np.ndarray) and H.dtype == np.float64):
         raise ValueError("h_fn must return real symmetric float64 Hamiltonians")
@@ -277,9 +273,10 @@ def propagate_schrodinger(
     psi0 has shape (B, 10). duration and n_frames are scalars or one value
     per point. h_fn(k) returns the (B, 10, 10) real symmetric float64
     Hamiltonians at node k, point b's at node k of
-    node_times(grid.n_steps, duration_b); step s calls it at node 2s before
-    k1, at 2s+1 before k2 and k3, and at 2s+2 before k4, and the returned
-    array may be overwritten by the next call. H psi is one real product on
+    node_times(grid.n_steps, duration_b). It is called exactly once per
+    node, in increasing k: node 2s+1 serves k2 and k3 of step s, node 2s+2
+    its k4 and the next step's k1. The returned array may be overwritten by
+    the next call. H psi is one real product on
     the float64 view of psi, and the -i sits in the RK4 coefficients
     (-i h/2, -i h, -i h/6). Every product is taken point by point, so a
     point's result does not depend on the batch it runs in.
@@ -304,13 +301,15 @@ def propagate_schrodinger(
         # (B, 10, 10) @ (B, 10, 2): real and imaginary parts in one product.
         return (H @ p.view(np.float64)).view(complex)
 
+    # Each H is used before the next h_fn call, which may overwrite it.
+    H = _real_h(h_fn, 0)
     for step in range(n):
-        # Each H is used before the next h_fn call, which may overwrite it.
-        k1 = rhs(_real_h(h_fn, 2 * step), psi)
-        h_mid = _real_h(h_fn, 2 * step + 1)
-        k2 = rhs(h_mid, psi + half * k1)
-        k3 = rhs(h_mid, psi + half * k2)
-        k4 = rhs(_real_h(h_fn, 2 * step + 2), psi + whole * k3)
+        k1 = rhs(H, psi)
+        H = _real_h(h_fn, 2 * step + 1)
+        k2 = rhs(H, psi + half * k1)
+        k3 = rhs(H, psi + half * k2)
+        H = _real_h(h_fn, 2 * step + 2)
+        k4 = rhs(H, psi + whole * k3)
         psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         points = frames.at(step + 1)
         if points is not None:
@@ -434,8 +433,8 @@ def propagate_lindblad(
     rho0 has shape (B, 10, 10). lindblads gives one operator list per point
     (any iterable: it is read once, before stepping, and only the stacked
     dissipator tables are kept). h_fn, duration and n_frames follow the
-    contract of propagate_schrodinger; each step calls h_fn at nodes 2s,
-    2s+1 (twice) and 2s+2, each just before the stage that uses it.
+    contract of propagate_schrodinger: h_fn is called once per node, in
+    increasing k, each time just before the first stage that uses it.
 
     rho0 is symmetrized once on entry and packed as M = Re rho + Im rho (the
     symmetric real part plus the antisymmetric imaginary part). For real
@@ -462,8 +461,7 @@ def propagate_lindblad(
     gain = np.stack([t[0] for t in tables])
     scatter = np.stack([t[1] for t in tables])
 
-    def rhs(k: int, m: np.ndarray) -> np.ndarray:
-        H = _real_h(h_fn, k)
+    def rhs(H: np.ndarray, m: np.ndarray) -> np.ndarray:
         x = H @ m
         x -= m @ H
         out = gain * m
@@ -481,11 +479,14 @@ def propagate_lindblad(
     frames = _Frames(n, n_frames, rho)
     min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
     m = rho.real + rho.imag
+    H = _real_h(h_fn, 0)
     for step in range(n):
-        k1 = rhs(2 * step, m)
-        k2 = rhs(2 * step + 1, m + half * k1)
-        k3 = rhs(2 * step + 1, m + half * k2)
-        k4 = rhs(2 * step + 2, m + h * k3)
+        k1 = rhs(H, m)
+        H = _real_h(h_fn, 2 * step + 1)
+        k2 = rhs(H, m + half * k1)
+        k3 = rhs(H, m + half * k2)
+        H = _real_h(h_fn, 2 * step + 2)
+        k4 = rhs(H, m + h * k3)
         m = m + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         points = frames.at(step + 1)
         if points is not None:

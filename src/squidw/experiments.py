@@ -534,6 +534,7 @@ class RunSpec:
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "n_steps", int(self.n_steps))
         object.__setattr__(self, "n_frames", int(self.n_frames))
+        TimeGrid(self.n_steps)  # raises on a step count the integration grid refuses
         if self.flavor not in _FLAVORS:
             raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
         if self.mode not in _MODES:
@@ -684,51 +685,48 @@ def _integrate(
     n_frames one value per point, and sample(ts) the (len(ts[b]), B, 2)
     channel envelopes with point b's at its own times ts[b]. The envelopes
     are sampled block by block at each point's node_times(n_steps,
-    duration_b). h_fn keeps one H buffer, starting as h0: at a new node it
-    rewrites only the entries where some point's D_a or D_b is nonzero, as
+    duration_b). The propagators call h_fn once per node, in increasing k,
+    and it keeps one H buffer, starting as h0: at each node it rewrites only
+    the entries where some point's D_a or D_b is nonzero, as
     h0 + a D_a + b D_b (a point whose drives are zero at such an entry gets
-    its h0 entry back exactly; a node block's entries are summed in one
-    broadcast when its envelopes are sampled), and it hands back the buffer
-    untouched when the propagator asks for the same node again (the
-    midpoint of an open step, and each step boundary as the next step's
-    first node). For a batch of cavity points those are the same 8 entries
-    as for one point. So H is assembled once per node and never stored for
-    the whole run. lindblads, one operator list per point (any iterable),
-    selects the master equation.
+    its h0 entry back exactly). When k leaves the current node block, the
+    next block's entries are summed in one broadcast into a contiguous
+    (nodes, B * entries) array; each node is then one write of its row
+    through a flat index of those entries in H. For a batch of cavity points
+    those are the same 8 entries as for one point. So H is assembled once
+    per node and never stored for the whole run. lindblads, one operator
+    list per point (any iterable), selects the master equation.
     """
     d_a, d_b = drives
     grids = {d: node_times(n_steps, d) for d in set(durations)}
     nodes = [grids[d] for d in durations]
-    block = {"start": -1, "entries": None}
     rows, cols = np.nonzero(((d_a != 0) | (d_b != 0)).any(axis=0))
     base, da, db = h0[:, rows, cols], d_a[:, rows, cols], d_b[:, rows, cols]
     H = h0.copy()
-    last = {"k": -1}
+    flat = H.reshape(-1)
+    index = (np.arange(len(h0))[:, None] * (DIM * DIM) + rows * DIM + cols).ravel()
+    start, entries = 0, np.empty((0, index.size))
 
     def h_fn(k: int) -> np.ndarray:
-        if k == last["k"]:
-            return H
-        start = k - k % _NODE_BLOCK
-        if start != block["start"]:
-            block["start"] = start
+        nonlocal start, entries
+        if k - start == len(entries):
+            start = k
             env = sample([t[start : start + _NODE_BLOCK] for t in nodes])[..., None]
             # The block's drive entries, (nodes, B, entries), each summed as
-            # (base + a D_a) + b D_b.
-            entries = env[:, :, 0] * da
-            entries += base
-            entries += env[:, :, 1] * db
-            block["entries"] = entries
-        H[:, rows, cols] = block["entries"][k - start]
-        last["k"] = k
+            # (base + a D_a) + b D_b, then one row per node.
+            block = env[:, :, 0] * da
+            block += base
+            block += env[:, :, 1] * db
+            entries = block.reshape(len(block), -1)
+        flat[index] = entries[k - start]
         return H
 
     grid = TimeGrid(n_steps)
-    batch = len(h0)
     duration = np.array(durations, dtype=float)
     if lindblads is None:
-        psi0 = np.tile(state0, (batch, 1))
+        psi0 = np.tile(state0, (len(h0), 1))
         return propagate_schrodinger(h_fn, psi0, grid, duration=duration, n_frames=n_frames)
-    rho0 = np.tile(np.outer(state0, state0.conj()), (batch, 1, 1))
+    rho0 = np.tile(np.outer(state0, state0.conj()), (len(h0), 1, 1))
     return propagate_lindblad(h_fn, lindblads, rho0, grid, duration=duration, n_frames=n_frames)
 
 

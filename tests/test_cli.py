@@ -413,3 +413,25 @@ def test_unwritable_outdir_exits_one(tmp_path, capsys):
     code, _, err = run(["pulses", "-o", str(target)], capsys)
     assert code == 1
     assert "not writable" in err or "error" in err
+    # commands that validate their runs first still check the directory
+    for argv in (["simulate"], ["sweep", "--axis", "g=5,10"], ["reproduce", "fig3"]):
+        code, _, err = run([*argv, "-o", str(target)], capsys)
+        assert code == 1 and "not writable" in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--axis", "bogus=1,2"],
+        ["simulate", "--delta-t", "-1.5"],
+        ["simulate", "--steps", "50"],
+        ["reproduce", "fig3", "--steps", "50"],
+    ],
+)
+def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):
+    outdir = tmp_path / "never"
+    code, _, err = run([*argv, "-o", str(outdir)], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert not outdir.exists()
+

@@ -100,8 +100,8 @@ def test_dephasing_operators_are_balanced_diagonals():
 
 def test_batched_propagators_keep_the_call_contract():
     """One call integrates the batch: one Trajectory with the integer step
-    count, per-point endpoint diagnostics, and H built 3 (closed) or 4 (open)
-    times per step at nodes 2s, 2s+1 (twice when open) and 2s+2."""
+    count, per-point endpoint diagnostics, and h_fn called exactly once per
+    RK4 node, in increasing k = 0, 1, ..., 2n."""
     grid = TimeGrid(120)
     sch = gaussian_fit_pulses(ScheduleParams())
     hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (5.0, 10.0, 20.0)])
@@ -115,7 +115,7 @@ def test_batched_propagators_keep_the_call_contract():
     psi0 = np.tile(basis_state(PSI1), (3, 1))
     traj = propagate_schrodinger(h_fn, psi0, grid)
     n = grid.n_steps
-    assert calls == [k for s in range(n) for k in (2 * s, 2 * s + 1, 2 * s + 2)]
+    assert calls == list(range(2 * n + 1))
     assert type(traj.n_steps) is int and traj.n_steps == n
     assert traj.final_state.shape == (3, DIM) and traj.drift.shape == (3,)
     assert traj.min_eigenvalue is None
@@ -128,7 +128,7 @@ def test_batched_propagators_keep_the_call_contract():
     ops = [lindblad_operators(NoiseModel(kappa=k, gamma_phi=0.1)) for k in (0.5, 1.0, 2.0)]
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
     traj = propagate_lindblad(h_fn, ops, rho0, grid, n_frames=4)
-    assert calls == [k for s in range(n) for k in (2 * s, 2 * s + 1, 2 * s + 1, 2 * s + 2)]
+    assert calls == list(range(2 * n + 1))
     assert type(traj.n_steps) is int and traj.n_steps == n
     assert traj.final_state.shape == (3, DIM, DIM)
     assert traj.drift.shape == traj.min_eigenvalue.shape == (3,)
@@ -174,6 +174,23 @@ def test_h_fn_may_overwrite_the_array_it_returned():
             assert np.array_equal(a.min_eigenvalue, b.min_eigenvalue)
         for sa, sb in zip(a.states, b.states):
             assert np.array_equal(sa, sb)
+
+
+@pytest.mark.parametrize("bad_node", [1, 2 * 57 + 1, 2 * 120])
+def test_every_node_passes_the_float64_check(bad_node):
+    """An h_fn that turns complex mid-run is refused at that node, an odd
+    one or the last, by both propagators: the check is not made on node 0
+    alone."""
+    grid = TimeGrid(120)
+    hc = cavity_hamiltonian(CouplingConfig(g=10.0))[None]
+    h_fn = lambda k: hc.astype(complex) if k == bad_node else hc
+    psi0 = basis_state(PSI1)[None]
+    rho0 = np.outer(psi0[0], psi0[0].conj())[None]
+    ops = [lindblad_operators(NoiseModel(kappa=0.5))]
+    with pytest.raises(ValueError, match="float64"):
+        propagate_schrodinger(h_fn, psi0, grid)
+    with pytest.raises(ValueError, match="float64"):
+        propagate_lindblad(h_fn, ops, rho0, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import reference_kernels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from single_point import one_point, sampled_once
 
 from squidw import experiments
@@ -143,6 +145,49 @@ def test_batch_composition_does_not_change_bytes(tmp_path, monkeypatch):
         for name in names:
             expected = (tmp_path / "batched" / name).read_bytes()
             assert (tmp_path / other / name).read_bytes() == expected, name
+
+
+@st.composite
+def _pooled_spec(draw):
+    """A 200-step point from a small pool: each flavor, g 5 or 30, a duration
+    error under either reading, 2 or 7 frames, and closed, open or effective.
+    The stirap peak is 10, at which every point of the pool passes the drift
+    gates in 200 steps."""
+    flavor = draw(st.sampled_from(("gaussian", "stirap", "dressed")))
+    kind = draw(st.sampled_from(("closed", "open", "effective")))
+    return RunSpec(
+        flavor=flavor,
+        g=draw(st.sampled_from((5.0, 30.0))),
+        delta_t=draw(st.sampled_from((-0.1, 0.0, 0.1))),
+        mode=draw(st.sampled_from(("rescale", "truncate"))),
+        n_frames=draw(st.sampled_from((2, 7))),
+        omega0=10.0 if flavor == "stirap" else None,
+        kappa_over_g=1e-2 if kind == "open" else 0.0,
+        gammaphi_over_g=1e-3 if kind == "open" else 0.0,
+        effective=kind == "effective",
+        n_steps=200,
+    )
+
+
+def test_batched_point_is_bitwise_its_solo_run():
+    """Whatever batch a point shares, and in whatever order, run_points gives
+    it the states, fidelities, drift and minimum eigenvalue of its solo run."""
+    solo = {}
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(st.lists(_pooled_spec(), min_size=1, max_size=5))
+    def check(specs):
+        for spec, (_, traj) in zip(specs, run_points(specs)):
+            if spec not in solo:
+                solo[spec] = run_points([spec])[0][1]
+            alone = solo[spec]
+            assert traj.states.tobytes() == alone.states.tobytes()
+            assert traj.final_state.tobytes() == alone.final_state.tobytes()
+            assert traj.fidelities.tobytes() == alone.fidelities.tobytes()
+            assert traj.drift == alone.drift
+            assert traj.min_eigenvalue == alone.min_eigenvalue
+
+    check()
 
 
 def test_stirap_comparison_bytes_do_not_depend_on_jobs(tmp_path):
@@ -395,6 +440,9 @@ def test_evaluate_point_validation():
     for flavor in ("gaussian", "dressed"):
         with pytest.raises(ValueError, match="omega0"):
             RunSpec(flavor=flavor, omega0=50.0)
+    # the integration grid's own rule, checked when the spec is made
+    with pytest.raises(ValueError, match="n_steps must be at least 100"):
+        RunSpec(n_steps=99)
 
 
 def test_effective_spec_rejects_settings_it_would_ignore():

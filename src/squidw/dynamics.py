@@ -229,8 +229,12 @@ def _batched(items: list):
 def _trajectory(frames: _Frames, final, drift, min_eig, n_steps: int, durations) -> Trajectory:
     """Package each point's stored states; fidelities are taken point by point."""
     states = [np.array(s) for s in frames.stored]
-    nodes = {d: node_times(n_steps, d) for d in set(durations.tolist())}
-    times = [nodes[d][2 * keep] for d, keep in zip(durations.tolist(), frames.keep)]
+    nodes = {}
+    times = []
+    for d, keep in zip(durations.tolist(), frames.keep):
+        if d not in nodes:
+            nodes[d] = node_times(n_steps, d)
+        times.append(nodes[d][2 * keep])
     return Trajectory(
         times=_batched(times),
         states=_batched(states),
@@ -261,6 +265,20 @@ def _real_h(h_fn, k: int) -> np.ndarray:
     return H
 
 
+def _rk4(h_fn, rhs, x: np.ndarray, n: int, half, whole, sixth):
+    """Yield (step + 1, x) after each of n RK4 steps, calling h_fn once per node."""
+    H = _real_h(h_fn, 0)
+    for step in range(n):
+        k1 = rhs(H, x)
+        H = _real_h(h_fn, 2 * step + 1)
+        k2 = rhs(H, x + half * k1)
+        k3 = rhs(H, x + half * k2)
+        H = _real_h(h_fn, 2 * step + 2)
+        k4 = rhs(H, x + whole * k3)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield step + 1, x
+
+
 def propagate_schrodinger(
     h_fn,
     psi0: np.ndarray,
@@ -276,10 +294,10 @@ def propagate_schrodinger(
     node_times(grid.n_steps, duration_b). It is called exactly once per
     node, in increasing k: node 2s+1 serves k2 and k3 of step s, node 2s+2
     its k4 and the next step's k1. The returned array may be overwritten by
-    the next call. H psi is one real product on
-    the float64 view of psi, and the -i sits in the RK4 coefficients
-    (-i h/2, -i h, -i h/6). Every product is taken point by point, so a
-    point's result does not depend on the batch it runs in.
+    the next call. H psi is one real product on the float64 view of psi,
+    and the -i sits in the RK4 coefficients (-i h/2, -i h, -i h/6). Every
+    product is taken point by point, so a point's result does not depend on
+    the batch it runs in.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex)
@@ -301,17 +319,8 @@ def propagate_schrodinger(
         # (B, 10, 10) @ (B, 10, 2): real and imaginary parts in one product.
         return (H @ p.view(np.float64)).view(complex)
 
-    # Each H is used before the next h_fn call, which may overwrite it.
-    H = _real_h(h_fn, 0)
-    for step in range(n):
-        k1 = rhs(H, psi)
-        H = _real_h(h_fn, 2 * step + 1)
-        k2 = rhs(H, psi + half * k1)
-        k3 = rhs(H, psi + half * k2)
-        H = _real_h(h_fn, 2 * step + 2)
-        k4 = rhs(H, psi + whole * k3)
-        psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        points = frames.at(step + 1)
+    for step, psi in _rk4(h_fn, rhs, psi, n, half, whole, sixth):
+        points = frames.at(step)
         if points is not None:
             frames.store(points, psi[points, :, 0])
 
@@ -475,20 +484,11 @@ def propagate_lindblad(
     n = grid.n_steps
     durations = _durations(duration, len(rho))
     h = _step_size(durations, n)
-    half, sixth = 0.5 * h, h / 6.0
     frames = _Frames(n, n_frames, rho)
     min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
     m = rho.real + rho.imag
-    H = _real_h(h_fn, 0)
-    for step in range(n):
-        k1 = rhs(H, m)
-        H = _real_h(h_fn, 2 * step + 1)
-        k2 = rhs(H, m + half * k1)
-        k3 = rhs(H, m + half * k2)
-        H = _real_h(h_fn, 2 * step + 2)
-        k4 = rhs(H, m + h * k3)
-        m = m + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        points = frames.at(step + 1)
+    for step, m in _rk4(h_fn, rhs, m, n, 0.5 * h, h, h / 6.0):
+        points = frames.at(step)
         if points is not None:
             stored = _unpack(m[points])
             frames.store(points, stored)

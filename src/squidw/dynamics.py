@@ -30,6 +30,14 @@ two real products per node, and every elementwise op on half the bytes of
 the complex rho. Stored frames and the final state are unpacked as
 rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
 
+RK4 advances the state in place. Each propagator call allocates its buffers
+once (state, stage state, four slopes, accumulator, and the Lindblad
+scratch) and builds every view of them, the float64 views and the strided
+diagonals, before stepping, so no array is allocated inside the step loop.
+A right-hand side then writes its slope through out=: one matmul for
+Schrodinger, seven numpy calls for Lindblad. The stepper yields its live
+state buffer, and the propagators copy whatever they store.
+
 h_fn is a stream: the propagators call it exactly once per node, in
 increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
 step's first stage, and the midpoint H both middle stages. Each H is used
@@ -59,6 +67,9 @@ MAX_FRAMES = 500
 NORM_TOL = 1e-6  # pure-state norm drift gate
 TRACE_TOL = 1e-8  # density-matrix trace drift gate
 EIG_TOL = -1e-6  # most negative admissible eigenvalue
+
+_W = w_state()  # fidelity's default target, built once
+_W.flags.writeable = False
 
 
 class ConvergenceError(RuntimeError):
@@ -141,7 +152,7 @@ class Trajectory:
 
 def fidelity(state: np.ndarray, target: np.ndarray | None = None) -> float:
     """|<W|psi>|^2 for vectors, |<W|rho|W>| for density matrices."""
-    w = w_state() if target is None else target
+    w = _W if target is None else target
     state = np.asarray(state)
     if state.ndim == 1:
         return float(abs(np.vdot(w, state)) ** 2)
@@ -265,17 +276,42 @@ def _real_h(h_fn, k: int) -> np.ndarray:
     return H
 
 
-def _rk4(h_fn, rhs, x: np.ndarray, n: int, half, whole, sixth):
-    """Yield (step + 1, x) after each of n RK4 steps, calling h_fn once per node."""
+def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
+    """Advance x in place through n RK4 steps, yielding (step + 1, x) after each.
+
+    The yielded x is the live state buffer, which the next step overwrites,
+    so a caller copies whatever it keeps. bind(src, dst) returns the
+    right-hand side f(H) that writes the slope at state src into dst; bind
+    runs once per stage, before stepping, so a kernel builds its views of
+    the buffers once. h_fn is called once per node, in increasing k. The
+    stage state, the four slopes and the accumulator are allocated here,
+    once, and nothing is allocated inside the step loop. Each sum and
+    product is the one of x + sixth * (k1 + 2 k2 + 2 k3 + k4) with its
+    operands swapped at most, which leaves IEEE results bit for bit alike.
+    """
+    y, acc, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(6))
+    f1, f2, f3, f4 = bind(x, k1), bind(y, k2), bind(y, k3), bind(y, k4)
     H = _real_h(h_fn, 0)
     for step in range(n):
-        k1 = rhs(H, x)
+        f1(H)
         H = _real_h(h_fn, 2 * step + 1)
-        k2 = rhs(H, x + half * k1)
-        k3 = rhs(H, x + half * k2)
+        np.multiply(half, k1, out=y)
+        y += x
+        f2(H)
+        np.multiply(half, k2, out=y)
+        y += x
+        f3(H)
         H = _real_h(h_fn, 2 * step + 2)
-        k4 = rhs(H, x + whole * k3)
-        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(whole, k3, out=y)
+        y += x
+        f4(H)
+        np.multiply(2.0, k2, out=acc)
+        acc += k1
+        k3 *= 2.0
+        acc += k3
+        acc += k4
+        acc *= sixth
+        x += acc
         yield step + 1, x
 
 
@@ -315,11 +351,12 @@ def propagate_schrodinger(
     frames = _Frames(n, n_frames, psi)
     psi = psi[..., None]
 
-    def rhs(H: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def bind(src: np.ndarray, dst: np.ndarray):
         # (B, 10, 10) @ (B, 10, 2): real and imaginary parts in one product.
-        return (H @ p.view(np.float64)).view(complex)
+        p, out = src.view(np.float64), dst.view(np.float64)
+        return lambda H: np.matmul(H, p, out=out)
 
-    for step, psi in _rk4(h_fn, rhs, psi, n, half, whole, sixth):
+    for step, psi in _rk4(h_fn, bind, psi, n, half, whole, sixth):
         points = frames.at(step)
         if points is not None:
             frames.store(points, psi[points, :, 0])
@@ -470,24 +507,35 @@ def propagate_lindblad(
     gain = np.stack([t[0] for t in tables])
     scatter = np.stack([t[1] for t in tables])
 
-    def rhs(H: np.ndarray, m: np.ndarray) -> np.ndarray:
-        x = H @ m
-        x -= m @ H
-        out = gain * m
-        out += x.swapaxes(1, 2)
-        # Strided views of the diagonals.
-        pops = m.reshape(-1, DIM * DIM)[:, :: DIM + 1]
-        diag = out.reshape(-1, DIM * DIM)[:, :: DIM + 1]
-        diag += (scatter @ pops[..., None])[..., 0]
-        return out
+    m = rho.real + rho.imag
+    # Scratch shared by every stage: the two products and the scatter.
+    hm, mh, sc = np.empty_like(m), np.empty_like(m), np.empty((len(m), DIM, 1))
+    comm_t = hm.swapaxes(1, 2)
+
+    def diagonal(a: np.ndarray) -> np.ndarray:
+        """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
+        return a.reshape(-1, DIM * DIM)[:, :: DIM + 1][..., None]
+
+    def bind(src: np.ndarray, dst: np.ndarray):
+        pops, dst_diag = diagonal(src), diagonal(dst)
+
+        def rhs(H: np.ndarray) -> None:
+            np.matmul(H, src, out=hm)
+            np.matmul(src, H, out=mh)
+            np.subtract(hm, mh, out=hm)
+            np.multiply(gain, src, out=dst)
+            np.add(dst, comm_t, out=dst)
+            np.matmul(scatter, pops, out=sc)
+            np.add(dst_diag, sc, out=dst_diag)
+
+        return rhs
 
     n = grid.n_steps
     durations = _durations(duration, len(rho))
     h = _step_size(durations, n)
     frames = _Frames(n, n_frames, rho)
     min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
-    m = rho.real + rho.imag
-    for step, m in _rk4(h_fn, rhs, m, n, 0.5 * h, h, h / 6.0):
+    for step, m in _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0):
         points = frames.at(step)
         if points is not None:
             stored = _unpack(m[points])

@@ -20,22 +20,21 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import experiments
-from .dynamics import ConvergenceError, NoiseModel
-from .experiments import RunSpec, SweepSpec, build_schedule
+from .dynamics import ConvergenceError
+from .experiments import RunSpec, build_schedule
 from .pulse_design import ScheduleParams
-from .state_space import CouplingConfig
 
 ENV_OUTDIR = "SQUIDW_OUT"
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; every field round-trips through the config file."""
+    """Resolved run configuration; every field but command is a config file key."""
 
     command: str = ""
     flavor: str = "gaussian"
@@ -54,19 +53,6 @@ class RunConfig:
     mode: str = "rescale"
     jobs: int = 1
 
-    def to_file(self, path: str) -> None:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            lines.append(f"{f.name} = {_serialize(getattr(self, f.name))}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        cfg = cls()
-        cfg.apply(parse_config_file(path), source=path)
-        return cfg
-
     def apply(self, mapping: dict, source: str = "config") -> None:
         types = {f.name: f.type for f in fields(self)}
         for key, raw in mapping.items():
@@ -84,14 +70,6 @@ class RunConfig:
             else:
                 value = str(raw)
             setattr(self, key, value)
-
-
-def _serialize(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def parse_config_file(path: str) -> dict:
@@ -153,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME=V1,V2,...",
         help="sweep axis (repeatable, max 2); names: g, kappa_over_g, gamma_over_g, "
-        "gammaphi_over_g, dT_over_T, dOmega_over_Omega, dg_over_g, omega0_stirap",
+        "gammaphi_over_g, dT_over_T, dOmega_over_Omega, dg_over_g, omega0_stirap, or "
+        "the RunSpec field an alias names (delta_t, delta_omega, delta_g, omega0)",
     )
 
     p_rep = sub.add_parser("reproduce", help="regenerate a named study with verdicts")
@@ -238,26 +217,42 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, frames: int) -> int:
-    # simulate takes absolute rates; a run spec holds them relative to g.
-    g_eff = CouplingConfig(g=cfg.g * (1.0 + cfg.delta_g)).g
-    spec = RunSpec(
+# simulate and sweep take absolute rates; a RunSpec holds them as ratios to g.
+_RATES = (("kappa", "kappa_over_g"), ("gamma", "gamma_over_g"), ("gamma_phi", "gammaphi_over_g"))
+
+
+def _plan(cfg: RunConfig, axes=None, n_frames: int = 2):
+    """simulate's one RunSpec (axes None), or sweep's grid over axes; with
+    the sweep's finish step (None for simulate).
+
+    The absolute rates become ratios at each spec's own coupling
+    g (1 + delta_g); a rate that is a sweep axis takes the axis values.
+    """
+    base = RunSpec(
         flavor=cfg.flavor,
         g=cfg.g,
         A=cfg.A,
-        kappa_over_g=cfg.kappa / g_eff,
-        gamma_over_g=cfg.gamma / g_eff,
-        gammaphi_over_g=cfg.gamma_phi / g_eff,
         delta_t=cfg.delta_t,
         delta_omega=cfg.delta_omega,
         delta_g=cfg.delta_g,
         omega0=cfg.omega0 if cfg.flavor == "stirap" else None,
         n_steps=cfg.n_steps,
         mode=cfg.mode,
-        n_frames=frames,
+        n_frames=n_frames,
     )
+    specs, finish = ([base], None) if axes is None else experiments._plan_sweep(base, axes, "sweep")
+    swept = {experiments._axis_field(name) for name, _ in axes or ()}
+    specs = [
+        replace(s, **{r: getattr(cfg, rate) / s.coupling.g for rate, r in _RATES if r not in swept})
+        for s in specs
+    ]
+    return specs, finish
+
+
+def _cmd_simulate(cfg: RunConfig, frames: int) -> int:
+    specs, _ = _plan(cfg, n_frames=frames)
     outdir = _ensure_outdir(cfg)
-    [(record, traj)] = experiments.run_points([spec])
+    [(record, traj)] = experiments.run_points(specs)
     experiments._write_trajectory(
         outdir,
         "simulate",
@@ -289,19 +284,7 @@ def _parse_axis(text: str):
 
 
 def _cmd_sweep(cfg: RunConfig, axis_args: list) -> int:
-    axes = tuple(_parse_axis(a) for a in axis_args)
-    spec = SweepSpec(
-        flavor=cfg.flavor,
-        g=cfg.g,
-        A=cfg.A,
-        noise=NoiseModel(kappa=cfg.kappa, gamma=cfg.gamma, gamma_phi=cfg.gamma_phi),
-        axes=axes,
-        variation=(cfg.delta_t, cfg.delta_omega, cfg.delta_g),
-        omega0=cfg.omega0 if cfg.flavor == "stirap" else None,
-        n_steps=cfg.n_steps,
-        mode=cfg.mode,
-    )
-    plan = experiments._plan_sweep(spec, "sweep")
+    plan = _plan(cfg, tuple(_parse_axis(a) for a in axis_args))
     outdir = _ensure_outdir(cfg)
     records = experiments._run_plan(plan, outdir)
     _strip_meta(cfg)

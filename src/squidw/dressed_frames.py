@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from .pulse_design import ScheduleParams, correction_gains, schedule_angles
-from .state_space import effective_eigenframe
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -38,18 +37,6 @@ M_Y = _INV_SQRT2 * np.array(
 M_Z = np.diag([0.0, 1.0, -1.0]).astype(complex)
 
 SPIN1 = (M_X, M_Y, M_Z)
-
-
-def frame_isometry(theta: float) -> np.ndarray:
-    """10x3 isometry whose columns are the eigenframe states (0, +, -)."""
-    zero, plus, minus = effective_eigenframe(theta)
-    return np.column_stack([zero, plus, minus])
-
-
-def adiabatic_hamiltonian(t: float, params: ScheduleParams, omega_fn) -> np.ndarray:
-    """Effective model in the eigenframe: Omega(t) M_z + theta_dot(t) M_y."""
-    _, theta_dot, _, _ = schedule_angles(t, params)
-    return float(omega_fn(t)) * M_Z + theta_dot * M_Y
 
 
 def _per_time(x) -> np.ndarray:
@@ -76,7 +63,6 @@ def dressing_transform(t: float, params: ScheduleParams) -> np.ndarray:
 def dressed_picture_hamiltonian(
     t,
     params: ScheduleParams,
-    omega_fn=None,
     g_x=None,
     omega_plus_gz=None,
 ) -> np.ndarray:
@@ -89,7 +75,7 @@ def dressed_picture_hamiltonian(
     cancellation genuinely needs them).
     """
     _, theta_dot, mu, mu_dot = schedule_angles(t, params)
-    gx_design, opz_design = correction_gains(t, params, omega_fn)
+    gx_design, opz_design = correction_gains(t, params)
     gx = gx_design if g_x is None else g_x
     opz = opz_design if omega_plus_gz is None else omega_plus_gz
     core = _per_time(opz) * M_Z + _per_time(theta_dot) * M_Y + _per_time(gx) * M_X

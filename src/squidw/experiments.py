@@ -1,4 +1,4 @@
-"""Named, reproducible experiment drivers plus generic sweep machinery.
+"""Reproduce targets, their reference checks, and the one run builder.
 
 Every run is described by a frozen `RunSpec` (flavor, coupling, noise ratios,
 variation errors, grid, stored frames) and goes through one builder,
@@ -11,24 +11,24 @@ integrates H = H_c + a(t) D_a + b(t) D_b for the whole batch in one
 propagator call (with the stacked dissipator tables for open runs). An
 effective point (the three-level model `verify` checks) has no H_c and its
 own pair of drives, and may share a batch with cavity points. Batches
-run one after another in the calling process; the drivers' `jobs` argument
-is accepted for compatibility and ignored.
-
-Every driver writes `<name>.csv` (RFC-4180, header row) and `<name>.meta.json`
-(schema-versioned) into an output directory and returns its records. Table
-drivers additionally emit `<name>_compare.csv` holding reference value,
-computed value, delta, and verdict per row. All runs are deterministic:
-identical inputs produce byte-identical files, whatever the batching.
+run one after another in the calling process; the `jobs` argument of
+run_coupling_sweep and run_reference_decoherence_table is accepted for
+compatibility and ignored. A sweep is `sweep_grid`: up to two axes over a
+base RunSpec.
 
 The bundled reference tables are the expected outcomes. `CHECKS` holds one
 `Check` per `reproduce` target plus `verify`. A target's Check holds its
-driver's plan (the RunSpecs, plus a finish step that turns their results
-into the driver's output and files) and a judge that turns that output into
-`Verdict` rows; each driver run_X runs its own plan. `reproduce all`
-gathers every plan, integrates them in one run_points call (one closed and
-one open batch), then finishes and judges target by target. The CLI prints
-the verdicts and the acceptance tests assert on them, so every reference
-check and its bound is written once, here.
+plan, which returns the target's RunSpecs and a finish step that turns their
+results into the target's output and files, and a judge that turns that
+output into `Verdict` rows. Each target writes `<name>.csv` (RFC-4180,
+header row) and `<name>.meta.json` (schema-versioned); table targets also
+write `<name>_compare.csv` with reference value, computed value, delta and
+verdict per row. Identical inputs give byte-identical files, whatever the
+batching. `reproduce all` gathers every plan, integrates them in one
+run_points call (one closed and one open batch), then finishes and judges
+target by target. The CLI prints the verdicts and the acceptance tests
+assert on them, so every reference check and its bound is written once,
+here.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -387,19 +387,6 @@ def _judge_verify(m: dict) -> list[Verdict]:
     ]
 
 
-_AXIS_NAMES = frozenset(
-    {
-        "g",
-        "kappa_over_g",
-        "gamma_over_g",
-        "gammaphi_over_g",
-        "dT_over_T",
-        "dOmega_over_Omega",
-        "dg_over_g",
-        "omega0_stirap",
-    }
-)
-
 _FLAVORS = ("dressed", "gaussian", "stirap")
 _MODES = ("rescale", "truncate")
 
@@ -449,34 +436,6 @@ class ResultRecord:
         return [d[k] for k in self.CSV_HEADER]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Up to two named axes swept over a base configuration."""
-
-    flavor: str = "gaussian"
-    g: float = 30.0
-    A: float = 0.5
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    axes: tuple = ()
-    variation: tuple = (0.0, 0.0, 0.0)
-    omega0: float | None = None
-    n_steps: int = 2000
-    mode: str = "rescale"
-
-    def __post_init__(self) -> None:
-        if self.flavor not in _FLAVORS:
-            raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if len(self.axes) > 2:
-            raise ValueError("at most two sweep axes are supported")
-        for name, values in self.axes:
-            if name not in _AXIS_NAMES:
-                raise ValueError(f"unknown axis {name!r}; choose from {sorted(_AXIS_NAMES)}")
-            if len(tuple(values)) == 0:
-                raise ValueError(f"axis {name!r} has no values")
-
-
 def build_schedule(
     flavor: str,
     params: ScheduleParams,
@@ -498,9 +457,11 @@ class RunSpec:
     """One run from |psi1>: drive, coupling, noise, errors, grid and frames.
 
     Rates are ratios to the nominal coupling g and act at the erroneous
-    coupling g (1 + delta_g). The run lasts 1 + delta_t; `mode` says how the
-    waveforms meet that duration (see run_variation_grid). master_equation
-    integrates the density matrix even when every rate is zero.
+    coupling g (1 + delta_g). The run lasts 1 + delta_t; mode="rescale"
+    re-parameterizes the waveforms by that duration, mode="truncate" keeps the
+    nominal waveforms and cuts or extends the run window (README, "Known
+    discrepancy"). master_equation integrates the density matrix even when
+    every rate is zero.
 
     An effective point runs the three-level effective model: H = a(t) D_a +
     b(t) D_b with the effective drives, no cavity (so g only labels its
@@ -554,15 +515,7 @@ class RunSpec:
                 "an effective point is closed and has no cavity: it takes no rates, "
                 "master_equation or delta_g"
             )
-
-    @classmethod
-    def from_job(cls, job: dict) -> "RunSpec":
-        """A spec from a dict of its fields; an unknown key is an error, not a default."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(job) - known)
-        if unknown:
-            raise ValueError(f"unknown run key {unknown[0]!r}; choose from {sorted(known)}")
-        return cls(**job)
+        self.noise  # raises on a coupling or rate that CouplingConfig or NoiseModel refuses
 
     @property
     def duration(self) -> float:
@@ -633,25 +586,28 @@ _AXIS_TO_KEY = {
 }
 
 
-def _sweep_specs(spec: SweepSpec) -> list[RunSpec]:
-    """The grid of a sweep, one RunSpec per point, labelled by its axis values."""
-    base = RunSpec(
-        flavor=spec.flavor,
-        g=spec.g,
-        A=spec.A,
-        kappa_over_g=spec.noise.kappa / spec.g,
-        gamma_over_g=spec.noise.gamma / spec.g,
-        gammaphi_over_g=spec.noise.gamma_phi / spec.g,
-        delta_t=spec.variation[0],
-        delta_omega=spec.variation[1],
-        delta_g=spec.variation[2],
-        omega0=spec.omega0,
-        n_steps=spec.n_steps,
-        mode=spec.mode,
-    )
+def _axis_field(name: str) -> str:
+    """The RunSpec field a sweep axis sets: name, a field a sweep may vary,
+    or the field its alias in _AXIS_TO_KEY names."""
+    key = _AXIS_TO_KEY.get(name, name)
+    if key not in _AXIS_TO_KEY.values():
+        raise ValueError(f"unknown axis {name!r}; choose from {sorted(_AXIS_TO_KEY)}")
+    return key
+
+
+def sweep_grid(base: RunSpec, axes) -> list[RunSpec]:
+    """The cartesian grid of up to two (name, values) axes on distinct fields
+    over base: one RunSpec per point, which sets each axis's _axis_field to
+    one of its values and is labelled by them."""
+    if len(axes) > 2:
+        raise ValueError("at most two sweep axes are supported")
     points = [{}]
-    for axis_name, values in spec.axes:
-        key = _AXIS_TO_KEY[axis_name]
+    for name, values in axes:
+        key = _axis_field(name)
+        if key in points[0]:
+            raise ValueError(f"axis {name!r} sets {key}, which another axis sets")
+        if len(tuple(values)) == 0:
+            raise ValueError(f"axis {name!r} has no values")
         points = [dict(p, **{key: float(v)}) for p in points for v in values]
     return [
         replace(base, label=",".join(f"{k}={v:g}" for k, v in sorted(p.items())) or "base", **p)
@@ -803,12 +759,6 @@ def _records(results) -> list[ResultRecord]:
     return [record for record, _ in results]
 
 
-def evaluate_point(job) -> ResultRecord:
-    """Run one point (a batch of one); job is a RunSpec or a dict of its fields."""
-    spec = job if isinstance(job, RunSpec) else RunSpec.from_job(job)
-    return spec.record(_run_batch([spec])[0])
-
-
 # ---------------------------------------------------------------------------
 # deterministic writers
 
@@ -894,25 +844,14 @@ def _write_trajectory(outdir, name: str, traj: Trajectory, meta: dict, label: st
 
 
 # ---------------------------------------------------------------------------
-# named drivers
+# plans
 
 
-def _sweep_meta(spec: SweepSpec) -> dict:
-    return {
-        "flavor": spec.flavor,
-        "g": spec.g,
-        "axes": [[n, [float(v) for v in vs]] for n, vs in spec.axes],
-        "n_steps": spec.n_steps,
-        "mode": spec.mode,
-    }
-
-
-# A driver is a plan, (RunSpecs, finish), with finish(results, outdir) turning
-# the run_points results of those specs into the driver's output and writing
-# its files when outdir is given. run_X runs its own plan; `reproduce all`
-# gathers every target's plan and runs them in one run_points call (see
-# CHECKS). A reproduce target plans from (n_steps, mode); one without a
-# duration error ignores mode.
+# A plan is (RunSpecs, finish), with finish(results, outdir) turning the
+# run_points results of those specs into the target's output and writing its
+# files when outdir is given. `reproduce all` gathers every target's plan and
+# runs them in one run_points call (see CHECKS). A reproduce target plans from
+# (n_steps, mode); one without a duration error ignores mode.
 
 
 def _run_plan(plan, outdir):
@@ -920,25 +859,28 @@ def _run_plan(plan, outdir):
     return finish(run_points(specs), outdir)
 
 
-def _plan_sweep(spec: SweepSpec, name: str):
+def _plan_sweep(base: RunSpec, axes, name: str):
+    """The grid of axes over base; its meta records the axis names as given."""
+    meta = {
+        "flavor": base.flavor,
+        "g": base.g,
+        "axes": [[n, [float(v) for v in vs]] for n, vs in axes],
+        "n_steps": base.n_steps,
+        "mode": base.mode,
+    }
+
     def finish(results, outdir) -> list[ResultRecord]:
         records = _records(results)
-        _emit(outdir, name, records, _sweep_meta(spec))
+        _emit(outdir, name, records, meta)
         return records
 
-    return _sweep_specs(spec), finish
-
-
-def run_sweep(spec: SweepSpec, outdir=None, jobs: int = 1, name: str = "sweep"):
-    """Expand the spec's axes into a grid and evaluate every point."""
-    return _run_plan(_plan_sweep(spec, name), outdir)
+    return sweep_grid(base, axes), finish
 
 
 def _plan_coupling_sweep(n_steps: int, mode=None, g_values=None):
     if g_values is None:
         g_values = [float(g) for g in range(1, 31)]
-    spec = SweepSpec(flavor="gaussian", axes=(("g", tuple(g_values)),), n_steps=n_steps)
-    return _plan_sweep(spec, "coupling_sweep")
+    return _plan_sweep(RunSpec(n_steps=n_steps), (("g", tuple(g_values)),), "coupling_sweep")
 
 
 def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
@@ -946,25 +888,19 @@ def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int =
     return _run_plan(_plan_coupling_sweep(n_steps, g_values=g_values), outdir)
 
 
-def _plan_population_trace(n_steps: int, mode=None, g: float = 30.0, n_frames: int = 401):
+def _plan_population_trace(n_steps: int, mode=None):
     def finish(results, outdir) -> Trajectory:
         [(_, traj)] = results
-        meta = {"flavor": "gaussian", "g": g, "n_steps": n_steps, "closed_system": True}
+        meta = {"flavor": "gaussian", "g": 30.0, "n_steps": n_steps, "closed_system": True}
         _write_trajectory(outdir, "population_trace", traj, meta)
         return traj
 
-    return [RunSpec(g=g, n_steps=n_steps, n_frames=n_frames)], finish
+    return [RunSpec(n_steps=n_steps, n_frames=401)], finish
 
 
-def run_population_trace(outdir=None, g: float = 30.0, n_steps: int = 2000, n_frames: int = 401):
-    """Basis-state populations along the headline closed-system run."""
-    return _run_plan(_plan_population_trace(n_steps, g=g, n_frames=n_frames), outdir)
-
-
-def _plan_stirap_comparison(n_steps: int, mode=None, configs=None, n_frames: int = 201):
-    if configs is None:
-        configs = [(omega0, g) for omega0, g, _, _ in STIRAP_REFERENCE] + [STIRAP_STRONG]
-    specs = [RunSpec(label="protocol_g30", g=30.0, n_steps=n_steps, n_frames=n_frames)]
+def _plan_stirap_comparison(n_steps: int, mode=None):
+    configs = [(omega0, g) for omega0, g, _, _ in STIRAP_REFERENCE] + [STIRAP_STRONG]
+    specs = [RunSpec(label="protocol_g30", g=30.0, n_steps=n_steps, n_frames=201)]
     specs += [
         RunSpec(
             label=f"stirap_{omega0:g}_{g:g}",
@@ -972,7 +908,7 @@ def _plan_stirap_comparison(n_steps: int, mode=None, configs=None, n_frames: int
             g=g,
             omega0=omega0,
             n_steps=n_steps,
-            n_frames=n_frames,
+            n_frames=201,
         )
         for omega0, g in configs
     ]
@@ -1001,11 +937,6 @@ def _plan_stirap_comparison(n_steps: int, mode=None, configs=None, n_frames: int
     return specs, finish
 
 
-def run_stirap_comparison(configs=None, outdir=None, jobs: int = 1, n_steps: int = 2000, n_frames: int = 201):
-    """Fidelity curves: the protocol at g = 30/T versus the STIRAP baseline."""
-    return _run_plan(_plan_stirap_comparison(n_steps, configs=configs, n_frames=n_frames), outdir)
-
-
 _DECOHERENCE_AXES = (
     ("kappa_over_g", tuple(np.linspace(0.0, 1.0e-2, 6))),
     ("gamma_over_g", tuple(np.linspace(0.0, 1.0e-2, 6))),
@@ -1013,14 +944,9 @@ _DECOHERENCE_AXES = (
 )
 
 
-def _plan_decoherence_grid(n_steps: int, mode=None, axes=_DECOHERENCE_AXES):
-    specs = [
-        spec
-        for axis_name, values in axes
-        for spec in _sweep_specs(
-            SweepSpec(flavor="gaussian", axes=((axis_name, tuple(values)),), n_steps=n_steps)
-        )
-    ]
+def _plan_decoherence_grid(n_steps: int, mode=None):
+    base = RunSpec(n_steps=n_steps)
+    specs = [spec for axis in _DECOHERENCE_AXES for spec in sweep_grid(base, (axis,))]
 
     def finish(results, outdir) -> list[ResultRecord]:
         records = _records(results)
@@ -1028,17 +954,15 @@ def _plan_decoherence_grid(n_steps: int, mode=None, axes=_DECOHERENCE_AXES):
             outdir,
             "decoherence_grid",
             records,
-            {"axes": [[n, [float(v) for v in vs]] for n, vs in axes], "n_steps": n_steps, "g": 30.0},
+            {
+                "axes": [[n, [float(v) for v in vs]] for n, vs in _DECOHERENCE_AXES],
+                "n_steps": n_steps,
+                "g": 30.0,
+            },
         )
         return records
 
     return specs, finish
-
-
-def run_decoherence_grid(axes=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
-    """One-dimensional decoherence scans around the closed-system baseline."""
-    axes = _DECOHERENCE_AXES if axes is None else axes
-    return _run_plan(_plan_decoherence_grid(n_steps, axes=axes), outdir)
 
 
 def _plan_decoherence_table(n_steps: int, mode=None):
@@ -1074,9 +998,11 @@ def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = 2
 _DEPHASING_VALUES = tuple(np.linspace(0.0, 1.0e-3, 6))
 
 
-def _plan_dephasing_comparison(n_steps: int, mode=None, values=_DEPHASING_VALUES):
+def _plan_dephasing_comparison(n_steps: int, mode=None):
+    """Protocol versus the strongest STIRAP baseline as dephasing grows."""
     specs = [
-        RunSpec(label=f"protocol_p{v:g}", gammaphi_over_g=v, n_steps=n_steps) for v in values
+        RunSpec(label=f"protocol_p{v:g}", gammaphi_over_g=v, n_steps=n_steps)
+        for v in _DEPHASING_VALUES
     ]
     specs += [
         RunSpec(
@@ -1087,7 +1013,7 @@ def _plan_dephasing_comparison(n_steps: int, mode=None, values=_DEPHASING_VALUES
             omega0=STIRAP_STRONG[0],
             n_steps=n_steps,
         )
-        for v in values
+        for v in _DEPHASING_VALUES
     ]
 
     def finish(results, outdir) -> list[ResultRecord]:
@@ -1097,7 +1023,7 @@ def _plan_dephasing_comparison(n_steps: int, mode=None, values=_DEPHASING_VALUES
             "dephasing_comparison",
             records,
             {
-                "gammaphi_over_g": [float(v) for v in values],
+                "gammaphi_over_g": [float(v) for v in _DEPHASING_VALUES],
                 "n_steps": n_steps,
                 "assumption": "baseline pair (omega0, g) = (50, 150)/T, the only "
                 "configuration of the comparison set that clears 0.99 when closed",
@@ -1108,23 +1034,13 @@ def _plan_dephasing_comparison(n_steps: int, mode=None, values=_DEPHASING_VALUES
     return specs, finish
 
 
-def run_dephasing_comparison(values=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
-    """Protocol versus STIRAP baseline as dephasing grows (kappa = gamma = 0).
-
-    The baseline uses (omega0, g) = (50, 150)/T, the strongest configuration
-    of the comparison set; this choice is recorded in the metadata.
-    """
-    values = _DEPHASING_VALUES if values is None else values
-    return _run_plan(_plan_dephasing_comparison(n_steps, values=values), outdir)
-
-
 _TABLE2_ROWS = tuple((dt, do, dg) for dt, do, dg, _ in TABLE2_REFERENCE)
 _TABLE2_REFS = tuple(r[3] for r in TABLE2_REFERENCE)
 
 
 def _plan_variation(n_steps: int, mode: str, rows=_TABLE2_ROWS, name="table2", refs=_TABLE2_REFS):
-    """The variation rows; finish compares them with refs (one per row)
-    unless refs is None."""
+    """Rows of signed errors on duration, amplitude and coupling; finish
+    compares them with refs (one per row) unless refs is None."""
     specs = [
         RunSpec(
             label=f"dT{dt:+g}_dO{do:+g}_dg{dg:+g}",
@@ -1152,22 +1068,6 @@ def _plan_variation(n_steps: int, mode: str, rows=_TABLE2_ROWS, name="table2", r
     return specs, finish
 
 
-def run_variation_grid(rows=None, outdir=None, jobs: int = 1, n_steps: int = 2000, mode: str = "rescale", name: str = "table2"):
-    """Fidelity under signed 10% errors on duration, amplitude, and coupling.
-
-    mode="rescale" re-parameterizes the waveforms by the erroneous duration
-    T' (the default interpretation); mode="truncate" keeps the nominal
-    waveforms and cuts or extends the run window instead. The comparison
-    against the reference rows is reported honestly: under truncate the rows
-    keep the published ranking but sit 0.012-0.026 low (0 of 8 within the
-    band); under rescale dT barely matters and 2 of 8 land in the band. See
-    the README.
-    """
-    refs = _TABLE2_REFS if rows is None else None
-    rows = _TABLE2_ROWS if rows is None else rows
-    return _run_plan(_plan_variation(n_steps, mode, rows, name, refs), outdir)
-
-
 _SCAN_DELTAS = (-0.10, -0.05, 0.0, 0.05, 0.10)
 _SCAN_ROWS = (
     tuple((d, 0.0, 0.0) for d in _SCAN_DELTAS)
@@ -1180,11 +1080,6 @@ _SCAN_ROWS = (
 def _plan_variation_scan(n_steps: int, mode: str):
     specs, finish = _plan_variation(n_steps, mode, _SCAN_ROWS, "variation_scan", None)
     return specs, lambda results, outdir: finish(results, outdir)[0]
-
-
-def run_variation_scan(outdir=None, jobs: int = 1, n_steps: int = 2000, mode: str = "rescale"):
-    """Single-axis error scans plus the sign-correlation quad at dg = 0."""
-    return _run_plan(_plan_variation_scan(n_steps, mode), outdir)
 
 
 def _plan_realistic(n_steps: int, mode=None):
@@ -1205,11 +1100,6 @@ def _plan_realistic(n_steps: int, mode=None):
         return record, comparison
 
     return [spec], finish
-
-
-def run_realistic_parameters(outdir=None, n_steps: int = 2000):
-    """Single open-system run at experimentally quoted rate ratios."""
-    return _run_plan(_plan_realistic(n_steps), outdir)
 
 
 def _effective_spec(params: ScheduleParams, n_steps: int) -> RunSpec:

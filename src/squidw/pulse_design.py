@@ -79,14 +79,14 @@ def schedule_angles(t, params: ScheduleParams) -> tuple:
     return theta, theta_dot, mu, mu_dot
 
 
-def correction_gains(t, params: ScheduleParams, omega_fn: Callable | None = None) -> tuple:
+def correction_gains(t, params: ScheduleParams) -> tuple:
     """Gains (g_x, Omega + g_z) that cancel the nonadiabatic couplings.
 
     With the auxiliary angles xi = eta = 0 the gains are g_x = mu_dot and
-    g_z = -Omega - theta_dot / tan(mu). The original amplitude Omega drops out
-    of the combination returned here; pass omega_fn to route the computation
-    through an explicit Omega and verify that invariance (it is called with
-    t as given). t is a time or an array of times; each gain has its shape.
+    g_z = -Omega - theta_dot / tan(mu), so Omega + g_z = -theta_dot / tan(mu):
+    the original amplitude Omega drops out of the drive, and the construction
+    of Baksic, Ribeiro and Clerk (PRL 116, 230503) leaves it free. t is a time
+    or an array of times; each gain has its shape.
     """
     t = _times(t, params)
     _, theta_dot, mu, mu_dot = schedule_angles(t, params)
@@ -96,11 +96,7 @@ def correction_gains(t, params: ScheduleParams, omega_fn: Callable | None = None
     inside = (t >= eps) & (t <= params.T - eps)
     ratio = np.zeros(t.shape)
     ratio[inside] = theta_dot[inside] / np.tan(mu[inside])
-    if omega_fn is None:
-        return mu_dot, -ratio
-    omega = np.asarray(omega_fn(t), dtype=float)
-    g_z = -omega - ratio
-    return mu_dot, omega + g_z
+    return mu_dot, -ratio
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,7 @@ class DressedControls:
     omega_b: float | np.ndarray
 
 
-def modified_controls(
-    t, params: ScheduleParams, omega_fn: Callable | None = None
-) -> DressedControls:
+def modified_controls(t, params: ScheduleParams) -> DressedControls:
     """Exact corrected drive at time t, or at every time of an array.
 
     Omega_tilde = hypot(g_x, Omega + g_z) and theta_tilde = theta +
@@ -126,7 +120,7 @@ def modified_controls(
     and Omega_b = Omega_tilde sin(theta_tilde) on qubit 4.
     """
     theta, _, _, _ = schedule_angles(t, params)
-    g_x, omega_plus_gz = correction_gains(t, params, omega_fn)
+    g_x, omega_plus_gz = correction_gains(t, params)
     omega_tilde = np.hypot(g_x, omega_plus_gz)
     theta_tilde = theta + np.arctan2(g_x, -omega_plus_gz)
     return DressedControls(

@@ -129,13 +129,6 @@ def drive_hamiltonian(omega) -> np.ndarray:
     return h + h.T
 
 
-def excitation_operator() -> np.ndarray:
-    """Diagonal total-excitation counter: 1 on the nine excited states, 0 on GROUND."""
-    n = np.ones(DIM, dtype=complex)
-    n[GROUND] = 0.0
-    return np.diag(n)
-
-
 def effective_hamiltonian(omega_a: float, omega_b: float) -> np.ndarray:
     """Three-level effective model embedded in the ten-state space.
 

@@ -33,11 +33,9 @@ from squidw.experiments import (
     TABLE2_REFERENCE,
     quadrant_order,
     run_coupling_sweep,
-    run_population_trace,
     run_reference_decoherence_table,
-    run_variation_grid,
-    run_variation_scan,
     variation_quadrants,
+    _run_plan,
 )
 from squidw.pulse_design import (
     ScheduleParams,
@@ -104,7 +102,7 @@ def test_criterion_02_moderate_couplings(criterion):
 
 def test_criterion_03_population_dynamics(criterion):
     p = ScheduleParams()
-    traj = run_population_trace(outdir=None, g=30.0, n_steps=2000, n_frames=401)
+    traj = _run_plan(CHECKS["fig4"].plan(2000, "rescale"), None)
     passed, detail = _judged(CHECKS["fig4"].judge(traj))
     phi0 = dark_state()
     devs, peaks = [], []
@@ -164,12 +162,12 @@ def test_criterion_08_variation_table(criterion):
     # waveforms are re-parameterized by T' and dT moves F by < 2e-4, so only
     # mode="truncate" (nominal waveforms over a cut or extended window) can be
     # the table's reading.
-    grid = run_variation_grid(outdir=None, n_steps=2000, mode="truncate")
+    grid = _run_plan(CHECKS["table2"].plan(2000, "truncate"), None)
     rows_ok, _ = _judged(CHECKS["table2"].judge(grid))
     # fallback: insensitivity to coupling errors plus the published ranking of
     # the (dT, dOmega) sign quadrants at dg = 0
     fallback_ok, fallback = _judged(
-        CHECKS["fig8"].judge(run_variation_scan(outdir=None, n_steps=2000, mode="truncate"))
+        CHECKS["fig8"].judge(_run_plan(CHECKS["fig8"].plan(2000, "truncate"), None))
     )
 
     # the ordering predicate must hold on the published values: on the dg

@@ -3,12 +3,32 @@
 import csv
 import json
 import math
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from squidw.cli import ENV_OUTDIR, RunConfig, main, parse_config_file
+from squidw import experiments
+from squidw.cli import ENV_OUTDIR, main, parse_config_file
+
+# Every config key at its default, as a config file spells it.
+DEFAULTS_CFG = """\
+flavor = gaussian
+g = 30.0
+A = 0.5
+kappa = 0.0
+gamma = 0.0
+gamma_phi = 0.0
+omega0 = 50.0
+delta_t = 0.0
+delta_omega = 0.0
+delta_g = 0.0
+n_steps = 2000
+mode = rescale
+jobs = 1
+outdir = out
+write_meta = true
+"""
 
 
 def run(args, capsys):
@@ -125,6 +145,36 @@ def test_sweep_axis_parsing(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kappa", "0.3"],
+        ["--kappa", "0.3", "--gamma", "0.1", "--gammaphi", "0.01", "--delta-g", "0.1"],
+    ],
+)
+def test_sweep_records_equal_simulate_records(tmp_path, capsys, monkeypatch, flags):
+    """Each sweep point runs what simulate runs with the same flags: absolute
+    rates become ratios at the point's own coupling g (1 + delta_g)."""
+    records = []
+    run_points = experiments.run_points
+
+    def recorded(specs):
+        results = run_points(specs)
+        records.extend(record for record, _ in results)
+        return results
+
+    monkeypatch.setattr(experiments, "run_points", recorded)
+    common = [*flags, "--steps", "400", "-o", str(tmp_path)]
+    assert run(["sweep", "--axis", "g=10,30", *common], capsys)[0] == 0
+    swept = list(records)
+    assert [r.g for r in swept] == [10.0, 30.0]
+    for point in swept:
+        records.clear()
+        assert run(["simulate", "--g", f"{point.g:g}", "--frames", "2", *common], capsys)[0] == 0
+        [alone] = records
+        assert point == replace(alone, label=point.label)
+
+
 def test_reproduce_prints_verdicts(tmp_path, capsys):
     code, out, _ = run(
         ["reproduce", "realistic", "--steps", "1000", "-o", str(tmp_path)], capsys
@@ -157,7 +207,7 @@ def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "kappa" in err
     # a full config file at the defaults is fine, as are the run-control flags
-    RunConfig().to_file(str(path))
+    path.write_text(DEFAULTS_CFG)
     code, out, _ = run(
         ["reproduce", "realistic", "--config", str(path), "--steps", "1000", "--mode", "truncate",
          "--jobs", "2", "--no-meta", "-o", str(tmp_path / "ok")],
@@ -209,7 +259,7 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
     assert not list(tmp_path.glob("pulses_*")) and not list(tmp_path.glob("*.csv"))
     # a config file at the defaults names omega0 = 50 for the gaussian flavor
-    RunConfig().to_file(str(path))
+    path.write_text(DEFAULTS_CFG)
     code, out, _ = run(["pulses", "--config", str(path), "-o", str(tmp_path / "ok")], capsys)
     assert code == 0 and (tmp_path / "ok" / "pulses_gaussian_q1.csv").exists()
     assert json.loads((tmp_path / "ok" / "pulses_gaussian.meta.json").read_text())["omega0"] is None
@@ -224,8 +274,6 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
 
 def _propagator_calls(monkeypatch) -> list:
     """(propagator name, batch size) of every propagator call the drivers make from now on."""
-    from squidw import experiments
-
     calls = []
     for name in ("propagate_schrodinger", "propagate_lindblad"):
         original = getattr(experiments, name)
@@ -245,7 +293,6 @@ def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
     one closed and one open batch. Each batch samples every distinct
     schedule once per block of RK4 nodes. CI checks that each target alone
     writes the same bytes and verdicts."""
-    from squidw import experiments
     from squidw.pulse_design import PulseSchedule
 
     calls = _propagator_calls(monkeypatch)
@@ -323,20 +370,32 @@ def test_verify_runs_three_propagator_calls(capsys, monkeypatch):
 # configuration
 
 
-def test_config_round_trip(tmp_path):
-    cfg = RunConfig(
-        command="sweep",
-        flavor="stirap",
-        g=42.5,
-        gamma_phi=1e-3,
-        n_steps=1234,
-        write_meta=False,
-        mode="truncate",
-        jobs=3,
-    )
+def test_config_round_trip(tmp_path, capsys):
+    """Text, float, int and bool config values run as their flags do; a
+    value of the wrong type is refused."""
     path = tmp_path / "run.cfg"
-    cfg.to_file(str(path))
-    assert RunConfig.from_file(str(path)) == cfg
+    path.write_text(
+        "flavor = dressed\nA = 0.4\ng = 42.5\ngamma_phi = 0.01\nn_steps = 400\n"
+        "mode = truncate\nwrite_meta = false\njobs = 3\n"
+    )
+    axis = ["--axis", "dT_over_T=-0.1"]
+    code, _, _ = run(["sweep", "--config", str(path), *axis, "-o", str(tmp_path / "file")], capsys)
+    assert code == 0
+    flags = ["--flavor", "dressed", "--A", "0.4", "--g", "42.5", "--gammaphi", "0.01"]
+    flags += ["--steps", "400", "--mode", "truncate", "--no-meta", "--jobs", "3"]
+    code, _, _ = run(["sweep", *flags, *axis, "-o", str(tmp_path / "flags")], capsys)
+    assert code == 0
+    written = (tmp_path / "file" / "sweep.csv").read_bytes()
+    assert written == (tmp_path / "flags" / "sweep.csv").read_bytes()
+    assert not list((tmp_path / "file").glob("*.meta.json"))
+    with open(tmp_path / "file" / "sweep.csv", newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["flavor"], row["g"], row["n_steps"]) == ("dressed", "42.5", "400")
+    assert float(row["gammaphi_over_g"]) == 0.01 / 42.5
+    for text, key in (("write_meta = yes\n", "write_meta"), ("n_steps = 4.5\n", "4.5")):
+        path.write_text(text)
+        code, out, err = run(["simulate", "--config", str(path), "-o", str(tmp_path)], capsys)
+        assert code == 1 and out == "" and key in err
 
 
 def test_config_file_parsing(tmp_path):
@@ -426,6 +485,8 @@ def test_unwritable_outdir_exits_one(tmp_path, capsys):
         ["simulate", "--delta-t", "-1.5"],
         ["simulate", "--steps", "50"],
         ["reproduce", "fig3", "--steps", "50"],
+        ["simulate", "--kappa", "-1"],
+        ["sweep", "--kappa", "-1", "--axis", "g=5,10"],
     ],
 )
 def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):

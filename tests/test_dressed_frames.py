@@ -11,15 +11,18 @@ from squidw.dressed_frames import (
     M_Y,
     M_Z,
     SPIN1,
-    adiabatic_hamiltonian,
     dressed_picture_hamiltonian,
     dressing_matrix,
     dressing_transform,
-    frame_isometry,
     verify_cancellation,
 )
 from squidw.pulse_design import ScheduleParams, correction_gains, schedule_angles
-from squidw.state_space import effective_hamiltonian
+from squidw.state_space import effective_eigenframe, effective_hamiltonian
+
+
+def _frame(theta):
+    """10x3 isometry whose columns are the eigenframe states (0, +, -)."""
+    return np.column_stack(effective_eigenframe(theta))
 
 
 def test_spin1_commutators():
@@ -62,7 +65,7 @@ def test_dressing_transform_endpoints_are_identity():
 
 def test_frame_isometry_orthonormal():
     for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
-        u = frame_isometry(theta)
+        u = _frame(theta)
         assert u.shape == (10, 3)
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-14
 
@@ -70,27 +73,26 @@ def test_frame_isometry_orthonormal():
 def test_eigenframe_transform_reproduces_adiabatic_hamiltonian():
     """U^dag H_eff U - i U^dag dU/dt must equal Omega M_z + theta_dot M_y."""
     p = ScheduleParams()
-    omega_fn = lambda t: 5.0 + 2.0 * math.sin(3.0 * t)
     rng = np.random.default_rng(23)
     for t in rng.uniform(0.05, 0.95, size=20):
         theta, theta_dot, _, _ = schedule_angles(t, p)
-        omega = omega_fn(t)
+        omega = 5.0 + 2.0 * math.sin(3.0 * t)  # any Omega(t)
         h_eff = effective_hamiltonian(omega * math.cos(theta), omega * math.sin(theta))
-        u = frame_isometry(theta)
+        u = _frame(theta)
         dt = 1e-6
         tp, tm = schedule_angles(t + dt, p)[0], schedule_angles(t - dt, p)[0]
-        du = (frame_isometry(tp) - frame_isometry(tm)) / (2.0 * dt)
+        du = (_frame(tp) - _frame(tm)) / (2.0 * dt)
         transformed = u.conj().T @ h_eff @ u - 1j * (u.conj().T @ du)
-        expected = adiabatic_hamiltonian(t, p, omega_fn)
+        expected = omega * M_Z + theta_dot * M_Y
         assert np.max(np.abs(transformed - expected)) < 1e-5
 
 
 def test_adiabatic_hamiltonian_spectrum():
+    """Omega M_z + theta_dot M_y has the eigenvalues 0 and +-hypot(Omega, theta_dot)."""
     p = ScheduleParams()
-    omega_fn = lambda t: 7.0
     for t in (0.2, 0.5, 0.8):
         _, theta_dot, _, _ = schedule_angles(t, p)
-        h = adiabatic_hamiltonian(t, p, omega_fn)
+        h = 7.0 * M_Z + theta_dot * M_Y
         eigs = np.sort(np.linalg.eigvalsh(h))
         gap = math.hypot(7.0, theta_dot)
         assert np.max(np.abs(eigs - np.array([-gap, 0.0, gap]))) < 1e-12

@@ -13,36 +13,38 @@ from hypothesis import strategies as st
 from single_point import one_point, sampled_once
 
 from squidw import experiments
-from squidw.dynamics import ConvergenceError, NoiseModel, fidelity, lindblad_operators
+from squidw.dynamics import ConvergenceError, fidelity, lindblad_operators
 from squidw.experiments import (
     CHECKS,
     ResultRecord,
     RunSpec,
-    SweepSpec,
     TABLE1_REFERENCE,
     TABLE2_QUADRANT_ORDER,
     TABLE2_REFERENCE,
     build_schedule,
-    evaluate_point,
-    run_dephasing_comparison,
     run_effective_model,
     run_points,
-    run_realistic_parameters,
-    run_stirap_comparison,
-    run_sweep,
-    run_variation_grid,
+    sweep_grid,
     variation_quadrants,
     _emit,
+    _plan_sweep,
+    _run_plan,
     _write_trajectory,
 )
 from squidw.pulse_design import ScheduleParams
 from squidw.state_space import PSI1, basis_state, cavity_hamiltonian, drive_hamiltonian
 
+BASE = RunSpec(n_steps=500)
 
-def _spec(**kw):
-    base = dict(flavor="gaussian", g=30.0, n_steps=500)
-    base.update(kw)
-    return SweepSpec(**base)
+
+def _sweep(axes, outdir):
+    """The records of a sweep over BASE, written to outdir."""
+    return _run_plan(_plan_sweep(BASE, axes, "sweep"), str(outdir))
+
+
+def _target(name, outdir, n_steps):
+    """A reproduce target's output under the default duration reading, written to outdir."""
+    return _run_plan(CHECKS[name].plan(n_steps, "rescale"), str(outdir))
 
 
 # ---------------------------------------------------------------------------
@@ -50,20 +52,12 @@ def _spec(**kw):
 
 
 def test_sweep_outputs_are_byte_identical(tmp_path):
-    spec = _spec(axes=(("g", (10.0, 20.0, 30.0)),))
+    axes = (("g", (10.0, 20.0, 30.0)),)
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    run_sweep(spec, str(d1), jobs=1)
-    run_sweep(spec, str(d2), jobs=1)
+    _sweep(axes, d1)
+    _sweep(axes, d2)
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
     assert (d1 / "sweep.meta.json").read_bytes() == (d2 / "sweep.meta.json").read_bytes()
-
-
-def test_parallel_sweep_matches_serial(tmp_path):
-    spec = _spec(axes=(("g", (10.0, 20.0, 30.0)),))
-    d1, d2 = tmp_path / "serial", tmp_path / "parallel"
-    run_sweep(spec, str(d1), jobs=1)
-    run_sweep(spec, str(d2), jobs=2)
-    assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
 
 
 # Closed and open points under both duration readings, at five durations and
@@ -133,8 +127,6 @@ def test_batch_composition_does_not_change_bytes(tmp_path, monkeypatch):
         assert traj.times[0] == 0.0 and traj.times[-1] == spec.duration
     _write_run(tmp_path / "batched", *zip(*batched))
     alone = [run_points([spec])[0] for spec in MIXED]
-    # evaluate_point is the same batch of one
-    assert [evaluate_point(spec) for spec in MIXED[-4:]] == [r for r, _ in alone[-4:]]
     _write_run(tmp_path / "alone", *zip(*alone))
     half = len(MIXED) // 2
     _write_run(tmp_path / "split", *zip(*(run_points(MIXED[:half]) + run_points(MIXED[half:]))))
@@ -190,19 +182,6 @@ def test_batched_point_is_bitwise_its_solo_run():
     check()
 
 
-def test_stirap_comparison_bytes_do_not_depend_on_jobs(tmp_path):
-    for jobs in (1, 2):
-        run_stirap_comparison(outdir=str(tmp_path / f"jobs{jobs}"), jobs=jobs)
-    names = sorted(p.name for p in (tmp_path / "jobs1").glob("stirap_comparison*"))
-    assert names == [
-        "stirap_comparison.csv",
-        "stirap_comparison.meta.json",
-        "stirap_comparison_final.csv",
-    ]
-    for name in names:
-        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # accuracy
 
@@ -245,8 +224,7 @@ def test_real_kernels_match_complex_reference():
 
 
 def test_csv_format(tmp_path):
-    spec = _spec(axes=(("g", (15.0,)),))
-    run_sweep(spec, str(tmp_path), jobs=1)
+    _sweep((("g", (15.0,)),), tmp_path)
     raw = (tmp_path / "sweep.csv").read_bytes()
     assert raw.count(b"\r\n") == 2  # header + one row, CRLF terminated
     with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
@@ -261,16 +239,17 @@ def test_csv_format(tmp_path):
 
 
 def test_meta_format(tmp_path):
-    spec = _spec(axes=(("g", (15.0,)),))
-    run_sweep(spec, str(tmp_path), jobs=1)
+    # the axis names are recorded as given, aliases included
+    _sweep((("g", (15.0,)), ("dT_over_T", (0.0,))), tmp_path)
     meta = json.loads((tmp_path / "sweep.meta.json").read_text())
     assert meta["schema_version"] == 1
     assert meta["driver"] == "sweep"
     assert "code_version" in meta
+    assert meta["axes"] == [["g", [15.0]], ["dT_over_T", [0.0]]]
 
 
 def test_compare_files(tmp_path):
-    _, comparison = run_realistic_parameters(outdir=str(tmp_path), n_steps=1000)
+    _, comparison = _target("realistic", tmp_path, n_steps=1000)
     assert set(comparison) >= {"label", "reference", "computed", "delta", "passed"}
     with open(tmp_path / "realistic_compare.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -304,10 +283,8 @@ def test_fidelity_monotone_in_each_noise_rate():
 
 
 def test_dephasing_hurts_more_than_cavity_loss():
-    base = dict(label="", flavor="gaussian", g=30.0, n_steps=2000)
-    f_kappa = evaluate_point(dict(base, kappa_over_g=1e-3)).fidelity
-    f_phi = evaluate_point(dict(base, gammaphi_over_g=1e-3)).fidelity
-    assert f_phi < f_kappa
+    (kappa, _), (phi, _) = run_points([RunSpec(kappa_over_g=1e-3), RunSpec(gammaphi_over_g=1e-3)])
+    assert phi.fidelity < kappa.fidelity
 
 
 def test_effective_model_shortcut_is_exact():
@@ -356,27 +333,28 @@ def test_effective_agrees_with_full_model_at_strong_coupling():
 # variation modes
 
 
+def _fidelities(*specs):
+    return [record.fidelity for record, _ in run_points(specs)]
+
+
 def test_rescale_mode_is_duration_invariant():
-    base = dict(label="", flavor="gaussian", g=30.0, n_steps=1000, mode="rescale")
-    f0 = evaluate_point(dict(base)).fidelity
-    f_short = evaluate_point(dict(base, delta_t=-0.10)).fidelity
+    base = RunSpec(n_steps=1000, mode="rescale")
+    f0, f_short = _fidelities(base, replace(base, delta_t=-0.10))
     # shapes re-parameterize with T, so a duration error is almost a no-op
     assert abs(f_short - f0) < 2e-3
 
 
 def test_truncate_mode_cuts_the_waveform():
-    base = dict(label="", flavor="gaussian", g=30.0, n_steps=1000, mode="truncate")
-    f0 = evaluate_point(dict(base)).fidelity
-    f_short = evaluate_point(dict(base, delta_t=-0.10)).fidelity
+    base = RunSpec(n_steps=1000, mode="truncate")
+    f0, f_short = _fidelities(base, replace(base, delta_t=-0.10))
     drop = f0 - f_short
     assert 1e-3 < drop < 6e-3  # cutting the last tenth costs a few parts in 1e3
 
 
-def test_variation_grid_modes_differ(tmp_path):
-    rows = ((0.10, 0.10, 0.10),)
-    rec_r, _ = run_variation_grid(rows=rows, outdir=None, n_steps=1000, mode="rescale")
-    rec_t, _ = run_variation_grid(rows=rows, outdir=None, n_steps=1000, mode="truncate")
-    assert rec_r[0].fidelity != rec_t[0].fidelity
+def test_variation_grid_modes_differ():
+    row = RunSpec(delta_t=0.10, delta_omega=0.10, delta_g=0.10, n_steps=1000)
+    f_rescale, f_truncate = _fidelities(row, replace(row, mode="truncate"))
+    assert f_rescale != f_truncate
 
 
 def test_single_axis_sensitivities_are_pinned():
@@ -432,10 +410,15 @@ def test_convergence_failure_names_the_run():
 
 
 def test_evaluate_point_validation():
-    with pytest.raises(ValueError):
-        evaluate_point(dict(label="", flavor="gaussian", g=30.0, delta_t=-1.0))
-    with pytest.raises(ValueError):
-        evaluate_point(dict(label="", flavor="gaussian", g=30.0, mode="stretch"))
+    """A RunSpec refuses settings no run can have, when it is made."""
+    with pytest.raises(ValueError, match="delta_t"):
+        RunSpec(delta_t=-1.0)
+    with pytest.raises(ValueError, match="stretch"):
+        RunSpec(mode="stretch")
+    with pytest.raises(ValueError, match="coupling g"):
+        RunSpec(g=0.0)
+    with pytest.raises(ValueError, match="kappa"):
+        RunSpec(kappa_over_g=-1e-3)
     # only the stirap flavor has a channel peak omega0
     for flavor in ("gaussian", "dressed"):
         with pytest.raises(ValueError, match="omega0"):
@@ -460,9 +443,12 @@ def test_effective_spec_rejects_settings_it_would_ignore():
 
 
 def test_evaluate_point_rejects_unknown_keys():
-    # a misspelt rate must not silently turn an open run into a closed one
+    # a misspelt rate must not silently turn an open run into a closed one,
+    # whether it names a RunSpec field or a sweep axis
+    with pytest.raises(TypeError, match="'kappa_over_G'"):
+        RunSpec(kappa_over_G=1e-2)
     with pytest.raises(ValueError, match="'kappa_over_G'"):
-        evaluate_point(dict(label="", flavor="gaussian", g=30.0, kappa_over_G=1e-2))
+        sweep_grid(BASE, (("kappa_over_G", (1e-2,)),))
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +456,25 @@ def test_evaluate_point_rejects_unknown_keys():
 
 
 def test_sweepspec_validation():
-    with pytest.raises(ValueError):
-        _spec(flavor="square")
-    with pytest.raises(ValueError):
-        _spec(mode="other")
-    with pytest.raises(ValueError):
-        _spec(axes=(("g", (1.0,)), ("g", (2.0,)), ("g", (3.0,))))
-    with pytest.raises(ValueError):
-        _spec(axes=(("voltage", (1.0,)),))
-    with pytest.raises(ValueError):
-        _spec(axes=(("g", ()),))
+    """sweep_grid refuses more than two axes, an unknown name and an empty axis."""
+    with pytest.raises(ValueError, match="flavor"):
+        replace(BASE, flavor="square")
+    with pytest.raises(ValueError, match="mode"):
+        replace(BASE, mode="other")
+    with pytest.raises(ValueError, match="at most two"):
+        sweep_grid(BASE, (("g", (1.0,)), ("g", (2.0,)), ("g", (3.0,))))
+    # a second axis on the same field would silently replace the first
+    for twice in ((("g", (1.0,)), ("g", (2.0,))), (("dT_over_T", (0.1,)), ("delta_t", (0.2,)))):
+        with pytest.raises(ValueError, match="another axis"):
+            sweep_grid(BASE, twice)
+    with pytest.raises(ValueError, match="voltage"):
+        sweep_grid(BASE, (("voltage", (1.0,)),))
+    with pytest.raises(ValueError, match="no values"):
+        sweep_grid(BASE, (("g", ()),))
+    # an alias and the RunSpec field it names set the same field
+    for name in ("dT_over_T", "delta_t"):
+        [point] = sweep_grid(BASE, ((name, (0.1,)),))
+        assert point == replace(BASE, label="delta_t=0.1", delta_t=0.1)
 
 
 def test_build_schedule_dispatch():
@@ -494,8 +489,7 @@ def test_build_schedule_dispatch():
 
 
 def test_two_axis_sweep_covers_product():
-    spec = _spec(axes=(("g", (10.0, 20.0)), ("kappa_over_g", (0.0, 1e-3))))
-    records = run_sweep(spec, None, jobs=1)
+    records = sweep_grid(BASE, (("g", (10.0, 20.0)), ("kappa_over_g", (0.0, 1e-3))))
     assert len(records) == 4
     combos = {(r.g, r.kappa_over_g) for r in records}
     assert combos == {(10.0, 0.0), (10.0, 1e-3), (20.0, 0.0), (20.0, 1e-3)}
@@ -503,23 +497,21 @@ def test_two_axis_sweep_covers_product():
 
 
 def test_stirap_comparison_curves(tmp_path):
-    records, curves = run_stirap_comparison(
-        configs=((9.8, 30.0),), outdir=str(tmp_path), n_steps=500, n_frames=21
-    )
+    records, curves = _target("fig5", tmp_path, n_steps=1000)
     labels = {r.label for r in records}
     assert "protocol_g30" in labels and "stirap_9.8_30" in labels
     assert set(curves) == labels
     traj = curves["protocol_g30"]
-    assert len(traj.times) == len(traj.fidelities) == 21
+    assert len(traj.times) == len(traj.fidelities) == 201
     assert (tmp_path / "stirap_comparison.csv").exists()
     assert (tmp_path / "stirap_comparison_final.csv").exists()
 
 
 def test_dephasing_comparison_orders_protocols(tmp_path):
-    records = run_dephasing_comparison(
-        values=(0.0, 1e-3), outdir=str(tmp_path), n_steps=1000
-    )
+    records = _target("fig7", tmp_path, n_steps=1000)
     protocol = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "gaussian"}
     stirap = {r.gammaphi_over_g: r.fidelity for r in records if r.flavor == "stirap"}
-    assert set(protocol) == set(stirap) == {0.0, 1e-3}
+    assert set(protocol) == set(stirap) and len(protocol) == 6
+    assert {0.0, 1e-3} <= set(protocol)
     assert all(protocol[v] > stirap[v] for v in protocol)
+    assert (tmp_path / "dephasing_comparison.csv").exists()

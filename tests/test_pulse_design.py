@@ -82,14 +82,14 @@ def test_midpoint_closed_forms():
 
 
 def test_correction_gains_do_not_depend_on_bare_amplitude():
+    """g_x = mu_dot and Omega + g_z = -theta_dot / tan(mu): with xi = eta = 0
+    the bare amplitude Omega cancels out of the corrected drive."""
     p = ScheduleParams()
     for t in (0.13, 0.5, 0.77):
-        direct = correction_gains(t, p)
-        via_small = correction_gains(t, p, omega_fn=lambda _: 0.37)
-        via_large = correction_gains(t, p, omega_fn=lambda _: 120.0)
-        assert direct[0] == via_small[0] == via_large[0]
-        assert direct[1] == pytest.approx(via_small[1], abs=1e-12)
-        assert direct[1] == pytest.approx(via_large[1], abs=1e-10)
+        _, theta_dot, mu, mu_dot = schedule_angles(t, p)
+        g_x, omega_plus_gz = correction_gains(t, p)
+        assert g_x == mu_dot
+        assert omega_plus_gz == pytest.approx(-theta_dot / math.tan(mu), rel=1e-14)
 
 
 def test_guard_band_suppresses_endpoint_singularity():
@@ -112,18 +112,15 @@ def test_array_controls_match_scalar_controls():
     ts = np.concatenate(
         [np.linspace(0.0, p.T, 257), [0.5 * eps, eps, p.T - eps, p.T - 0.5 * eps, p.T]]
     )
-    omega_fn = lambda t: 2.0 + np.sin(t)
     with np.errstate(all="raise"):
         angles = schedule_angles(ts, p)
         gains = correction_gains(ts, p)
-        gains_via_omega = correction_gains(ts, p, omega_fn)
         controls = modified_controls(ts, p)
         envelopes = dressed_pulses(p).envelopes(ts)
         for i, t in enumerate(ts):
             for array, scalar in (
                 (angles, schedule_angles(t, p)),
                 (gains, correction_gains(t, p)),
-                (gains_via_omega, correction_gains(t, p, omega_fn)),
             ):
                 np.testing.assert_allclose([a[i] for a in array], scalar, rtol=0, atol=1e-13)
             c = modified_controls(t, p)

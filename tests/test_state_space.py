@@ -33,9 +33,11 @@ from squidw.state_space import (
     drive_hamiltonian,
     effective_eigenframe,
     effective_hamiltonian,
-    excitation_operator,
     w_state,
 )
+
+# Total-excitation counter: 1 on the nine excited states, 0 on GROUND.
+EXCITATIONS = np.diag([1.0] * 9 + [0.0])
 
 # ---------------------------------------------------------------------------
 # full-space oracle
@@ -161,13 +163,13 @@ def test_excitation_operator_matches_full_counter():
     for k in range(_NQ):
         count += _qubit_op(k, np.diag([0.0, 1.0, 1.0]).astype(complex))
     count += _cavity_op(np.diag([0.0, 1.0]).astype(complex))
-    assert np.max(np.abs(E.T @ count @ E - excitation_operator())) < 1e-12
+    assert np.max(np.abs(E.T @ count @ E - EXCITATIONS)) < 1e-12
     h = _full_cavity_hamiltonian(4.2) + _full_drive_hamiltonian([1.0, 2.0, 3.0, 4.0])
     assert np.max(np.abs(count @ h - h @ count)) == 0.0
 
 
 def test_excitation_conserved_by_model_hamiltonians():
-    n_op = excitation_operator()
+    n_op = EXCITATIONS
     rng = np.random.default_rng(3)
     for _ in range(20):
         h = cavity_hamiltonian(CouplingConfig(g=rng.uniform(1, 50))) + drive_hamiltonian(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import experiments
-from .dynamics import ConvergenceError
+from .dynamics import MAX_FRAMES, ConvergenceError
 from .experiments import RunSpec, build_schedule
 from .pulse_design import ScheduleParams
 
@@ -121,7 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one trajectory and print F(T)")
     add_common(p_sim)
-    p_sim.add_argument("--frames", type=int, default=201, help="stored frames (default 201)")
+    p_sim.add_argument(
+        "--frames",
+        type=int,
+        help=f"stored frames, 2 to min({MAX_FRAMES}, steps + 1) (default 201, or steps + 1 if fewer)",
+    )
 
     p_sweep = sub.add_parser("sweep", help="sweep up to two named axes")
     add_common(p_sweep)
@@ -221,12 +225,13 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
 _RATES = (("kappa", "kappa_over_g"), ("gamma", "gamma_over_g"), ("gamma_phi", "gammaphi_over_g"))
 
 
-def _plan(cfg: RunConfig, axes=None, n_frames: int = 2):
+def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None):
     """simulate's one RunSpec (axes None), or sweep's grid over axes; with
     the sweep's finish step (None for simulate).
 
     The absolute rates become ratios at each spec's own coupling
-    g (1 + delta_g); a rate that is a sweep axis takes the axis values.
+    g (1 + delta_g). A setting in given (see _given) whose RunSpec field a
+    sweep axis sets is refused: the axis values would replace it.
     """
     base = RunSpec(
         flavor=cfg.flavor,
@@ -242,6 +247,10 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2):
     )
     specs, finish = ([base], None) if axes is None else experiments._plan_sweep(base, axes, "sweep")
     swept = {experiments._axis_field(name) for name, _ in axes or ()}
+    for name, source in (given or {}).items():
+        field = dict(_RATES).get(name, name)
+        if field in swept:
+            raise ValueError(f"sweep does not take {source}: a sweep axis sets {field}")
     specs = [
         replace(s, **{r: getattr(cfg, rate) / s.coupling.g for rate, r in _RATES if r not in swept})
         for s in specs
@@ -249,7 +258,12 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2):
     return specs, finish
 
 
-def _cmd_simulate(cfg: RunConfig, frames: int) -> int:
+def _cmd_simulate(cfg: RunConfig, frames: int | None) -> int:
+    most = min(MAX_FRAMES, cfg.n_steps + 1)
+    if frames is None:
+        frames = min(201, most)
+    elif not 2 <= frames <= most:
+        raise ValueError(f"--frames must be 2 to {most} at {cfg.n_steps} steps, got {frames}")
     specs, _ = _plan(cfg, n_frames=frames)
     outdir = _ensure_outdir(cfg)
     [(record, traj)] = experiments.run_points(specs)
@@ -283,8 +297,8 @@ def _parse_axis(text: str):
     return name.strip(), vals
 
 
-def _cmd_sweep(cfg: RunConfig, axis_args: list) -> int:
-    plan = _plan(cfg, tuple(_parse_axis(a) for a in axis_args))
+def _cmd_sweep(cfg: RunConfig, axis_args: list, given: dict) -> int:
+    plan = _plan(cfg, tuple(_parse_axis(a) for a in axis_args), given=given)
     outdir = _ensure_outdir(cfg)
     records = experiments._run_plan(plan, outdir)
     _strip_meta(cfg)
@@ -356,11 +370,22 @@ _USED_SETTINGS = {
 }
 
 
-def _reject_ignored(args: argparse.Namespace, cfg: RunConfig) -> None:
-    """Refuse a flag, or a config value other than the default, that the command ignores.
+def _given(args: argparse.Namespace, cfg: RunConfig) -> dict:
+    """Each setting given as a flag, or as a config value other than the
+    default, with how it was given. SQUIDW_OUT is a default for every
+    command, not a setting of one."""
+    defaults = _defaults()
+    given = {}
+    for name, flag in _SETTING_FLAGS.items():
+        if args.no_meta if name == "write_meta" else getattr(args, name, None) is not None:
+            given[name] = flag
+        elif getattr(cfg, name) != getattr(defaults, name):
+            given[name] = f"config key {name} (= {getattr(cfg, name)!r})"
+    return given
 
-    SQUIDW_OUT is a default for every command, not a setting of one.
-    """
+
+def _reject_ignored(cfg: RunConfig, given: dict) -> None:
+    """Refuse a given setting (see _given) that the command ignores."""
     ignored = {}
     if cfg.command in _USED_SETTINGS:
         used, why = _USED_SETTINGS[cfg.command]
@@ -369,16 +394,9 @@ def _reject_ignored(args: argparse.Namespace, cfg: RunConfig) -> None:
         ignored.setdefault(
             "omega0", f"--omega0 sets the stirap channel peak; flavor {cfg.flavor!r} has none"
         )
-    defaults = _defaults()
     for name, why in ignored.items():
-        flag = _SETTING_FLAGS[name]
-        given = args.no_meta if name == "write_meta" else getattr(args, name, None) is not None
-        if given:
-            raise ValueError(f"{cfg.command} does not take {flag}: {why}")
-        if getattr(cfg, name) != getattr(defaults, name):
-            raise ValueError(
-                f"{cfg.command} does not use config key {name} (= {getattr(cfg, name)!r}): {why}"
-            )
+        if name in given:
+            raise ValueError(f"{cfg.command} does not take {given[name]}: {why}")
 
 
 def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
@@ -415,13 +433,14 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         cfg = _resolve(args)
-        _reject_ignored(args, cfg)
+        given = _given(args, cfg)
+        _reject_ignored(cfg, given)
         if args.command == "pulses":
             return _cmd_pulses(cfg, args.samples)
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.frames)
         if args.command == "sweep":
-            return _cmd_sweep(cfg, args.axis)
+            return _cmd_sweep(cfg, args.axis, given)
         if args.command == "reproduce":
             return _cmd_reproduce(cfg, args.target)
         if args.command == "verify":

@@ -27,7 +27,10 @@ one real matrix M = A + B = Re rho + Im rho, which obeys
 
 for the elementwise gain table G and population scatter S of the dissipator:
 two real products per node, and every elementwise op on half the bytes of
-the complex rho. Stored frames and the final state are unpacked as
+the complex rho. A batch whose tables are all zero (no noise) or whose
+scatter is (no jumps, as with dephasing only) skips the terms it lacks; a
+term it skips adds only zeros, so the bytes are those of the full form.
+Stored frames and the final state are unpacked as
 rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
 
 RK4 advances the state in place. Each propagator call allocates its buffers
@@ -35,8 +38,9 @@ once (state, stage state, four slopes, accumulator, and the Lindblad
 scratch) and builds every view of them, the float64 views and the strided
 diagonals, before stepping, so no array is allocated inside the step loop.
 A right-hand side then writes its slope through out=: one matmul for
-Schrodinger, seven numpy calls for Lindblad. The stepper yields its live
-state buffer, and the propagators copy whatever they store.
+Schrodinger; for Lindblad three numpy calls without noise, five without
+jumps and seven with them. The stepper yields its live state buffer, and
+the propagators copy whatever they store.
 
 h_fn is a stream: the propagators call it exactly once per node, in
 increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
@@ -486,7 +490,10 @@ def propagate_lindblad(
     symmetric real part plus the antisymmetric imaginary part). For real
     symmetric H, the real symmetric gain table G and the real population
     scatter S, the master equation reads dM/dt = [H, M]^T + G o M plus
-    S diag(M) on the diagonal: two real products per RK4 stage. Stored
+    S diag(M) on the diagonal: two real products per RK4 stage. Which terms
+    the batch has is decided once, from the stacked tables: its right-hand
+    side is 3 numpy calls when G and S are zero (the commutator written
+    straight into the slope), 5 when only S is, and 7 otherwise. Stored
     frames and the final state are unpacked as (M + M^T)/2 + i (M - M^T)/2,
     so they are exactly Hermitian. Trace is checked at the end; positivity
     with eigvalsh at each point's own stored frames. Both gate the result.
@@ -506,11 +513,13 @@ def propagate_lindblad(
         raise ValueError("only single-entry jumps and real diagonal operators are supported")
     gain = np.stack([t[0] for t in tables])
     scatter = np.stack([t[1] for t in tables])
+    # The terms the batch has, decided once: a right-hand side computes only those.
+    has_gain, has_scatter = bool(gain.any()), bool(scatter.any())
 
     m = rho.real + rho.imag
     # Scratch shared by every stage: the two products and the scatter.
     hm, mh, sc = np.empty_like(m), np.empty_like(m), np.empty((len(m), DIM, 1))
-    comm_t = hm.swapaxes(1, 2)
+    comm_t, mh_t = hm.swapaxes(1, 2), mh.swapaxes(1, 2)
 
     def diagonal(a: np.ndarray) -> np.ndarray:
         """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
@@ -518,6 +527,18 @@ def propagate_lindblad(
 
     def bind(src: np.ndarray, dst: np.ndarray):
         pops, dst_diag = diagonal(src), diagonal(dst)
+
+        def noiseless(H: np.ndarray) -> None:
+            np.matmul(H, src, out=hm)
+            np.matmul(src, H, out=mh)
+            np.subtract(comm_t, mh_t, out=dst)
+
+        def jump_free(H: np.ndarray) -> None:
+            np.matmul(H, src, out=hm)
+            np.matmul(src, H, out=mh)
+            np.subtract(hm, mh, out=hm)
+            np.multiply(gain, src, out=dst)
+            np.add(dst, comm_t, out=dst)
 
         def rhs(H: np.ndarray) -> None:
             np.matmul(H, src, out=hm)
@@ -528,7 +549,7 @@ def propagate_lindblad(
             np.matmul(scatter, pops, out=sc)
             np.add(dst_diag, sc, out=dst_diag)
 
-        return rhs
+        return rhs if has_scatter else jump_free if has_gain else noiseless
 
     n = grid.n_steps
     durations = _durations(duration, len(rho))

@@ -175,6 +175,63 @@ def test_sweep_records_equal_simulate_records(tmp_path, capsys, monkeypatch, fla
         assert point == replace(alone, label=point.label)
 
 
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["--g", "5", "--axis", "g=10,20"], "--g"),
+        (["--delta-t", "0.05", "--axis", "dT_over_T=0,0.1"], "--delta-t"),
+        (["--delta-g", "0.1", "--axis", "delta_g=0,0.1"], "--delta-g"),
+        (["--kappa", "0.3", "--axis", "kappa_over_g=0,0.01"], "--kappa"),
+        (["--gammaphi", "0.1", "--axis", "g=10,20", "--axis", "gammaphi_over_g=0,0.01"],
+         "--gammaphi"),
+        (["--flavor", "stirap", "--omega0", "40", "--axis", "omega0_stirap=10,20"], "--omega0"),
+        (["--config", "{cfg}", "--axis", "g=10,20"], "config key g"),
+    ],
+)
+def test_sweep_refuses_a_setting_an_axis_sets(tmp_path, capsys, argv, source):
+    """The axis values would replace the setting, so sweep refuses it before
+    it creates the output directory."""
+    path = tmp_path / "run.cfg"
+    path.write_text("g = 5\n")
+    outdir = tmp_path / "never"
+    argv = [a.format(cfg=path) for a in argv]
+    code, out, err = run(["sweep", *argv, "--steps", "400", "-o", str(outdir)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and source in err
+    assert not outdir.exists()
+
+
+def test_sweep_takes_a_default_config_value_an_axis_sets(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(DEFAULTS_CFG)
+    code, out, _ = run(
+        ["sweep", "--config", str(path), "--axis", "g=10,20", "--axis", "kappa_over_g=0,0.01",
+         "--steps", "400", "-o", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and "4 points" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["--frames", "1000"], ["--frames", "-3"], ["--frames", "1"], ["--frames", "202"]]
+)
+def test_simulate_refuses_frames_it_cannot_store(tmp_path, capsys, argv):
+    outdir = tmp_path / "never"
+    code, out, err = run(["simulate", *argv, "--steps", "200", "-o", str(outdir)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--frames" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, rows", [(["--frames", "201"], 201), (["--steps", "100"], 101)])
+def test_simulate_stores_every_frame_it_takes(tmp_path, capsys, argv, rows):
+    """At most steps + 1 frames; without --frames, 201 or every step if fewer."""
+    code, _, _ = run(["simulate", "--g", "5", "--steps", "200", *argv, "-o", str(tmp_path)], capsys)
+    assert code == 0
+    with open(tmp_path / "simulate.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + rows
+
+
 def test_reproduce_prints_verdicts(tmp_path, capsys):
     code, out, _ = run(
         ["reproduce", "realistic", "--steps", "1000", "-o", str(tmp_path)], capsys

@@ -182,6 +182,56 @@ def test_batched_point_is_bitwise_its_solo_run():
     check()
 
 
+# Noiseless and dephasing-only density-matrix points: alone, a batch of them
+# runs the 3- or 5-call right-hand side; batched with a decaying point, the
+# general one. At 400 steps every point passes the positivity gate.
+_PARTIAL_DISSIPATOR = [
+    RunSpec(
+        flavor=flavor,
+        g=g,
+        omega0=10.0 if flavor == "stirap" else None,
+        gammaphi_over_g=rate,
+        master_equation=True,
+        n_steps=400,
+        n_frames=7,
+    )
+    for flavor in ("gaussian", "stirap", "dressed")
+    for g in (5.0, 30.0)
+    for rate in (0.0, 1e-3)
+]
+
+
+def test_partial_dissipators_are_bitwise_the_general_one():
+    """Each noiseless or dephasing-only point run alone gives the bytes it
+    gets in a batch with a decaying point, where every term is computed."""
+    decaying = RunSpec(kappa_over_g=1e-2, gamma_over_g=1e-3, n_steps=400)
+    batched = run_points(_PARTIAL_DISSIPATOR + [decaying])
+    for spec, (_, traj) in zip(_PARTIAL_DISSIPATOR, batched):
+        [(_, alone)] = run_points([spec])
+        assert traj.states.tobytes() == alone.states.tobytes(), spec
+        assert traj.final_state.tobytes() == alone.final_state.tobytes(), spec
+        assert traj.fidelities.tobytes() == alone.fidelities.tobytes(), spec
+        assert traj.drift == alone.drift, spec
+        assert traj.min_eigenvalue == alone.min_eigenvalue, spec
+
+
+def test_noiseless_dissipator_matches_complex_reference():
+    spec = _PARTIAL_DISSIPATOR[0]
+    [(record, traj)] = run_points([spec])
+    hc = cavity_hamiltonian(spec.coupling)
+    schedule = spec.schedule()
+
+    def h_of_t(t):
+        return hc + drive_hamiltonian(schedule.qubit_amplitudes(t))
+
+    psi1 = basis_state(PSI1)
+    final = reference_kernels.lindblad_final(
+        h_of_t, lindblad_operators(spec.noise), np.outer(psi1, psi1), spec.n_steps, spec.duration
+    )
+    assert np.max(np.abs(traj.final_state - final)) <= 1e-12
+    assert abs(record.fidelity - fidelity(final)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # accuracy
 

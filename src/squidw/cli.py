@@ -17,15 +17,15 @@ file, then flags (flags win). Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import experiments
-from .dynamics import MAX_FRAMES, ConvergenceError
+from .dynamics import MAX_FRAMES, ConvergenceError, fidelity
 from .experiments import RunSpec, build_schedule
 from .pulse_design import ScheduleParams
 
@@ -186,11 +186,11 @@ def _ensure_outdir(cfg: RunConfig) -> str:
     return cfg.outdir
 
 
-def _strip_meta(cfg: RunConfig) -> None:
-    if cfg.write_meta:
-        return
-    for path in glob.glob(os.path.join(cfg.outdir, "*.meta.json")):
-        os.remove(path)
+def _strip_meta(cfg: RunConfig, plans) -> None:
+    """Under --no-meta, remove the sidecar each of these plans wrote, and no other file."""
+    if not cfg.write_meta:
+        for plan in plans:
+            os.remove(os.path.join(cfg.outdir, f"{plan.name}.meta.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +210,12 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
         path = os.path.join(outdir, f"pulses_{cfg.flavor}_q{k + 1}.csv")
         experiments.write_csv(path, ("t", f"{cfg.flavor}_qubit{k + 1}"), zip(ts, amps[k]))
         paths.append(path)
-    experiments.write_meta(
-        os.path.join(outdir, f"pulses_{cfg.flavor}.meta.json"),
-        "pulses",
-        {"flavor": cfg.flavor, "samples": samples, "omega0": omega0, "A": cfg.A},
-    )
-    _strip_meta(cfg)
+    if cfg.write_meta:
+        experiments.write_meta(
+            os.path.join(outdir, f"pulses_{cfg.flavor}.meta.json"),
+            "pulses",
+            {"flavor": cfg.flavor, "samples": samples, "omega0": omega0, "A": cfg.A},
+        )
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -223,11 +223,15 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
 
 # simulate and sweep take absolute rates; a RunSpec holds them as ratios to g.
 _RATES = (("kappa", "kappa_over_g"), ("gamma", "gamma_over_g"), ("gamma_phi", "gammaphi_over_g"))
+# The settings simulate and sweep record in their meta, with omega0 and the
+# frame count (simulate) or the axes as given (sweep).
+_META_SETTINGS = ("flavor", "g", "A", "kappa", "gamma", "gamma_phi", "delta_t", "delta_omega",
+                  "delta_g", "mode", "n_steps")
 
 
-def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None):
-    """simulate's one RunSpec (axes None), or sweep's grid over axes; with
-    the sweep's finish step (None for simulate).
+def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experiments.Plan:
+    """simulate's plan, one trajectory (axes None), or sweep's, the records
+    of the grid over axes.
 
     The absolute rates become ratios at each spec's own coupling
     g (1 + delta_g). A setting in given (see _given) whose RunSpec field a
@@ -245,7 +249,6 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None):
         mode=cfg.mode,
         n_frames=n_frames,
     )
-    specs, finish = ([base], None) if axes is None else experiments._plan_sweep(base, axes, "sweep")
     swept = {experiments._axis_field(name) for name, _ in axes or ()}
     for name, source in (given or {}).items():
         field = dict(_RATES).get(name, name)
@@ -253,9 +256,12 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None):
             raise ValueError(f"sweep does not take {source}: a sweep axis sets {field}")
     specs = [
         replace(s, **{r: getattr(cfg, rate) / s.coupling.g for rate, r in _RATES if r not in swept})
-        for s in specs
+        for s in ([base] if axes is None else experiments.sweep_grid(base, axes))
     ]
-    return specs, finish
+    meta = {name: getattr(cfg, name) for name in _META_SETTINGS} | {"omega0": base.omega0}
+    if axes is None:
+        return experiments._plan_trace("simulate", specs[0], meta | {"n_frames": n_frames})
+    return experiments._plan_records("sweep", specs, meta | {"axes": experiments._axes_meta(axes)})
 
 
 def _cmd_simulate(cfg: RunConfig, frames: int | None) -> int:
@@ -264,24 +270,11 @@ def _cmd_simulate(cfg: RunConfig, frames: int | None) -> int:
         frames = min(201, most)
     elif not 2 <= frames <= most:
         raise ValueError(f"--frames must be 2 to {most} at {cfg.n_steps} steps, got {frames}")
-    specs, _ = _plan(cfg, n_frames=frames)
+    plan = _plan(cfg, n_frames=frames)
     outdir = _ensure_outdir(cfg)
-    [(record, traj)] = experiments.run_points(specs)
-    experiments._write_trajectory(
-        outdir,
-        "simulate",
-        traj,
-        {
-            "flavor": cfg.flavor,
-            "g": cfg.g,
-            "kappa": cfg.kappa,
-            "gamma": cfg.gamma,
-            "gamma_phi": cfg.gamma_phi,
-            "n_steps": cfg.n_steps,
-        },
-    )
-    _strip_meta(cfg)
-    print(f"F(T) = {record.fidelity:.6f}")
+    traj = experiments._run_plan(plan, outdir)
+    _strip_meta(cfg, [plan])
+    print(f"F(T) = {fidelity(traj.final_state):.6f}")
     print(f"drift = {traj.drift:.3e}, wrote {os.path.join(outdir, 'simulate.csv')}")
     return 0
 
@@ -301,7 +294,7 @@ def _cmd_sweep(cfg: RunConfig, axis_args: list, given: dict) -> int:
     plan = _plan(cfg, tuple(_parse_axis(a) for a in axis_args), given=given)
     outdir = _ensure_outdir(cfg)
     records = experiments._run_plan(plan, outdir)
-    _strip_meta(cfg)
+    _strip_meta(cfg, [plan])
     print(f"{len(records)} points, wrote {os.path.join(outdir, 'sweep.csv')}")
     return 0
 
@@ -405,13 +398,9 @@ def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
     targets = list(_REPRODUCERS) if target == "all" else [target]
     plans = [experiments.CHECKS[name].plan(cfg.n_steps, cfg.mode) for name in targets]
     outdir = _ensure_outdir(cfg)
-    results = experiments.run_points([spec for specs, _ in plans for spec in specs])
-    verdicts = []
-    start = 0
-    for name, (specs, finish) in zip(targets, plans):
-        verdicts.extend(_REPRODUCERS[name](finish, results[start : start + len(specs)], outdir))
-        start += len(specs)
-    _strip_meta(cfg)
+    judged = [p._replace(finish=partial(_REPRODUCERS[n], p.finish)) for n, p in zip(targets, plans)]
+    verdicts = [v for passed in experiments._run_plans(judged, outdir) for v in passed]
+    _strip_meta(cfg, plans)
     passed = sum(1 for v in verdicts if v)
     print(f"{passed} of {len(verdicts)} reference checks pass")
     return 0

@@ -16,19 +16,25 @@ run_coupling_sweep and run_reference_decoherence_table is accepted for
 compatibility and ignored. A sweep is `sweep_grid`: up to two axes over a
 base RunSpec.
 
+Every reproduce target, `simulate` and `sweep` run a `Plan`: its name, its
+RunSpecs and a finish step that turns their results into the output and
+files. Two builders make
+every plan but fig5's: `_plan_records` writes `<name>.csv` of the
+ResultRecords (RFC-4180, header row) and `<name>.meta.json`
+(schema-versioned), and with reference fidelities also `<name>_compare.csv`
+with reference value, computed value, delta and verdict per row;
+`_plan_trace` writes one run's stored frames. Every file goes through one
+writer, `_write`. Identical inputs give byte-identical files, whatever the
+batching.
+
 The bundled reference tables are the expected outcomes. `CHECKS` holds one
-`Check` per `reproduce` target plus `verify`. A target's Check holds its
-plan, which returns the target's RunSpecs and a finish step that turns their
-results into the target's output and files, and a judge that turns that
-output into `Verdict` rows. Each target writes `<name>.csv` (RFC-4180,
-header row) and `<name>.meta.json` (schema-versioned); table targets also
-write `<name>_compare.csv` with reference value, computed value, delta and
-verdict per row. Identical inputs give byte-identical files, whatever the
-batching. `reproduce all` gathers every plan, integrates them in one
-run_points call (one closed and one open batch), then finishes and judges
-target by target. The CLI prints the verdicts and the acceptance tests
-assert on them, so every reference check and its bound is written once,
-here.
+`Check` per `reproduce` target plus `verify`: the target's plan and a judge
+that turns the plan's output into `Verdict` rows. Every "F within tol of
+reference" verdict comes from one `_compare`/`_compared` pair. `reproduce
+all` gathers every plan, integrates them in one run_points call (one closed
+and one open batch), then finishes and judges target by target. The CLI
+prints the verdicts and the acceptance tests assert on them, so every
+reference check and its bound is written once, here.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -182,15 +189,23 @@ class Verdict(NamedTuple):
     known_discrepancy: bool = False
 
 
+class Plan(NamedTuple):
+    """A command's runs: finish(results, outdir) turns the run_points results
+    of specs into the command's output, writing its files when outdir is
+    given; the one sidecar it writes is `<name>.meta.json`."""
+
+    name: str
+    specs: list
+    finish: Callable
+
+
 class Check(NamedTuple):
     """A reproduce target: its plan, its judge, and the note its known
     discrepancy prints.
 
-    plan(n_steps, mode) returns the target's RunSpecs and its finish step;
-    finish(results, outdir) turns their run_points results into the driver's
-    output (writing its files when outdir is given); judge(output) turns that
-    output into verdicts. Planning apart from running lets `reproduce all`
-    integrate every target's points in one run_points call.
+    plan(n_steps, mode) returns the target's Plan; judge(output) turns the
+    plan's output into verdicts. Planning apart from running lets `reproduce
+    all` integrate every target's points in one run_points call.
     """
 
     plan: Callable
@@ -207,14 +222,31 @@ class Check(NamedTuple):
         return self.note if shown else ""
 
 
+def _compare(label: str, reference: float, computed: float, tol: float) -> dict:
+    delta = computed - reference
+    return {
+        "label": label,
+        "reference": reference,
+        "computed": computed,
+        "delta": delta,
+        "tolerance": tol,
+        "passed": bool(abs(delta) <= tol),
+    }
+
+
 def _compared(label: str, c: dict, known_discrepancy: bool = False) -> Verdict:
-    """A verdict from a driver's reference comparison (see _compare)."""
+    """The verdict of a reference comparison (see _compare)."""
     return Verdict(
         label,
         c["passed"],
         f"F={c['computed']:.4f}, reference {c['reference']}+-{c['tolerance']}",
         known_discrepancy,
     )
+
+
+def _judge_compared(prefix: str, known_discrepancy: bool = False) -> Callable:
+    """The judge of a (records, comparisons) output: one verdict per comparison."""
+    return lambda output: [_compared(prefix + c["label"], c, known_discrepancy) for c in output[1]]
 
 
 def _judge_fig3(records) -> list[Verdict]:
@@ -249,14 +281,8 @@ def _judge_fig5(output) -> list[Verdict]:
     protocol = f["protocol_g30"]
     out = []
     for omega0, g, ref, tol in STIRAP_REFERENCE:
-        fid = f[f"stirap_{omega0:g}_{g:g}"]
-        out.append(
-            Verdict(
-                f"fig5 stirap ({omega0:g},{g:g})",
-                abs(fid - ref) <= tol,
-                f"F={fid:.4f}, reference {ref}+-{tol}",
-            )
-        )
+        label = f"stirap_{omega0:g}_{g:g}"
+        out.append(_compared(f"fig5 stirap ({omega0:g},{g:g})", _compare(label, ref, f[label], tol)))
     omega0, g = STIRAP_STRONG
     strong = f[f"stirap_{omega0:g}_{g:g}"]
     out.append(
@@ -301,13 +327,7 @@ def _judge_fig7(records) -> list[Verdict]:
     out = []
     for name, curve in (("protocol", protocol), ("stirap", stirap)):
         ref, tol = DEPHASING_REFERENCE[name]
-        out.append(
-            Verdict(
-                f"fig7 {name} at 1e-3",
-                abs(curve[top] - ref) <= tol,
-                f"F={curve[top]:.4f}, reference {ref}+-{tol}",
-            )
-        )
+        out.append(_compared(f"fig7 {name} at 1e-3", _compare(name, ref, curve[top], tol)))
     out.append(
         Verdict(
             "fig7 ordering",
@@ -341,18 +361,6 @@ def _judge_fig8(records) -> list[Verdict]:
             known_discrepancy=True,
         ),
     ]
-
-
-def _judge_table1(output) -> list[Verdict]:
-    return [_compared(f"table1 {c['label']}", c) for c in output[1]]
-
-
-def _judge_table2(output) -> list[Verdict]:
-    return [_compared(f"table2 {c['label']}", c, True) for c in output[1]]
-
-
-def _judge_realistic(output) -> list[Verdict]:
-    return [_compared("realistic", output[1])]
 
 
 def _judge_verify(m: dict) -> list[Verdict]:
@@ -412,28 +420,9 @@ class ResultRecord:
     min_eigenvalue: float | None
     code_version: str = CODE_VERSION
 
-    CSV_HEADER = (
-        "label",
-        "flavor",
-        "g",
-        "kappa_over_g",
-        "gamma_over_g",
-        "gammaphi_over_g",
-        "delta_t",
-        "delta_omega",
-        "delta_g",
-        "omega0",
-        "n_steps",
-        "duration",
-        "fidelity",
-        "drift",
-        "min_eigenvalue",
-        "code_version",
-    )
 
-    def row(self) -> list:
-        d = asdict(self)
-        return [d[k] for k in self.CSV_HEADER]
+# The CSV columns are the fields in order; a record's row is its astuple.
+ResultRecord.CSV_HEADER = tuple(f.name for f in fields(ResultRecord))
 
 
 def build_schedule(
@@ -554,20 +543,10 @@ class RunSpec:
         return (self.flavor, self.A, self.omega0, self.mode, self.delta_t, self.delta_omega)
 
     def record(self, traj: Trajectory) -> ResultRecord:
-        """The CSV row of this run, from its one-point trajectory."""
+        """The CSV row of this run, from its one-point trajectory: the fields
+        it shares with ResultRecord by name, and the outcome."""
         return ResultRecord(
-            label=self.label,
-            flavor=self.flavor,
-            g=self.g,
-            kappa_over_g=self.kappa_over_g,
-            gamma_over_g=self.gamma_over_g,
-            gammaphi_over_g=self.gammaphi_over_g,
-            delta_t=self.delta_t,
-            delta_omega=self.delta_omega,
-            delta_g=self.delta_g,
-            omega0=self.omega0,
-            n_steps=self.n_steps,
-            duration=self.duration,
+            **{k: getattr(self, k) for k in ResultRecord.CSV_HEADER if hasattr(self, k)},
             fidelity=fidelity(traj.final_state),
             drift=traj.drift,
             min_eigenvalue=traj.min_eigenvalue,
@@ -755,10 +734,6 @@ def run_points(specs) -> list[tuple[ResultRecord, Trajectory]]:
     return [(s.record(trajectories[key]), trajectories[key]) for s, key in zip(specs, keys)]
 
 
-def _records(results) -> list[ResultRecord]:
-    return [record for record, _ in results]
-
-
 # ---------------------------------------------------------------------------
 # deterministic writers
 
@@ -791,96 +766,90 @@ def write_meta(path, name: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _emit(outdir, name: str, records: list[ResultRecord], meta: dict) -> None:
+def _write(outdir, name: str, header, rows, meta: dict | None = None) -> None:
+    """<name>.csv in outdir, and its <name>.meta.json sidecar when meta is
+    given; nothing when outdir is None."""
     if outdir is None:
         return
     os.makedirs(outdir, exist_ok=True)
-    write_csv(
-        os.path.join(outdir, f"{name}.csv"),
-        ResultRecord.CSV_HEADER,
-        [r.row() for r in records],
-    )
-    write_meta(os.path.join(outdir, f"{name}.meta.json"), name, meta)
+    write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
+    if meta is not None:
+        write_meta(os.path.join(outdir, f"{name}.meta.json"), name, meta)
 
 
 COMPARE_HEADER = ("label", "reference", "computed", "delta", "status")
-
-
-def _emit_compare(outdir, name: str, comparisons: list[dict]) -> None:
-    if outdir is None:
-        return
-    write_csv(
-        os.path.join(outdir, f"{name}_compare.csv"),
-        COMPARE_HEADER,
-        [
-            (c["label"], c["reference"], c["computed"], c["delta"], "pass" if c["passed"] else "FAIL")
-            for c in comparisons
-        ],
-    )
-
-
-def _compare(label: str, reference: float, computed: float, tol: float) -> dict:
-    delta = computed - reference
-    return {
-        "label": label,
-        "reference": reference,
-        "computed": computed,
-        "delta": delta,
-        "tolerance": tol,
-        "passed": bool(abs(delta) <= tol),
-    }
-
-
-def _write_trajectory(outdir, name: str, traj: Trajectory, meta: dict, label: str = "") -> None:
-    if outdir is None:
-        return
-    os.makedirs(outdir, exist_ok=True)
-    header = ("t", "fidelity") + tuple(f"P{i}" for i in range(1, 10)) + ("PG",)
-    rows = [
-        (traj.times[i], traj.fidelities[i], *traj.populations[i]) for i in range(len(traj.times))
-    ]
-    write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
-    write_meta(os.path.join(outdir, f"{name}.meta.json"), name, meta)
+TRACE_HEADER = ("t", "fidelity") + tuple(f"P{i}" for i in range(1, 10)) + ("PG",)
 
 
 # ---------------------------------------------------------------------------
 # plans
 
 
-# A plan is (RunSpecs, finish), with finish(results, outdir) turning the
-# run_points results of those specs into the target's output and writing its
-# files when outdir is given. `reproduce all` gathers every target's plan and
-# runs them in one run_points call (see CHECKS). A reproduce target plans from
-# (n_steps, mode); one without a duration error ignores mode.
+def _run_plans(plans, outdir) -> list:
+    """Integrate every plan's specs in one run_points call, then finish the
+    plans in order; one output per plan."""
+    results = iter(run_points([spec for plan in plans for spec in plan.specs]))
+    return [plan.finish(list(islice(results, len(plan.specs))), outdir) for plan in plans]
 
 
-def _run_plan(plan, outdir):
-    specs, finish = plan
-    return finish(run_points(specs), outdir)
+def _run_plan(plan: Plan, outdir):
+    [output] = _run_plans([plan], outdir)
+    return output
 
 
-def _plan_sweep(base: RunSpec, axes, name: str):
-    """The grid of axes over base; its meta records the axis names as given."""
-    meta = {
-        "flavor": base.flavor,
-        "g": base.g,
-        "axes": [[n, [float(v) for v in vs]] for n, vs in axes],
-        "n_steps": base.n_steps,
-        "mode": base.mode,
-    }
+def _plan_records(name: str, specs, meta: dict, refs=None) -> Plan:
+    """specs, finished as <name>.csv of their records with meta; with refs
+    (one reference fidelity per spec) also as <name>_compare.csv of their
+    comparisons. The output is the records, or (records, comparisons)."""
 
-    def finish(results, outdir) -> list[ResultRecord]:
-        records = _records(results)
-        _emit(outdir, name, records, meta)
-        return records
+    def finish(results, outdir):
+        records = [record for record, _ in results]
+        _write(outdir, name, ResultRecord.CSV_HEADER, map(astuple, records), meta)
+        if refs is None:
+            return records
+        comparisons = [
+            _compare(r.label, ref, r.fidelity, FIDELITY_TOLERANCE) for r, ref in zip(records, refs)
+        ]
+        rows = [
+            (c["label"], c["reference"], c["computed"], c["delta"], "pass" if c["passed"] else "FAIL")
+            for c in comparisons
+        ]
+        _write(outdir, f"{name}_compare", COMPARE_HEADER, rows)
+        return records, comparisons
 
-    return sweep_grid(base, axes), finish
+    return Plan(name, specs, finish)
+
+
+def _plan_trace(name: str, spec: RunSpec, meta: dict) -> Plan:
+    """One spec, finished as <name>.csv of its stored frames (time, fidelity,
+    populations) with meta. The output is its trajectory."""
+
+    def finish(results, outdir) -> Trajectory:
+        [(_, traj)] = results
+        _write(outdir, name, TRACE_HEADER, zip(traj.times, traj.fidelities, *traj.populations.T), meta)
+        return traj
+
+    return Plan(name, [spec], finish)
+
+
+def _axes_meta(axes) -> list:
+    """Sweep axes as a meta records them: each name as given, its values as floats."""
+    return [[n, [float(v) for v in vs]] for n, vs in axes]
+
+
+# A reproduce target plans from (n_steps, mode); one without a duration
+# error ignores mode. `reproduce all` gathers every target's plan and runs
+# them in one run_points call (see CHECKS).
 
 
 def _plan_coupling_sweep(n_steps: int, mode=None, g_values=None):
     if g_values is None:
         g_values = [float(g) for g in range(1, 31)]
-    return _plan_sweep(RunSpec(n_steps=n_steps), (("g", tuple(g_values)),), "coupling_sweep")
+    axes = (("g", tuple(g_values)),)
+    base = RunSpec(n_steps=n_steps)
+    meta = {"flavor": base.flavor, "g": base.g, "axes": _axes_meta(axes), "n_steps": n_steps,
+            "mode": base.mode}
+    return _plan_records("coupling_sweep", sweep_grid(base, axes), meta)
 
 
 def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
@@ -889,13 +858,8 @@ def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int =
 
 
 def _plan_population_trace(n_steps: int, mode=None):
-    def finish(results, outdir) -> Trajectory:
-        [(_, traj)] = results
-        meta = {"flavor": "gaussian", "g": 30.0, "n_steps": n_steps, "closed_system": True}
-        _write_trajectory(outdir, "population_trace", traj, meta)
-        return traj
-
-    return [RunSpec(n_steps=n_steps, n_frames=401)], finish
+    meta = {"flavor": "gaussian", "g": 30.0, "n_steps": n_steps, "closed_system": True}
+    return _plan_trace("population_trace", RunSpec(n_steps=n_steps, n_frames=401), meta)
 
 
 def _plan_stirap_comparison(n_steps: int, mode=None):
@@ -912,29 +876,19 @@ def _plan_stirap_comparison(n_steps: int, mode=None):
         )
         for omega0, g in configs
     ]
+    meta = {"configs": [[s.omega0, s.g] for s in specs[1:]], "n_steps": n_steps}
 
     def finish(results, outdir):
-        records = _records(results)
+        records = [record for record, _ in results]
         curves: dict[str, Trajectory] = {record.label: traj for record, traj in results}
-        if outdir is not None:
-            os.makedirs(outdir, exist_ok=True)
-            rows = []
-            for label, traj in curves.items():
-                rows.extend((label, traj.times[i], traj.fidelities[i]) for i in range(len(traj.times)))
-            write_csv(os.path.join(outdir, "stirap_comparison.csv"), ("label", "t", "fidelity"), rows)
-            write_meta(
-                os.path.join(outdir, "stirap_comparison.meta.json"),
-                "stirap_comparison",
-                {"configs": [[r.omega0, r.g] for r in records[1:]], "n_steps": n_steps},
-            )
-            write_csv(
-                os.path.join(outdir, "stirap_comparison_final.csv"),
-                ResultRecord.CSV_HEADER,
-                [r.row() for r in records],
-            )
+        rows = [
+            (label, t, f) for label, traj in curves.items() for t, f in zip(traj.times, traj.fidelities)
+        ]
+        _write(outdir, "stirap_comparison", ("label", "t", "fidelity"), rows, meta)
+        _write(outdir, "stirap_comparison_final", ResultRecord.CSV_HEADER, map(astuple, records))
         return records, curves
 
-    return specs, finish
+    return Plan("stirap_comparison", specs, finish)
 
 
 _DECOHERENCE_AXES = (
@@ -946,23 +900,11 @@ _DECOHERENCE_AXES = (
 
 def _plan_decoherence_grid(n_steps: int, mode=None):
     base = RunSpec(n_steps=n_steps)
-    specs = [spec for axis in _DECOHERENCE_AXES for spec in sweep_grid(base, (axis,))]
-
-    def finish(results, outdir) -> list[ResultRecord]:
-        records = _records(results)
-        _emit(
-            outdir,
-            "decoherence_grid",
-            records,
-            {
-                "axes": [[n, [float(v) for v in vs]] for n, vs in _DECOHERENCE_AXES],
-                "n_steps": n_steps,
-                "g": 30.0,
-            },
-        )
-        return records
-
-    return specs, finish
+    return _plan_records(
+        "decoherence_grid",
+        [spec for axis in _DECOHERENCE_AXES for spec in sweep_grid(base, (axis,))],
+        {"axes": _axes_meta(_DECOHERENCE_AXES), "n_steps": n_steps, "g": 30.0},
+    )
 
 
 def _plan_decoherence_table(n_steps: int, mode=None):
@@ -976,18 +918,8 @@ def _plan_decoherence_table(n_steps: int, mode=None):
         )
         for kog, gog, pog, _ in TABLE1_REFERENCE
     ]
-
-    def finish(results, outdir):
-        records = _records(results)
-        comparisons = [
-            _compare(rec.label, ref[3], rec.fidelity, FIDELITY_TOLERANCE)
-            for rec, ref in zip(records, TABLE1_REFERENCE)
-        ]
-        _emit(outdir, "table1", records, {"rows": len(records), "g": 30.0, "n_steps": n_steps})
-        _emit_compare(outdir, "table1", comparisons)
-        return records, comparisons
-
-    return specs, finish
+    meta = {"rows": len(specs), "g": 30.0, "n_steps": n_steps}
+    return _plan_records("table1", specs, meta, [row[3] for row in TABLE1_REFERENCE])
 
 
 def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = 2000):
@@ -1015,32 +947,18 @@ def _plan_dephasing_comparison(n_steps: int, mode=None):
         )
         for v in _DEPHASING_VALUES
     ]
-
-    def finish(results, outdir) -> list[ResultRecord]:
-        records = _records(results)
-        _emit(
-            outdir,
-            "dephasing_comparison",
-            records,
-            {
-                "gammaphi_over_g": [float(v) for v in _DEPHASING_VALUES],
-                "n_steps": n_steps,
-                "assumption": "baseline pair (omega0, g) = (50, 150)/T, the only "
-                "configuration of the comparison set that clears 0.99 when closed",
-            },
-        )
-        return records
-
-    return specs, finish
+    meta = {
+        "gammaphi_over_g": [float(v) for v in _DEPHASING_VALUES],
+        "n_steps": n_steps,
+        "assumption": "baseline pair (omega0, g) = (50, 150)/T, the only "
+        "configuration of the comparison set that clears 0.99 when closed",
+    }
+    return _plan_records("dephasing_comparison", specs, meta)
 
 
-_TABLE2_ROWS = tuple((dt, do, dg) for dt, do, dg, _ in TABLE2_REFERENCE)
-_TABLE2_REFS = tuple(r[3] for r in TABLE2_REFERENCE)
-
-
-def _plan_variation(n_steps: int, mode: str, rows=_TABLE2_ROWS, name="table2", refs=_TABLE2_REFS):
-    """Rows of signed errors on duration, amplitude and coupling; finish
-    compares them with refs (one per row) unless refs is None."""
+def _plan_variation(n_steps: int, mode: str, rows=TABLE2_REFERENCE, name="table2"):
+    """Rows of signed errors on duration, amplitude and coupling, (dT,
+    dOmega, dg), or (dT, dOmega, dg, F) to compare each with a reference F."""
     specs = [
         RunSpec(
             label=f"dT{dt:+g}_dO{do:+g}_dg{dg:+g}",
@@ -1050,22 +968,11 @@ def _plan_variation(n_steps: int, mode: str, rows=_TABLE2_ROWS, name="table2", r
             n_steps=n_steps,
             mode=mode,
         )
-        for dt, do, dg in rows
+        for dt, do, dg, *_ in rows
     ]
-
-    def finish(results, outdir):
-        records = _records(results)
-        comparisons = None
-        if refs is not None:
-            comparisons = [
-                _compare(rec.label, ref, rec.fidelity, FIDELITY_TOLERANCE)
-                for rec, ref in zip(records, refs)
-            ]
-            _emit_compare(outdir, name, comparisons)
-        _emit(outdir, name, records, {"mode": mode, "rows": len(records), "n_steps": n_steps})
-        return records, comparisons
-
-    return specs, finish
+    meta = {"mode": mode, "rows": len(specs), "n_steps": n_steps}
+    refs = [row[3] for row in rows] if len(rows[0]) > 3 else None
+    return _plan_records(name, specs, meta, refs)
 
 
 _SCAN_DELTAS = (-0.10, -0.05, 0.0, 0.05, 0.10)
@@ -1078,8 +985,7 @@ _SCAN_ROWS = (
 
 
 def _plan_variation_scan(n_steps: int, mode: str):
-    specs, finish = _plan_variation(n_steps, mode, _SCAN_ROWS, "variation_scan", None)
-    return specs, lambda results, outdir: finish(results, outdir)[0]
+    return _plan_variation(n_steps, mode, _SCAN_ROWS, "variation_scan")
 
 
 def _plan_realistic(n_steps: int, mode=None):
@@ -1091,15 +997,8 @@ def _plan_realistic(n_steps: int, mode=None):
         gammaphi_over_g=pog,
         n_steps=n_steps,
     )
-
-    def finish(results, outdir):
-        [(record, _)] = results
-        comparison = _compare("realistic", REALISTIC_REFERENCE, record.fidelity, FIDELITY_TOLERANCE)
-        _emit(outdir, "realistic", [record], {"ratios": list(REALISTIC_RATIOS), "n_steps": n_steps})
-        _emit_compare(outdir, "realistic", [comparison])
-        return record, comparison
-
-    return [spec], finish
+    meta = {"ratios": list(REALISTIC_RATIOS), "n_steps": n_steps}
+    return _plan_records("realistic", [spec], meta, [REALISTIC_REFERENCE])
 
 
 def _effective_spec(params: ScheduleParams, n_steps: int) -> RunSpec:
@@ -1148,7 +1047,8 @@ def _measure_verify(g: float, A: float, n_steps: int) -> dict:
 
     The effective model and the zero-noise Schrodinger/Lindblad pair run in
     one run_points call (one closed batch of two at the default steps, and
-    one open batch); the integrator oracle is one more propagator call.
+    one open batch). The integrator oracle stays a direct propagator call:
+    it checks RK4 under a piecewise-constant H, which no RunSpec describes.
     """
     m_x, m_y, m_z = dressed_frames.SPIN1
     out = {
@@ -1217,14 +1117,14 @@ CHECKS = {
         "--mode rescale dT is a near no-op, so the quad follows dOmega alone. --mode "
         "truncate reproduces the order (see README)",
     ),
-    "table1": Check(_plan_decoherence_table, _judge_table1),
+    "table1": Check(_plan_decoherence_table, _judge_compared("table1 ")),
     "table2": Check(
         _plan_variation,
-        _judge_table2,
+        _judge_compared("table2 ", known_discrepancy=True),
         "the reference magnitudes are a known discrepancy under both duration-error "
         "readings; their quadrant order is checked by `reproduce fig8` and holds under "
         "--mode truncate (see README)",
     ),
-    "realistic": Check(_plan_realistic, _judge_realistic),
+    "realistic": Check(_plan_realistic, _judge_compared("")),
     "verify": _verify,
 }

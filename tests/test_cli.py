@@ -69,13 +69,65 @@ def test_pulses_writes_four_files(tmp_path, capsys):
     assert (tmp_path / "pulses_gaussian.meta.json").exists()
 
 
-def test_no_meta_flag_suppresses_sidecars(tmp_path, capsys):
-    code, _, _ = run(
-        ["pulses", "--flavor", "dressed", "-o", str(tmp_path), "--no-meta"], capsys
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pulses", "--flavor", "dressed"],
+        ["simulate", "--steps", "400"],
+        ["sweep", "--axis", "g=10,20", "--steps", "400"],
+        ["reproduce", "realistic", "--steps", "1000"],
+    ],
+)
+def test_no_meta_flag_suppresses_sidecars(tmp_path, capsys, argv):
+    """The command writes its CSVs without sidecars, and leaves another
+    run's sidecar in the same directory alone."""
+    other = tmp_path / "other.meta.json"
+    other.write_text("{}\n")
+    code, _, _ = run([*argv, "--no-meta", "-o", str(tmp_path)], capsys)
     assert code == 0
-    assert not list(tmp_path.glob("*.meta.json"))
+    assert [p.name for p in tmp_path.glob("*.meta.json")] == ["other.meta.json"]
+    assert other.read_text() == "{}\n"
     assert list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--axis", "g=10,20"]])
+def test_simulate_and_sweep_meta_record_their_settings(tmp_path, capsys, argv):
+    """Two runs that differ only in --A write different meta; each meta
+    records every setting of the run."""
+    metas = []
+    for a in ("0.5", "0.3"):
+        outdir = tmp_path / a
+        assert run([*argv, "--A", a, "--steps", "400", "-o", str(outdir)], capsys)[0] == 0
+        [path] = outdir.glob("*.meta.json")
+        metas.append(json.loads(path.read_text()))
+    assert metas[0] != metas[1]
+    assert (metas[0]["A"], metas[1]["A"]) == (0.5, 0.3)
+    settings = {"flavor", "g", "A", "kappa", "gamma", "gamma_phi", "delta_t", "delta_omega"}
+    settings |= {"delta_g", "omega0", "mode", "n_steps"}
+    assert settings | {"n_frames" if argv == ["simulate"] else "axes"} <= metas[0].keys()
+
+
+def test_reproduce_all_file_set(tmp_path, capsys):
+    """The names, headers and meta envelopes of every file `reproduce all`
+    writes; the float bytes are left to the determinism checks."""
+    code, _, _ = run(["reproduce", "all", "--steps", "1000", "-o", str(tmp_path)], capsys)
+    assert code == 0
+    records = {"coupling_sweep", "decoherence_grid", "dephasing_comparison", "realistic",
+               "stirap_comparison_final", "table1", "table2", "variation_scan"}
+    compares = {"realistic_compare", "table1_compare", "table2_compare"}
+    metas = records - {"stirap_comparison_final"} | {"population_trace", "stirap_comparison"}
+    expected = {f"{n}.csv" for n in records | compares | metas} | {f"{n}.meta.json" for n in metas}
+    assert {p.name for p in tmp_path.iterdir()} == expected
+
+    def header(name):
+        with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            return tuple(next(csv.reader(fh)))
+
+    assert all(header(n) == experiments.ResultRecord.CSV_HEADER for n in records)
+    assert all(header(n) == experiments.COMPARE_HEADER for n in compares)
+    for name in metas:
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        assert {"schema_version", "code_version", "driver"} <= meta.keys(), name
 
 
 def test_simulate_prints_fidelity_and_writes_trajectory(tmp_path, capsys):

@@ -26,10 +26,10 @@ from squidw.experiments import (
     run_points,
     sweep_grid,
     variation_quadrants,
-    _emit,
-    _plan_sweep,
+    _axes_meta,
+    _plan_records,
+    _plan_trace,
     _run_plan,
-    _write_trajectory,
 )
 from squidw.pulse_design import ScheduleParams
 from squidw.state_space import PSI1, basis_state, cavity_hamiltonian, drive_hamiltonian
@@ -39,7 +39,9 @@ BASE = RunSpec(n_steps=500)
 
 def _sweep(axes, outdir):
     """The records of a sweep over BASE, written to outdir."""
-    return _run_plan(_plan_sweep(BASE, axes, "sweep"), str(outdir))
+    return _run_plan(
+        _plan_records("sweep", sweep_grid(BASE, axes), {"axes": _axes_meta(axes)}), str(outdir)
+    )
 
 
 def _target(name, outdir, n_steps):
@@ -91,9 +93,11 @@ MIXED = [
 
 
 def _write_run(outdir, records, trajectories):
-    _emit(str(outdir), "mixed", records, {"points": len(records)})
-    for record, traj in zip(records, trajectories):
-        _write_trajectory(str(outdir), f"traj_{record.label}", traj, {"label": record.label})
+    results = list(zip(records, trajectories))
+    _plan_records("mixed", MIXED, {"points": len(records)}).finish(results, str(outdir))
+    for point in results:
+        name, meta = f"traj_{point[0].label}", {"label": point[0].label}
+        _plan_trace(name, None, meta).finish([point], str(outdir))
 
 
 def test_batch_composition_does_not_change_bytes(tmp_path, monkeypatch):
@@ -299,7 +303,7 @@ def test_meta_format(tmp_path):
 
 
 def test_compare_files(tmp_path):
-    _, comparison = _target("realistic", tmp_path, n_steps=1000)
+    _, [comparison] = _target("realistic", tmp_path, n_steps=1000)
     assert set(comparison) >= {"label", "reference", "computed", "delta", "passed"}
     with open(tmp_path / "realistic_compare.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))

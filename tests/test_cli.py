@@ -69,16 +69,7 @@ def test_pulses_writes_four_files(tmp_path, capsys):
     assert (tmp_path / "pulses_gaussian.meta.json").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["pulses", "--flavor", "dressed"],
-        ["simulate", "--steps", "400"],
-        ["sweep", "--axis", "g=10,20", "--steps", "400"],
-        ["reproduce", "realistic", "--steps", "1000"],
-    ],
-)
-def test_no_meta_flag_suppresses_sidecars(tmp_path, capsys, argv):
+def check_no_meta(tmp_path, capsys, argv):
     """The command writes its CSVs without sidecars, and leaves another
     run's sidecar in the same directory alone."""
     other = tmp_path / "other.meta.json"
@@ -88,6 +79,22 @@ def test_no_meta_flag_suppresses_sidecars(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.glob("*.meta.json")] == ["other.meta.json"]
     assert other.read_text() == "{}\n"
     assert list(tmp_path.glob("*.csv"))
+
+
+def test_no_meta_flag_suppresses_sidecars(tmp_path, capsys):
+    check_no_meta(tmp_path, capsys, ["pulses", "--flavor", "dressed"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--steps", "400"],
+        ["sweep", "--axis", "g=10,20", "--steps", "400"],
+        ["reproduce", "realistic", "--steps", "1000"],
+    ],
+)
+def test_no_meta_flag_suppresses_sidecars_of_every_command(tmp_path, capsys, argv):
+    check_no_meta(tmp_path, capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--axis", "g=10,20"]])

@@ -310,17 +310,13 @@ def _report(check, output) -> list:
     return [v.passed for v in verdicts]
 
 
-def _reproducer(target: str):
+def _reproduce(target: str, finish, results, outdir: str) -> list:
     """`reproduce TARGET`'s write-and-judge step: the finish step of the
     target's plan applied to the run_points results of its specs."""
-
-    def reproduce(finish, results, outdir: str) -> list:
-        return _report(experiments.CHECKS[target], finish(results, outdir))
-
-    return reproduce
+    return _report(experiments.CHECKS[target], finish(results, outdir))
 
 
-_REPRODUCERS = {name: _reproducer(name) for name in experiments.CHECKS if name != "verify"}
+_REPRODUCERS = {name: partial(_reproduce, name) for name in experiments.CHECKS if name != "verify"}
 
 
 def _reproduce_fig3(cfg: RunConfig, outdir: str) -> list:
@@ -350,7 +346,7 @@ _SETTING_FLAGS = {
 }
 
 # The settings each command uses, and why it takes no others; simulate and
-# sweep use them all. Only the stirap flavor uses omega0.
+# sweep use them all. Only the stirap flavor uses omega0, only dressed A.
 # _FILES are the settings of the files a command writes.
 _FILES = {"outdir", "write_meta"}
 _USED_SETTINGS = {
@@ -387,6 +383,8 @@ def _reject_ignored(cfg: RunConfig, given: dict) -> None:
         ignored.setdefault(
             "omega0", f"--omega0 sets the stirap channel peak; flavor {cfg.flavor!r} has none"
         )
+    if cfg.flavor != "dressed" and cfg.command != "verify":  # verify reads A whatever the flavor
+        ignored.setdefault("A", f"--A sets the dressing amplitude; flavor {cfg.flavor!r} has none")
     for name, why in ignored.items():
         if name in given:
             raise ValueError(f"{cfg.command} does not take {given[name]}: {why}")

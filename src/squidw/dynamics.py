@@ -369,12 +369,33 @@ def propagate_schrodinger(
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
     traj = _trajectory(frames, psi, drift, None, n, durations)
     b = int(np.argmax(drift))
-    if drift[b] > NORM_TOL:
+    if not drift[b] <= NORM_TOL:
         raise ConvergenceError(
             f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}",
             b,
         )
     return traj
+
+
+def _noise_terms(noise: NoiseModel):
+    """The 17-operator noise model, written once: (jumps, diagonals).
+
+    jumps are the 9 operators sqrt(r) |dst><src| as (dst, src, sqrt(r)): 4
+    decays |e> -> |1> (one per qubit), 4 decays |e> -> |0> (into the global
+    ground state), cavity photon loss. diagonals are the 8 real dephasing
+    diagonals, 4 on the e/1 transition, then 4 on the e/0 transition.
+    """
+    sg = math.sqrt(noise.gamma)
+    jumps = [(_ONE_OF_QUBIT[k], _EXCITED_OF_QUBIT[k], sg) for k in range(4)]
+    jumps += [(GROUND, _EXCITED_OF_QUBIT[k], sg) for k in range(4)]
+    jumps.append((GROUND, PSI3, math.sqrt(noise.kappa)))
+    sp = math.sqrt(noise.gamma_phi / 2.0)
+    diagonals = [
+        sp * np.array([1.0 if s[k] == "e" else -1.0 if s[k] == level else 0.0 for s in LEVELS])
+        for level in ("1", "0")
+        for k in range(4)
+    ]
+    return jumps, diagonals
 
 
 def lindblad_operators(noise: NoiseModel) -> list[np.ndarray]:
@@ -384,60 +405,15 @@ def lindblad_operators(noise: NoiseModel) -> list[np.ndarray]:
     global ground state), 4 dephasings on the e/1 transition, 4 dephasings on
     the e/0 transition, cavity photon loss.
     """
-    ops: list[np.ndarray] = []
-    sg = math.sqrt(noise.gamma)
-    for k in range(4):
-        L = np.zeros((DIM, DIM), dtype=complex)
-        L[_ONE_OF_QUBIT[k], _EXCITED_OF_QUBIT[k]] = sg
-        ops.append(L)
-    for k in range(4):
-        L = np.zeros((DIM, DIM), dtype=complex)
-        L[GROUND, _EXCITED_OF_QUBIT[k]] = sg
-        ops.append(L)
-    sp = math.sqrt(noise.gamma_phi / 2.0)
-    for level in ("1", "0"):
-        for k in range(4):
-            diag = np.zeros(DIM)
-            for idx, labels in enumerate(LEVELS):
-                if labels[k] == "e":
-                    diag[idx] = 1.0
-                elif labels[k] == level:
-                    diag[idx] = -1.0
-            ops.append(sp * np.diag(diag).astype(complex))
-    L = np.zeros((DIM, DIM), dtype=complex)
-    L[GROUND, PSI3] = math.sqrt(noise.kappa)
-    ops.append(L)
+    jumps, diagonals = _noise_terms(noise)
+    ops = [np.zeros((DIM, DIM), dtype=complex) for _ in jumps]
+    for L, (dst, src, amplitude) in zip(ops, jumps):
+        L[dst, src] = amplitude
+    ops[8:8] = [np.diag(d).astype(complex) for d in diagonals]
     return ops
 
 
-def _classify_operators(ops):
-    """Split operators into single-entry jumps, real diagonals, and the rest.
-
-    The tests are exact: an operator with an off-diagonal entry and any other
-    nonzero, or a diagonal one with any imaginary part, however small, is not
-    tabulable and lands in the rest.
-    """
-    jumps, diags, generic = [], [], []
-    for L in ops:
-        L = np.asarray(L)
-        rows, cols = np.nonzero(L)
-        if rows.size == 0:
-            continue
-        if np.array_equal(rows, cols):
-            d = np.diagonal(L)
-            if d.imag.any():
-                generic.append(L)
-            else:
-                diags.append(d.real.astype(float))
-        elif rows.size == 1:
-            dst, src = int(rows[0]), int(cols[0])
-            jumps.append((dst, src, float(abs(L[dst, src]) ** 2)))
-        else:
-            generic.append(L)
-    return jumps, diags, generic
-
-
-def _dissipator_tables(ops):
+def _dissipator_tables(noise: NoiseModel):
     """Precompute the elementwise gain matrix and the population scatter.
 
     For jumps L = sqrt(r) |dst><src| and real diagonals L = diag(d), the
@@ -445,19 +421,15 @@ def _dissipator_tables(ops):
     acting on the diagonal, with G_ij = sum_d d_i d_j - (k_i + k_j)/2 and
     k_i the total outflow rate from basis state i.
     """
-    jumps, diags, generic = _classify_operators(ops)
-    k = np.zeros(DIM)
-    dd = np.zeros((DIM, DIM))
-    for dst, src, r in jumps:
-        k[src] += r
-    for d in diags:
+    jumps, diagonals = _noise_terms(noise)
+    k, dd, scatter = np.zeros(DIM), np.zeros((DIM, DIM)), np.zeros((DIM, DIM))
+    for dst, src, amplitude in jumps:
+        k[src] += amplitude**2
+        scatter[dst, src] += amplitude**2
+    for d in diagonals:
         k += d * d
         dd += np.outer(d, d)
-    gain = dd - 0.5 * (k[:, None] + k[None, :])
-    scatter = np.zeros((DIM, DIM))
-    for dst, src, r in jumps:
-        scatter[dst, src] += r
-    return gain, scatter, generic
+    return dd - 0.5 * (k[:, None] + k[None, :]), scatter
 
 
 def _unpack(m: np.ndarray) -> np.ndarray:
@@ -472,7 +444,7 @@ def _unpack(m: np.ndarray) -> np.ndarray:
 
 def propagate_lindblad(
     h_fn,
-    lindblads,
+    noises,
     rho0: np.ndarray,
     grid: TimeGrid | None = None,
     duration: float | np.ndarray = 1.0,
@@ -480,11 +452,11 @@ def propagate_lindblad(
 ) -> Trajectory:
     """Fixed-step RK4 on the Lindblad master equation for B density matrices.
 
-    rho0 has shape (B, 10, 10). lindblads gives one operator list per point
-    (any iterable: it is read once, before stepping, and only the stacked
-    dissipator tables are kept). h_fn, duration and n_frames follow the
-    contract of propagate_schrodinger: h_fn is called once per node, in
-    increasing k, each time just before the first stage that uses it.
+    rho0 has shape (B, 10, 10). noises gives one NoiseModel per point, whose
+    17 operators (lindblad_operators) enter only through the stacked gain
+    and scatter tables (_dissipator_tables). h_fn, duration and n_frames
+    follow the contract of propagate_schrodinger: h_fn is called once per
+    node, in increasing k, each time just before the first stage that uses it.
 
     rho0 is symmetrized once on entry and packed as M = Re rho + Im rho (the
     symmetric real part plus the antisymmetric imaginary part). For real
@@ -496,7 +468,8 @@ def propagate_lindblad(
     straight into the slope), 5 when only S is, and 7 otherwise. Stored
     frames and the final state are unpacked as (M + M^T)/2 + i (M - M^T)/2,
     so they are exactly Hermitian. Trace is checked at the end; positivity
-    with eigvalsh at each point's own stored frames. Both gate the result.
+    with eigvalsh at each point's own stored frames. Both gate the result,
+    and a non-finite stored frame fails the run at once.
     """
     grid = grid or TimeGrid()
     rho = np.array(rho0, dtype=complex)
@@ -506,13 +479,9 @@ def propagate_lindblad(
         if abs(np.trace(r).real - 1.0) > 1e-9 or np.max(np.abs(r - r.conj().T)) > 1e-9:
             raise ValueError("rho0 must be Hermitian with unit trace")
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    tables = [_dissipator_tables(ops) for ops in lindblads]
-    if len(tables) != len(rho):
-        raise ValueError(f"need one operator list per point, got {len(tables)} for {len(rho)}")
-    if any(generic for _, _, generic in tables):
-        raise ValueError("only single-entry jumps and real diagonal operators are supported")
-    gain = np.stack([t[0] for t in tables])
-    scatter = np.stack([t[1] for t in tables])
+    if len(noises) != len(rho):
+        raise ValueError(f"need one NoiseModel per point, got {len(noises)} for {len(rho)}")
+    gain, scatter = (np.stack(t) for t in zip(*map(_dissipator_tables, noises)))
     # The terms the batch has, decided once: a right-hand side computes only those.
     has_gain, has_scatter = bool(gain.any()), bool(scatter.any())
 
@@ -560,6 +529,10 @@ def propagate_lindblad(
         points = frames.at(step)
         if points is not None:
             stored = _unpack(m[points])
+            finite = np.isfinite(stored).all(axis=(1, 2))
+            if not finite.all():  # a diverged run, which eigvalsh cannot judge
+                b = int(points[np.argmin(finite)])
+                raise ConvergenceError(f"state is not finite after {step} steps{_which(b, rho)}", b)
             frames.store(points, stored)
             min_eig[points] = np.minimum(min_eig[points], np.linalg.eigvalsh(stored).min(axis=-1))
 
@@ -567,13 +540,13 @@ def propagate_lindblad(
     drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])
     traj = _trajectory(frames, rho, drift, min_eig, n, durations)
     b = int(np.argmax(drift))
-    if drift[b] > TRACE_TOL:
+    if not drift[b] <= TRACE_TOL:
         raise ConvergenceError(
             f"trace drift {drift[b]:.3e} exceeds {TRACE_TOL:.0e} after {n} steps{_which(b, drift)}",
             b,
         )
     b = int(np.argmin(min_eig))
-    if min_eig[b] < EIG_TOL:
+    if not min_eig[b] >= EIG_TOL:
         raise ConvergenceError(
             f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}{_which(b, min_eig)}",
             b,

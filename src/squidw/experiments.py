@@ -57,7 +57,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     fidelity,
-    lindblad_operators,
     node_times,
     propagate_lindblad,
     propagate_schrodinger,
@@ -491,6 +490,8 @@ class RunSpec:
             raise ValueError(f"unknown variation mode {self.mode!r}")
         if self.delta_t <= -1.0:
             raise ValueError("delta_t must exceed -1")
+        if not math.isfinite(self.delta_omega):
+            raise ValueError(f"delta_omega must be finite, got {self.delta_omega}")
         if self.omega0 is not None and self.flavor != "stirap":
             raise ValueError(
                 f"omega0 is the stirap channel peak; flavor {self.flavor!r} takes none"
@@ -612,7 +613,7 @@ _NODE_BLOCK = 256
 
 
 def _integrate(
-    h0, drives, sample, state0, durations, n_steps, n_frames, lindblads=None
+    h0, drives, sample, state0, durations, n_steps, n_frames, noises=None
 ) -> Trajectory:
     """B points on one step count: H_b(t) = h0[b] + a_b(t) D_a[b] + b_b(t) D_b[b].
 
@@ -629,8 +630,8 @@ def _integrate(
     (nodes, B * entries) array; each node is then one write of its row
     through a flat index of those entries in H. For a batch of cavity points
     those are the same 8 entries as for one point. So H is assembled once
-    per node and never stored for the whole run. lindblads, one operator
-    list per point (any iterable), selects the master equation.
+    per node and never stored for the whole run. noises, one NoiseModel per
+    point, selects the master equation.
     """
     d_a, d_b = drives
     grids = {d: node_times(n_steps, d) for d in set(durations)}
@@ -658,11 +659,11 @@ def _integrate(
 
     grid = TimeGrid(n_steps)
     duration = np.array(durations, dtype=float)
-    if lindblads is None:
+    if noises is None:
         psi0 = np.tile(state0, (len(h0), 1))
         return propagate_schrodinger(h_fn, psi0, grid, duration=duration, n_frames=n_frames)
     rho0 = np.tile(np.outer(state0, state0.conj()), (len(h0), 1, 1))
-    return propagate_lindblad(h_fn, lindblads, rho0, grid, duration=duration, n_frames=n_frames)
+    return propagate_lindblad(h_fn, noises, rho0, grid, duration=duration, n_frames=n_frames)
 
 
 def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
@@ -670,10 +671,9 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     duration and with its own stored frames; one trajectory per spec.
 
     Each distinct schedule is built and sampled once per node block, and its
-    samples serve every point that uses it. Open points' operator lists are
-    built one at a time while the propagator tabulates them, so none is
-    alive while it steps. Effective points run without the cavity, on the
-    effective drives.
+    samples serve every point that uses it. Open points pass their
+    NoiseModel, from which the propagator builds its dissipator tables.
+    Effective points run without the cavity, on the effective drives.
     """
     first = specs[0]
     h0 = np.stack(
@@ -691,7 +691,6 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
         samples = [sch.envelopes(ts[b]) for sch, b in zip(schedules, firsts)]
         return np.stack(samples, axis=1)[:, which]
 
-    lindblads = None if first.closed else (lindblad_operators(s.noise) for s in specs)
     try:
         traj = _integrate(
             h0,
@@ -701,7 +700,7 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
             [s.duration for s in specs],
             first.n_steps,
             [s.n_frames for s in specs],
-            lindblads,
+            None if first.closed else [s.noise for s in specs],
         )
     except ConvergenceError as exc:
         # A batch mixes drivers' points; name the one that failed.

@@ -3,17 +3,15 @@ real-symmetric kernels of `squidw.dynamics`.
 
 These are the general forms that make no use of H being real: H psi as a
 complex product, the commutator as two complex products H rho - rho H, the
-population scatter as a complex product on the gathered diagonal, and rho
-re-symmetrized after every step. They integrate one point, without stored
-frames or gates, and return the final state.
+dissipator in its canonical form sum_L L rho L^dag - {L^dag L, rho}/2 from
+the operator matrices (not from the kernel's gain and scatter tables), and
+rho re-symmetrized after every step. They integrate one point, without
+stored frames or gates, and return the final state.
 """
 
 import numpy as np
 
-from squidw.dynamics import _dissipator_tables, node_times
-from squidw.state_space import DIM
-
-_DIAG = np.arange(DIM)
+from squidw.dynamics import node_times
 
 
 def schrodinger_final(h_of_t, psi0, n_steps: int, duration: float = 1.0) -> np.ndarray:
@@ -32,18 +30,23 @@ def schrodinger_final(h_of_t, psi0, n_steps: int, duration: float = 1.0) -> np.n
     return psi
 
 
+def dissipator(ops, rho: np.ndarray) -> np.ndarray:
+    """sum_L L rho L^dag - (L^dag L rho + rho L^dag L) / 2 over the operator matrices ops."""
+    out = np.zeros_like(rho, dtype=complex)
+    for L in ops:
+        ldl = L.conj().T @ L
+        out += L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    return out
+
+
 def lindblad_final(h_of_t, ops, rho0, n_steps: int, duration: float = 1.0) -> np.ndarray:
     nodes = node_times(n_steps, duration)
     h = duration / n_steps
-    gain, scatter, generic = _dissipator_tables(ops)
-    assert generic == []
-    scatter = scatter.astype(complex)
+    ops = [np.asarray(L, dtype=complex) for L in ops]
 
     def rhs(k, r):
         H = np.asarray(h_of_t(nodes[k]), dtype=complex)
-        out = -1j * (H @ r - r @ H) + gain * r
-        out[_DIAG, _DIAG] += scatter @ r[_DIAG, _DIAG]
-        return out
+        return -1j * (H @ r - r @ H) + dissipator(ops, r)
 
     rho = np.array(rho0, dtype=complex)
     for step in range(n_steps):

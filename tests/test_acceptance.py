@@ -22,7 +22,6 @@ import pytest
 from squidw.dynamics import (
     NoiseModel,
     TimeGrid,
-    lindblad_operators,
     propagate_lindblad,
     propagate_schrodinger,
 )
@@ -220,7 +219,7 @@ def test_criterion_09_property_suite(criterion, verify_verdicts):
     psi0 = basis_state(PSI1)
     rho0 = np.outer(psi0, psi0.conj())
     noise = NoiseModel(kappa=0.3, gamma=0.1, gamma_phi=0.03)
-    noisy = one_point(propagate_lindblad, h_fn, lindblad_operators(noise), rho0, TimeGrid(2000))
+    noisy = one_point(propagate_lindblad, h_fn, noise, rho0, TimeGrid(2000))
     checks["trace preservation"] = noisy.drift <= 1e-8
 
     # scipy's expm, independent of the eigh-based exponential that verify uses

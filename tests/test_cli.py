@@ -100,11 +100,12 @@ def test_no_meta_flag_suppresses_sidecars_of_every_command(tmp_path, capsys, arg
 @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--axis", "g=10,20"]])
 def test_simulate_and_sweep_meta_record_their_settings(tmp_path, capsys, argv):
     """Two runs that differ only in --A write different meta; each meta
-    records every setting of the run."""
+    records every setting of the run. Only the dressed flavor reads A."""
     metas = []
     for a in ("0.5", "0.3"):
         outdir = tmp_path / a
-        assert run([*argv, "--A", a, "--steps", "400", "-o", str(outdir)], capsys)[0] == 0
+        argv_a = [*argv, "--flavor", "dressed", "--A", a, "--steps", "400", "-o", str(outdir)]
+        assert run(argv_a, capsys)[0] == 0
         [path] = outdir.glob("*.meta.json")
         metas.append(json.loads(path.read_text()))
     assert metas[0] != metas[1]
@@ -380,8 +381,7 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
     assert code == 0 and (tmp_path / "ok" / "pulses_gaussian_q1.csv").exists()
     assert json.loads((tmp_path / "ok" / "pulses_gaussian.meta.json").read_text())["omega0"] is None
     code, out, _ = run(
-        ["pulses", "--flavor", "stirap", "--A", "0.4", "--omega0", "40", "--samples", "11",
-         "-o", str(tmp_path)],
+        ["pulses", "--flavor", "stirap", "--omega0", "40", "--samples", "11", "-o", str(tmp_path)],
         capsys,
     )
     assert code == 0 and (tmp_path / "pulses_stirap_q4.csv").exists()
@@ -603,6 +603,9 @@ def test_unwritable_outdir_exits_one(tmp_path, capsys):
         ["reproduce", "fig3", "--steps", "50"],
         ["simulate", "--kappa", "-1"],
         ["sweep", "--kappa", "-1", "--axis", "g=5,10"],
+        ["simulate", "--delta-omega", "nan"],
+        ["sweep", "--axis", "dOmega_over_Omega=0,nan"],
+        ["pulses", "--flavor", "stirap", "--A", "0.3"],
     ],
 )
 def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):
@@ -612,3 +615,55 @@ def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):
     assert err.startswith("error:")
     assert not outdir.exists()
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["simulate", "--flavor", "stirap"],
+        ["sweep", "--axis", "g=10,20"],
+        ["pulses"],
+        ["pulses", "--flavor", "stirap"],
+    ],
+)
+def test_a_is_refused_unless_the_flavor_is_dressed(tmp_path, capsys, argv):
+    """Only the dressed flavor reads the dressing amplitude: the gaussian fit
+    and STIRAP write the same bytes for any A. So A is refused, as a flag or
+    as a config value other than the default."""
+    code, out, err = run([*argv, "--A", "0.3", "-o", str(tmp_path)], capsys)
+    assert code == 1 and out == "" and err.startswith("error:") and "--A" in err
+    path = tmp_path / "run.cfg"
+    path.write_text("A = 0.3\n")
+    code, out, err = run([*argv, "--config", str(path), "-o", str(tmp_path)], capsys)
+    assert code == 1 and out == "" and "config key A" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_is_taken_by_the_dressed_flavor_and_by_verify(tmp_path, capsys):
+    for argv in (
+        ["simulate", "--steps", "200"],
+        ["sweep", "--steps", "200", "--axis", "g=10,20"],
+        ["pulses", "--samples", "11"],
+    ):
+        assert run([*argv, "--flavor", "dressed", "--A", "0.3", "-o", str(tmp_path)], capsys)[0] == 0
+    # verify runs its own dressed frames, whatever the flavor setting
+    code, out, err = run(["verify", "--A", "0.3", "--steps", "1000"], capsys)
+    assert code == 0 and err == "" and "dressed-frame cancellation" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--g", "1e5"],
+        ["sweep", "--axis", "g=1e4,1e5"],
+        ["simulate", "--g", "1e5", "--kappa", "1"],
+    ],
+)
+def test_a_diverged_run_is_a_convergence_failure(tmp_path, capsys, argv):
+    """A step far too coarse for the coupling overflows to inf and nan. That
+    is a convergence failure (exit 2), not a nan fidelity let through by
+    gates that compare nan, nor a crash in eigvalsh."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run([*argv, "--steps", "100", "-o", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and err.startswith("convergence failure:")
+    assert not list(tmp_path.glob("*.csv"))

@@ -133,9 +133,9 @@ def test_batched_propagators_keep_the_call_contract():
         assert alone.drift[0] == traj.drift[b]
 
     calls.clear()
-    ops = [lindblad_operators(NoiseModel(kappa=k, gamma_phi=0.1)) for k in (0.5, 1.0, 2.0)]
+    noises = [NoiseModel(kappa=k, gamma_phi=0.1) for k in (0.5, 1.0, 2.0)]
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
-    traj = propagate_lindblad(h_fn, ops, rho0, grid, n_frames=4)
+    traj = propagate_lindblad(h_fn, noises, rho0, grid, n_frames=4)
     assert calls == list(range(2 * n + 1))
     assert type(traj.n_steps) is int and traj.n_steps == n
     assert traj.final_state.shape == (3, DIM, DIM)
@@ -170,8 +170,8 @@ def test_h_fn_may_overwrite_the_array_it_returned():
 
     psi0 = np.tile(basis_state(PSI1), (3, 1))
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
-    ops = [lindblad_operators(NoiseModel(kappa=k, gamma=0.2, gamma_phi=0.1)) for k in (0.5, 1.0, 2.0)]
-    for propagate, args in ((propagate_schrodinger, (psi0,)), (propagate_lindblad, (ops, rho0))):
+    noises = [NoiseModel(kappa=k, gamma=0.2, gamma_phi=0.1) for k in (0.5, 1.0, 2.0)]
+    for propagate, args in ((propagate_schrodinger, (psi0,)), (propagate_lindblad, (noises, rho0))):
         a, b = (
             propagate(h_fn, *args, grid, duration=durations, n_frames=[2, 5, 11])
             for h_fn in (fresh, in_place)
@@ -200,8 +200,8 @@ def test_in_place_stepping_leaves_inputs_frames_and_results_alone():
 
     psi0 = np.tile(basis_state(PSI1), (2, 1))
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (2, 1, 1))
-    ops = [lindblad_operators(NoiseModel(kappa=k, gamma=0.2, gamma_phi=0.1)) for k in (0.5, 1.0)]
-    for propagate, state0, pre in ((propagate_schrodinger, psi0, ()), (propagate_lindblad, rho0, (ops,))):
+    noises = [NoiseModel(kappa=k, gamma=0.2, gamma_phi=0.1) for k in (0.5, 1.0)]
+    for propagate, state0, pre in ((propagate_schrodinger, psi0, ()), (propagate_lindblad, rho0, (noises,))):
         given_state = state0.copy()
         full = propagate(h_fn, *pre, state0, TimeGrid(200), duration=1.0, n_frames=3)
         assert np.array_equal(state0, given_state)
@@ -222,11 +222,10 @@ def test_every_node_passes_the_float64_check(bad_node):
     h_fn = lambda k: hc.astype(complex) if k == bad_node else hc
     psi0 = basis_state(PSI1)[None]
     rho0 = np.outer(psi0[0], psi0[0].conj())[None]
-    ops = [lindblad_operators(NoiseModel(kappa=0.5))]
     with pytest.raises(ValueError, match="float64"):
         propagate_schrodinger(h_fn, psi0, grid)
     with pytest.raises(ValueError, match="float64"):
-        propagate_lindblad(h_fn, ops, rho0, grid)
+        propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)], rho0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +271,29 @@ def test_rk4_is_fourth_order():
         for n in (200, 400)
     ]
     assert 13.0 < errs[0] / errs[1] < 19.0
+
+
+def test_a_diverged_point_is_a_convergence_failure_that_names_it():
+    """At g = 1e5 a 100-step run overflows to inf and then nan. Both
+    propagators raise ConvergenceError naming that point of the batch: the
+    gates treat nan as failing, and a non-finite density matrix is refused
+    before eigvalsh sees it."""
+    grid = TimeGrid(100)
+    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (1.0, 1e5)])
+    psi0 = np.tile(basis_state(PSI4), (2, 1))  # a state the cavity couples
+    rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (2, 1, 1))
+    runs = (
+        (propagate_schrodinger, (psi0,)),
+        (propagate_lindblad, ([NoiseModel(), NoiseModel()], rho0)),
+        (propagate_lindblad, ([NoiseModel(kappa=1.0)] * 2, rho0)),
+    )
+    for propagate, args in runs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match=r"\(batch point 1\)") as raised:
+                propagate(lambda k: hc, *args, grid, n_frames=5)
+        assert raised.value.point == 1
+    # the finite point alone passes
+    propagate_schrodinger(lambda k: hc[:1], psi0[:1], grid)
 
 
 def test_schrodinger_norm_gate_trips_on_stiff_underresolved_run():
@@ -356,7 +378,7 @@ def test_zero_noise_master_equation_matches_schrodinger():
     psi0 = basis_state(PSI1)
     traj_s = one_point(propagate_schrodinger, h_fn, psi0, TimeGrid(2000))
     rho0 = np.outer(psi0, psi0.conj())
-    traj_l = one_point(propagate_lindblad, h_fn, lindblad_operators(NoiseModel()), rho0, TimeGrid(2000))
+    traj_l = one_point(propagate_lindblad, h_fn, NoiseModel(), rho0, TimeGrid(2000))
     assert abs(fidelity(traj_s.final_state) - fidelity(traj_l.final_state)) < 1e-7
     pure = np.outer(traj_s.final_state, traj_s.final_state.conj())
     assert np.max(np.abs(traj_l.final_state - pure)) < 1e-7
@@ -364,9 +386,10 @@ def test_zero_noise_master_equation_matches_schrodinger():
 
 def test_cavity_decay_follows_exponential_law():
     kappa = 0.8
-    ops = lindblad_operators(NoiseModel(kappa=kappa))
     rho0 = np.outer(basis_state(PSI3), basis_state(PSI3).conj())
-    traj = one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, rho0, TimeGrid(1000))
+    traj = one_point(
+        propagate_lindblad, lambda t: np.zeros((DIM, DIM)), NoiseModel(kappa=kappa), rho0, TimeGrid(1000)
+    )
     p3 = traj.final_state[PSI3, PSI3].real
     pg = traj.final_state[GROUND, GROUND].real
     assert p3 == pytest.approx(math.exp(-kappa), abs=1e-10)
@@ -391,7 +414,7 @@ def test_fast_dissipator_matches_superoperator_oracle():
 
     rho0 = _random_density(rng)
     duration, n = 0.3, 200
-    traj = one_point(propagate_lindblad, lambda t: h, ops, rho0, TimeGrid(n), duration=duration)
+    traj = one_point(propagate_lindblad, lambda t: h, noise, rho0, TimeGrid(n), duration=duration)
 
     vec = rho0.reshape(-1)
     dt = duration / n
@@ -415,24 +438,38 @@ def test_packed_kernel_matches_complex_reference_on_a_general_state():
     def h_of_t(t):
         return h0 + math.cos(3.0 * t) * h1 + t * h2
 
-    ops = lindblad_operators(NoiseModel(kappa=0.9, gamma=0.4, gamma_phi=0.6))
+    noise = NoiseModel(kappa=0.9, gamma=0.4, gamma_phi=0.6)
     rho0 = _random_density(rng)
     assert np.all(((rho0.real != 0) & (rho0.imag != 0)) | np.eye(DIM, dtype=bool))
     duration, n = 0.7, 300
     traj = one_point(
-        propagate_lindblad, h_of_t, ops, rho0, TimeGrid(n), duration=duration, n_frames=31
+        propagate_lindblad, h_of_t, noise, rho0, TimeGrid(n), duration=duration, n_frames=31
     )
-    ref = reference_kernels.lindblad_final(h_of_t, ops, rho0, n, duration)
+    ref = reference_kernels.lindblad_final(h_of_t, lindblad_operators(noise), rho0, n, duration)
     assert np.max(np.abs(traj.final_state - ref)) <= 1e-12
     assert len(traj.states) == 31
     for rho in traj.states:
         assert np.array_equal(rho, rho.conj().T)
 
 
+def test_dissipator_tables_apply_the_canonical_dissipator():
+    """For random rates, zeros included, the tables act on any rho as
+    gain o rho + diag(S diag rho), which equals the canonical
+    sum_L L rho L^dag - {L^dag L, rho}/2 over the 17 matrices of
+    lindblad_operators: the two forms are written from one noise model."""
+    rng = np.random.default_rng(11)
+    rates = rng.exponential(size=(40, 3)) * (rng.random((40, 3)) < 0.6)
+    for kappa, gamma, gamma_phi in [(0.0, 0.0, 0.0), *rates]:
+        noise = NoiseModel(kappa=kappa, gamma=gamma, gamma_phi=gamma_phi)
+        gain, scatter = _dissipator_tables(noise)
+        rho = _random_density(rng)
+        tabulated = gain * rho + np.diag(scatter @ np.diag(rho))
+        canonical = reference_kernels.dissipator(lindblad_operators(noise), rho)
+        assert np.max(np.abs(tabulated - canonical)) <= 1e-14
+
+
 def test_dissipator_tables_split():
-    ops = lindblad_operators(NoiseModel(kappa=1.0, gamma=1.0, gamma_phi=1.0))
-    gain, scatter, generic = _dissipator_tables(ops)
-    assert generic == []  # the 17-operator model is fully tabulated
+    gain, scatter = _dissipator_tables(NoiseModel(kappa=1.0, gamma=1.0, gamma_phi=1.0))
     # scatter rows: PSI4 loses gamma into PSI7 and gamma into GROUND
     assert scatter[PSI7, PSI4] == pytest.approx(1.0)
     assert scatter[GROUND, PSI4] == pytest.approx(1.0)
@@ -448,7 +485,7 @@ def test_open_run_preserves_trace_hermiticity_positivity():
     h_fn = _gaussian_h(30.0)
     noise = NoiseModel(kappa=0.033 * 30, gamma=0.0073 * 30, gamma_phi=0.001 * 30)
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
-    traj = one_point(propagate_lindblad, h_fn, lindblad_operators(noise), rho0, TimeGrid(2000), n_frames=51)
+    traj = one_point(propagate_lindblad, h_fn, noise, rho0, TimeGrid(2000), n_frames=51)
     assert traj.drift < 1e-10
     assert traj.min_eigenvalue is not None and traj.min_eigenvalue > EIG_TOL
     for rho in traj.states:
@@ -490,8 +527,8 @@ def test_open_runs_keep_trace_hermiticity_positivity_under_random_rates():
     def check(points, n_frames):
         h = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) + drives[f] for _, f, g in points], axis=1)
         rho0 = np.tile(np.outer(basis_state(PSI1), basis_state(PSI1).conj()), (len(points), 1, 1))
-        ops = [lindblad_operators(noise) for noise, _, _ in points]
-        traj = propagate_lindblad(h.__getitem__, ops, rho0, grid, n_frames=n_frames)
+        noises = [noise for noise, _, _ in points]
+        traj = propagate_lindblad(h.__getitem__, noises, rho0, grid, n_frames=n_frames)
         assert np.all(traj.drift <= TRACE_TOL)
         assert np.all(traj.min_eigenvalue >= EIG_TOL)
         for b in range(len(points)):
@@ -506,9 +543,7 @@ def test_open_runs_keep_trace_hermiticity_positivity_under_random_rates():
 def test_permutation_symmetry_of_open_dynamics():
     noise = NoiseModel(kappa=0.1, gamma=0.05, gamma_phi=0.02)
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
-    traj = one_point(
-        propagate_lindblad, _gaussian_h(30.0), lindblad_operators(noise), rho0, TimeGrid(1000)
-    )
+    traj = one_point(propagate_lindblad, _gaussian_h(30.0), noise, rho0, TimeGrid(1000))
     rho = traj.final_state
     perm = list(range(DIM))
     perm[PSI4], perm[PSI5] = perm[PSI5], perm[PSI4]
@@ -518,38 +553,24 @@ def test_permutation_symmetry_of_open_dynamics():
 
 
 def test_lindblad_input_validation():
-    ops = lindblad_operators(NoiseModel())
+    noise = NoiseModel()
     good = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
     with pytest.raises(ValueError):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, 2.0 * good, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, 2.0 * good, TimeGrid(100))
     skew = good.copy()
     skew[0, 1] = 0.5
     with pytest.raises(ValueError):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, skew, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, skew, TimeGrid(100))
     with pytest.raises(ValueError):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, np.eye(4), TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, np.eye(4), TimeGrid(100))
     with pytest.raises(ValueError, match="float64"):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM), dtype=complex), ops, good, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM), dtype=complex), noise, good, TimeGrid(100))
+    with pytest.raises(ValueError, match="one NoiseModel per point"):
+        propagate_lindblad(lambda k: np.zeros((2, DIM, DIM)), [noise], np.stack([good, good]), TimeGrid(100))
     # Hermitian to 1e-11 is accepted, and symmetrized once on entry
     skew[0, 1] = 1e-11
-    traj = one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), ops, skew, TimeGrid(100))
+    traj = one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, skew, TimeGrid(100))
     assert np.array_equal(traj.states[0], traj.states[0].conj().T)
-
-
-def test_lindblad_rejects_operators_it_cannot_tabulate():
-    good = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
-    two_entries = np.zeros((DIM, DIM))
-    two_entries[PSI7, PSI4] = two_entries[PSI8, PSI5] = 1.0
-    complex_diagonal = np.diag(np.full(DIM, 1j))
-    # the tests are exact: a tiny stray entry is not dropped to fit a table
-    dephasing = lindblad_operators(NoiseModel(gamma_phi=0.5))[8]
-    stray_off_diagonal = dephasing.copy()
-    stray_off_diagonal[PSI4, PSI7] = 1e-12
-    stray_imaginary = dephasing.astype(complex)
-    stray_imaginary[PSI4, PSI4] += 1e-12j
-    for op in (two_entries, complex_diagonal, stray_off_diagonal, stray_imaginary):
-        with pytest.raises(ValueError, match="single-entry jumps and real diagonal"):
-            one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), [op], good, TimeGrid(100))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -469,6 +470,9 @@ def test_evaluate_point_validation():
         RunSpec(delta_t=-1.0)
     with pytest.raises(ValueError, match="stretch"):
         RunSpec(mode="stretch")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="delta_omega must be finite"):
+            RunSpec(delta_omega=bad)
     with pytest.raises(ValueError, match="coupling g"):
         RunSpec(g=0.0)
     with pytest.raises(ValueError, match="kappa"):

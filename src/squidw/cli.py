@@ -9,9 +9,8 @@ Commands:
                  against the bundled reference values
 * ``verify``     dressed-frame cancellation and integrator oracle checks
 
-Configuration comes from defaults, then an optional ``key = value`` config
-file, then flags (flags win). Exit codes: 0 success, 1 validation failure,
-2 convergence failure.
+Each command takes only the flags it reads; argparse refuses any other.
+Exit codes: 0 success, 1 validation failure, 2 convergence failure.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -34,9 +33,8 @@ ENV_OUTDIR = "SQUIDW_OUT"
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; every field but command is a config file key."""
+    """A command's settings: the defaults, with each flag given."""
 
-    command: str = ""
     flavor: str = "gaussian"
     g: float = 30.0
     A: float = 0.5
@@ -51,43 +49,32 @@ class RunConfig:
     outdir: str = "out"
     write_meta: bool = True
     mode: str = "rescale"
-    jobs: int = 1
-
-    def apply(self, mapping: dict, source: str = "config") -> None:
-        types = {f.name: f.type for f in fields(self)}
-        for key, raw in mapping.items():
-            if key not in types:
-                raise ValueError(f"{source}: unknown config key {key!r}")
-            current = getattr(self, key)
-            if isinstance(current, bool):
-                if str(raw).lower() not in ("true", "false"):
-                    raise ValueError(f"{source}: {key} must be true or false, got {raw!r}")
-                value = str(raw).lower() == "true"
-            elif isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = str(raw)
-            setattr(self, key, value)
 
 
-def parse_config_file(path: str) -> dict:
-    """Read a ``key = value`` file; '#' starts a comment, blank lines ignored."""
-    mapping = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-                key, _, raw = text.partition("=")
-                mapping[key.strip()] = raw.strip()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    return mapping
+# Every setting's flag: (option strings, add_argument keywords). A flag's dest
+# is its RunConfig field, and a flag not given stays None.
+_FLAGS = {
+    "flavor": (("--flavor",), {"choices": ("dressed", "gaussian", "stirap")}),
+    "g": (("--g",), {"type": float, "help": "cavity coupling, units 1/T"}),
+    "A": (("--A",), {"type": float, "help": "dressing amplitude knob"}),
+    "kappa": (("--kappa",), {"type": float, "help": "cavity decay rate, units 1/T"}),
+    "gamma": (("--gamma",), {"type": float, "help": "qubit decay rate, units 1/T"}),
+    "gamma_phi": (("--gammaphi",), {"type": float, "help": "dephasing rate, units 1/T"}),
+    "omega0": (("--omega0",), {"type": float, "help": "stirap channel peak, units 1/T"}),
+    "delta_t": (("--delta-t",), {"type": float, "help": "fractional duration error"}),
+    "delta_omega": (("--delta-omega",), {"type": float, "help": "fractional amplitude error"}),
+    "delta_g": (("--delta-g",), {"type": float, "help": "fractional coupling error"}),
+    "n_steps": (("--steps",), {"type": int, "help": "RK4 steps (default 2000)"}),
+    "mode": (
+        ("--mode",),
+        {"choices": ("rescale", "truncate"), "help": "duration-error interpretation"},
+    ),
+    "outdir": (("-o", "--out"), {"help": f"output directory (default ${ENV_OUTDIR}, else out)"}),
+    "write_meta": (
+        ("--no-meta",),
+        {"action": "store_false", "default": None, "help": "skip .meta.json sidecars"},
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,38 +84,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--out", "-o", dest="outdir", help="output directory")
-        p.add_argument("--flavor", choices=("dressed", "gaussian", "stirap"))
-        p.add_argument("--g", type=float, help="cavity coupling, units 1/T")
-        p.add_argument("--A", type=float, help="dressing amplitude knob")
-        p.add_argument("--kappa", type=float, help="cavity decay rate, units 1/T")
-        p.add_argument("--gamma", type=float, help="qubit decay rate, units 1/T")
-        p.add_argument("--gammaphi", dest="gamma_phi", type=float, help="dephasing rate, units 1/T")
-        p.add_argument("--omega0", type=float, help="stirap channel peak, units 1/T")
-        p.add_argument("--delta-t", dest="delta_t", type=float, help="fractional duration error")
-        p.add_argument("--delta-omega", dest="delta_omega", type=float, help="fractional amplitude error")
-        p.add_argument("--delta-g", dest="delta_g", type=float, help="fractional coupling error")
-        p.add_argument("--steps", dest="n_steps", type=int, help="RK4 steps (default 2000)")
-        p.add_argument("--mode", choices=("rescale", "truncate"), help="duration-error interpretation")
-        p.add_argument("--jobs", type=int, help="accepted and ignored: runs are batched in one process")
-        p.add_argument("--no-meta", action="store_true", help="skip .meta.json sidecars")
+    def add(name: str, summary: str, *settings: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for setting in settings:
+            options, kwargs = _FLAGS[setting]
+            p.add_argument(*options, dest=setting, **kwargs)
+        return p
 
-    p_pulses = sub.add_parser("pulses", help="export waveforms to per-qubit CSVs")
-    add_common(p_pulses)
+    files = ("outdir", "write_meta")
+    p_pulses = add("pulses", "export waveforms to per-qubit CSVs", "flavor", "A", "omega0", *files)
     p_pulses.add_argument("--samples", type=int, default=501, help="grid points (default 501)")
 
-    p_sim = sub.add_parser("simulate", help="run one trajectory and print F(T)")
-    add_common(p_sim)
+    p_sim = add("simulate", "run one trajectory and print F(T)", *_FLAGS)
     p_sim.add_argument(
         "--frames",
         type=int,
         help=f"stored frames, 2 to min({MAX_FRAMES}, steps + 1) (default 201, or steps + 1 if fewer)",
     )
 
-    p_sweep = sub.add_parser("sweep", help="sweep up to two named axes")
-    add_common(p_sweep)
+    p_sweep = add("sweep", "sweep up to two named axes", *_FLAGS)
     p_sweep.add_argument(
         "--axis",
         action="append",
@@ -139,39 +113,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "the RunSpec field an alias names (delta_t, delta_omega, delta_g, omega0)",
     )
 
-    p_rep = sub.add_parser("reproduce", help="regenerate a named study with verdicts")
-    add_common(p_rep)
+    p_rep = add("reproduce", "regenerate a named study with verdicts", "n_steps", "mode", *files)
     p_rep.add_argument("target", choices=(*_REPRODUCERS, "all"))
+    p_rep.add_argument(
+        "--jobs", type=int, help="accepted and ignored: runs are batched in one process"
+    )
 
-    p_ver = sub.add_parser("verify", help="frame-cancellation and oracle checks")
-    add_common(p_ver)
-
+    add("verify", "frame-cancellation and oracle checks", "g", "A", "n_steps")
     return parser
 
 
-def _defaults() -> RunConfig:
-    """The configuration before any config file or flag: the defaults, with
-    the output directory from SQUIDW_OUT when it is set."""
-    cfg = RunConfig()
-    if os.environ.get(ENV_OUTDIR):
-        cfg.outdir = os.environ[ENV_OUTDIR]
-    return cfg
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = _defaults()
-    if getattr(args, "config", None):
-        cfg.apply(parse_config_file(args.config), source=args.config)
-    cfg.command = args.command
-    for f in fields(RunConfig):
-        if f.name in ("command", "write_meta"):
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    if getattr(args, "no_meta", False):
-        cfg.write_meta = False
-    return cfg
+def _resolve(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """The defaults, with SQUIDW_OUT as the output directory when it is set,
+    and each flag given; with the settings given, each mapped to its flag.
+    Refuses --omega0 unless the flavor is stirap, and --A unless it is
+    dressed: no other flavor reads them. verify, which has no --flavor,
+    reads A."""
+    given = {name: _FLAGS[name][0][-1] for name in _FLAGS if getattr(args, name, None) is not None}
+    env = {"outdir": os.environ[ENV_OUTDIR]} if os.environ.get(ENV_OUTDIR) else {}
+    cfg = RunConfig(**env | {name: getattr(args, name) for name in given})
+    for name, flavor, what in (("omega0", "stirap", "the stirap channel peak"),
+                               ("A", "dressed", "the dressing amplitude")):
+        if name in given and hasattr(args, "flavor") and cfg.flavor != flavor:
+            raise ValueError(f"{args.command} does not take {given[name]}: {given[name]} sets "
+                             f"{what}; flavor {cfg.flavor!r} has none")
+    return cfg, given
 
 
 def _ensure_outdir(cfg: RunConfig) -> str:
@@ -234,8 +200,9 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experimen
     of the grid over axes.
 
     The absolute rates become ratios at each spec's own coupling
-    g (1 + delta_g). A setting in given (see _given) whose RunSpec field a
-    sweep axis sets is refused: the axis values would replace it.
+    g (1 + delta_g). A setting given as a flag (given maps it to its flag)
+    whose RunSpec field a sweep axis sets is refused: the axis values would
+    replace it.
     """
     base = RunSpec(
         flavor=cfg.flavor,
@@ -327,69 +294,6 @@ def _reproduce_fig3(cfg: RunConfig, outdir: str) -> list:
     return _report(experiments.CHECKS["fig3"], records)
 
 
-# Every setting some command ignores, with its flag.
-_SETTING_FLAGS = {
-    "flavor": "--flavor",
-    "g": "--g",
-    "A": "--A",
-    "kappa": "--kappa",
-    "gamma": "--gamma",
-    "gamma_phi": "--gammaphi",
-    "omega0": "--omega0",
-    "delta_t": "--delta-t",
-    "delta_omega": "--delta-omega",
-    "delta_g": "--delta-g",
-    "n_steps": "--steps",
-    "mode": "--mode",
-    "outdir": "-o/--out",
-    "write_meta": "--no-meta",
-}
-
-# The settings each command uses, and why it takes no others; simulate and
-# sweep use them all. Only the stirap flavor uses omega0, only dressed A.
-# _FILES are the settings of the files a command writes.
-_FILES = {"outdir", "write_meta"}
-_USED_SETTINGS = {
-    "reproduce": ({"n_steps", "mode"} | _FILES, "every target runs at its published settings"),
-    "verify": ({"g", "A", "n_steps"}, "verify uses only --g, --A and --steps, and writes no files"),
-    "pulses": (
-        {"flavor", "A", "omega0"} | _FILES,
-        "pulses uses only --flavor, --A, --omega0 and --samples",
-    ),
-}
-
-
-def _given(args: argparse.Namespace, cfg: RunConfig) -> dict:
-    """Each setting given as a flag, or as a config value other than the
-    default, with how it was given. SQUIDW_OUT is a default for every
-    command, not a setting of one."""
-    defaults = _defaults()
-    given = {}
-    for name, flag in _SETTING_FLAGS.items():
-        if args.no_meta if name == "write_meta" else getattr(args, name, None) is not None:
-            given[name] = flag
-        elif getattr(cfg, name) != getattr(defaults, name):
-            given[name] = f"config key {name} (= {getattr(cfg, name)!r})"
-    return given
-
-
-def _reject_ignored(cfg: RunConfig, given: dict) -> None:
-    """Refuse a given setting (see _given) that the command ignores."""
-    ignored = {}
-    if cfg.command in _USED_SETTINGS:
-        used, why = _USED_SETTINGS[cfg.command]
-        ignored = {name: why for name in _SETTING_FLAGS if name not in used}
-    if cfg.flavor != "stirap":
-        ignored.setdefault(
-            "omega0", f"--omega0 sets the stirap channel peak; flavor {cfg.flavor!r} has none"
-        )
-    if cfg.flavor != "dressed" and cfg.command != "verify":  # verify reads A whatever the flavor
-        ignored.setdefault("A", f"--A sets the dressing amplitude; flavor {cfg.flavor!r} has none")
-    for name, why in ignored.items():
-        if name in given:
-            raise ValueError(f"{cfg.command} does not take {given[name]}: {why}")
-
-
 def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
     """Plan every target, integrate all their points in one run_points call,
     then write, judge and print each target in order."""
@@ -419,9 +323,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        cfg = _resolve(args)
-        given = _given(args, cfg)
-        _reject_ignored(cfg, given)
+        cfg, given = _resolve(args)
         if args.command == "pulses":
             return _cmd_pulses(cfg, args.samples)
         if args.command == "simulate":

@@ -5,7 +5,8 @@ master equation with the 17-operator noise model (per-qubit decay to both
 lower levels, per-qubit dephasing on both transitions, cavity photon loss).
 Both propagators use fixed-step classical RK4 so results are bit-reproducible;
 norm and trace drift are tracked as convergence diagnostics, never corrected
-by renormalization.
+by renormalization. A run that fails a gate raises ConvergenceError before
+its trajectory is packaged.
 
 Both propagators integrate a batch: B points that share a step count advance
 together, each state carrying a leading batch axis. Duration and stored
@@ -367,14 +368,13 @@ def propagate_schrodinger(
 
     psi = psi[..., 0]
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
-    traj = _trajectory(frames, psi, drift, None, n, durations)
     b = int(np.argmax(drift))
     if not drift[b] <= NORM_TOL:
         raise ConvergenceError(
             f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}",
             b,
         )
-    return traj
+    return _trajectory(frames, psi, drift, None, n, durations)
 
 
 def _noise_terms(noise: NoiseModel):
@@ -468,8 +468,8 @@ def propagate_lindblad(
     straight into the slope), 5 when only S is, and 7 otherwise. Stored
     frames and the final state are unpacked as (M + M^T)/2 + i (M - M^T)/2,
     so they are exactly Hermitian. Trace is checked at the end; positivity
-    with eigvalsh at each point's own stored frames. Both gate the result,
-    and a non-finite stored frame fails the run at once.
+    with eigvalsh at each point's own stored frames. Both gate the result
+    before it is packaged, and a non-finite stored frame fails the run at once.
     """
     grid = grid or TimeGrid()
     rho = np.array(rho0, dtype=complex)
@@ -538,7 +538,6 @@ def propagate_lindblad(
 
     rho = _unpack(m)
     drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])
-    traj = _trajectory(frames, rho, drift, min_eig, n, durations)
     b = int(np.argmax(drift))
     if not drift[b] <= TRACE_TOL:
         raise ConvergenceError(
@@ -551,4 +550,4 @@ def propagate_lindblad(
             f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}{_which(b, min_eig)}",
             b,
         )
-    return traj
+    return _trajectory(frames, rho, drift, min_eig, n, durations)

@@ -490,8 +490,8 @@ class RunSpec:
             raise ValueError(f"unknown variation mode {self.mode!r}")
         if self.delta_t <= -1.0:
             raise ValueError("delta_t must exceed -1")
-        if not math.isfinite(self.delta_omega):
-            raise ValueError(f"delta_omega must be finite, got {self.delta_omega}")
+        if not -1.0 < self.delta_omega < math.inf:  # nan fails both
+            raise ValueError(f"delta_omega must be finite and exceed -1, got {self.delta_omega}")
         if self.omega0 is not None and self.flavor != "stirap":
             raise ValueError(
                 f"omega0 is the stirap channel peak; flavor {self.flavor!r} takes none"

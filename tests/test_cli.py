@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, files, configuration precedence."""
+"""Command-line behavior: exit codes, files, the flags each command takes."""
 
 import csv
 import json
@@ -9,32 +9,22 @@ import numpy as np
 import pytest
 
 from squidw import experiments
-from squidw.cli import ENV_OUTDIR, main, parse_config_file
-
-# Every config key at its default, as a config file spells it.
-DEFAULTS_CFG = """\
-flavor = gaussian
-g = 30.0
-A = 0.5
-kappa = 0.0
-gamma = 0.0
-gamma_phi = 0.0
-omega0 = 50.0
-delta_t = 0.0
-delta_omega = 0.0
-delta_g = 0.0
-n_steps = 2000
-mode = rescale
-jobs = 1
-outdir = out
-write_meta = true
-"""
-
+from squidw.cli import ENV_OUTDIR, main
 
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_refused(result, flag):
+    """Exit 1 with nothing on stdout, and an error naming the flag on the
+    last stderr line: the command's own "error: ..." or argparse's usage
+    followed by "squidw: error: unrecognized arguments: ..."."""
+    code, out, err = result
+    assert code == 1 and out == "", (code, out)
+    last = err.splitlines()[-1]
+    assert "error: " in last and flag in last, err
 
 
 def test_help_exits_zero(capsys):
@@ -245,31 +235,16 @@ def test_sweep_records_equal_simulate_records(tmp_path, capsys, monkeypatch, fla
         (["--gammaphi", "0.1", "--axis", "g=10,20", "--axis", "gammaphi_over_g=0,0.01"],
          "--gammaphi"),
         (["--flavor", "stirap", "--omega0", "40", "--axis", "omega0_stirap=10,20"], "--omega0"),
-        (["--config", "{cfg}", "--axis", "g=10,20"], "config key g"),
     ],
 )
 def test_sweep_refuses_a_setting_an_axis_sets(tmp_path, capsys, argv, source):
     """The axis values would replace the setting, so sweep refuses it before
     it creates the output directory."""
-    path = tmp_path / "run.cfg"
-    path.write_text("g = 5\n")
     outdir = tmp_path / "never"
-    argv = [a.format(cfg=path) for a in argv]
     code, out, err = run(["sweep", *argv, "--steps", "400", "-o", str(outdir)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and source in err
     assert not outdir.exists()
-
-
-def test_sweep_takes_a_default_config_value_an_axis_sets(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text(DEFAULTS_CFG)
-    code, out, _ = run(
-        ["sweep", "--config", str(path), "--axis", "g=10,20", "--axis", "kappa_over_g=0,0.01",
-         "--steps", "400", "-o", str(tmp_path)],
-        capsys,
-    )
-    assert code == 0 and "4 points" in out
 
 
 @pytest.mark.parametrize(
@@ -302,7 +277,7 @@ def test_reproduce_prints_verdicts(tmp_path, capsys):
 
 
 def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
-    # every target runs at its published inputs; a physics flag would be ignored
+    # every target runs at its published inputs; reproduce has no physics flag
     for flag in (
         ["--g", "30"],
         ["--A", "0.4"],
@@ -315,19 +290,13 @@ def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
         ["--delta-omega", "0.1"],
         ["--delta-g", "0.1"],
     ):
-        code, out, err = run(["reproduce", "realistic", *flag, "-o", str(tmp_path)], capsys)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and flag[0] in err
-    path = tmp_path / "run.cfg"
-    path.write_text("kappa = 5\n")
-    code, out, err = run(["reproduce", "realistic", "--config", str(path), "-o", str(tmp_path)], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "kappa" in err
-    # a full config file at the defaults is fine, as are the run-control flags
-    path.write_text(DEFAULTS_CFG)
+        result = run(["reproduce", "realistic", *flag, "-o", str(tmp_path / "never")], capsys)
+        assert_refused(result, flag[0])
+    assert not (tmp_path / "never").exists()
+    # the run-control flags are fine
     code, out, _ = run(
-        ["reproduce", "realistic", "--config", str(path), "--steps", "1000", "--mode", "truncate",
-         "--jobs", "2", "--no-meta", "-o", str(tmp_path / "ok")],
+        ["reproduce", "realistic", "--steps", "1000", "--mode", "truncate", "--jobs", "2",
+         "--no-meta", "-o", str(tmp_path / "ok")],
         capsys,
     )
     assert code == 0 and "PASS realistic" in out
@@ -335,9 +304,9 @@ def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
 
 
 def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
-    # verify uses only g, A and the step count, and writes no files; pulses
-    # uses only flavor, A and omega0. Only the stirap flavor has an omega0,
-    # so pulses, simulate and sweep refuse it with any other.
+    # verify takes only g, A and the step count, and writes no files; pulses
+    # takes only flavor, A, omega0 and its files. Only the stirap flavor has
+    # an omega0, so pulses, simulate and sweep refuse it with any other.
     out_flag = ["-o", str(tmp_path)]
     for argv, flag in (
         (["verify", "--kappa", "50"], "--kappa"),
@@ -357,27 +326,10 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
         (["sweep", "--g", "10", "--axis", "omega0_stirap=10,20", "--steps", "400", *out_flag],
          "omega0"),
     ):
-        code, out, err = run(argv, capsys)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and flag in err
-    path = tmp_path / "run.cfg"
-    for command, text, key in (
-        ("pulses", "gamma = 1\n", "gamma"),
-        ("verify", f"outdir = {tmp_path / 'v'}\n", "outdir"),
-        ("verify", "write_meta = false\n", "write_meta"),
-        ("pulses", "omega0 = 40\n", "--omega0"),
-        ("simulate", "omega0 = 40\n", "--omega0"),
-        ("sweep", "flavor = dressed\nomega0 = 40\n", "--omega0"),
-    ):
-        path.write_text(text)
-        code, out, err = run([command, "--config", str(path)], capsys)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and key in err
-    assert not (tmp_path / "v").exists()
+        assert_refused(run(argv, capsys), flag)
     assert not list(tmp_path.glob("pulses_*")) and not list(tmp_path.glob("*.csv"))
-    # a config file at the defaults names omega0 = 50 for the gaussian flavor
-    path.write_text(DEFAULTS_CFG)
-    code, out, _ = run(["pulses", "--config", str(path), "-o", str(tmp_path / "ok")], capsys)
+    # the gaussian flavor has no channel peak, so its meta records none
+    code, out, _ = run(["pulses", "-o", str(tmp_path / "ok")], capsys)
     assert code == 0 and (tmp_path / "ok" / "pulses_gaussian_q1.csv").exists()
     assert json.loads((tmp_path / "ok" / "pulses_gaussian.meta.json").read_text())["omega0"] is None
     code, out, _ = run(
@@ -458,8 +410,8 @@ def test_reproduce_fig8_quadrant_order_needs_truncate(tmp_path, capsys):
 
 
 def test_verify_passes(tmp_path, capsys, monkeypatch):
-    # SQUIDW_OUT is a default for every command, so verify accepts it; it
-    # writes nothing there
+    # SQUIDW_OUT is the default of -o, which verify does not take; a set
+    # SQUIDW_OUT is no error, and verify writes nothing there
     monkeypatch.setenv(ENV_OUTDIR, str(tmp_path / "env"))
     code, out, _ = run(["verify"], capsys)
     assert code == 0
@@ -482,91 +434,45 @@ def test_verify_runs_three_propagator_calls(capsys, monkeypatch):
     ]
 
 
-# ---------------------------------------------------------------------------
-# configuration
+@pytest.mark.parametrize("command", ["pulses", "simulate", "sweep", "reproduce", "verify"])
+def test_each_command_refuses_every_flag_it_does_not_take(tmp_path, capsys, command):
+    """argparse refuses each flag of another command, whole and not as an
+    abbreviation of one of this command's own flags."""
+    files = {"-o", "--out", "--no-meta"}
+    takes = {
+        "pulses": {"--flavor", "--A", "--omega0", "--samples"} | files,
+        "verify": {"--g", "--A", "--steps"},
+        "reproduce": {"--steps", "--mode", "--jobs"} | files,
+    }
+    physics = {"--flavor", "--g", "--A", "--kappa", "--gamma", "--gammaphi", "--omega0",
+               "--delta-t", "--delta-omega", "--delta-g", "--steps", "--mode"}
+    takes["simulate"] = physics | files | {"--frames"}
+    takes["sweep"] = physics | files | {"--axis"}
+    every = set().union(*takes.values()) | {"--config"}
+    head = ["reproduce", "realistic"] if command == "reproduce" else [command]
+    outdir = tmp_path / "never"
+    for flag in sorted(every - takes[command]):
+        result = run([*head, flag, "1", "-o", str(outdir)], capsys)
+        assert_refused(result, f"unrecognized arguments: {flag} ")
+    assert not outdir.exists()
 
 
-def test_config_round_trip(tmp_path, capsys):
-    """Text, float, int and bool config values run as their flags do; a
-    value of the wrong type is refused."""
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "flavor = dressed\nA = 0.4\ng = 42.5\ngamma_phi = 0.01\nn_steps = 400\n"
-        "mode = truncate\nwrite_meta = false\njobs = 3\n"
-    )
-    axis = ["--axis", "dT_over_T=-0.1"]
-    code, _, _ = run(["sweep", "--config", str(path), *axis, "-o", str(tmp_path / "file")], capsys)
-    assert code == 0
+def test_sweep_records_the_settings_its_flags_give(tmp_path, capsys):
+    """Text, float, int and bool flags reach the run; a value of the wrong
+    type is refused."""
     flags = ["--flavor", "dressed", "--A", "0.4", "--g", "42.5", "--gammaphi", "0.01"]
-    flags += ["--steps", "400", "--mode", "truncate", "--no-meta", "--jobs", "3"]
-    code, _, _ = run(["sweep", *flags, *axis, "-o", str(tmp_path / "flags")], capsys)
+    flags += ["--steps", "400", "--mode", "truncate", "--no-meta"]
+    code, _, _ = run(["sweep", *flags, "--axis", "dT_over_T=-0.1", "-o", str(tmp_path)], capsys)
     assert code == 0
-    written = (tmp_path / "file" / "sweep.csv").read_bytes()
-    assert written == (tmp_path / "flags" / "sweep.csv").read_bytes()
-    assert not list((tmp_path / "file").glob("*.meta.json"))
-    with open(tmp_path / "file" / "sweep.csv", newline="") as fh:
+    assert not list(tmp_path.glob("*.meta.json"))
+    with open(tmp_path / "sweep.csv", newline="") as fh:
         [row] = list(csv.DictReader(fh))
     assert (row["flavor"], row["g"], row["n_steps"]) == ("dressed", "42.5", "400")
     assert float(row["gammaphi_over_g"]) == 0.01 / 42.5
-    for text, key in (("write_meta = yes\n", "write_meta"), ("n_steps = 4.5\n", "4.5")):
-        path.write_text(text)
-        code, out, err = run(["simulate", "--config", str(path), "-o", str(tmp_path)], capsys)
-        assert code == 1 and out == "" and key in err
-
-
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# comment line\ng = 12.5\nflavor = dressed  # trailing comment\n\n")
-    mapping = parse_config_file(str(path))
-    assert mapping == {"g": "12.5", "flavor": "dressed"}
-    path.write_text("g 12.5\n")
-    with pytest.raises(ValueError):
-        parse_config_file(str(path))
-
-
-def test_unknown_config_key_exits_one(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("voltage = 3\n")
-    code, _, err = run(["simulate", "--config", str(path), "-o", str(tmp_path)], capsys)
-    assert code == 1
-    assert "voltage" in err
-
-
-def test_missing_config_file_exits_one(tmp_path, capsys):
-    code, _, err = run(
-        ["simulate", "--config", str(tmp_path / "nope.cfg"), "-o", str(tmp_path)], capsys
-    )
-    assert code == 1
-
-
-def test_flags_override_config_file(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("g = 10\nn_steps = 500\n")
-    code, out, _ = run(
-        [
-            "simulate",
-            "--config",
-            str(path),
-            "--g",
-            "30",
-            "-o",
-            str(tmp_path),
-        ],
-        capsys,
-    )
-    assert code == 0
-    # g=30 result, not the g=10 one from the file
-    assert "F(T) = 0.9999" in out
-
-
-def test_config_file_applies_when_flag_absent(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("g = 10\nn_steps = 500\n")
-    code, out, _ = run(["simulate", "--config", str(path), "-o", str(tmp_path)], capsys)
-    assert code == 0
-    f = float(out.split("F(T) = ")[1].split()[0])
-    # the g=10 protocol lands near 0.99995, clearly not the g=30 number
-    assert f == pytest.approx(0.99995, abs=5e-4)
+    for argv, flag in ((["--steps", "4.5"], "--steps"), (["--g", "x"], "--g"),
+                       (["--mode", "stretch"], "--mode")):
+        assert_refused(run(["simulate", *argv, "-o", str(tmp_path / "never")], capsys), flag)
+    assert not (tmp_path / "never").exists()
 
 
 def test_env_var_sets_default_outdir(tmp_path, capsys, monkeypatch):
@@ -606,6 +512,8 @@ def test_unwritable_outdir_exits_one(tmp_path, capsys):
         ["simulate", "--delta-omega", "nan"],
         ["sweep", "--axis", "dOmega_over_Omega=0,nan"],
         ["pulses", "--flavor", "stirap", "--A", "0.3"],
+        ["simulate", "--delta-omega", "-1"],
+        ["sweep", "--axis", "dOmega_over_Omega=0,-1"],
     ],
 )
 def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):
@@ -628,14 +536,9 @@ def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):
 )
 def test_a_is_refused_unless_the_flavor_is_dressed(tmp_path, capsys, argv):
     """Only the dressed flavor reads the dressing amplitude: the gaussian fit
-    and STIRAP write the same bytes for any A. So A is refused, as a flag or
-    as a config value other than the default."""
+    and STIRAP write the same bytes for any A. So --A is refused."""
     code, out, err = run([*argv, "--A", "0.3", "-o", str(tmp_path)], capsys)
     assert code == 1 and out == "" and err.startswith("error:") and "--A" in err
-    path = tmp_path / "run.cfg"
-    path.write_text("A = 0.3\n")
-    code, out, err = run([*argv, "--config", str(path), "-o", str(tmp_path)], capsys)
-    assert code == 1 and out == "" and "config key A" in err
     assert not list(tmp_path.glob("*.csv"))
 
 

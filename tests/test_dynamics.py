@@ -296,6 +296,26 @@ def test_a_diverged_point_is_a_convergence_failure_that_names_it():
     propagate_schrodinger(lambda k: hc[:1], psi0[:1], grid)
 
 
+def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
+    """The gates run before the trajectory is packaged, so a failed run
+    takes no fidelity of its frames: neither a diverged closed batch nor a
+    finite open run whose trace drifted."""
+    calls = []
+    monkeypatch.setattr(squidw.dynamics, "fidelity", lambda state: calls.append(state))
+    grid = TimeGrid(100)
+    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (1.0, 1e5)])
+    psi0 = np.tile(basis_state(PSI4), (2, 1))
+    hc_stiff, sch = cavity_hamiltonian(CouplingConfig(g=150.0)), stirap_pulses(50.0)
+    stiff = lambda t: hc_stiff + drive_hamiltonian(sch.qubit_amplitudes(t))
+    rho0 = np.outer(basis_state(PSI1), basis_state(PSI1)).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="norm drift"):
+            propagate_schrodinger(lambda k: hc, psi0, grid, n_frames=5)
+        with pytest.raises(ConvergenceError, match="trace drift"):
+            one_point(propagate_lindblad, stiff, NoiseModel(kappa=1.0), rho0, grid, n_frames=5)
+    assert calls == []
+
+
 def test_schrodinger_norm_gate_trips_on_stiff_underresolved_run():
     hc = cavity_hamiltonian(CouplingConfig(g=150.0))
     sch = stirap_pulses(50.0)

@@ -470,8 +470,8 @@ def test_evaluate_point_validation():
         RunSpec(delta_t=-1.0)
     with pytest.raises(ValueError, match="stretch"):
         RunSpec(mode="stretch")
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="delta_omega must be finite"):
+    for bad in (math.nan, math.inf, -math.inf, -1.0, -3.0):
+        with pytest.raises(ValueError, match="delta_omega must be finite and exceed -1"):
             RunSpec(delta_omega=bad)
     with pytest.raises(ValueError, match="coupling g"):
         RunSpec(g=0.0)

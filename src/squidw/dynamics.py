@@ -6,7 +6,8 @@ lower levels, per-qubit dephasing on both transitions, cavity photon loss).
 Both propagators use fixed-step classical RK4 so results are bit-reproducible;
 norm and trace drift are tracked as convergence diagnostics, never corrected
 by renormalization. A run that fails a gate raises ConvergenceError before
-its trajectory is packaged.
+its trajectory is packaged, and a run whose stored frame is not finite
+raises it at that frame.
 
 Both propagators integrate a batch: B points that share a step count advance
 together, each state carrying a leading batch axis. Duration and stored
@@ -214,7 +215,10 @@ class _Frames:
     """Each point's stored frames: only its own _frame_indices(n, n_frames_b).
 
     at(step) gives the indices of the points that keep step (None when no
-    point does), and store(points, states) appends their states.
+    point does), and store(step, points, states) appends their states. Both
+    propagators store through it, so both stop at the first stored frame
+    that is not finite: a diverged run, which no later step can mend and no
+    gate can judge.
     """
 
     def __init__(self, n_steps: int, n_frames, state0: np.ndarray):
@@ -232,7 +236,12 @@ class _Frames:
     def at(self, step: int):
         return self._at.get(step)
 
-    def store(self, points: np.ndarray, states: np.ndarray) -> None:
+    def store(self, step: int, points: np.ndarray, states: np.ndarray) -> None:
+        finite = np.isfinite(states.reshape(len(states), -1)).all(axis=1)
+        if not finite.all():
+            b = int(points[np.argmin(finite)])
+            message = f"state is not finite after {step} steps{_which(b, self.stored)}"
+            raise ConvergenceError(message, b)
         for b, s in zip(points, states):
             self.stored[b].append(s)
 
@@ -338,7 +347,8 @@ def propagate_schrodinger(
     the next call. H psi is one real product on the float64 view of psi,
     and the -i sits in the RK4 coefficients (-i h/2, -i h, -i h/6). Every
     product is taken point by point, so a point's result does not depend on
-    the batch it runs in.
+    the batch it runs in. A non-finite stored frame fails the run at once;
+    the norm is gated at the end, before the run is packaged.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex)
@@ -364,7 +374,7 @@ def propagate_schrodinger(
     for step, psi in _rk4(h_fn, bind, psi, n, half, whole, sixth):
         points = frames.at(step)
         if points is not None:
-            frames.store(points, psi[points, :, 0])
+            frames.store(step, points, psi[points, :, 0])
 
     psi = psi[..., 0]
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
@@ -529,11 +539,7 @@ def propagate_lindblad(
         points = frames.at(step)
         if points is not None:
             stored = _unpack(m[points])
-            finite = np.isfinite(stored).all(axis=(1, 2))
-            if not finite.all():  # a diverged run, which eigvalsh cannot judge
-                b = int(points[np.argmin(finite)])
-                raise ConvergenceError(f"state is not finite after {step} steps{_which(b, rho)}", b)
-            frames.store(points, stored)
+            frames.store(step, points, stored)  # before eigvalsh, which cannot judge nan
             min_eig[points] = np.minimum(min_eig[points], np.linalg.eigvalsh(stored).min(axis=-1))
 
     rho = _unpack(m)

@@ -25,13 +25,3 @@ def one_point(propagate, h_of_t, *args, duration=1.0, n_frames=2):
     )
     return traj.point(0)
 
-
-def sampled_once(h_at_nodes, n_steps, duration=1.0):
-    """An h_of_t for one_point whose H is built once for every RK4 node.
-
-    h_at_nodes(ts) returns one H per time of the array ts, so drives whose
-    controls take an array of times are sampled in one call; the nodes are
-    those one_point asks for at n_steps and duration.
-    """
-    nodes = node_times(n_steps, duration)
-    return dict(zip(nodes, h_at_nodes(nodes))).__getitem__

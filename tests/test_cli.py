@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,14 +18,18 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
-def assert_refused(result, flag):
+def assert_refused(result, flag, command):
     """Exit 1 with nothing on stdout, and an error naming the flag on the
-    last stderr line: the command's own "error: ..." or argparse's usage
-    followed by "squidw: error: unrecognized arguments: ..."."""
+    last stderr line: the command's own "error: ..." or argparse's, which
+    follows the command's own usage ("usage: squidw <command> ...") with
+    "squidw <command>: error: ...", such as its unrecognized arguments."""
     code, out, err = result
     assert code == 1 and out == "", (code, out)
     last = err.splitlines()[-1]
     assert "error: " in last and flag in last, err
+    if not err.startswith("error: "):
+        assert err.startswith(f"usage: squidw {command} "), err
+        assert last.startswith(f"squidw {command}: error: "), err
 
 
 def test_help_exits_zero(capsys):
@@ -276,6 +281,19 @@ def test_reproduce_prints_verdicts(tmp_path, capsys):
     assert (tmp_path / "realistic_compare.csv").exists()
 
 
+@pytest.mark.parametrize("known_discrepancy, code", [(False, 1), (True, 0)])
+def test_reproduce_exits_one_on_a_failed_check_that_is_not_flagged(
+    tmp_path, capsys, monkeypatch, known_discrepancy, code
+):
+    """Like verify, reproduce exits 1 when a check fails, unless the check is
+    flagged as a known discrepancy."""
+    verdict = experiments.Verdict("realistic", False, "judged to fail", known_discrepancy)
+    check = experiments.CHECKS["realistic"]._replace(judge=lambda output: [verdict])
+    monkeypatch.setitem(experiments.CHECKS, "realistic", check)
+    result = run(["reproduce", "realistic", "--steps", "1000", "-o", str(tmp_path)], capsys)
+    assert result == (code, "FAIL realistic: judged to fail\n0 of 1 reference checks pass\n", "")
+
+
 def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
     # every target runs at its published inputs; reproduce has no physics flag
     for flag in (
@@ -291,7 +309,7 @@ def test_reproduce_rejects_settings_it_ignores(tmp_path, capsys):
         ["--delta-g", "0.1"],
     ):
         result = run(["reproduce", "realistic", *flag, "-o", str(tmp_path / "never")], capsys)
-        assert_refused(result, flag[0])
+        assert_refused(result, flag[0], "reproduce")
     assert not (tmp_path / "never").exists()
     # the run-control flags are fine
     code, out, _ = run(
@@ -326,7 +344,7 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
         (["sweep", "--g", "10", "--axis", "omega0_stirap=10,20", "--steps", "400", *out_flag],
          "omega0"),
     ):
-        assert_refused(run(argv, capsys), flag)
+        assert_refused(run(argv, capsys), flag, argv[0])
     assert not list(tmp_path.glob("pulses_*")) and not list(tmp_path.glob("*.csv"))
     # the gaussian flavor has no channel peak, so its meta records none
     code, out, _ = run(["pulses", "-o", str(tmp_path / "ok")], capsys)
@@ -421,14 +439,15 @@ def test_verify_passes(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_runs_three_propagator_calls(capsys, monkeypatch):
-    """The effective model joins the zero-noise Schrodinger point in one
-    closed batch of two, the zero-noise Lindblad point runs alone, and the
-    integrator oracle carries 10 basis states through 10 segments at once."""
+    """The effective model joins the zero-noise Schrodinger point and the
+    full dressed model at g = 300/T in one closed batch of three, the
+    zero-noise Lindblad point runs alone, and the integrator oracle carries
+    10 basis states through 10 segments at once."""
     calls = _propagator_calls(monkeypatch)
     code, out, _ = run(["verify"], capsys)
     assert code == 0 and "FAIL" not in out
     assert calls == [
-        ("propagate_schrodinger", 2),
+        ("propagate_schrodinger", 3),
         ("propagate_lindblad", 1),
         ("propagate_schrodinger", 100),
     ]
@@ -453,7 +472,7 @@ def test_each_command_refuses_every_flag_it_does_not_take(tmp_path, capsys, comm
     outdir = tmp_path / "never"
     for flag in sorted(every - takes[command]):
         result = run([*head, flag, "1", "-o", str(outdir)], capsys)
-        assert_refused(result, f"unrecognized arguments: {flag} ")
+        assert_refused(result, f"unrecognized arguments: {flag} ", command)
     assert not outdir.exists()
 
 
@@ -471,7 +490,8 @@ def test_sweep_records_the_settings_its_flags_give(tmp_path, capsys):
     assert float(row["gammaphi_over_g"]) == 0.01 / 42.5
     for argv, flag in ((["--steps", "4.5"], "--steps"), (["--g", "x"], "--g"),
                        (["--mode", "stretch"], "--mode")):
-        assert_refused(run(["simulate", *argv, "-o", str(tmp_path / "never")], capsys), flag)
+        result = run(["simulate", *argv, "-o", str(tmp_path / "never")], capsys)
+        assert_refused(result, flag, "simulate")
     assert not (tmp_path / "never").exists()
 
 
@@ -565,8 +585,12 @@ def test_a_is_taken_by_the_dressed_flavor_and_by_verify(tmp_path, capsys):
 def test_a_diverged_run_is_a_convergence_failure(tmp_path, capsys, argv):
     """A step far too coarse for the coupling overflows to inf and nan. That
     is a convergence failure (exit 2), not a nan fidelity let through by
-    gates that compare nan, nor a crash in eigvalsh."""
+    gates that compare nan, nor a crash in eigvalsh. Both propagators stop
+    at the first stored frame that is not finite: simulate stores every one
+    of its 100 steps, so it stops early; a sweep stores only the last."""
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = run([*argv, "--steps", "100", "-o", str(tmp_path)], capsys)
     assert code == 2 and out == "" and err.startswith("convergence failure:")
+    steps = int(re.search(r"state is not finite after (\d+) steps", err).group(1))
+    assert steps < 100 if argv[0] == "simulate" else steps == 100
     assert not list(tmp_path.glob("*.csv"))

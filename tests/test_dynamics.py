@@ -275,9 +275,9 @@ def test_rk4_is_fourth_order():
 
 def test_a_diverged_point_is_a_convergence_failure_that_names_it():
     """At g = 1e5 a 100-step run overflows to inf and then nan. Both
-    propagators raise ConvergenceError naming that point of the batch: the
-    gates treat nan as failing, and a non-finite density matrix is refused
-    before eigvalsh sees it."""
+    propagators raise ConvergenceError naming that point of the batch: each
+    stops at the first stored frame that is not finite, before a gate or
+    eigvalsh sees it."""
     grid = TimeGrid(100)
     hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (1.0, 1e5)])
     psi0 = np.tile(basis_state(PSI4), (2, 1))  # a state the cavity couples
@@ -309,7 +309,7 @@ def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
     stiff = lambda t: hc_stiff + drive_hamiltonian(sch.qubit_amplitudes(t))
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1)).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConvergenceError, match="norm drift"):
+        with pytest.raises(ConvergenceError, match="not finite"):
             propagate_schrodinger(lambda k: hc, psi0, grid, n_frames=5)
         with pytest.raises(ConvergenceError, match="trace drift"):
             one_point(propagate_lindblad, stiff, NoiseModel(kappa=1.0), rho0, grid, n_frames=5)

@@ -174,17 +174,6 @@ def test_intermediate_population_bound_profile():
     assert max(vals) <= math.sin(0.5) ** 2 + 1e-15
 
 
-def test_dressing_amplitude_tradeoff():
-    # larger A tolerates more transient population but needs less drive power
-    peaks, bounds = [], []
-    for a in (0.2, 0.35, 0.5):
-        p = ScheduleParams(A=a)
-        peaks.append(dressed_pulses(p).peak_amplitude)
-        bounds.append(math.sin(a) ** 2)
-    assert peaks[0] > peaks[1] > peaks[2]
-    assert bounds[0] < bounds[1] < bounds[2]
-
-
 def test_gaussian_component_form_and_validation():
     c = GaussianComponent(amplitude=2.0, center=0.3, width=0.1)
     assert c(0.3, 1.0) == pytest.approx(2.0)

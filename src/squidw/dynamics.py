@@ -371,10 +371,13 @@ def propagate_schrodinger(
         p, out = src.view(np.float64), dst.view(np.float64)
         return lambda H: np.matmul(H, p, out=out)
 
-    for step, psi in _rk4(h_fn, bind, psi, n, half, whole, sixth):
-        points = frames.at(step)
-        if points is not None:
-            frames.store(step, points, psi[points, :, 0])
+    # A diverging run overflows to inf and nan, which its next stored frame
+    # rejects with ConvergenceError; float warnings on the way only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, psi in _rk4(h_fn, bind, psi, n, half, whole, sixth):
+            points = frames.at(step)
+            if points is not None:
+                frames.store(step, points, psi[points, :, 0])
 
     psi = psi[..., 0]
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
@@ -535,12 +538,13 @@ def propagate_lindblad(
     h = _step_size(durations, n)
     frames = _Frames(n, n_frames, rho)
     min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
-    for step, m in _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0):
-        points = frames.at(step)
-        if points is not None:
-            stored = _unpack(m[points])
-            frames.store(step, points, stored)  # before eigvalsh, which cannot judge nan
-            min_eig[points] = np.minimum(min_eig[points], np.linalg.eigvalsh(stored).min(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in propagate_schrodinger
+        for step, m in _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0):
+            points = frames.at(step)
+            if points is not None:
+                stored = _unpack(m[points])
+                frames.store(step, points, stored)  # before eigvalsh, which cannot judge nan
+                min_eig[points] = np.minimum(min_eig[points], np.linalg.eigvalsh(stored).min(axis=-1))
 
     rho = _unpack(m)
     drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])

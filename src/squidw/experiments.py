@@ -69,7 +69,6 @@ from .pulse_design import (
     intermediate_population_bound,
     scaled,
     stirap_pulses,
-    with_duration,
 )
 from .state_space import (
     DIM,
@@ -563,7 +562,7 @@ class RunSpec:
 
     @property
     def coupling(self) -> CouplingConfig:
-        return CouplingConfig(g=self.g * (1.0 + self.delta_g), T=self.duration)
+        return CouplingConfig(g=self.g * (1.0 + self.delta_g))
 
     @property
     def noise(self) -> NoiseModel:
@@ -579,12 +578,9 @@ class RunSpec:
         return not self.master_equation and self.noise.is_closed
 
     def schedule(self) -> PulseSchedule:
-        if self.mode == "rescale":
-            params = ScheduleParams(T=self.duration, A=self.A)
-            schedule = build_schedule(self.flavor, params, self.omega0)
-        else:
-            schedule = build_schedule(self.flavor, ScheduleParams(T=1.0, A=self.A), self.omega0)
-            schedule = with_duration(schedule, self.duration)
+        # A truncated run keeps the nominal waveforms; its window is self.duration.
+        params = ScheduleParams(T=self.duration if self.mode == "rescale" else 1.0, A=self.A)
+        schedule = build_schedule(self.flavor, params, self.omega0)
         if self.delta_omega != 0.0:
             schedule = scaled(schedule, 1.0 + self.delta_omega)
         return schedule

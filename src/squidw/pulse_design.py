@@ -167,33 +167,31 @@ GAUSSIAN_FIT_B = (
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """A complete set of drive waveforms.
+    """A complete set of drive waveforms: both channel envelopes from one call.
 
-    channel_a(t) feeds qubits 1-3, channel_b(t) feeds qubit 4, each multiplied
-    by sqrt(2) to give per-qubit Rabi amplitudes. Channel callables take a
-    time or an array of times and are defined for all t (flavors with a
-    natural support window return 0 outside it), so a schedule can be
-    evaluated past its nominal duration when a run is deliberately cut short
-    or overextended.
+    envelope(t) takes a 1-d float array of times and returns the envelopes
+    (a, b) as shape (len(t), 2): channel a feeds qubits 1-3 and channel b
+    qubit 4, each multiplied by sqrt(2) to give per-qubit Rabi amplitudes.
+    The envelope is defined for all t (flavors with a natural support window
+    return 0 outside it), so a schedule can be evaluated past its nominal
+    duration when a run is deliberately cut short or overextended.
     """
 
-    flavor: str
     duration: float
-    channel_a: Callable[[float], float]
-    channel_b: Callable[[float], float]
+    envelope: Callable[[np.ndarray], np.ndarray]
 
     def qubit_amplitudes(self, t) -> np.ndarray:
         """Per-qubit Rabi amplitudes (q1, q2, q3, q4) at t, shape (4,), or at
         every time of an array, shape (4, len(t))."""
-        a = _SQRT2 * self.channel_a(t)
-        b = _SQRT2 * self.channel_b(t)
+        a, b = _SQRT2 * self.envelopes(t).T
         return np.array([a, a, a, b])
 
     def envelopes(self, ts) -> np.ndarray:
         """Channel envelopes (a, b) at a time, shape (2,), or at every time
-        of an array, shape (len(ts), 2)."""
+        of an array, shape (len(ts), 2). One time is sampled as an array of
+        one, since numpy's scalar arithmetic may round differently."""
         ts = np.asarray(ts, dtype=float)
-        return np.stack([self.channel_a(ts), self.channel_b(ts)], axis=-1)
+        return self.envelope(ts.reshape(-1)).reshape(ts.shape + (2,))
 
     @cached_property
     def peak_amplitude(self) -> float:
@@ -206,72 +204,38 @@ def dressed_pulses(params: ScheduleParams | None = None) -> PulseSchedule:
     """Exact corrected controls as a schedule; zero outside [0, T]."""
     p = params or ScheduleParams()
 
-    def channel(component: str) -> Callable:
-        def envelope(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros(t.shape)
-            inside = (t >= 0.0) & (t <= p.T)
-            out[inside] = getattr(modified_controls(t[inside], p), component)
-            return out[()]
+    def envelope(t):
+        out = np.zeros((len(t), 2))
+        inside = (t >= 0.0) & (t <= p.T)
+        c = modified_controls(t[inside], p)
+        out[inside] = np.stack([c.omega_a, c.omega_b], axis=-1)
+        return out
 
-        return envelope
-
-    return PulseSchedule(
-        flavor="dressed", duration=p.T, channel_a=channel("omega_a"), channel_b=channel("omega_b")
-    )
+    return PulseSchedule(p.T, envelope)
 
 
 def gaussian_fit_pulses(params: ScheduleParams | None = None) -> PulseSchedule:
     """Two-component Gaussian approximations of the dressed controls."""
     p = params or ScheduleParams()
-
-    def chan_a(t):
-        return sum(c(t, p.T) for c in GAUSSIAN_FIT_A)
-
-    def chan_b(t):
-        return sum(c(t, p.T) for c in GAUSSIAN_FIT_B)
-
-    return PulseSchedule(flavor="gaussian", duration=p.T, channel_a=chan_a, channel_b=chan_b)
+    fits = (GAUSSIAN_FIT_A, GAUSSIAN_FIT_B)
+    return PulseSchedule(p.T, lambda t: np.stack([sum(c(t, p.T) for c in f) for f in fits], -1))
 
 
-def stirap_pulses(
-    omega0: float,
-    t0: float | None = None,
-    tc: float | None = None,
-    params: ScheduleParams | None = None,
-) -> PulseSchedule:
-    """Counterintuitive Gaussian pair.
+def stirap_pulses(omega0: float, params: ScheduleParams | None = None) -> PulseSchedule:
+    """Counterintuitive Gaussian pair of width 0.2 T.
 
     The channel on the initially empty branch (qubits 1-3) peaks first at
-    T/2 - t0, the qubit-4 channel at T/2 + t0. omega0 is the channel peak.
+    0.35 T, the qubit-4 channel at 0.65 T. omega0 is the channel peak.
     """
     if not (omega0 > 0 and math.isfinite(omega0)):
         raise ValueError(f"omega0 must be positive, got {omega0}")
     p = params or ScheduleParams()
-    t0 = 0.15 * p.T if t0 is None else t0
-    tc = 0.20 * p.T if tc is None else tc
-
-    def chan_a(t):
-        return omega0 * np.exp(-(((t - (0.5 * p.T - t0)) / tc) ** 2))
-
-    def chan_b(t):
-        return omega0 * np.exp(-(((t - (0.5 * p.T + t0)) / tc) ** 2))
-
-    return PulseSchedule(flavor="stirap", duration=p.T, channel_a=chan_a, channel_b=chan_b)
+    t0, tc = 0.15 * p.T, 0.20 * p.T
+    peaks = np.array([0.5 * p.T - t0, 0.5 * p.T + t0])
+    return PulseSchedule(p.T, lambda t: omega0 * np.exp(-(((t[:, None] - peaks) / tc) ** 2)))
 
 
 def scaled(schedule: PulseSchedule, factor: float) -> PulseSchedule:
     """Same waveforms with every amplitude multiplied by `factor`."""
-    ca, cb = schedule.channel_a, schedule.channel_b
-    return replace(
-        schedule,
-        channel_a=lambda t: factor * ca(t),
-        channel_b=lambda t: factor * cb(t),
-    )
-
-
-def with_duration(schedule: PulseSchedule, duration: float) -> PulseSchedule:
-    """Same waveforms evaluated over a different run window (cut or extended)."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return replace(schedule, duration=duration)
+    envelope = schedule.envelope
+    return replace(schedule, envelope=lambda t: factor * envelope(t))

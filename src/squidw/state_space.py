@@ -62,13 +62,10 @@ class CouplingConfig:
     """Cavity coupling configuration. Qubits 1-3 share g, qubit 4 uses sqrt(3)*g."""
 
     g: float
-    T: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.g > 0 and math.isfinite(self.g)):
             raise ValueError(f"coupling g must be positive and finite, got {self.g}")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"duration T must be positive and finite, got {self.T}")
 
     @property
     def g4(self) -> float:

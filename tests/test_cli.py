@@ -587,10 +587,12 @@ def test_a_diverged_run_is_a_convergence_failure(tmp_path, capsys, argv):
     is a convergence failure (exit 2), not a nan fidelity let through by
     gates that compare nan, nor a crash in eigvalsh. Both propagators stop
     at the first stored frame that is not finite: simulate stores every one
-    of its 100 steps, so it stops early; a sweep stores only the last."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run([*argv, "--steps", "100", "-o", str(tmp_path)], capsys)
-    assert code == 2 and out == "" and err.startswith("convergence failure:")
+    of its 100 steps, so it stops early; a sweep stores only the last. The
+    float overflow on the way is no warning: the one stderr line is the
+    convergence failure."""
+    code, out, err = run([*argv, "--steps", "100", "-o", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("convergence failure:") and err.count("\n") == 1, err
     steps = int(re.search(r"state is not finite after (\d+) steps", err).group(1))
     assert steps < 100 if argv[0] == "simulate" else steps == 100
     assert not list(tmp_path.glob("*.csv"))

@@ -277,7 +277,8 @@ def test_a_diverged_point_is_a_convergence_failure_that_names_it():
     """At g = 1e5 a 100-step run overflows to inf and then nan. Both
     propagators raise ConvergenceError naming that point of the batch: each
     stops at the first stored frame that is not finite, before a gate or
-    eigvalsh sees it."""
+    eigvalsh sees it, and the overflow on the way raises no float warning
+    (which this suite turns into an error)."""
     grid = TimeGrid(100)
     hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (1.0, 1e5)])
     psi0 = np.tile(basis_state(PSI4), (2, 1))  # a state the cavity couples
@@ -288,9 +289,8 @@ def test_a_diverged_point_is_a_convergence_failure_that_names_it():
         (propagate_lindblad, ([NoiseModel(kappa=1.0)] * 2, rho0)),
     )
     for propagate, args in runs:
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ConvergenceError, match=r"\(batch point 1\)") as raised:
-                propagate(lambda k: hc, *args, grid, n_frames=5)
+        with pytest.raises(ConvergenceError, match=r"\(batch point 1\)") as raised:
+            propagate(lambda k: hc, *args, grid, n_frames=5)
         assert raised.value.point == 1
     # the finite point alone passes
     propagate_schrodinger(lambda k: hc[:1], psi0[:1], grid)
@@ -308,11 +308,10 @@ def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
     hc_stiff, sch = cavity_hamiltonian(CouplingConfig(g=150.0)), stirap_pulses(50.0)
     stiff = lambda t: hc_stiff + drive_hamiltonian(sch.qubit_amplitudes(t))
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1)).astype(complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConvergenceError, match="not finite"):
-            propagate_schrodinger(lambda k: hc, psi0, grid, n_frames=5)
-        with pytest.raises(ConvergenceError, match="trace drift"):
-            one_point(propagate_lindblad, stiff, NoiseModel(kappa=1.0), rho0, grid, n_frames=5)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        propagate_schrodinger(lambda k: hc, psi0, grid, n_frames=5)
+    with pytest.raises(ConvergenceError, match="trace drift"):
+        one_point(propagate_lindblad, stiff, NoiseModel(kappa=1.0), rho0, grid, n_frames=5)
     assert calls == []
 
 

@@ -31,7 +31,7 @@ from squidw.experiments import (
     _plan_trace,
     _run_plan,
 )
-from squidw.pulse_design import ScheduleParams
+from squidw.pulse_design import ScheduleParams, dressed_pulses, gaussian_fit_pulses, stirap_pulses
 from squidw.state_space import PSI1, basis_state, cavity_hamiltonian, drive_hamiltonian
 
 BASE = RunSpec(n_steps=500)
@@ -517,9 +517,14 @@ def test_sweepspec_validation():
 
 def test_build_schedule_dispatch():
     p = ScheduleParams()
-    assert build_schedule("dressed", p).flavor == "dressed"
-    assert build_schedule("gaussian", p).flavor == "gaussian"
-    assert build_schedule("stirap", p, 9.8).flavor == "stirap"
+    ts = np.linspace(0.0, 1.0, 21)
+    for built, direct in (
+        (build_schedule("dressed", p), dressed_pulses(p)),
+        (build_schedule("gaussian", p), gaussian_fit_pulses(p)),
+        (build_schedule("stirap", p, 9.8), stirap_pulses(9.8, params=p)),
+    ):
+        # both columns: channel a and channel b
+        assert np.array_equal(built.envelopes(ts), direct.envelopes(ts))
     with pytest.raises(ValueError):
         build_schedule("stirap", p)
     with pytest.raises(ValueError):

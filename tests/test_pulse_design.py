@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from squidw import pulse_design
+from squidw.experiments import RunSpec
 from squidw.pulse_design import (
     GAUSSIAN_FIT_A,
     GAUSSIAN_FIT_B,
@@ -19,7 +21,6 @@ from squidw.pulse_design import (
     scaled,
     schedule_angles,
     stirap_pulses,
-    with_duration,
 )
 
 
@@ -141,7 +142,7 @@ def test_array_controls_match_scalar_controls():
     outside = np.array([-1.0, -1e-12, p.T + 1e-12, 2.0 * p.T])
     with np.errstate(all="raise"):
         assert np.all(dressed_pulses(p).envelopes(outside) == 0.0)
-    assert dressed_pulses(p).channel_a(-0.1) == 0.0
+    assert np.all(dressed_pulses(p).envelopes(-0.1) == 0.0)
 
 
 def test_modified_controls_mirror_symmetry():
@@ -157,7 +158,7 @@ def test_modified_controls_mirror_symmetry():
 def test_dressed_channel_a_peaks_before_channel_b():
     sch = dressed_pulses(ScheduleParams())
     ts = np.linspace(0.0, 1.0, 2001)
-    a, b = sch.channel_a(ts), sch.channel_b(ts)
+    a, b = sch.envelopes(ts).T
     assert ts[np.argmax(a)] < 0.5 < ts[np.argmax(b)]
     # mirror pair: b is a reflected in t -> T - t
     assert np.max(np.abs(a - b[::-1])) < 1e-8
@@ -202,11 +203,7 @@ def test_gaussian_fit_tracks_exact_controls():
     exact = dressed_pulses(p)
     fit = gaussian_fit_pulses(p)
     ts = np.linspace(0.0, 1.0, 801)
-    for chan_exact, chan_fit in (
-        (exact.channel_a, fit.channel_a),
-        (exact.channel_b, fit.channel_b),
-    ):
-        dev = chan_fit(ts) - chan_exact(ts)
+    for dev in (fit.envelopes(ts) - exact.envelopes(ts)).T:
         assert np.max(np.abs(dev)) < 0.35
         assert math.sqrt(np.mean(dev**2)) < 0.15
     assert fit.peak_amplitude == pytest.approx(8.878, abs=0.02)
@@ -214,31 +211,27 @@ def test_gaussian_fit_tracks_exact_controls():
 
 def test_boundary_suppression_per_flavor():
     p = ScheduleParams()
-    exact = dressed_pulses(p)
-    for chan in (exact.channel_a, exact.channel_b):
-        assert abs(chan(0.0)) < 1e-12 and abs(chan(1.0)) < 1e-12
-    fit = gaussian_fit_pulses(p)
-    for chan in (fit.channel_a, fit.channel_b):
-        assert abs(chan(0.0)) < 0.35
-        assert abs(chan(1.0)) < 0.35
-    stirap = stirap_pulses(50.0, params=p)
-    for chan in (stirap.channel_a, stirap.channel_b):
-        assert abs(chan(0.0)) < 0.05 * 50.0
-        assert abs(chan(1.0)) < 0.05 * 50.0
+    for sch, bound in (
+        (dressed_pulses(p), 1e-12),
+        (gaussian_fit_pulses(p), 0.35),
+        (stirap_pulses(50.0, params=p), 0.05 * 50.0),
+    ):
+        # rows t = 0 and t = T, columns channel a and channel b
+        assert np.all(np.abs(sch.envelopes([0.0, 1.0])) < bound)
 
 
 def test_stirap_counterintuitive_ordering():
     sch = stirap_pulses(9.8)
     ts = np.linspace(0.0, 1.0, 4001)
-    a = np.array([sch.channel_a(t) for t in ts])
-    b = np.array([sch.channel_b(t) for t in ts])
+    a, b = np.array([sch.envelopes(t) for t in ts]).T
     assert ts[np.argmax(a)] == pytest.approx(0.35, abs=1e-3)
     assert ts[np.argmax(b)] == pytest.approx(0.65, abs=1e-3)
     assert a.max() == pytest.approx(9.8, rel=1e-6)
     # per-qubit amplitude carries the sqrt(2) channel factor
     amps = sch.qubit_amplitudes(0.35)
-    assert amps[0] == pytest.approx(math.sqrt(2.0) * sch.channel_a(0.35), rel=1e-15)
-    assert amps[3] == pytest.approx(math.sqrt(2.0) * sch.channel_b(0.35), rel=1e-15)
+    a, b = sch.envelopes(0.35)
+    assert amps[0] == pytest.approx(math.sqrt(2.0) * a, rel=1e-15)
+    assert amps[3] == pytest.approx(math.sqrt(2.0) * b, rel=1e-15)
     with pytest.raises(ValueError):
         stirap_pulses(0.0)
     with pytest.raises(ValueError):
@@ -249,21 +242,61 @@ def test_qubit_amplitudes_share_channel_a():
     sch = gaussian_fit_pulses()
     amps = sch.qubit_amplitudes(0.4)
     assert amps[0] == amps[1] == amps[2]
-    assert amps[0] == pytest.approx(math.sqrt(2.0) * sch.channel_a(0.4), rel=1e-15)
+    assert amps[0] == pytest.approx(math.sqrt(2.0) * sch.envelopes(0.4)[0], rel=1e-15)
 
 
-def test_scaled_and_with_duration():
+def test_scaled_and_truncated_schedules():
     base = gaussian_fit_pulses()
     louder = scaled(base, 1.1)
     for t in (0.0, 0.3, 0.9):
-        assert louder.channel_a(t) == pytest.approx(1.1 * base.channel_a(t), rel=1e-15)
-        assert louder.channel_b(t) == pytest.approx(1.1 * base.channel_b(t), rel=1e-15)
-    shorter = with_duration(base, 0.9)
-    assert shorter.duration == 0.9
-    # waveforms unchanged, only the run window moved
-    assert shorter.channel_a(0.5) == base.channel_a(0.5)
-    with pytest.raises(ValueError):
-        with_duration(base, 0.0)
+        np.testing.assert_allclose(louder.envelopes(t), 1.1 * base.envelopes(t), rtol=1e-15)
+    # A truncated run keeps the nominal waveforms bit for bit, whether its
+    # window (RunSpec.duration) is cut or extended; only the node times move.
+    ts = np.linspace(0.0, 1.1, 45)
+    for flavor, omega0 in (("dressed", None), ("gaussian", None), ("stirap", 9.8)):
+        nominal = RunSpec(flavor=flavor, omega0=omega0).schedule().envelopes(ts)
+        for delta_t in (-0.1, 0.1):
+            spec = RunSpec(flavor=flavor, omega0=omega0, mode="truncate", delta_t=delta_t)
+            assert spec.duration == 1.0 + delta_t
+            assert np.array_equal(spec.schedule().envelopes(ts), nominal)
+
+
+def test_one_time_is_the_matching_row_of_array_sampling():
+    """A float time gives the (a, b) pair, shape (2,), bitwise equal to its
+    row of the (len(ts), 2) array sampling; qubit amplitudes follow both."""
+    ts = np.linspace(-0.1, 1.1, 61)
+    for name, sch in {
+        "dressed": dressed_pulses(),
+        "gaussian": gaussian_fit_pulses(),
+        "stirap": stirap_pulses(9.8),
+        "scaled dressed": scaled(dressed_pulses(), 0.9),
+    }.items():
+        rows = sch.envelopes(ts)
+        assert rows.shape == (len(ts), 2), name
+        amps = sch.qubit_amplitudes(ts)
+        assert amps.shape == (4, len(ts)), name
+        for i, t in enumerate(ts):
+            one = sch.envelopes(float(t))
+            assert one.shape == (2,), name
+            assert np.array_equal(one, rows[i]), (name, t)
+            assert np.array_equal(sch.qubit_amplitudes(float(t)), amps[:, i]), (name, t)
+
+
+def test_dressed_sampling_computes_the_controls_once(monkeypatch):
+    """Both dressed channels come from one modified_controls call per
+    envelopes call, for one time and for an array of times."""
+    calls = []
+
+    def counted(t, p):
+        calls.append(np.shape(t))
+        return modified_controls(t, p)
+
+    monkeypatch.setattr(pulse_design, "modified_controls", counted)
+    sch = dressed_pulses(ScheduleParams())
+    sch.envelopes(0.3)
+    sch.envelopes(np.linspace(0.0, 1.0, 11))
+    sch.qubit_amplitudes(np.linspace(0.0, 1.0, 5))
+    assert calls == [(1,), (11,), (5,)]
 
 
 def test_schedule_params_validation():

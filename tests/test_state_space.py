@@ -262,8 +262,6 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         CouplingConfig(g=-3.0)
     with pytest.raises(ValueError):
-        CouplingConfig(g=1.0, T=0.0)
-    with pytest.raises(ValueError):
         drive_hamiltonian([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         drive_hamiltonian([1.0, 2.0, np.inf, 4.0])

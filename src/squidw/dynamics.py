@@ -36,13 +36,18 @@ Stored frames and the final state are unpacked as
 rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
 
 RK4 advances the state in place. Each propagator call allocates its buffers
-once (state, stage state, four slopes, accumulator, and the Lindblad
-scratch) and builds every view of them, the float64 views and the strided
-diagonals, before stepping, so no array is allocated inside the step loop.
-A right-hand side then writes its slope through out=: one matmul for
-Schrodinger; for Lindblad three numpy calls without noise, five without
-jumps and seven with them. The stepper yields its live state buffer, and
-the propagators copy whatever they store.
+once (state, stage state, the four slopes as the rows of one buffer,
+accumulator, and the Lindblad scratch) and builds every view of them, the
+float64 views and the strided diagonals, before stepping, so no array is
+allocated inside the step loop. A right-hand side then writes its slope
+through out=: one matmul for Schrodinger; for Lindblad three numpy calls
+without noise, five without jumps and seven with them, where the scatter
+lands on the strided diagonal of a zeroed matrix and one contiguous add
+brings it to the slope. The four slopes are summed by one BLAS product with
+the weights (1, 2, 2, 1): every product is exact and the four rows are added
+left to right, so the sum is that of k1 + 2 k2 + 2 k3 + k4 bit for bit.
+The stepper yields its live state buffer, and the propagators copy whatever
+they store.
 
 h_fn is a stream: the propagators call it exactly once per node, in
 increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
@@ -290,6 +295,9 @@ def _real_h(h_fn, k: int) -> np.ndarray:
     return H
 
 
+_RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]])  # k1 + 2 k2 + 2 k3 + k4, one row
+
+
 def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     """Advance x in place through n RK4 steps, yielding (step + 1, x) after each.
 
@@ -298,12 +306,20 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     right-hand side f(H) that writes the slope at state src into dst; bind
     runs once per stage, before stepping, so a kernel builds its views of
     the buffers once. h_fn is called once per node, in increasing k. The
-    stage state, the four slopes and the accumulator are allocated here,
-    once, and nothing is allocated inside the step loop. Each sum and
-    product is the one of x + sixth * (k1 + 2 k2 + 2 k3 + k4) with its
-    operands swapped at most, which leaves IEEE results bit for bit alike.
+    stage state, the four slopes (the rows of one (4, *x.shape) buffer) and
+    the accumulator are allocated here, once, and nothing is allocated
+    inside the step loop. The slopes are summed by one product,
+    _RK4_WEIGHTS @ slopes on their float64 views: its weights 1 and 2 make
+    every product exact, and BLAS adds the four rows left to right, so the
+    sum is ((k1 + 2 k2) + 2 k3) + k4 bit for bit. Each sum and product is
+    then the one of x + sixth * (k1 + 2 k2 + 2 k3 + k4) with its operands
+    swapped at most, which leaves IEEE results bit for bit alike.
     """
-    y, acc, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(6))
+    y = np.empty_like(x)
+    slopes = np.empty((4, *x.shape), dtype=x.dtype)
+    acc = np.empty_like(slopes[0])
+    weighted, summed = slopes.view(np.float64).reshape(4, -1), acc.view(np.float64).reshape(1, -1)
+    k1, k2, k3, k4 = slopes
     f1, f2, f3, f4 = bind(x, k1), bind(y, k2), bind(y, k3), bind(y, k4)
     H = _real_h(h_fn, 0)
     for step in range(n):
@@ -319,11 +335,7 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
         np.multiply(whole, k3, out=y)
         y += x
         f4(H)
-        np.multiply(2.0, k2, out=acc)
-        acc += k1
-        k3 *= 2.0
-        acc += k3
-        acc += k4
+        np.matmul(_RK4_WEIGHTS, weighted, out=summed)
         acc *= sixth
         x += acc
         yield step + 1, x
@@ -354,7 +366,9 @@ def propagate_schrodinger(
     psi = np.array(psi0, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != DIM:
         raise ValueError(f"psi0 must have shape (B, {DIM})")
-    if any(abs(np.linalg.norm(p) - 1.0) > 1e-9 for p in psi):
+    if not np.isfinite(psi).all():
+        raise ValueError("psi0 must be finite")
+    if any(not abs(np.linalg.norm(p) - 1.0) <= 1e-9 for p in psi):
         raise ValueError("psi0 must be normalized")
     n = grid.n_steps
     durations = _durations(duration, len(psi))
@@ -488,8 +502,10 @@ def propagate_lindblad(
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (DIM, DIM):
         raise ValueError(f"rho0 must have shape (B, {DIM}, {DIM})")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho0 must be finite")
     for r in rho:
-        if abs(np.trace(r).real - 1.0) > 1e-9 or np.max(np.abs(r - r.conj().T)) > 1e-9:
+        if not (abs(np.trace(r).real - 1.0) <= 1e-9 and np.max(np.abs(r - r.conj().T)) <= 1e-9):
             raise ValueError("rho0 must be Hermitian with unit trace")
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     if len(noises) != len(rho):
@@ -499,16 +515,22 @@ def propagate_lindblad(
     has_gain, has_scatter = bool(gain.any()), bool(scatter.any())
 
     m = rho.real + rho.imag
-    # Scratch shared by every stage: the two products and the scatter.
-    hm, mh, sc = np.empty_like(m), np.empty_like(m), np.empty((len(m), DIM, 1))
+    # Scratch shared by every stage: the two products.
+    hm, mh = np.empty_like(m), np.empty_like(m)
     comm_t, mh_t = hm.swapaxes(1, 2), mh.swapaxes(1, 2)
 
     def diagonal(a: np.ndarray) -> np.ndarray:
         """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
         return a.reshape(-1, DIM * DIM)[:, :: DIM + 1][..., None]
 
+    if has_scatter:
+        # The scatter lands on the diagonal of a zeroed matrix, which one
+        # contiguous add brings to the slope: its off-diagonals add +0.0.
+        landed = np.zeros_like(m)
+        scattered = diagonal(landed)
+
     def bind(src: np.ndarray, dst: np.ndarray):
-        pops, dst_diag = diagonal(src), diagonal(dst)
+        pops = diagonal(src)
 
         def noiseless(H: np.ndarray) -> None:
             np.matmul(H, src, out=hm)
@@ -528,8 +550,8 @@ def propagate_lindblad(
             np.subtract(hm, mh, out=hm)
             np.multiply(gain, src, out=dst)
             np.add(dst, comm_t, out=dst)
-            np.matmul(scatter, pops, out=sc)
-            np.add(dst_diag, sc, out=dst_diag)
+            np.matmul(scatter, pops, out=scattered)
+            np.add(dst, landed, out=dst)
 
         return rhs if has_scatter else jump_free if has_gain else noiseless
 

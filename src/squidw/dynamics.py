@@ -36,18 +36,15 @@ Stored frames and the final state are unpacked as
 rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
 
 RK4 advances the state in place. Each propagator call allocates its buffers
-once (state, stage state, the four slopes as the rows of one buffer,
-accumulator, and the Lindblad scratch) and builds every view of them, the
-float64 views and the strided diagonals, before stepping, so no array is
-allocated inside the step loop. A right-hand side then writes its slope
-through out=: one matmul for Schrodinger; for Lindblad three numpy calls
-without noise, five without jumps and seven with them, where the scatter
-lands on the strided diagonal of a zeroed matrix and one contiguous add
-brings it to the slope. The four slopes are summed by one BLAS product with
-the weights (1, 2, 2, 1): every product is exact and the four rows are added
-left to right, so the sum is that of k1 + 2 k2 + 2 k3 + k4 bit for bit.
-The stepper yields its live state buffer, and the propagators copy whatever
-they store.
+and builds every view of them once, before stepping, so no array is
+allocated inside the step loop. A right-hand side writes its slope through
+out=: one matmul for Schrodinger; for Lindblad three numpy calls without
+noise, five without jumps and six with them, its two products written by
+BLAS through transposed outputs and, with jumps, the gain diagonal folded
+into the scatter, whose product writes the slope's diagonal. One BLAS
+product with the weights (1, 2, 2, 1) sums the four slopes, exactly and
+left to right (see _rk4). The stepper yields its live state buffer, and the
+propagators copy whatever they store.
 
 h_fn is a stream: the propagators call it exactly once per node, in
 increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
@@ -492,7 +489,9 @@ def propagate_lindblad(
     S diag(M) on the diagonal: two real products per RK4 stage. Which terms
     the batch has is decided once, from the stacked tables: its right-hand
     side is 3 numpy calls when G and S are zero (the commutator written
-    straight into the slope), 5 when only S is, and 7 otherwise. Stored
+    straight into the slope), 5 when only S is, and 6 otherwise; BLAS
+    writes both products transposed and, with jumps, the diagonal of G is
+    folded into S, whose product writes the slope's diagonal. Stored
     frames and the final state are unpacked as (M + M^T)/2 + i (M - M^T)/2,
     so they are exactly Hermitian. Trace is checked at the end; positivity
     with eigvalsh at each point's own stored frames. Both gate the result
@@ -515,43 +514,44 @@ def propagate_lindblad(
     has_gain, has_scatter = bool(gain.any()), bool(scatter.any())
 
     m = rho.real + rho.imag
-    # Scratch shared by every stage: the two products.
-    hm, mh = np.empty_like(m), np.empty_like(m)
-    comm_t, mh_t = hm.swapaxes(1, 2), mh.swapaxes(1, 2)
+    # Both products are written through transposed outputs: [H, M]^T = hm_t - mh_t.
+    hm_t, mh_t = np.empty_like(m), np.empty_like(m)
+    hm, mh = hm_t.swapaxes(1, 2), mh_t.swapaxes(1, 2)
 
     def diagonal(a: np.ndarray) -> np.ndarray:
         """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
         return a.reshape(-1, DIM * DIM)[:, :: DIM + 1][..., None]
 
     if has_scatter:
-        # The scatter lands on the diagonal of a zeroed matrix, which one
-        # contiguous add brings to the slope: its off-diagonals add +0.0.
-        landed = np.zeros_like(m)
-        scattered = diagonal(landed)
+        # The gain diagonal joins the scatter, whose product then writes the
+        # slope's diagonal: exact because no state both gains and loses
+        # population by jumps (a receiving row has a gain diagonal of exactly
+        # 0, a source row no scatter); a cascade jump would change rounding.
+        diagonal(scatter)[...] += diagonal(gain)
+        diagonal(gain)[...] = 0.0
 
     def bind(src: np.ndarray, dst: np.ndarray):
-        pops = diagonal(src)
+        pops, diag = diagonal(src), diagonal(dst)
 
         def noiseless(H: np.ndarray) -> None:
             np.matmul(H, src, out=hm)
             np.matmul(src, H, out=mh)
-            np.subtract(comm_t, mh_t, out=dst)
+            np.subtract(hm_t, mh_t, out=dst)
 
         def jump_free(H: np.ndarray) -> None:
             np.matmul(H, src, out=hm)
             np.matmul(src, H, out=mh)
-            np.subtract(hm, mh, out=hm)
+            np.subtract(hm_t, mh_t, out=hm_t)
             np.multiply(gain, src, out=dst)
-            np.add(dst, comm_t, out=dst)
+            np.add(dst, hm_t, out=dst)
 
         def rhs(H: np.ndarray) -> None:
             np.matmul(H, src, out=hm)
             np.matmul(src, H, out=mh)
-            np.subtract(hm, mh, out=hm)
+            np.subtract(hm_t, mh_t, out=hm_t)
             np.multiply(gain, src, out=dst)
-            np.add(dst, comm_t, out=dst)
-            np.matmul(scatter, pops, out=scattered)
-            np.add(dst, landed, out=dst)
+            np.matmul(scatter, pops, out=diag)
+            np.add(dst, hm_t, out=dst)
 
         return rhs if has_scatter else jump_free if has_gain else noiseless
 

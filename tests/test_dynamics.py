@@ -1,6 +1,7 @@
 """Integrators checked against matrix exponentials, a superoperator oracle,
 and analytic decay laws."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -508,6 +509,21 @@ def test_dissipator_tables_split():
     assert np.max(np.abs(gain - gain.T)) == 0.0
 
 
+def test_no_state_both_loses_and_gains_population_by_jumps():
+    """The condition that makes the scatter fold of propagate_lindblad exact:
+    for every rate triple, zeros included, a row of the scatter table with an
+    entry has a gain diagonal of exactly 0, so writing the gain diagonal into
+    the scatter leaves each diagonal entry the same two-term sum."""
+    grid = [0.0, 1e-3, 0.3, 0.5, 1.7]
+    rng = np.random.default_rng(5)
+    random = rng.exponential(size=(300, 3)) * (rng.random((300, 3)) < 0.6)
+    for kappa, gamma, gamma_phi in [*itertools.product(grid, repeat=3), *random]:
+        gain, scatter = _dissipator_tables(NoiseModel(kappa=kappa, gamma=gamma, gamma_phi=gamma_phi))
+        receives = scatter.any(axis=1)
+        assert not np.any(receives & (np.diag(gain) != 0.0)), (kappa, gamma, gamma_phi)
+        assert np.all(np.diag(scatter) == 0.0)
+
+
 def test_open_run_preserves_trace_hermiticity_positivity():
     h_fn = _gaussian_h(30.0)
     noise = NoiseModel(kappa=0.033 * 30, gamma=0.0073 * 30, gamma_phi=0.001 * 30)
@@ -619,11 +635,26 @@ def _random_batch(rng, batch: int):
     return (lambda k: hs[k]), n, durations
 
 
-@pytest.mark.parametrize("batch", [1, 3, 17, 38, 60])
-def test_steps_match_the_stepwise_reference_bit_for_bit(batch):
-    """The stacked sum of the slopes and the scatter landed on a zeroed
-    diagonal give the bytes of the seven-call combination and the strided
-    diagonal add, on batches mixing jump, dephasing-only and noiseless points."""
+_DEPHASING = NoiseModel(gamma_phi=0.5)
+_MIXED = [NoiseModel(kappa=0.9, gamma=0.4, gamma_phi=0.6), _DEPHASING, NoiseModel()]
+
+
+@pytest.mark.parametrize(
+    "batch, kinds",
+    [pytest.param(b, _MIXED, id=str(b)) for b in (1, 3, 17, 38, 60)]
+    + [
+        pytest.param(b, [noise], id=f"{b}-{name}")
+        for name, noise in (("dephasing", _DEPHASING), ("noiseless", NoiseModel()))
+        for b in (1, 7)
+    ],
+)
+def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
+    """The stacked sum of the slopes, the products written through transposed
+    outputs and the scatter written on the slope's diagonal give the bytes of
+    the seven-call combination, the transposed add and the strided diagonal
+    add. Batches mixing jump, dephasing-only and noiseless points run the jump
+    kernel; a batch of only dephasing or only noiseless points runs the
+    jump-free or noiseless kernel, so each selection is pinned alone."""
     rng = np.random.default_rng(batch)
     h_fn, n, durations = _random_batch(rng, batch)
     frames = [2 + b % 5 for b in range(batch)]
@@ -633,8 +664,7 @@ def test_steps_match_the_stepwise_reference_bit_for_bit(batch):
     ref = reference_kernels.schrodinger_stepwise(h_fn, psi0, n, durations)
     assert np.array_equal(traj.final_state, ref)
 
-    kinds = [NoiseModel(kappa=0.9, gamma=0.4, gamma_phi=0.6), NoiseModel(gamma_phi=0.5), NoiseModel()]
-    noises = [kinds[b % 3] for b in range(batch)]
+    noises = [kinds[b % len(kinds)] for b in range(batch)]
     rho0 = np.stack([_random_density(rng) for _ in range(batch)])
     traj = propagate_lindblad(h_fn, noises, rho0, TimeGrid(n), duration=durations, n_frames=frames)
     ref = reference_kernels.lindblad_stepwise(h_fn, noises, rho0, n, durations)

@@ -15,9 +15,14 @@ frames belong to each point: point b steps by h_b = duration_b / n_steps and
 stores its own n_frames_b frames. The Hamiltonian is supplied as h_fn(k), the
 (B, 10, 10) stack at RK4 node k, which for point b is the time
 t_k = k h_b / 2 (see node_times), so callers sample their drives once on each
-point's node grid and assemble H there. Every product, reduction and gate is
-taken point by point, so a point's bytes are the same whatever batch it ran
-in.
+point's node grid and assemble H there; a stack of any other shape raises
+ValueError. Every product, reduction and gate is taken point by point, so a
+point's bytes are the same whatever batch it ran in.
+
+propagate_schrodinger also takes B blocks of K vectors, shape (B, 10, K),
+whose columns share their block's H, duration and frames, so a stage is one
+(10, 10) @ (10, 2K) product per block; its trajectory is bit for bit that of
+the B K column vectors, and a (P, 10) state is the block state (P, 10, 1).
 
 H must be real symmetric float64, as every Hamiltonian of `state_space` is;
 anything else raises ValueError. The kernels use that form. H psi is a real
@@ -41,10 +46,10 @@ allocated inside the step loop. A right-hand side writes its slope through
 out=: one matmul for Schrodinger; for Lindblad three numpy calls without
 noise, five without jumps and six with them, its two products written by
 BLAS through transposed outputs and, with jumps, the gain diagonal folded
-into the scatter, whose product writes the slope's diagonal. One BLAS
-product with the weights (1, 2, 2, 1) sums the four slopes, exactly and
-left to right (see _rk4). The stepper yields its live state buffer, and the
-propagators copy whatever they store.
+into the scatter, whose product writes the slope's diagonal. One BLAS GEMM
+with the weights (1, 2, 2, 1) sums the four slopes, exactly and left to
+right on the OpenBLAS kernels _rk4 names. The stepper yields its live state
+buffer, and the propagators copy whatever they store.
 
 h_fn is a stream: the propagators call it exactly once per node, in
 increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
@@ -197,7 +202,7 @@ def _durations(duration, batch: int) -> np.ndarray:
     d = np.asarray(duration, dtype=float)
     if d.ndim > 1 or (d.ndim == 1 and len(d) != batch):
         raise ValueError(
-            f"duration must be a scalar or have one entry per point, got shape {d.shape}"
+            f"duration must be a scalar or have one entry per point or block, got shape {d.shape}"
         )
     return np.broadcast_to(d, (batch,))
 
@@ -284,15 +289,22 @@ def _which(b: int, values: np.ndarray) -> str:
     return f" (batch point {b})" if len(values) > 1 else ""
 
 
-def _real_h(h_fn, k: int) -> np.ndarray:
-    """h_fn(k), checked at every node to be a float64 array: the kernels view H as real."""
+def _real_h(h_fn, k: int, batch: int) -> np.ndarray:
+    """h_fn(k), checked at every node: a float64 array, since the kernels view
+    H as real, with one H per point or block, shape (batch, 10, 10), since
+    matmul would broadcast a shorter stack over the whole batch."""
     H = h_fn(k)
     if not (isinstance(H, np.ndarray) and H.dtype == np.float64):
         raise ValueError("h_fn must return real symmetric float64 Hamiltonians")
+    if H.shape != (batch, DIM, DIM):
+        raise ValueError(
+            f"h_fn must return one Hamiltonian per point or block, shape "
+            f"({batch}, {DIM}, {DIM}), got {H.shape} at node {k}"
+        )
     return H
 
 
-_RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]])  # k1 + 2 k2 + 2 k3 + k4, one row
+_RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]] * 2)  # k1 + 2 k2 + 2 k3 + k4, twice: a GEMM
 
 
 def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
@@ -306,29 +318,37 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     stage state, the four slopes (the rows of one (4, *x.shape) buffer) and
     the accumulator are allocated here, once, and nothing is allocated
     inside the step loop. The slopes are summed by one product,
-    _RK4_WEIGHTS @ slopes on their float64 views: its weights 1 and 2 make
-    every product exact, and BLAS adds the four rows left to right, so the
-    sum is ((k1 + 2 k2) + 2 k3) + k4 bit for bit. Each sum and product is
-    then the one of x + sixth * (k1 + 2 k2 + 2 k3 + k4) with its operands
-    swapped at most, which leaves IEEE results bit for bit alike.
+    _RK4_WEIGHTS @ slopes on their float64 views, into a (2, *x.shape)
+    buffer whose row 0 is the accumulator: the weights 1 and 2 make every
+    product exact, and the two-row product is a GEMM, whose K loop adds the
+    four slopes left to right, so the sum is ((k1 + 2 k2) + 2 k3) + k4 bit
+    for bit. Each sum and product is then the one of
+    x + sixth * (k1 + 2 k2 + 2 k3 + k4) with its operands swapped at most,
+    which leaves IEEE results bit for bit alike. A one-row product would be
+    a gemv, which OpenBLAS's Haswell (and Zen) kernels do not sum in row
+    order. The GEMM order holds on OpenBLAS's SkylakeX, Haswell and
+    Sandybridge kernels, not on Nehalem's, where the bit pins of
+    tests/test_dynamics.py fail.
     """
     y = np.empty_like(x)
     slopes = np.empty((4, *x.shape), dtype=x.dtype)
-    acc = np.empty_like(slopes[0])
-    weighted, summed = slopes.view(np.float64).reshape(4, -1), acc.view(np.float64).reshape(1, -1)
+    sums = np.empty((2, *x.shape), dtype=x.dtype)
+    acc = sums[0]
+    weighted, summed = (a.view(np.float64).reshape(len(a), -1) for a in (slopes, sums))
     k1, k2, k3, k4 = slopes
     f1, f2, f3, f4 = bind(x, k1), bind(y, k2), bind(y, k3), bind(y, k4)
-    H = _real_h(h_fn, 0)
+    batch = len(x)
+    H = _real_h(h_fn, 0, batch)
     for step in range(n):
         f1(H)
-        H = _real_h(h_fn, 2 * step + 1)
+        H = _real_h(h_fn, 2 * step + 1, batch)
         np.multiply(half, k1, out=y)
         y += x
         f2(H)
         np.multiply(half, k2, out=y)
         y += x
         f3(H)
-        H = _real_h(h_fn, 2 * step + 2)
+        H = _real_h(h_fn, 2 * step + 2, batch)
         np.multiply(whole, k3, out=y)
         y += x
         f4(H)
@@ -345,40 +365,58 @@ def propagate_schrodinger(
     duration: float | np.ndarray = 1.0,
     n_frames: int | list = 2,
 ) -> Trajectory:
-    """Fixed-step RK4 on i dpsi/dt = H(t) psi for B states; no renormalization.
+    """Fixed-step RK4 on i dpsi/dt = H(t) psi for a batch of states; no renormalization.
 
-    psi0 has shape (B, 10). duration and n_frames are scalars or one value
-    per point. h_fn(k) returns the (B, 10, 10) real symmetric float64
-    Hamiltonians at node k, point b's at node k of
-    node_times(grid.n_steps, duration_b). It is called exactly once per
-    node, in increasing k: node 2s+1 serves k2 and k3 of step s, node 2s+2
-    its k4 and the next step's k1. The returned array may be overwritten by
-    the next call. H psi is one real product on the float64 view of psi,
-    and the -i sits in the RK4 coefficients (-i h/2, -i h, -i h/6). Every
-    product is taken point by point, so a point's result does not depend on
+    psi0 has shape (P, 10), P points, or (B, 10, K), B blocks of K columns,
+    where block b's columns all evolve under block b's H. A (P, 10) input is
+    the block input (P, 10, 1). duration and n_frames are scalars or one
+    value per block. h_fn(k) returns the (B, 10, 10) real symmetric float64
+    Hamiltonians at node k, block b's at node k of
+    node_times(grid.n_steps, duration_b); any other shape raises ValueError.
+    It is called exactly once per node, in increasing k: node 2s+1 serves k2
+    and k3 of step s, node 2s+2 its k4 and the next step's k1. The returned
+    array may be overwritten by the next call. H psi is one real product on
+    the float64 view of psi, (10, 10) @ (10, 2K) per block, and the -i sits
+    in the RK4 coefficients (-i h/2, -i h, -i h/6).
+
+    The trajectory is that of the B K column points: point b K + j is column
+    j of block b, and every field, gate and ConvergenceError.point is as in
+    a (B K, 10) run with block b's H repeated K times. RK4 is linear in the
+    state, and a GEMM computes each column of H psi as the same dot products
+    in the same order as a product with that column alone, so the columns
+    match those points bit for bit; this holds on OpenBLAS's SkylakeX,
+    Haswell, Sandybridge and Nehalem kernels, but not on Prescott's. Every
+    product is taken block by block, so a block's result does not depend on
     the batch it runs in. A non-finite stored frame fails the run at once;
     the norm is gated at the end, before the run is packaged.
     """
     grid = grid or TimeGrid()
-    psi = np.array(psi0, dtype=complex)
-    if psi.ndim != 2 or psi.shape[1] != DIM:
-        raise ValueError(f"psi0 must have shape (B, {DIM})")
+    psi = np.array(psi0, dtype=complex, order="C")  # C order: the kernel views it as float64
+    if psi.ndim == 2:
+        psi = psi[..., None]
+    if psi.ndim != 3 or psi.shape[1] != DIM:
+        raise ValueError(f"psi0 must have shape (P, {DIM}) or (B, {DIM}, K)")
+    blocks, _, width = psi.shape
+
+    def columns(x: np.ndarray) -> np.ndarray:
+        """The (B K, 10) column points of a block state; a view when K = 1."""
+        return x.transpose(0, 2, 1).reshape(-1, DIM)
+
     if not np.isfinite(psi).all():
         raise ValueError("psi0 must be finite")
-    if any(not abs(np.linalg.norm(p) - 1.0) <= 1e-9 for p in psi):
+    if any(not abs(np.linalg.norm(p) - 1.0) <= 1e-9 for p in columns(psi)):
         raise ValueError("psi0 must be normalized")
     n = grid.n_steps
-    durations = _durations(duration, len(psi))
+    durations = _durations(duration, blocks)
     h = _step_size(durations, n)
     # The stages are H psi; the -i of dpsi/dt = -i H psi rides on the RK4
     # coefficients. A product with -i only swaps parts and flips a sign, so
     # this gives the bytes of stages -i H psi with real coefficients.
     half, whole, sixth = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
-    frames = _Frames(n, n_frames, psi)
-    psi = psi[..., None]
+    frames = _Frames(n, np.repeat(np.broadcast_to(n_frames, blocks), width), columns(psi))
 
     def bind(src: np.ndarray, dst: np.ndarray):
-        # (B, 10, 10) @ (B, 10, 2): real and imaginary parts in one product.
+        # (B, 10, 10) @ (B, 10, 2K): real and imaginary parts in one product.
         p, out = src.view(np.float64), dst.view(np.float64)
         return lambda H: np.matmul(H, p, out=out)
 
@@ -388,9 +426,9 @@ def propagate_schrodinger(
         for step, psi in _rk4(h_fn, bind, psi, n, half, whole, sixth):
             points = frames.at(step)
             if points is not None:
-                frames.store(step, points, psi[points, :, 0])
+                frames.store(step, points, columns(psi)[points])
 
-    psi = psi[..., 0]
+    psi = columns(psi)
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
     b = int(np.argmax(drift))
     if not drift[b] <= NORM_TOL:
@@ -398,7 +436,7 @@ def propagate_schrodinger(
             f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}",
             b,
         )
-    return _trajectory(frames, psi, drift, None, n, durations)
+    return _trajectory(frames, psi, drift, None, n, np.repeat(durations, width))
 
 
 def _noise_terms(noise: NoiseModel):

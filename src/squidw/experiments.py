@@ -52,6 +52,7 @@ import numpy as np
 
 from . import dressed_frames
 from .dynamics import (
+    MAX_FRAMES,
     ConvergenceError,
     NoiseModel,
     TimeGrid,
@@ -498,7 +499,9 @@ class RunSpec:
     re-parameterizes the waveforms by that duration, mode="truncate" keeps the
     nominal waveforms and cuts or extends the run window (README, "Known
     discrepancy"). master_equation integrates the density matrix even when
-    every rate is zero.
+    every rate is zero. n_frames, 2 to MAX_FRAMES, is the number of evenly
+    spaced frames stored; fewer distinct ones are kept on a grid of fewer
+    than n_frames - 1 steps.
 
     An effective point runs the three-level effective model: H = a(t) D_a +
     b(t) D_b with the effective drives, no cavity (so g only labels its
@@ -533,6 +536,8 @@ class RunSpec:
         object.__setattr__(self, "n_steps", int(self.n_steps))
         object.__setattr__(self, "n_frames", int(self.n_frames))
         TimeGrid(self.n_steps)  # raises on a step count the integration grid refuses
+        if not 2 <= self.n_frames <= MAX_FRAMES:
+            raise ValueError(f"n_frames must be 2 to {MAX_FRAMES}, got {self.n_frames}")
         if self.flavor not in _FLAVORS:
             raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
         if self.mode not in _MODES:
@@ -1133,18 +1138,17 @@ def _measure_verify(g: float, A: float, n_steps: int) -> dict:
     out["population_bounds"] = [math.sin(a) ** 2 for a in TRADEOFF_AMPLITUDES]
 
     # RK4 against the exact propagator of a piecewise-constant drive. One
-    # call carries the 10 basis states through each of the 10 segments
-    # (point 10 i + j is basis state j under segment i's H), and the
-    # segment propagators are then chained on |psi1>.
+    # call carries the 10 basis states through each of the 10 segments as
+    # one block per segment (point 10 i + j is basis state j under segment
+    # i's H), and the segment propagators are then chained on |psi1>.
     segments = 10
     amplitudes = build_schedule("gaussian", params, None).qubit_amplitudes(
         (np.arange(segments) + 0.5) / segments
     )
     hs = np.stack([hc + drive_hamiltonian(a) for a in amplitudes.T])
-    per_point = np.repeat(hs, DIM, axis=0)
     columns = propagate_schrodinger(
-        lambda k: per_point,
-        np.tile(np.eye(DIM, dtype=complex), (segments, 1)),
+        lambda k: hs,
+        np.tile(np.eye(DIM, dtype=complex), (segments, 1, 1)),
         TimeGrid(400),
         duration=1.0 / segments,
     ).final_state

@@ -359,14 +359,23 @@ def test_verify_and_pulses_reject_settings_they_ignore(tmp_path, capsys):
 
 
 def _propagator_calls(monkeypatch) -> list:
-    """(propagator name, batch size) of every propagator call the drivers make from now on."""
+    """(propagator name, points, Hamiltonians per node) of every propagator
+    call the drivers make from now on."""
     calls = []
     for name in ("propagate_schrodinger", "propagate_lindblad"):
         original = getattr(experiments, name)
 
         def counted(h_fn, *args, _name=name, _original=original, **kwargs):
-            traj = _original(h_fn, *args, **kwargs)
-            calls.append((_name, len(traj.final_state)))
+            stacks = []
+
+            def recorded(k):
+                H = h_fn(k)
+                stacks.append(len(H))
+                return H
+
+            traj = _original(recorded, *args, **kwargs)
+            (hamiltonians,) = set(stacks)
+            calls.append((_name, len(traj.final_state), hamiltonians))
             return traj
 
         monkeypatch.setattr(experiments, name, counted)
@@ -401,7 +410,7 @@ def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
     n_steps = 1000
     code, out, _ = run(["reproduce", "all", "--steps", str(n_steps), "-o", str(tmp_path)], capsys)
     assert code == 0 and out.endswith("reference checks pass\n")
-    assert sorted(calls) == [("propagate_lindblad", 38), ("propagate_schrodinger", 60)]
+    assert sorted(calls) == [("propagate_lindblad", 38, 38), ("propagate_schrodinger", 60, 60)]
     assert len(list(tmp_path.iterdir())) == 22
     # a schedule is set by flavor, A, omega0, mode, delta_t and delta_omega
     distinct = [
@@ -442,14 +451,15 @@ def test_verify_runs_three_propagator_calls(capsys, monkeypatch):
     """The effective model joins the zero-noise Schrodinger point and the
     full dressed model at g = 300/T in one closed batch of three, the
     zero-noise Lindblad point runs alone, and the integrator oracle carries
-    10 basis states through 10 segments at once."""
+    10 basis states through 10 segments at once, as one block per segment:
+    its h_fn returns 10 Hamiltonians for its 100 points."""
     calls = _propagator_calls(monkeypatch)
     code, out, _ = run(["verify"], capsys)
     assert code == 0 and "FAIL" not in out
     assert calls == [
-        ("propagate_schrodinger", 3),
-        ("propagate_lindblad", 1),
-        ("propagate_schrodinger", 100),
+        ("propagate_schrodinger", 3, 3),
+        ("propagate_lindblad", 1, 1),
+        ("propagate_schrodinger", 100, 10),
     ]
 
 

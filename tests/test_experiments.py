@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squidw import experiments
-from squidw.dynamics import ConvergenceError, fidelity, lindblad_operators
+from squidw.dynamics import MAX_FRAMES, ConvergenceError, fidelity, lindblad_operators
 from squidw.experiments import (
     CHECKS,
     ResultRecord,
@@ -464,6 +464,13 @@ def test_evaluate_point_validation():
     # the integration grid's own rule, checked when the spec is made
     with pytest.raises(ValueError, match="n_steps must be at least 100"):
         RunSpec(n_steps=99)
+    # a frame count outside 2 to MAX_FRAMES is refused, not clamped
+    for bad in (-3, 0, 1, MAX_FRAMES + 1, 10**6):
+        with pytest.raises(ValueError, match=f"n_frames must be 2 to {MAX_FRAMES}, got {bad}"):
+            RunSpec(n_steps=400, n_frames=bad)
+    # more frames than steps + 1 is accepted (the effective point of
+    # `verify --steps 100` asks for 500 over 101 steps)
+    assert RunSpec(n_steps=100, n_frames=MAX_FRAMES).n_frames == MAX_FRAMES
 
 
 def test_effective_spec_rejects_settings_it_would_ignore():

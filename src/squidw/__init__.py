@@ -4,7 +4,7 @@ The package is organized around five layers:
 
 * :mod:`squidw.state_space`    collective single-excitation basis and Hamiltonians
 * :mod:`squidw.pulse_design`   schedules, corrected controls, fitted and two-tone pulses
-* :mod:`squidw.dressed_frames` dressing transform and the off-diagonal cancellation check
+* :mod:`squidw.dressed_frames` dressing transform and the off-diagonal cancellation residuals
 * :mod:`squidw.dynamics`       fixed-step integrators for closed and open dynamics
 * :mod:`squidw.experiments`    `RunSpec`, the run builder and the reproduce targets
 

@@ -13,8 +13,9 @@ makes the dressed-picture Hamiltonian
     H_V(t) = V (H_ad + H_co) V^dag - i V dV^dag/dt = -(theta_dot / sin mu) M_z
 
 exactly diagonal, so the dressed states are followed without any adiabaticity
-requirement. verify_cancellation() checks the off-diagonal residuals on a grid
-and is also wired into the CLI's `verify` command.
+requirement. verify_cancellation() measures the off-diagonal residuals on a
+grid; the CLI's `verify` command judges them against the bound its check
+sets (experiments.CHECKS).
 """
 
 from __future__ import annotations
@@ -83,33 +84,24 @@ def dressed_picture_hamiltonian(
     return v @ core @ v.conj().swapaxes(-1, -2) - _per_time(mu_dot) * M_X
 
 
-def verify_cancellation(
-    params: ScheduleParams | None = None,
-    n_grid: int = 100,
-    zero_gx: bool = False,
-    tolerance: float = 1e-6,
-) -> dict:
-    """Scan interior times and report the worst off-diagonal residuals.
+def verify_cancellation(params: ScheduleParams | None = None, n_grid: int = 100) -> dict:
+    """The worst off-diagonal residuals of H_V over n_grid interior times.
 
     Residuals are normalized by the local drive magnitude Omega_tilde. The
-    (0,+) and (0,-) couplings must vanish; the (+,-) element is reported as
+    (0,+) and (0,-) couplings should vanish; the (+,-) element is reported as
     well (it is structurally zero here since neither M_x nor M_y connects the
-    +/- pair). zero_gx=True sabotages the correction for negative testing.
+    +/- pair). worst_time is where the larger of the (0,+-) residuals peaks.
     The whole grid is evaluated at once.
     """
     p = params or ScheduleParams()
     ts = np.arange(1, n_grid + 1) * p.T / (n_grid + 1)
     gx, opz = correction_gains(ts, p)
-    hv = dressed_picture_hamiltonian(ts, p, g_x=(0.0 if zero_gx else None))
+    hv = dressed_picture_hamiltonian(ts, p)
     scale = np.maximum(np.hypot(gx, opz), 1e-30)
     res_0p, res_0m, res_pm = (np.abs(hv[:, i, j]) / scale for i, j in ((0, 1), (0, 2), (1, 2)))
-    coupling = np.maximum(res_0p, res_0m)
     return {
-        "passed": bool(coupling.max() < tolerance),
         "max_offdiag_0p": float(res_0p.max()),
         "max_offdiag_0m": float(res_0m.max()),
         "max_offdiag_pm": float(res_pm.max()),
-        "worst_time": float(ts[np.argmax(coupling)]),
-        "n_grid": n_grid,
-        "tolerance": tolerance,
+        "worst_time": float(ts[np.argmax(np.maximum(res_0p, res_0m))]),
     }

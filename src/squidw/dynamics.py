@@ -189,11 +189,14 @@ def node_times(n_steps: int, duration: float) -> np.ndarray:
 def _frame_indices(n_steps: int, n_frames: int) -> np.ndarray:
     """The distinct steps of n_frames evenly spaced ones, 0 and n_steps included.
 
-    Rounded linspace is nondecreasing, so dropping consecutive repeats
-    leaves np.unique's result without the numpy.ma import np.unique costs.
+    n_frames outside 2 to MAX_FRAMES raises ValueError; more than n_steps + 1
+    keeps every step. Rounded linspace is nondecreasing, so dropping
+    consecutive repeats leaves np.unique's result without the numpy.ma
+    import np.unique costs.
     """
-    n_frames = int(min(max(n_frames, 2), MAX_FRAMES, n_steps + 1))
-    steps = np.linspace(0, n_steps, n_frames).round().astype(int)
+    if not 2 <= n_frames <= MAX_FRAMES:
+        raise ValueError(f"n_frames must be 2 to {MAX_FRAMES}, got {n_frames}")
+    steps = np.linspace(0, n_steps, min(n_frames, n_steps + 1)).round().astype(int)
     return steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
 
 
@@ -325,8 +328,8 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     for bit. Each sum and product is then the one of
     x + sixth * (k1 + 2 k2 + 2 k3 + k4) with its operands swapped at most,
     which leaves IEEE results bit for bit alike. A one-row product would be
-    a gemv, which OpenBLAS's Haswell (and Zen) kernels do not sum in row
-    order. The GEMM order holds on OpenBLAS's SkylakeX, Haswell and
+    a gemv, which OpenBLAS's Haswell and Zen kernels do not sum in row
+    order. The GEMM order holds on OpenBLAS's SkylakeX, Haswell, Zen and
     Sandybridge kernels, not on Nehalem's, where the bit pins of
     tests/test_dynamics.py fail.
     """
@@ -370,8 +373,9 @@ def propagate_schrodinger(
     psi0 has shape (P, 10), P points, or (B, 10, K), B blocks of K columns,
     where block b's columns all evolve under block b's H. A (P, 10) input is
     the block input (P, 10, 1). duration and n_frames are scalars or one
-    value per block. h_fn(k) returns the (B, 10, 10) real symmetric float64
-    Hamiltonians at node k, block b's at node k of
+    value per block; n_frames outside 2 to MAX_FRAMES raises ValueError, and
+    more than n_steps + 1 keeps every step. h_fn(k) returns the (B, 10, 10)
+    real symmetric float64 Hamiltonians at node k, block b's at node k of
     node_times(grid.n_steps, duration_b); any other shape raises ValueError.
     It is called exactly once per node, in increasing k: node 2s+1 serves k2
     and k3 of step s, node 2s+2 its k4 and the next step's k1. The returned

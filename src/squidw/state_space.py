@@ -139,20 +139,3 @@ def effective_hamiltonian(omega_a: float, omega_b: float) -> np.ndarray:
     psi1 = basis_state(PSI1).real
     h = omega_a * np.outer(w, phi0) - omega_b * np.outer(psi1, phi0)
     return h + h.T
-
-
-def effective_eigenframe(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Instantaneous eigenstates of H_eff at mixing angle theta.
-
-    Returns (phi_0, phi_plus, phi_minus) with eigenvalues (0, +Omega, -Omega)
-    for H_eff built from omega_a = Omega cos(theta), omega_b = Omega sin(theta).
-    The zero mode rotates |psi1> into |W| as theta goes 0 -> pi/2.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    psi1 = basis_state(PSI1)
-    phi0 = dark_state()
-    w = w_state()
-    zero = c * psi1 + s * w
-    plus = (s * psi1 - phi0 - c * w) / math.sqrt(2.0)
-    minus = (s * psi1 + phi0 - c * w) / math.sqrt(2.0)
-    return zero, plus, minus

@@ -447,6 +447,17 @@ def test_verify_passes(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "env").exists()
 
 
+def test_verify_prints_the_verdicts_of_its_check(capsys):
+    # `squidw verify` is CHECKS["verify"] at its defaults: the same labels and
+    # details, one line each, in order
+    code, out, _ = run(["verify"], capsys)
+    verdicts = experiments.CHECKS["verify"]()
+    assert code == 0
+    lines = [f"{'ok  ' if v.passed else 'FAIL'} {v.label}: {v.detail}" for v in verdicts]
+    assert out.splitlines() == lines
+    assert len(verdicts) == 10 and all(v.passed for v in verdicts)
+
+
 def test_verify_runs_three_propagator_calls(capsys, monkeypatch):
     """The effective model joins the zero-noise Schrodinger point and the
     full dressed model at g = 300/T in one closed batch of three, the

@@ -1,11 +1,13 @@
 """Frame algebra: spin-1 structure, the dressing rotation, and cancellation."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from squidw import dressed_frames
 from squidw.dressed_frames import (
     M_X,
     M_Y,
@@ -16,8 +18,26 @@ from squidw.dressed_frames import (
     dressing_transform,
     verify_cancellation,
 )
+from squidw.experiments import CHECKS
 from squidw.pulse_design import ScheduleParams, correction_gains, schedule_angles
-from squidw.state_space import effective_eigenframe, effective_hamiltonian
+from squidw.state_space import PSI1, basis_state, dark_state, effective_hamiltonian, w_state
+
+
+def effective_eigenframe(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Instantaneous eigenstates of the effective model's H_eff at mixing angle theta.
+
+    Returns (phi_0, phi_plus, phi_minus) with eigenvalues (0, +Omega, -Omega)
+    for H_eff built from omega_a = Omega cos(theta), omega_b = Omega sin(theta).
+    The zero mode rotates |psi1> into |W| as theta goes 0 -> pi/2.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    psi1 = basis_state(PSI1)
+    phi0 = dark_state()
+    w = w_state()
+    zero = c * psi1 + s * w
+    plus = (s * psi1 - phi0 - c * w) / math.sqrt(2.0)
+    minus = (s * psi1 + phi0 - c * w) / math.sqrt(2.0)
+    return zero, plus, minus
 
 
 def _frame(theta):
@@ -70,6 +90,28 @@ def test_frame_isometry_orthonormal():
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-14
 
 
+def test_effective_eigenframe_diagonalizes():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        omega_a, omega_b = rng.normal(size=2) * 6
+        omega = math.hypot(omega_a, omega_b)
+        theta = math.atan2(omega_b, omega_a)
+        zero, plus, minus = effective_eigenframe(theta)
+        h = effective_hamiltonian(omega_a, omega_b)
+        assert np.max(np.abs(h @ zero)) < 1e-12 * max(omega, 1.0)
+        assert np.max(np.abs(h @ plus - omega * plus)) < 1e-12 * max(omega, 1.0)
+        assert np.max(np.abs(h @ minus + omega * minus)) < 1e-12 * max(omega, 1.0)
+        frame = np.column_stack([zero, plus, minus])
+        assert np.max(np.abs(frame.conj().T @ frame - np.eye(3))) < 1e-14
+
+
+def test_eigenframe_endpoints_rotate_initial_into_target():
+    zero0, _, _ = effective_eigenframe(0.0)
+    zero1, _, _ = effective_eigenframe(math.pi / 2.0)
+    assert np.max(np.abs(zero0 - basis_state(PSI1))) < 1e-15
+    assert np.max(np.abs(zero1 - w_state())) < 1e-15
+
+
 def test_eigenframe_transform_reproduces_adiabatic_hamiltonian():
     """U^dag H_eff U - i U^dag dU/dt must equal Omega M_z + theta_dot M_y."""
     p = ScheduleParams()
@@ -115,19 +157,23 @@ def test_dressed_picture_hamiltonian_is_diagonal():
 def test_verify_cancellation_passes_for_designed_gains():
     for a in (0.3, 0.5):
         report = verify_cancellation(ScheduleParams(A=a), n_grid=100)
-        assert report["passed"]
         assert report["max_offdiag_0p"] < 1e-6
         assert report["max_offdiag_0m"] < 1e-6
         # the +/- coupling never appears in the first place
         assert report["max_offdiag_pm"] < 1e-12
-        assert report["n_grid"] == 100
         assert 0.0 < report["worst_time"] < 1.0
 
 
-def test_verify_cancellation_detects_sabotage():
-    report = verify_cancellation(ScheduleParams(A=0.5), n_grid=100, zero_gx=True)
-    assert not report["passed"]
+def test_verify_cancellation_detects_sabotage(monkeypatch):
+    """Without the g_x correction the (0,+-) residuals are large, and verify's
+    judge, which holds the bound, fails its cancellation verdict."""
+    designed = dressed_frames.dressed_picture_hamiltonian
+    monkeypatch.setattr(dressed_frames, "dressed_picture_hamiltonian", partial(designed, g_x=0.0))
+    report = verify_cancellation(ScheduleParams(A=0.5), n_grid=100)
     assert max(report["max_offdiag_0p"], report["max_offdiag_0m"]) > 1e-2
+    verdicts = {v.label: v for v in CHECKS["verify"](n_steps=100)}
+    assert not verdicts["dressed-frame cancellation"].passed
+    assert sum(not v.passed for v in verdicts.values()) == 1
 
 
 def test_gain_overrides_break_diagonality():

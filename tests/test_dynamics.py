@@ -375,16 +375,49 @@ def test_trajectory_frames_and_populations():
     assert traj.fidelities[0] == pytest.approx(0.0, abs=1e-30)
     assert traj.fidelities[-1] > 0.99
     big = one_point(
-        propagate_schrodinger, _gaussian_h(10.0), basis_state(PSI1), TimeGrid(1000), n_frames=5000
+        propagate_schrodinger, _gaussian_h(10.0), basis_state(PSI1), TimeGrid(1000),
+        n_frames=MAX_FRAMES,
     )
-    assert len(big.states) <= MAX_FRAMES
+    assert len(big.states) == MAX_FRAMES
+
+
+@pytest.mark.parametrize("open_system", [False, True], ids=["closed", "open"])
+def test_propagators_refuse_a_frame_count_outside_2_to_max_frames(open_system):
+    """A count outside 2 to MAX_FRAMES is refused, not clamped, for a point
+    and for one point of a batch; more frames than steps + 1 store every
+    step, as the effective point of `verify --steps 100` asks."""
+    grid = TimeGrid(100)
+    hc = cavity_hamiltonian(CouplingConfig(g=10.0))
+    psi0 = basis_state(PSI1)
+
+    def frames_of(n_frames, batch=1):
+        h = np.tile(hc, (batch, 1, 1))
+        if open_system:
+            rho0 = np.tile(np.outer(psi0, psi0), (batch, 1, 1))
+            traj = propagate_lindblad(
+                lambda k: h, [NoiseModel(kappa=0.1)] * batch, rho0, grid, n_frames=n_frames
+            )
+        else:
+            psi = np.tile(psi0, (batch, 1))
+            traj = propagate_schrodinger(lambda k: h, psi, grid, n_frames=n_frames)
+        return [len(traj.point(b).times) for b in range(batch)]
+
+    for bad in (0, 1, -3, MAX_FRAMES + 1, 10**6):
+        with pytest.raises(ValueError, match=f"n_frames must be 2 to {MAX_FRAMES}, got {bad}$"):
+            frames_of(bad)
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            frames_of([5, bad], batch=2)
+    assert frames_of(MAX_FRAMES) == [101]
+    assert frames_of([2, 101, 102], batch=3) == [2, 101, 101]
 
 
 def test_frame_indices_match_np_unique():
     # rounded linspace is nondecreasing, so dropping consecutive repeats is np.unique
     for n_steps in (100, 101, 333, 1000, 2000):
-        for n_frames in (0, 2, 3, 7, 201, 401, n_steps, n_steps + 1, MAX_FRAMES, 5000):
-            capped = min(max(n_frames, 2), MAX_FRAMES, n_steps + 1)
+        for n_frames in (2, 3, 7, 201, 401, n_steps, n_steps + 1, MAX_FRAMES):
+            if n_frames > MAX_FRAMES:
+                continue
+            capped = min(n_frames, n_steps + 1)
             expected = np.unique(np.linspace(0, n_steps, capped).round().astype(int))
             got = _frame_indices(n_steps, n_frames)
             assert got.dtype == expected.dtype

@@ -16,6 +16,7 @@ from squidw import experiments
 from squidw.dynamics import MAX_FRAMES, ConvergenceError, fidelity, lindblad_operators
 from squidw.experiments import (
     CHECKS,
+    Check,
     ResultRecord,
     RunSpec,
     TABLE1_REFERENCE,
@@ -412,6 +413,12 @@ def test_table2_quadrant_order_is_the_published_ranking():
     for dg in (0.10, -0.10):
         slice_quads = variation_quadrants(r for r in TABLE2_REFERENCE if r[2] == dg)
         assert quadrant_order(slice_quads) == TABLE2_QUADRANT_ORDER
+
+
+def test_every_check_is_a_plan_and_a_judge():
+    # verify included: each entry plans its runs apart from judging them
+    assert all(isinstance(check, Check) for check in CHECKS.values())
+    assert "verify" in CHECKS
 
 
 def test_only_known_discrepancies_fail():

@@ -31,7 +31,6 @@ from squidw.state_space import (
     cavity_hamiltonian,
     dark_state,
     drive_hamiltonian,
-    effective_eigenframe,
     effective_hamiltonian,
     w_state,
 )
@@ -232,28 +231,6 @@ def test_effective_hamiltonian_action():
     phi0 = dark_state()
     assert np.max(np.abs(h @ phi0 - (omega_a * w_state() - omega_b * basis_state(PSI1)))) < 1e-14
     assert np.max(np.abs(h @ basis_state(PSI3))) == 0.0  # photon state untouched
-
-
-def test_effective_eigenframe_diagonalizes():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        omega_a, omega_b = rng.normal(size=2) * 6
-        omega = math.hypot(omega_a, omega_b)
-        theta = math.atan2(omega_b, omega_a)
-        zero, plus, minus = effective_eigenframe(theta)
-        h = effective_hamiltonian(omega_a, omega_b)
-        assert np.max(np.abs(h @ zero)) < 1e-12 * max(omega, 1.0)
-        assert np.max(np.abs(h @ plus - omega * plus)) < 1e-12 * max(omega, 1.0)
-        assert np.max(np.abs(h @ minus + omega * minus)) < 1e-12 * max(omega, 1.0)
-        frame = np.column_stack([zero, plus, minus])
-        assert np.max(np.abs(frame.conj().T @ frame - np.eye(3))) < 1e-14
-
-
-def test_eigenframe_endpoints_rotate_initial_into_target():
-    zero0, _, _ = effective_eigenframe(0.0)
-    zero1, _, _ = effective_eigenframe(math.pi / 2.0)
-    assert np.max(np.abs(zero0 - basis_state(PSI1))) < 1e-15
-    assert np.max(np.abs(zero1 - w_state())) < 1e-15
 
 
 def test_validation_rejects_bad_inputs():

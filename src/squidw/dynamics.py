@@ -34,9 +34,9 @@ one real matrix M = A + B = Re rho + Im rho, which obeys
 
 for the elementwise gain table G and population scatter S of the dissipator:
 two real products per node, and every elementwise op on half the bytes of
-the complex rho. A batch whose tables are all zero (no noise) or whose
-scatter is (no jumps, as with dephasing only) skips the terms it lacks; a
-term it skips adds only zeros, so the bytes are those of the full form.
+the complex rho. A batch whose tables are all zero (no noise) skips the
+dissipator, which would add only zeros, so the bytes are those of the full
+form; a batch with any noise, dephasing alone included, computes every term.
 Stored frames and the final state are unpacked as
 rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
 
@@ -44,9 +44,9 @@ RK4 advances the state in place. Each propagator call allocates its buffers
 and builds every view of them once, before stepping, so no array is
 allocated inside the step loop. A right-hand side writes its slope through
 out=: one matmul for Schrodinger; for Lindblad three numpy calls without
-noise, five without jumps and six with them, its two products written by
-BLAS through transposed outputs and, with jumps, the gain diagonal folded
-into the scatter, whose product writes the slope's diagonal. One BLAS GEMM
+noise and six with any, its two products written by BLAS through
+transposed outputs and, with noise, the gain diagonal folded into the
+scatter, whose product writes the slope's diagonal. One BLAS GEMM
 with the weights (1, 2, 2, 1) sums the four slopes, exactly and left to
 right on the OpenBLAS kernels _rk4 names. The stepper yields its live state
 buffer, and the propagators copy whatever they store.
@@ -61,6 +61,7 @@ buffer and rewrite only its drive entries. Every H passes the float64 check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ NORM_TOL = 1e-6  # pure-state norm drift gate
 TRACE_TOL = 1e-8  # density-matrix trace drift gate
 EIG_TOL = -1e-6  # most negative admissible eigenvalue
 
-_W = w_state()  # fidelity's default target, built once
+_W = w_state()  # fidelity's target, built once
 _W.flags.writeable = False
 
 
@@ -125,6 +126,7 @@ class TimeGrid:
     n_steps: int = 2000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_steps", _whole("n_steps", self.n_steps))
         if self.n_steps < 100:
             raise ValueError(f"n_steps must be at least 100, got {self.n_steps}")
 
@@ -134,17 +136,16 @@ class Trajectory:
     """Stored frames (at most MAX_FRAMES per point) plus endpoint diagnostics.
 
     A propagator returns the trajectory of its whole batch: every per-point
-    field is indexed by point first. The per-frame fields (times, states,
-    fidelities, populations) are arrays with a leading batch axis of length
-    B when every point stores the same number of frames, and lists of B
-    per-point arrays otherwise. point(b) gives the trajectory of one point,
-    with its own frame times and the diagnostics as floats.
+    field is indexed by point first, and each per-frame field (times,
+    states, fidelities, populations) is a list of B per-point arrays, one
+    row per stored frame. point(b) gives the trajectory of one point: those
+    fields are its arrays, and the diagnostics are floats.
     """
 
-    times: np.ndarray | list  # stored frame times, per point
-    states: np.ndarray | list  # state vector or density matrix per point and stored frame
-    fidelities: np.ndarray | list  # per point and stored frame
-    populations: np.ndarray | list  # per point and stored frame, 10 diagonal occupations
+    times: list  # stored frame times, per point
+    states: list  # state vector or density matrix per point and stored frame
+    fidelities: list  # per point and stored frame
+    populations: list  # per point and stored frame, 10 diagonal occupations
     final_state: np.ndarray
     drift: np.ndarray  # |norm - 1| or |trace - 1| at the final time, per point
     min_eigenvalue: np.ndarray | None  # over each point's stored frames; density runs only
@@ -163,13 +164,12 @@ class Trajectory:
         )
 
 
-def fidelity(state: np.ndarray, target: np.ndarray | None = None) -> float:
+def fidelity(state: np.ndarray) -> float:
     """|<W|psi>|^2 for vectors, |<W|rho|W>| for density matrices."""
-    w = _W if target is None else target
     state = np.asarray(state)
     if state.ndim == 1:
-        return float(abs(np.vdot(w, state)) ** 2)
-    return float(abs(w.conj() @ state @ w))
+        return float(abs(np.vdot(_W, state)) ** 2)
+    return float(abs(_W.conj() @ state @ _W))
 
 
 def node_times(n_steps: int, duration: float) -> np.ndarray:
@@ -186,16 +186,31 @@ def node_times(n_steps: int, duration: float) -> np.ndarray:
     return t
 
 
-def _frame_indices(n_steps: int, n_frames: int) -> np.ndarray:
+def _whole(name: str, value) -> int:
+    """value as an int; ValueError unless it is a whole number, which int()
+    alone would not check (it truncates 150.7 to 150)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def _frame_count(n_frames) -> int:
+    """n_frames as an int; ValueError unless it is a whole number from 2 to MAX_FRAMES."""
+    n_frames = _whole("n_frames", n_frames)
+    if not 2 <= n_frames <= MAX_FRAMES:
+        raise ValueError(f"n_frames must be 2 to {MAX_FRAMES}, got {n_frames}")
+    return n_frames
+
+
+def _frame_indices(n_steps: int, n_frames) -> np.ndarray:
     """The distinct steps of n_frames evenly spaced ones, 0 and n_steps included.
 
-    n_frames outside 2 to MAX_FRAMES raises ValueError; more than n_steps + 1
+    n_frames is refused as _frame_count refuses it; more than n_steps + 1
     keeps every step. Rounded linspace is nondecreasing, so dropping
     consecutive repeats leaves np.unique's result without the numpy.ma
     import np.unique costs.
     """
-    if not 2 <= n_frames <= MAX_FRAMES:
-        raise ValueError(f"n_frames must be 2 to {MAX_FRAMES}, got {n_frames}")
+    n_frames = _frame_count(n_frames)
     steps = np.linspace(0, n_steps, min(n_frames, n_steps + 1)).round().astype(int)
     return steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
 
@@ -232,10 +247,9 @@ class _Frames:
     """
 
     def __init__(self, n_steps: int, n_frames, state0: np.ndarray):
-        batch = len(state0)
-        counts = np.broadcast_to(np.asarray(n_frames), (batch,))
-        by_count = {int(c): _frame_indices(n_steps, int(c)) for c in set(counts.tolist())}
-        self.keep = [by_count[int(c)] for c in counts]
+        counts = np.broadcast_to(np.asarray(n_frames), (len(state0),)).tolist()
+        by_count = {c: _frame_indices(n_steps, c) for c in set(counts)}
+        self.keep = [by_count[c] for c in counts]
         at: dict[int, list] = {}
         for b, keep in enumerate(self.keep):
             for step in keep[1:]:
@@ -256,30 +270,19 @@ class _Frames:
             self.stored[b].append(s)
 
 
-def _batched(items: list):
-    """One array with a leading batch axis when the items share a shape, else the list."""
-    return np.stack(items) if len({item.shape for item in items}) == 1 else items
-
-
 def _trajectory(frames: _Frames, final, drift, min_eig, n_steps: int, durations) -> Trajectory:
     """Package each point's stored states; fidelities are taken point by point."""
     states = [np.array(s) for s in frames.stored]
-    nodes = {}
-    times = []
-    for d, keep in zip(durations.tolist(), frames.keep):
-        if d not in nodes:
-            nodes[d] = node_times(n_steps, d)
-        times.append(nodes[d][2 * keep])
+    nodes = {d: node_times(n_steps, d) for d in set(durations.tolist())}
+    times = [nodes[d][2 * keep] for d, keep in zip(durations.tolist(), frames.keep)]
     return Trajectory(
-        times=_batched(times),
-        states=_batched(states),
-        fidelities=_batched([np.array([fidelity(s) for s in point]) for point in states]),
-        populations=_batched(
-            [
-                np.abs(st) ** 2 if st.ndim == 2 else np.real(np.diagonal(st, axis1=-2, axis2=-1))
-                for st in states
-            ]
-        ),
+        times=times,
+        states=states,
+        fidelities=[np.array([fidelity(s) for s in point]) for point in states],
+        populations=[
+            np.abs(st) ** 2 if st.ndim == 2 else np.real(np.diagonal(st, axis1=-2, axis2=-1))
+            for st in states
+        ],
         final_state=final,
         drift=drift,
         min_eigenvalue=min_eig,
@@ -373,8 +376,8 @@ def propagate_schrodinger(
     psi0 has shape (P, 10), P points, or (B, 10, K), B blocks of K columns,
     where block b's columns all evolve under block b's H. A (P, 10) input is
     the block input (P, 10, 1). duration and n_frames are scalars or one
-    value per block; n_frames outside 2 to MAX_FRAMES raises ValueError, and
-    more than n_steps + 1 keeps every step. h_fn(k) returns the (B, 10, 10)
+    value per block; an n_frames that is not a whole number from 2 to
+    MAX_FRAMES raises ValueError, and more than n_steps + 1 keeps every step. h_fn(k) returns the (B, 10, 10)
     real symmetric float64 Hamiltonians at node k, block b's at node k of
     node_times(grid.n_steps, duration_b); any other shape raises ValueError.
     It is called exactly once per node, in increasing k: node 2s+1 serves k2
@@ -528,12 +531,12 @@ def propagate_lindblad(
     symmetric real part plus the antisymmetric imaginary part). For real
     symmetric H, the real symmetric gain table G and the real population
     scatter S, the master equation reads dM/dt = [H, M]^T + G o M plus
-    S diag(M) on the diagonal: two real products per RK4 stage. Which terms
-    the batch has is decided once, from the stacked tables: its right-hand
+    S diag(M) on the diagonal: two real products per RK4 stage. Whether the
+    batch has noise is decided once, from the stacked tables: its right-hand
     side is 3 numpy calls when G and S are zero (the commutator written
-    straight into the slope), 5 when only S is, and 6 otherwise; BLAS
-    writes both products transposed and, with jumps, the diagonal of G is
-    folded into S, whose product writes the slope's diagonal. Stored
+    straight into the slope) and 6 otherwise, dephasing alone included;
+    BLAS writes both products transposed and, with noise, the diagonal of G
+    is folded into S, whose product writes the slope's diagonal. Stored
     frames and the final state are unpacked as (M + M^T)/2 + i (M - M^T)/2,
     so they are exactly Hermitian. Trace is checked at the end; positivity
     with eigvalsh at each point's own stored frames. Both gate the result
@@ -552,8 +555,8 @@ def propagate_lindblad(
     if len(noises) != len(rho):
         raise ValueError(f"need one NoiseModel per point, got {len(noises)} for {len(rho)}")
     gain, scatter = (np.stack(t) for t in zip(*map(_dissipator_tables, noises)))
-    # The terms the batch has, decided once: a right-hand side computes only those.
-    has_gain, has_scatter = bool(gain.any()), bool(scatter.any())
+    # Decided once: a batch without noise skips the dissipator, which would add zeros.
+    noisy = bool(gain.any() or scatter.any())
 
     m = rho.real + rho.imag
     # Both products are written through transposed outputs: [H, M]^T = hm_t - mh_t.
@@ -564,11 +567,12 @@ def propagate_lindblad(
         """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
         return a.reshape(-1, DIM * DIM)[:, :: DIM + 1][..., None]
 
-    if has_scatter:
+    if noisy:
         # The gain diagonal joins the scatter, whose product then writes the
         # slope's diagonal: exact because no state both gains and loses
         # population by jumps (a receiving row has a gain diagonal of exactly
         # 0, a source row no scatter); a cascade jump would change rounding.
+        # Dephasing alone leaves a gain diagonal of exactly 0 and no scatter.
         diagonal(scatter)[...] += diagonal(gain)
         diagonal(gain)[...] = 0.0
 
@@ -580,13 +584,6 @@ def propagate_lindblad(
             np.matmul(src, H, out=mh)
             np.subtract(hm_t, mh_t, out=dst)
 
-        def jump_free(H: np.ndarray) -> None:
-            np.matmul(H, src, out=hm)
-            np.matmul(src, H, out=mh)
-            np.subtract(hm_t, mh_t, out=hm_t)
-            np.multiply(gain, src, out=dst)
-            np.add(dst, hm_t, out=dst)
-
         def rhs(H: np.ndarray) -> None:
             np.matmul(H, src, out=hm)
             np.matmul(src, H, out=mh)
@@ -595,7 +592,7 @@ def propagate_lindblad(
             np.matmul(scatter, pops, out=diag)
             np.add(dst, hm_t, out=dst)
 
-        return rhs if has_scatter else jump_free if has_gain else noiseless
+        return rhs if noisy else noiseless
 
     n = grid.n_steps
     durations = _durations(duration, len(rho))

@@ -4,10 +4,10 @@ Every run is described by a frozen `RunSpec` (flavor, coupling, noise ratios,
 variation errors, grid, stored frames) and goes through one builder,
 `run_points`. It integrates specs that differ only in label once, and
 groups the distinct runs into batches that share closed/open and n_steps;
-duration and stored frames stay per point. For each batch it stacks
-the cavity Hamiltonians H_c(g) as (B, 10, 10), samples the two channel
-envelopes of each distinct schedule once at its 2n+1 RK4 nodes and
-integrates H = H_c + a(t) D_a + b(t) D_b for the whole batch in one
+duration and stored frames stay per point. For each batch `_run_batch`
+stacks the cavity Hamiltonians H_c(g) as (B, 10, 10), samples the two channel
+envelopes of each distinct schedule at its 2n+1 RK4 nodes, block by block,
+and integrates H = H_c + a(t) D_a + b(t) D_b for the whole batch in one
 propagator call (with the stacked dissipator tables for open runs). An
 effective point (the three-level model `verify` checks) has no H_c and its
 own pair of drives, and may share a batch with cavity points. Batches
@@ -53,11 +53,11 @@ import numpy as np
 
 from . import dressed_frames
 from .dynamics import (
-    MAX_FRAMES,
     ConvergenceError,
     NoiseModel,
     TimeGrid,
     Trajectory,
+    _frame_count,
     fidelity,
     node_times,
     propagate_lindblad,
@@ -535,11 +535,9 @@ class RunSpec:
         if self.omega0 is not None:
             object.__setattr__(self, "omega0", float(self.omega0))
         object.__setattr__(self, "label", str(self.label))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "n_frames", int(self.n_frames))
-        TimeGrid(self.n_steps)  # raises on a step count the integration grid refuses
-        if not 2 <= self.n_frames <= MAX_FRAMES:
-            raise ValueError(f"n_frames must be 2 to {MAX_FRAMES}, got {self.n_frames}")
+        # The integration grid's and the propagators' own rules, applied here.
+        object.__setattr__(self, "n_steps", TimeGrid(self.n_steps).n_steps)
+        object.__setattr__(self, "n_frames", _frame_count(self.n_frames))
         if self.flavor not in _FLAVORS:
             raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
         if self.mode not in _MODES:
@@ -665,16 +663,16 @@ _EFFECTIVE_DRIVES = (effective_hamiltonian(1.0, 0.0), effective_hamiltonian(0.0,
 _NODE_BLOCK = 256
 
 
-def _integrate(
-    h0, drives, sample, state0, durations, n_steps, n_frames, noises=None
-) -> Trajectory:
-    """B points on one step count: H_b(t) = h0[b] + a_b(t) D_a[b] + b_b(t) D_b[b].
+def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
+    """Integrate specs that share closed/open and n_steps from |psi1>, each at
+    its own duration and with its own stored frames; one trajectory per spec.
 
-    h0 and each of the drives (D_a, D_b) are (B, 10, 10), durations and
-    n_frames one value per point, and sample(ts) the (len(ts[b]), B, 2)
-    channel envelopes with point b's at its own times ts[b]. The envelopes
-    are sampled block by block at each point's node_times(n_steps,
-    duration_b). The propagators call h_fn once per node, in increasing k,
+    Point b's H is h0[b] + a_b(t) D_a[b] + b_b(t) D_b[b]: h0 is its cavity
+    Hamiltonian, and (D_a, D_b) are the channel drives; an effective point
+    has h0 = 0 and the effective drives. Each distinct schedule is built
+    once and sampled block by block at node_times(n_steps, duration) of its
+    duration, which every point that uses it shares, and its samples serve
+    all of them. The propagators call h_fn once per node, in increasing k,
     and it keeps one H buffer, starting as h0: at each node it rewrites only
     the entries where some point's D_a or D_b is nonzero, as
     h0 + a D_a + b D_b (a point whose drives are zero at such an entry gets
@@ -683,12 +681,19 @@ def _integrate(
     (nodes, B * entries) array; each node is then one write of its row
     through a flat index of those entries in H. For a batch of cavity points
     those are the same 8 entries as for one point. So H is assembled once
-    per node and never stored for the whole run. noises, one NoiseModel per
-    point, selects the master equation.
+    per node and never stored for the whole run. Open points pass their
+    NoiseModel, from which the propagator builds its dissipator tables.
     """
-    d_a, d_b = drives
-    grids = {d: node_times(n_steps, d) for d in set(durations)}
-    nodes = [grids[d] for d in durations]
+    first = specs[0]
+    h0 = np.stack(
+        [np.zeros((DIM, DIM)) if s.effective else cavity_hamiltonian(s.coupling) for s in specs]
+    )
+    drives = [_EFFECTIVE_DRIVES if s.effective else _CHANNEL_DRIVES for s in specs]
+    d_a, d_b = (np.stack(d) for d in zip(*drives))
+    distinct: dict[tuple, int] = {}
+    which = [distinct.setdefault(s.schedule_key(), len(distinct)) for s in specs]
+    firsts = [specs[which.index(u)] for u in range(len(distinct))]
+    schedules = [(s.schedule(), node_times(first.n_steps, s.duration)) for s in firsts]
     rows, cols = np.nonzero(((d_a != 0) | (d_b != 0)).any(axis=0))
     base, da, db = h0[:, rows, cols], d_a[:, rows, cols], d_b[:, rows, cols]
     H = h0.copy()
@@ -700,7 +705,8 @@ def _integrate(
         nonlocal start, entries
         if k - start == len(entries):
             start = k
-            env = sample([t[start : start + _NODE_BLOCK] for t in nodes])[..., None]
+            samples = [sch.envelopes(t[start : start + _NODE_BLOCK]) for sch, t in schedules]
+            env = np.stack(samples, axis=1)[:, which, :, None]
             # The block's drive entries, (nodes, B, entries), each summed as
             # (base + a D_a) + b D_b, then one row per node.
             block = env[:, :, 0] * da
@@ -710,51 +716,15 @@ def _integrate(
         flat[index] = entries[k - start]
         return H
 
-    grid = TimeGrid(n_steps)
-    duration = np.array(durations, dtype=float)
-    if noises is None:
-        psi0 = np.tile(state0, (len(h0), 1))
-        return propagate_schrodinger(h_fn, psi0, grid, duration=duration, n_frames=n_frames)
-    rho0 = np.tile(np.outer(state0, state0.conj()), (len(h0), 1, 1))
-    return propagate_lindblad(h_fn, noises, rho0, grid, duration=duration, n_frames=n_frames)
-
-
-def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
-    """Integrate specs that share closed/open and n_steps, each at its own
-    duration and with its own stored frames; one trajectory per spec.
-
-    Each distinct schedule is built and sampled once per node block, and its
-    samples serve every point that uses it. Open points pass their
-    NoiseModel, from which the propagator builds its dissipator tables.
-    Effective points run without the cavity, on the effective drives.
-    """
-    first = specs[0]
-    h0 = np.stack(
-        [np.zeros((DIM, DIM)) if s.effective else cavity_hamiltonian(s.coupling) for s in specs]
-    )
-    drives = [_EFFECTIVE_DRIVES if s.effective else _CHANNEL_DRIVES for s in specs]
-    distinct: dict[tuple, int] = {}
-    which = [distinct.setdefault(s.schedule_key(), len(distinct)) for s in specs]
-    # Points that share a schedule share its duration, so the first one's
-    # node times serve them all.
-    firsts = [which.index(u) for u in range(len(distinct))]
-    schedules = [specs[b].schedule() for b in firsts]
-
-    def sample(ts):
-        samples = [sch.envelopes(ts[b]) for sch, b in zip(schedules, firsts)]
-        return np.stack(samples, axis=1)[:, which]
-
+    psi1 = basis_state(PSI1)
+    if first.closed:
+        propagate, states = propagate_schrodinger, (np.tile(psi1, (len(specs), 1)),)
+    else:
+        rho0 = np.tile(np.outer(psi1, psi1.conj()), (len(specs), 1, 1))
+        propagate, states = propagate_lindblad, ([s.noise for s in specs], rho0)
+    grid, duration = TimeGrid(first.n_steps), np.array([s.duration for s in specs])
     try:
-        traj = _integrate(
-            h0,
-            (np.stack([d_a for d_a, _ in drives]), np.stack([d_b for _, d_b in drives])),
-            sample,
-            basis_state(PSI1),
-            [s.duration for s in specs],
-            first.n_steps,
-            [s.n_frames for s in specs],
-            None if first.closed else [s.noise for s in specs],
-        )
+        traj = propagate(h_fn, *states, grid, duration=duration, n_frames=[s.n_frames for s in specs])
     except ConvergenceError as exc:
         # A batch mixes drivers' points; name the one that failed.
         if exc.point is None or not specs[exc.point].label:

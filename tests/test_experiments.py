@@ -187,9 +187,10 @@ def test_batched_point_is_bitwise_its_solo_run():
     check()
 
 
-# Noiseless and dephasing-only density-matrix points: alone, a batch of them
-# runs the 3- or 5-call right-hand side; batched with a decaying point, the
-# general one. At 400 steps every point passes the positivity gate.
+# Noiseless and dephasing-only density-matrix points. Alone, a noiseless
+# point runs the 3-call right-hand side and a dephasing-only point the
+# general one; batched with a decaying point, both run the general one. At
+# 400 steps every point passes the positivity gate.
 _PARTIAL_DISSIPATOR = [
     RunSpec(
         flavor=flavor,
@@ -478,6 +479,14 @@ def test_evaluate_point_validation():
     # more frames than steps + 1 is accepted (the effective point of
     # `verify --steps 100` asks for 500 over 101 steps)
     assert RunSpec(n_steps=100, n_frames=MAX_FRAMES).n_frames == MAX_FRAMES
+    # a fractional step or frame count is refused, not truncated; numpy
+    # integers are taken as ints
+    with pytest.raises(ValueError, match="n_steps must be an integer, got 150.7"):
+        RunSpec(n_steps=150.7)
+    with pytest.raises(ValueError, match="n_frames must be an integer, got 7.5"):
+        RunSpec(n_steps=400, n_frames=7.5)
+    spec = RunSpec(n_steps=np.int64(400), n_frames=np.int32(7))
+    assert (type(spec.n_steps), type(spec.n_frames)) == (int, int)
 
 
 def test_effective_spec_rejects_settings_it_would_ignore():

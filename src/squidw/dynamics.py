@@ -43,11 +43,11 @@ rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
 RK4 advances the state in place. Each propagator call allocates its buffers
 and builds every view of them once, before stepping, so no array is
 allocated inside the step loop. A right-hand side writes its slope through
-out=: one matmul for Schrodinger; for Lindblad three numpy calls without
-noise and six with any, its two products written by BLAS through
-transposed outputs and, with noise, the gain diagonal folded into the
-scatter, whose product writes the slope's diagonal. One BLAS GEMM
-with the weights (1, 2, 2, 1) sums the four slopes, exactly and left to
+output arguments: one matmul for Schrodinger; for Lindblad three numpy
+calls without noise and six with any, its two products written by BLAS
+through transposed outputs and, with noise, the gain diagonal folded into
+the scatter, whose product writes the slope's diagonal. One BLAS GEMM with
+the weights (1, 2, 2, 1) sums the four slopes, exactly and left to
 right on the OpenBLAS kernels _rk4 names. The stepper yields its live state
 buffer, and the propagators copy whatever they store.
 
@@ -216,12 +216,16 @@ def _frame_indices(n_steps: int, n_frames) -> np.ndarray:
 
 
 def _durations(duration, batch: int) -> np.ndarray:
-    """One duration per point from a scalar or a (B,) sequence."""
+    """One duration per point from a scalar or a (B,) sequence; ValueError
+    unless each is finite and positive, since a zero, negative or non-finite
+    one steps nowhere, backwards or into nan."""
     d = np.asarray(duration, dtype=float)
     if d.ndim > 1 or (d.ndim == 1 and len(d) != batch):
         raise ValueError(
             f"duration must be a scalar or have one entry per point or block, got shape {d.shape}"
         )
+    if not ((d > 0) & (d < math.inf)).all():
+        raise ValueError(f"duration must be finite and positive, got {d}")
     return np.broadcast_to(d, (batch,))
 
 
@@ -295,21 +299,6 @@ def _which(b: int, values: np.ndarray) -> str:
     return f" (batch point {b})" if len(values) > 1 else ""
 
 
-def _real_h(h_fn, k: int, batch: int) -> np.ndarray:
-    """h_fn(k), checked at every node: a float64 array, since the kernels view
-    H as real, with one H per point or block, shape (batch, 10, 10), since
-    matmul would broadcast a shorter stack over the whole batch."""
-    H = h_fn(k)
-    if not (isinstance(H, np.ndarray) and H.dtype == np.float64):
-        raise ValueError("h_fn must return real symmetric float64 Hamiltonians")
-    if H.shape != (batch, DIM, DIM):
-        raise ValueError(
-            f"h_fn must return one Hamiltonian per point or block, shape "
-            f"({batch}, {DIM}, {DIM}), got {H.shape} at node {k}"
-        )
-    return H
-
-
 _RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]] * 2)  # k1 + 2 k2 + 2 k3 + k4, twice: a GEMM
 
 
@@ -343,24 +332,47 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     weighted, summed = (a.view(np.float64).reshape(len(a), -1) for a in (slopes, sums))
     k1, k2, k3, k4 = slopes
     f1, f2, f3, f4 = bind(x, k1), bind(y, k2), bind(y, k3), bind(y, k4)
-    batch = len(x)
-    H = _real_h(h_fn, 0, batch)
+    # A step is about 21 numpy calls on tens to hundreds of doubles, so the
+    # interpreter around each call costs about as much as its arithmetic.
+    # Each ufunc is therefore a local name given its output positionally (a
+    # keyword out= costs about 45 ns more per call), and H is checked
+    # against a dtype instance and a shape built here, once (comparing with
+    # the np.float64 type costs twice as much). The operations, operands
+    # and order are those of the plain form, and so are the bytes.
+    multiply, add, matmul = np.multiply, np.add, np.matmul
+    real, shape = np.dtype(np.float64), (len(x), DIM, DIM)
+
+    def checked(k: int) -> np.ndarray:
+        """h_fn(k), checked at every node: a float64 array, since the kernels
+        view H as real, with one H per point or block, since matmul would
+        broadcast a shorter stack over the whole batch."""
+        H = h_fn(k)
+        if not (isinstance(H, np.ndarray) and H.dtype == real):
+            raise ValueError("h_fn must return real symmetric float64 Hamiltonians")
+        if H.shape != shape:
+            raise ValueError(
+                f"h_fn must return one Hamiltonian per point or block, shape "
+                f"{shape}, got {H.shape} at node {k}"
+            )
+        return H
+
+    H = checked(0)
     for step in range(n):
         f1(H)
-        H = _real_h(h_fn, 2 * step + 1, batch)
-        np.multiply(half, k1, out=y)
-        y += x
+        H = checked(2 * step + 1)
+        multiply(half, k1, y)
+        add(y, x, y)
         f2(H)
-        np.multiply(half, k2, out=y)
-        y += x
+        multiply(half, k2, y)
+        add(y, x, y)
         f3(H)
-        H = _real_h(h_fn, 2 * step + 2, batch)
-        np.multiply(whole, k3, out=y)
-        y += x
+        H = checked(2 * step + 2)
+        multiply(whole, k3, y)
+        add(y, x, y)
         f4(H)
-        np.matmul(_RK4_WEIGHTS, weighted, out=summed)
-        acc *= sixth
-        x += acc
+        matmul(_RK4_WEIGHTS, weighted, summed)
+        multiply(acc, sixth, acc)
+        add(x, acc, x)
         yield step + 1, x
 
 
@@ -376,10 +388,12 @@ def propagate_schrodinger(
     psi0 has shape (P, 10), P points, or (B, 10, K), B blocks of K columns,
     where block b's columns all evolve under block b's H. A (P, 10) input is
     the block input (P, 10, 1). duration and n_frames are scalars or one
-    value per block; an n_frames that is not a whole number from 2 to
-    MAX_FRAMES raises ValueError, and more than n_steps + 1 keeps every step. h_fn(k) returns the (B, 10, 10)
-    real symmetric float64 Hamiltonians at node k, block b's at node k of
-    node_times(grid.n_steps, duration_b); any other shape raises ValueError.
+    value per block; a duration that is not finite and positive, or an
+    n_frames that is not a whole number from 2 to MAX_FRAMES, raises
+    ValueError, and more than n_steps + 1 frames keeps every step. h_fn(k)
+    returns the (B, 10, 10) real symmetric float64 Hamiltonians at node k,
+    block b's at node k of node_times(grid.n_steps, duration_b); any other
+    shape raises ValueError.
     It is called exactly once per node, in increasing k: node 2s+1 serves k2
     and k3 of step s, node 2s+2 its k4 and the next step's k1. The returned
     array may be overwritten by the next call. H psi is one real product on
@@ -424,8 +438,8 @@ def propagate_schrodinger(
 
     def bind(src: np.ndarray, dst: np.ndarray):
         # (B, 10, 10) @ (B, 10, 2K): real and imaginary parts in one product.
-        p, out = src.view(np.float64), dst.view(np.float64)
-        return lambda H: np.matmul(H, p, out=out)
+        p, out, matmul = src.view(np.float64), dst.view(np.float64), np.matmul
+        return lambda H: matmul(H, p, out)
 
     # A diverging run overflows to inf and nan, which its next stored frame
     # rejects with ConvergenceError; float warnings on the way only repeat it.
@@ -577,20 +591,22 @@ def propagate_lindblad(
         diagonal(gain)[...] = 0.0
 
     def bind(src: np.ndarray, dst: np.ndarray):
+        # Local ufuncs and positional outputs, as in _rk4's loop.
         pops, diag = diagonal(src), diagonal(dst)
+        matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
 
         def noiseless(H: np.ndarray) -> None:
-            np.matmul(H, src, out=hm)
-            np.matmul(src, H, out=mh)
-            np.subtract(hm_t, mh_t, out=dst)
+            matmul(H, src, hm)
+            matmul(src, H, mh)
+            subtract(hm_t, mh_t, dst)
 
         def rhs(H: np.ndarray) -> None:
-            np.matmul(H, src, out=hm)
-            np.matmul(src, H, out=mh)
-            np.subtract(hm_t, mh_t, out=hm_t)
-            np.multiply(gain, src, out=dst)
-            np.matmul(scatter, pops, out=diag)
-            np.add(dst, hm_t, out=dst)
+            matmul(H, src, hm)
+            matmul(src, H, mh)
+            subtract(hm_t, mh_t, hm_t)
+            multiply(gain, src, dst)
+            matmul(scatter, pops, diag)
+            add(dst, hm_t, dst)
 
         return rhs if noisy else noiseless
 

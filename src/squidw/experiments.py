@@ -503,7 +503,9 @@ class RunSpec:
     discrepancy"). master_equation integrates the density matrix even when
     every rate is zero. n_frames, 2 to MAX_FRAMES, is the number of evenly
     spaced frames stored; fewer distinct ones are kept on a grid of fewer
-    than n_frames - 1 steps.
+    than n_frames - 1 steps. Only the dressed flavor reads the dressing
+    amplitude A; the gaussian fit is the A = 0.5 fit, so the gaussian and
+    stirap flavors take no other A.
 
     An effective point runs the three-level effective model: H = a(t) D_a +
     b(t) D_b with the effective drives, no cavity (so g only labels its
@@ -542,14 +544,19 @@ class RunSpec:
             raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown variation mode {self.mode!r}")
-        if self.delta_t <= -1.0:
-            raise ValueError("delta_t must exceed -1")
-        if not -1.0 < self.delta_omega < math.inf:  # nan fails both
-            raise ValueError(f"delta_omega must be finite and exceed -1, got {self.delta_omega}")
+        for name in ("delta_t", "delta_omega"):
+            if not -1.0 < getattr(self, name) < math.inf:  # nan fails both
+                raise ValueError(f"{name} must be finite and exceed -1, got {getattr(self, name)}")
         if self.omega0 is not None and self.flavor != "stirap":
             raise ValueError(
                 f"omega0 is the stirap channel peak; flavor {self.flavor!r} takes none"
             )
+        if self.A != 0.5 and self.flavor != "dressed":
+            raise ValueError(
+                f"A is the dressing amplitude; flavor {self.flavor!r} is built for A = 0.5 "
+                f"and takes no other, got {self.A}"
+            )
+        ScheduleParams(A=self.A)  # raises on an A outside (0, pi/2), which no dressing has
         if self.effective and (
             self.master_equation
             or self.delta_g != 0.0
@@ -1040,16 +1047,17 @@ def _plan_verify(n_steps: int, mode=None, g: float = 30.0, A: float = 0.5) -> Pl
     default steps, and one open batch), finished as the numbers _judge_verify
     bounds, with those of the dressed-frame algebra, the integrator oracle
     and the dressing-amplitude trade-off, which reads pulse envelopes only.
-    verify writes no file."""
+    A is the amplitude of the two dressed points, the effective and the full
+    model. verify writes no file."""
     params = ScheduleParams(A=A)
-    closed = RunSpec(g=g, A=A, n_steps=max(1000, min(n_steps, 2000)))
+    closed = RunSpec(g=g, n_steps=max(1000, min(n_steps, 2000)))
     specs = [
         # the effective model under the exact corrected controls
         RunSpec(label="effective_model", flavor="dressed", A=A, n_steps=n_steps, n_frames=500,
                 effective=True),
         closed,
         replace(closed, master_equation=True),
-        replace(closed, flavor="dressed", g=300.0),
+        replace(closed, flavor="dressed", g=300.0, A=A),
     ]
 
     def finish(results, outdir) -> dict:

@@ -555,6 +555,12 @@ def test_unwritable_outdir_exits_one(tmp_path, capsys):
         ["pulses", "--flavor", "stirap", "--A", "0.3"],
         ["simulate", "--delta-omega", "-1"],
         ["sweep", "--axis", "dOmega_over_Omega=0,-1"],
+        ["simulate", "--delta-t", "nan"],
+        ["simulate", "--delta-t", "inf"],
+        ["simulate", "--mode", "truncate", "--delta-t", "nan"],
+        ["simulate", "--mode", "truncate", "--delta-t", "inf"],
+        ["sweep", "--mode", "truncate", "--axis", "dT_over_T=0,nan"],
+        ["simulate", "--flavor", "dressed", "--A", "2.0"],
     ],
 )
 def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):
@@ -563,6 +569,8 @@ def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error:")
     assert not outdir.exists()
+    if any(a == "--delta-t" or a.startswith("dT_over_T") for a in argv):
+        assert "delta_t" in err  # the setting, not the schedule's duration T
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -245,7 +246,8 @@ def test_every_node_passes_the_float64_check(bad_node):
 def test_a_mis_sized_hamiltonian_stack_is_refused():
     """h_fn returns one H per point, or per block for a block input; a stack
     of any other length, or a single H that matmul would broadcast over the
-    whole batch, is refused by both propagators."""
+    whole batch, is refused by both propagators, at whichever node it
+    appears."""
     grid = TimeGrid(100)
     hc = cavity_hamiltonian(CouplingConfig(g=1.0))
     psi0 = np.tile(basis_state(PSI1), (3, 1))
@@ -256,11 +258,18 @@ def test_a_mis_sized_hamiltonian_stack_is_refused():
         lambda h_fn: propagate_schrodinger(h_fn, blocks, grid),
         lambda h_fn: propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)] * 3, rho0, grid),
     )
+    good = np.stack([hc] * 3)
     for run in runs:
         for bad in (hc, hc[None], np.stack([hc] * 2), np.stack([hc] * 30)):
             with pytest.raises(ValueError, match="one Hamiltonian per point or block"):
                 run(lambda k: bad)
-        run(lambda k: np.stack([hc] * 3))
+        run(lambda k: good)
+        # the shape is checked at every node: a stack that changes length
+        # mid-run, at an odd node or the last, is refused at that node
+        for node, bad in itertools.product((1, 2 * 57 + 1, 2 * 100), (hc, good[:2])):
+            message = f"shape (3, {DIM}, {DIM}), got {bad.shape} at node {node}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                run(lambda k: bad if k == node else good)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +479,12 @@ def test_schrodinger_input_validation():
     assert type(TimeGrid(np.int64(150)).n_steps) is int
     with pytest.raises(ValueError):
         NoiseModel(kappa=-1.0)
+    # a duration that is not finite and positive is refused, not integrated
+    # to psi0, backwards or into nan; so is one such entry among the points
+    h_fn, psi0 = lambda k: np.zeros((2, DIM, DIM)), np.tile(basis_state(PSI1), (2, 1))
+    for bad in (0.0, -0.5, np.nan, np.inf, [1.0, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="duration must be finite and positive"):
+            propagate_schrodinger(h_fn, psi0, TimeGrid(100), duration=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -693,6 +708,12 @@ def test_lindblad_input_validation():
         one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM), dtype=complex), noise, good, TimeGrid(100))
     with pytest.raises(ValueError, match="one NoiseModel per point"):
         propagate_lindblad(lambda k: np.zeros((2, DIM, DIM)), [noise], np.stack([good, good]), TimeGrid(100))
+    # a duration that is not finite and positive is refused, not stored as
+    # the frame times [0, 0], integrated backwards or into nan
+    h_fn, rho0 = lambda k: np.zeros((2, DIM, DIM)), np.stack([good, good])
+    for bad in (0.0, -0.5, np.nan, np.inf, [1.0, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="duration must be finite and positive"):
+            propagate_lindblad(h_fn, [noise] * 2, rho0, TimeGrid(100), duration=bad)
     # Hermitian to 1e-11 is accepted, and symmetrized once on entry
     skew[0, 1] = 1e-11
     traj = one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, skew, TimeGrid(100))

@@ -27,6 +27,7 @@ from squidw.experiments import (
     run_points,
     sweep_grid,
     variation_quadrants,
+    _MODES,
     _axes_meta,
     _plan_records,
     _plan_trace,
@@ -454,13 +455,14 @@ def test_convergence_failure_names_the_run():
 
 def test_evaluate_point_validation():
     """A RunSpec refuses settings no run can have, when it is made."""
-    with pytest.raises(ValueError, match="delta_t"):
-        RunSpec(delta_t=-1.0)
     with pytest.raises(ValueError, match="stretch"):
         RunSpec(mode="stretch")
-    for bad in (math.nan, math.inf, -math.inf, -1.0, -3.0):
-        with pytest.raises(ValueError, match="delta_omega must be finite and exceed -1"):
-            RunSpec(delta_omega=bad)
+    # a duration or amplitude error that is not finite, or at or below -1,
+    # under either duration reading
+    bads = (math.nan, math.inf, -math.inf, -1.0, -3.0)
+    for bad, mode, name in itertools.product(bads, _MODES, ("delta_t", "delta_omega")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and exceed -1, got {bad}"):
+            RunSpec(mode=mode, **{name: bad})
     with pytest.raises(ValueError, match="coupling g"):
         RunSpec(g=0.0)
     with pytest.raises(ValueError, match="kappa"):
@@ -469,6 +471,16 @@ def test_evaluate_point_validation():
     for flavor in ("gaussian", "dressed"):
         with pytest.raises(ValueError, match="omega0"):
             RunSpec(flavor=flavor, omega0=50.0)
+    # only the dressed flavor reads A: the gaussian fit is the A = 0.5 fit,
+    # and another A would only sample and integrate the same run again
+    for flavor, omega0 in (("gaussian", None), ("stirap", 50.0)):
+        with pytest.raises(ValueError, match=f"flavor '{flavor}' is built for A = 0.5"):
+            RunSpec(flavor=flavor, omega0=omega0, A=0.3)
+        assert RunSpec(flavor=flavor, omega0=omega0, A=0.5).A == 0.5
+    assert RunSpec(flavor="dressed", A=0.3).A == 0.3
+    for bad in (0.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match=r"A must lie in \(0, pi/2\)"):
+            RunSpec(flavor="dressed", A=bad)
     # the integration grid's own rule, checked when the spec is made
     with pytest.raises(ValueError, match="n_steps must be at least 100"):
         RunSpec(n_steps=99)

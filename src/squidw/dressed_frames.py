@@ -15,7 +15,8 @@ makes the dressed-picture Hamiltonian
 exactly diagonal, so the dressed states are followed without any adiabaticity
 requirement. verify_cancellation() measures the off-diagonal residuals on a
 grid; the CLI's `verify` command judges them against the bound its check
-sets (experiments.CHECKS).
+sets (experiments.CHECKS). dressed_state() is the state the effective model
+then follows exactly, the oracle verify judges its integrator against.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import numpy as np
 
 from .pulse_design import ScheduleParams, correction_gains, schedule_angles
+from .state_space import PSI1, basis_state, dark_state, w_state
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -59,6 +61,21 @@ def dressing_transform(t: float, params: ScheduleParams) -> np.ndarray:
     """V(t) = exp(i mu(t) M_x); identity at both endpoints."""
     _, _, mu, _ = schedule_angles(t, params)
     return dressing_matrix(mu)
+
+
+def dressed_state(t, params: ScheduleParams) -> np.ndarray:
+    """The exact state of the effective model under the corrected controls
+    from |psi1>, one row per time of t, shape (len(t), 10):
+
+        cos mu (cos theta |psi1> + sin theta |W>) + i sin mu |phi0>
+
+    (Baksic, Ribeiro and Clerk, PRL 116, 230503 (2016)); |psi1> at t = 0 and
+    |W> at T, with |<phi0|psi>|^2 = sin^2 mu on the way.
+    """
+    theta, _, mu, _ = schedule_angles(t, params)
+    theta, mu = theta[..., None], mu[..., None]
+    dark = np.cos(theta) * basis_state(PSI1) + np.sin(theta) * w_state()
+    return np.cos(mu) * dark + 1j * np.sin(mu) * dark_state()
 
 
 def dressed_picture_hamiltonian(

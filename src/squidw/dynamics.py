@@ -19,11 +19,6 @@ point's node grid and assemble H there; a stack of any other shape raises
 ValueError. Every product, reduction and gate is taken point by point, so a
 point's bytes are the same whatever batch it ran in.
 
-propagate_schrodinger also takes B blocks of K vectors, shape (B, 10, K),
-whose columns share their block's H, duration and frames, so a stage is one
-(10, 10) @ (10, 2K) product per block; its trajectory is bit for bit that of
-the B K column vectors, and a (P, 10) state is the block state (P, 10, 1).
-
 H must be real symmetric float64, as every Hamiltonian of `state_space` is;
 anything else raises ValueError. The kernels use that form. H psi is a real
 matrix product on the float64 view of the complex state. The density matrix
@@ -222,7 +217,7 @@ def _durations(duration, batch: int) -> np.ndarray:
     d = np.asarray(duration, dtype=float)
     if d.ndim > 1 or (d.ndim == 1 and len(d) != batch):
         raise ValueError(
-            f"duration must be a scalar or have one entry per point or block, got shape {d.shape}"
+            f"duration must be a scalar or have one entry per point, got shape {d.shape}"
         )
     if not ((d > 0) & (d < math.inf)).all():
         raise ValueError(f"duration must be finite and positive, got {d}")
@@ -344,14 +339,14 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
 
     def checked(k: int) -> np.ndarray:
         """h_fn(k), checked at every node: a float64 array, since the kernels
-        view H as real, with one H per point or block, since matmul would
-        broadcast a shorter stack over the whole batch."""
+        view H as real, with one H per point, since matmul would broadcast a
+        shorter stack over the whole batch."""
         H = h_fn(k)
         if not (isinstance(H, np.ndarray) and H.dtype == real):
             raise ValueError("h_fn must return real symmetric float64 Hamiltonians")
         if H.shape != shape:
             raise ValueError(
-                f"h_fn must return one Hamiltonian per point or block, shape "
+                f"h_fn must return one Hamiltonian per point, shape "
                 f"{shape}, got {H.shape} at node {k}"
             )
         return H
@@ -385,71 +380,53 @@ def propagate_schrodinger(
 ) -> Trajectory:
     """Fixed-step RK4 on i dpsi/dt = H(t) psi for a batch of states; no renormalization.
 
-    psi0 has shape (P, 10), P points, or (B, 10, K), B blocks of K columns,
-    where block b's columns all evolve under block b's H. A (P, 10) input is
-    the block input (P, 10, 1). duration and n_frames are scalars or one
-    value per block; a duration that is not finite and positive, or an
-    n_frames that is not a whole number from 2 to MAX_FRAMES, raises
-    ValueError, and more than n_steps + 1 frames keeps every step. h_fn(k)
-    returns the (B, 10, 10) real symmetric float64 Hamiltonians at node k,
-    block b's at node k of node_times(grid.n_steps, duration_b); any other
-    shape raises ValueError.
+    psi0 has shape (P, 10), P points; any other shape raises ValueError.
+    duration and n_frames are scalars or one value per point; a duration
+    that is not finite and positive, or an n_frames that is not a whole
+    number from 2 to MAX_FRAMES, raises ValueError, and more than
+    n_steps + 1 frames keeps every step. h_fn(k) returns the (P, 10, 10)
+    real symmetric float64 Hamiltonians at node k, point b's at node k of
+    node_times(grid.n_steps, duration_b); any other shape raises ValueError.
     It is called exactly once per node, in increasing k: node 2s+1 serves k2
     and k3 of step s, node 2s+2 its k4 and the next step's k1. The returned
     array may be overwritten by the next call. H psi is one real product on
-    the float64 view of psi, (10, 10) @ (10, 2K) per block, and the -i sits
-    in the RK4 coefficients (-i h/2, -i h, -i h/6).
-
-    The trajectory is that of the B K column points: point b K + j is column
-    j of block b, and every field, gate and ConvergenceError.point is as in
-    a (B K, 10) run with block b's H repeated K times. RK4 is linear in the
-    state, and a GEMM computes each column of H psi as the same dot products
-    in the same order as a product with that column alone, so the columns
-    match those points bit for bit; this holds on OpenBLAS's SkylakeX,
-    Haswell, Sandybridge and Nehalem kernels, but not on Prescott's. Every
-    product is taken block by block, so a block's result does not depend on
-    the batch it runs in. A non-finite stored frame fails the run at once;
-    the norm is gated at the end, before the run is packaged.
+    the float64 view of psi, (10, 10) @ (10, 2) per point, and the -i sits
+    in the RK4 coefficients (-i h/2, -i h, -i h/6). Every product is taken
+    point by point, so a point's result does not depend on the batch it runs
+    in. A non-finite stored frame fails the run at once; the norm is gated
+    at the end, before the run is packaged.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex, order="C")  # C order: the kernel views it as float64
-    if psi.ndim == 2:
-        psi = psi[..., None]
-    if psi.ndim != 3 or psi.shape[1] != DIM:
-        raise ValueError(f"psi0 must have shape (P, {DIM}) or (B, {DIM}, K)")
-    blocks, _, width = psi.shape
-
-    def columns(x: np.ndarray) -> np.ndarray:
-        """The (B K, 10) column points of a block state; a view when K = 1."""
-        return x.transpose(0, 2, 1).reshape(-1, DIM)
-
+    if psi.ndim != 2 or psi.shape[1] != DIM:
+        raise ValueError(f"psi0 must have shape (P, {DIM})")
     if not np.isfinite(psi).all():
         raise ValueError("psi0 must be finite")
-    if any(not abs(np.linalg.norm(p) - 1.0) <= 1e-9 for p in columns(psi)):
+    if any(not abs(np.linalg.norm(p) - 1.0) <= 1e-9 for p in psi):
         raise ValueError("psi0 must be normalized")
     n = grid.n_steps
-    durations = _durations(duration, blocks)
+    durations = _durations(duration, len(psi))
     h = _step_size(durations, n)
     # The stages are H psi; the -i of dpsi/dt = -i H psi rides on the RK4
     # coefficients. A product with -i only swaps parts and flips a sign, so
     # this gives the bytes of stages -i H psi with real coefficients.
     half, whole, sixth = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
-    frames = _Frames(n, np.repeat(np.broadcast_to(n_frames, blocks), width), columns(psi))
+    frames = _Frames(n, n_frames, psi)
 
     def bind(src: np.ndarray, dst: np.ndarray):
-        # (B, 10, 10) @ (B, 10, 2K): real and imaginary parts in one product.
+        # (P, 10, 10) @ (P, 10, 2): real and imaginary parts in one product.
         p, out, matmul = src.view(np.float64), dst.view(np.float64), np.matmul
         return lambda H: matmul(H, p, out)
 
     # A diverging run overflows to inf and nan, which its next stored frame
     # rejects with ConvergenceError; float warnings on the way only repeat it.
+    # RK4 advances psi in place, through its (P, 10, 1) view.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, psi in _rk4(h_fn, bind, psi, n, half, whole, sixth):
+        for step, _ in _rk4(h_fn, bind, psi[..., None], n, half, whole, sixth):
             points = frames.at(step)
             if points is not None:
-                frames.store(step, points, columns(psi)[points])
+                frames.store(step, points, psi[points])
 
-    psi = columns(psi)
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
     b = int(np.argmax(drift))
     if not drift[b] <= NORM_TOL:
@@ -457,7 +434,7 @@ def propagate_schrodinger(
             f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}",
             b,
         )
-    return _trajectory(frames, psi, drift, None, n, np.repeat(durations, width))
+    return _trajectory(frames, psi, drift, None, n, durations)
 
 
 def _noise_terms(noise: NoiseModel):

@@ -30,12 +30,13 @@ batching.
 The bundled reference tables are the expected outcomes. `CHECKS` holds one
 `Check` per `reproduce` target plus `verify`: the target's plan and a judge
 that turns the plan's output into `Verdict` rows; verify's finish adds the
-dressed-frame algebra and the integrator oracle, the one run assembled
-outside a plan. Every "F within tol of reference" verdict comes from one
-`_compare`/`_compared` pair. `reproduce all` gathers every plan, integrates
-them in one run_points call (one closed and one open batch), then finishes
-and judges target by target. The CLI prints the verdicts and the acceptance
-tests assert on them, so every check and its bound is written once, here.
+dressed-frame algebra and judges the integrator on its own effective run,
+against the exact dressed state. Every "F within tol of reference" verdict
+comes from one `_compare`/`_compared` pair. `reproduce all` gathers every
+plan, integrates them in one run_points call (one closed and one open
+batch), then finishes and judges target by target. The CLI prints the
+verdicts and the acceptance tests assert on them, so every check and its
+bound is written once, here.
 """
 
 from __future__ import annotations
@@ -421,7 +422,7 @@ def _judge_verify(m: dict) -> list[Verdict]:
             f"|F_schrodinger - F_lindblad| = {m['zero_noise_gap']:.2e}",
         ),
         Verdict(
-            "integrator vs matrix exponential",
+            "integrator vs exact dressed state",
             m["integrator"] < 1e-8,
             f"max state deviation {m['integrator']:.2e}",
         ),
@@ -1043,18 +1044,20 @@ def run_effective_model(point, A: float) -> tuple[float, float]:
 
 def _plan_verify(n_steps: int, mode=None, g: float = 30.0, A: float = 0.5) -> Plan:
     """The effective model, the zero-noise Schrodinger/Lindblad pair at g and
-    the full dressed model at g = 300/T (one closed batch of three at the
-    default steps, and one open batch), finished as the numbers _judge_verify
-    bounds, with those of the dressed-frame algebra, the integrator oracle
-    and the dressing-amplitude trade-off, which reads pulse envelopes only.
-    A is the amplitude of the two dressed points, the effective and the full
-    model. verify writes no file."""
+    the full dressed model at g = 300/T (one closed batch of three and one
+    open batch, every run on max(1000, min(n_steps, 2000)) steps), finished
+    as the numbers _judge_verify bounds, with those of the dressed-frame
+    algebra and the dressing-amplitude trade-off, which reads pulse
+    envelopes only. The integrator is judged on the effective run's 500
+    stored frames against the exact dressed state it should follow. A is the
+    amplitude of the two dressed points, the effective and the full model.
+    verify writes no file."""
     params = ScheduleParams(A=A)
     closed = RunSpec(g=g, n_steps=max(1000, min(n_steps, 2000)))
     specs = [
         # the effective model under the exact corrected controls
-        RunSpec(label="effective_model", flavor="dressed", A=A, n_steps=n_steps, n_frames=500,
-                effective=True),
+        RunSpec(label="effective_model", flavor="dressed", A=A, n_steps=closed.n_steps,
+                n_frames=500, effective=True),
         closed,
         replace(closed, master_equation=True),
         replace(closed, flavor="dressed", g=300.0, A=A),
@@ -1092,39 +1095,11 @@ def _plan_verify(n_steps: int, mode=None, g: float = 30.0, A: float = 0.5) -> Pl
             dressed_pulses(ScheduleParams(A=a)).peak_amplitude for a in TRADEOFF_AMPLITUDES
         ]
         out["population_bounds"] = [math.sin(a) ** 2 for a in TRADEOFF_AMPLITUDES]
-        out["integrator"] = _integrator_deviation(hc, params)
+        exact = dressed_frames.dressed_state(effective[1].times, params)
+        out["integrator"] = float(np.max(np.abs(effective[1].states - exact)))
         return out
 
     return Plan("verify", specs, finish)
-
-
-def _integrator_deviation(hc: np.ndarray, params: ScheduleParams) -> float:
-    """RK4 against the exact propagator of a piecewise-constant drive: the
-    largest deviation of |psi1>'s final state.
-
-    The one run assembled outside a plan, since no RunSpec describes a
-    piecewise-constant H. One propagate_schrodinger call carries the 10
-    basis states through each of the 10 segments as one block per segment
-    (point 10 i + j is basis state j under segment i's H), and the segment
-    propagators are then chained on |psi1>.
-    """
-    segments = 10
-    amplitudes = build_schedule("gaussian", params, None).qubit_amplitudes(
-        (np.arange(segments) + 0.5) / segments
-    )
-    hs = np.stack([hc + drive_hamiltonian(a) for a in amplitudes.T])
-    columns = propagate_schrodinger(
-        lambda k: hs,
-        np.tile(np.eye(DIM, dtype=complex), (segments, 1, 1)),
-        TimeGrid(400),
-        duration=1.0 / segments,
-    ).final_state
-    psi_exact = psi_rk = basis_state(PSI1)
-    for h, u in zip(hs, columns.reshape(segments, DIM, DIM).transpose(0, 2, 1)):
-        evals, evecs = np.linalg.eigh(h)
-        psi_exact = (evecs * np.exp(-1j * evals * (1.0 / segments))) @ evecs.conj().T @ psi_exact
-        psi_rk = u @ psi_rk
-    return float(np.max(np.abs(psi_rk - psi_exact)))
 
 
 # One entry per reproduce target, in the order `reproduce all` prints them,

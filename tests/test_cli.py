@@ -458,20 +458,19 @@ def test_verify_prints_the_verdicts_of_its_check(capsys):
     assert len(verdicts) == 10 and all(v.passed for v in verdicts)
 
 
-def test_verify_runs_three_propagator_calls(capsys, monkeypatch):
-    """The effective model joins the zero-noise Schrodinger point and the
-    full dressed model at g = 300/T in one closed batch of three, the
-    zero-noise Lindblad point runs alone, and the integrator oracle carries
-    10 basis states through 10 segments at once, as one block per segment:
-    its h_fn returns 10 Hamiltonians for its 100 points."""
+@pytest.mark.parametrize("steps", [[], ["--steps", "100"], ["--steps", "4000"]],
+                         ids=["defaults", "steps100", "steps4000"])
+def test_verify_runs_two_propagator_calls(capsys, monkeypatch, steps):
+    """Every verify run is on max(1000, min(steps, 2000)) steps, the
+    effective model included, so the effective model, the zero-noise
+    Schrodinger point and the full dressed model at g = 300/T are one closed
+    batch of three and the zero-noise Lindblad point runs alone, whatever
+    --steps asks. The integrator is judged on the effective run's own
+    frames, so no other run is made."""
     calls = _propagator_calls(monkeypatch)
-    code, out, _ = run(["verify"], capsys)
+    code, out, _ = run(["verify", *steps], capsys)
     assert code == 0 and "FAIL" not in out
-    assert calls == [
-        ("propagate_schrodinger", 3, 3),
-        ("propagate_lindblad", 1, 1),
-        ("propagate_schrodinger", 100, 10),
-    ]
+    assert calls == [("propagate_schrodinger", 3, 3), ("propagate_lindblad", 1, 1)]
 
 
 @pytest.mark.parametrize("command", ["pulses", "simulate", "sweep", "reproduce", "verify"])

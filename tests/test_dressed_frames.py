@@ -14,12 +14,18 @@ from squidw.dressed_frames import (
     M_Z,
     SPIN1,
     dressed_picture_hamiltonian,
+    dressed_state,
     dressing_matrix,
     dressing_transform,
     verify_cancellation,
 )
 from squidw.experiments import CHECKS
-from squidw.pulse_design import ScheduleParams, correction_gains, schedule_angles
+from squidw.pulse_design import (
+    ScheduleParams,
+    correction_gains,
+    intermediate_population_bound,
+    schedule_angles,
+)
 from squidw.state_space import PSI1, basis_state, dark_state, effective_hamiltonian, w_state
 
 
@@ -152,6 +158,22 @@ def test_dressed_picture_hamiltonian_is_diagonal():
         expected = -(theta_dot / math.sin(mu)) * M_Z
         assert np.max(np.abs(hv - expected)) < 1e-10 * max(abs(theta_dot / math.sin(mu)), 1.0)
         assert np.max(np.abs(hv_array - hv)) < 1e-13
+
+
+@pytest.mark.parametrize("A", [0.01, 0.5, 1.5])
+def test_dressed_state_runs_from_psi1_to_w_outside_the_dark_subspace_by_sin2_mu(A):
+    """The exact state of the effective model, verify's integrator oracle:
+    unit norm, |psi1> at t = 0, |W> at T, and |<phi0|psi>|^2 is the
+    intermediate-population bound sin^2 mu at every time."""
+    p = ScheduleParams(A=A)
+    t = np.linspace(0.0, p.T, 301)
+    psi = dressed_state(t, p)
+    assert psi.shape == (len(t), 10)
+    assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) < 1e-15
+    assert np.max(np.abs(psi[0] - basis_state(PSI1))) < 1e-15
+    assert np.max(np.abs(psi[-1] - w_state())) < 1e-15
+    leaked = np.abs(psi @ dark_state().conj()) ** 2
+    assert np.max(np.abs(leaked - intermediate_population_bound(t, p))) < 1e-15
 
 
 def test_verify_cancellation_passes_for_designed_gains():

@@ -1,7 +1,6 @@
 """Integrators checked against matrix exponentials, a superoperator oracle,
 and analytic decay laws."""
 
-import dataclasses
 import itertools
 import math
 import os
@@ -244,24 +243,21 @@ def test_every_node_passes_the_float64_check(bad_node):
 
 
 def test_a_mis_sized_hamiltonian_stack_is_refused():
-    """h_fn returns one H per point, or per block for a block input; a stack
-    of any other length, or a single H that matmul would broadcast over the
-    whole batch, is refused by both propagators, at whichever node it
-    appears."""
+    """h_fn returns one H per point; a stack of any other length, or a
+    single H that matmul would broadcast over the whole batch, is refused by
+    both propagators, at whichever node it appears."""
     grid = TimeGrid(100)
     hc = cavity_hamiltonian(CouplingConfig(g=1.0))
     psi0 = np.tile(basis_state(PSI1), (3, 1))
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
-    blocks = np.tile(np.eye(DIM, dtype=complex), (3, 1, 1))
     runs = (
         lambda h_fn: propagate_schrodinger(h_fn, psi0, grid),
-        lambda h_fn: propagate_schrodinger(h_fn, blocks, grid),
         lambda h_fn: propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)] * 3, rho0, grid),
     )
     good = np.stack([hc] * 3)
     for run in runs:
         for bad in (hc, hc[None], np.stack([hc] * 2), np.stack([hc] * 30)):
-            with pytest.raises(ValueError, match="one Hamiltonian per point or block"):
+            with pytest.raises(ValueError, match="one Hamiltonian per point,"):
                 run(lambda k: bad)
         run(lambda k: good)
         # the shape is checked at every node: a stack that changes length
@@ -336,12 +332,6 @@ def test_a_diverged_point_is_a_convergence_failure_that_names_it():
         with pytest.raises(ConvergenceError, match=r"\(batch point 1\)") as raised:
             propagate(lambda k: hc, *args, grid, n_frames=5)
         assert raised.value.point == 1
-    # as blocks of two columns, the diverged block's first column is named,
-    # as in the vector run with each H repeated
-    blocks = np.stack([np.stack([basis_state(PSI4), basis_state(PSI5)], axis=1)] * 2)
-    with pytest.raises(ConvergenceError, match=r"\(batch point 2\)") as raised:
-        propagate_schrodinger(lambda k: hc, blocks, grid, n_frames=5)
-    assert raised.value.point == 2
     # the finite point alone passes
     propagate_schrodinger(lambda k: hc[:1], psi0[:1], grid)
 
@@ -406,7 +396,7 @@ def test_trajectory_frames_and_populations():
 def test_propagators_refuse_a_frame_count_outside_2_to_max_frames(open_system):
     """A count outside 2 to MAX_FRAMES is refused, not clamped, for a point
     and for one point of a batch; more frames than steps + 1 store every
-    step, as the effective point of `verify --steps 100` asks."""
+    step: a count is judged against MAX_FRAMES alone, not against the grid."""
     grid = TimeGrid(100)
     hc = cavity_hamiltonian(CouplingConfig(g=10.0))
     psi0 = basis_state(PSI1)
@@ -485,6 +475,12 @@ def test_schrodinger_input_validation():
     for bad in (0.0, -0.5, np.nan, np.inf, [1.0, 0.0], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="duration must be finite and positive"):
             propagate_schrodinger(h_fn, psi0, TimeGrid(100), duration=bad)
+    with pytest.raises(ValueError, match="one entry per point, got shape"):
+        propagate_schrodinger(h_fn, psi0, TimeGrid(100), duration=[1.0, 1.0, 1.0])
+    # psi0 is P states of 10 amplitudes; a stack of state columns is refused
+    for bad in (basis_state(PSI1), psi0[..., None], np.tile(np.eye(DIM), (2, 1, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"psi0 must have shape (P, {DIM})")):
+            propagate_schrodinger(h_fn, bad, TimeGrid(100))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -744,30 +740,16 @@ _DECAY = NoiseModel(gamma=0.4)
 _MIXED = [NoiseModel(kappa=0.9, gamma=0.4, gamma_phi=0.6), _DEPHASING, NoiseModel()]
 
 
-def _same_trajectory(a, b) -> bool:
-    """Every field of two trajectories equal bit for bit, per point."""
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, list) or isinstance(y, list):
-            same = type(x) is type(y) and len(x) == len(y) and all(map(np.array_equal, x, y))
-        else:
-            same = y is None if x is None else type(x) is type(y) and np.array_equal(x, y)
-        if not same:
-            return False
-    return True
-
-
 @pytest.mark.parametrize(
-    "batch, kinds, width",
-    [pytest.param(b, _MIXED, None, id=str(b)) for b in (1, 3, 17, 38, 60)]
+    "batch, kinds",
+    [pytest.param(b, _MIXED, id=str(b)) for b in (1, 3, 17, 38, 60)]
     + [
-        pytest.param(b, [noise], None, id=f"{b}-{name}")
+        pytest.param(b, [noise], id=f"{b}-{name}")
         for name, noise in (("decay", _DECAY), ("dephasing", _DEPHASING), ("noiseless", NoiseModel()))
         for b in (1, 7)
-    ]
-    + [pytest.param(b, _MIXED, k, id=f"{b}x{k}") for b, k in ((5, 1), (4, 2), (3, 10))],
+    ],
 )
-def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds, width):
+def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
     """The stacked sum of the slopes, the products written through transposed
     outputs and the scatter written on the slope's diagonal give the bytes of
     the seven-call combination, the transposed add and the strided diagonal
@@ -777,29 +759,15 @@ def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds, width):
     noiseless kernel, so each selection is pinned alone. A batch
     of only decay points runs the jump kernel without dephasing, whose
     rounding at a single point is the one that would show a cascade jump
-    breaking the scatter fold.
-
-    With a width K, the Schrodinger run is also given as `batch` blocks of K
-    columns, each block with its own H, duration and frame count, and the
-    block run must be the vector run under each H repeated K times, bit for
-    bit in every Trajectory field."""
+    breaking the scatter fold."""
     rng = np.random.default_rng(batch)
     h_fn, n, durations = _random_batch(rng, batch)
     frames = [2 + b % 5 for b in range(batch)]
-    k = width or 1
-    psi0 = rng.normal(size=(batch * k, DIM)) + 1j * rng.normal(size=(batch * k, DIM))
+    psi0 = rng.normal(size=(batch, DIM)) + 1j * rng.normal(size=(batch, DIM))
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
-    repeated = lambda node: np.repeat(h_fn(node), k, axis=0)
-    point_durations = np.repeat(durations, k)
-    traj = propagate_schrodinger(
-        repeated, psi0, TimeGrid(n), duration=point_durations, n_frames=np.repeat(frames, k)
-    )
-    ref = reference_kernels.schrodinger_stepwise(repeated, psi0, n, point_durations)
+    traj = propagate_schrodinger(h_fn, psi0, TimeGrid(n), duration=durations, n_frames=frames)
+    ref = reference_kernels.schrodinger_stepwise(h_fn, psi0, n, durations)
     assert np.array_equal(traj.final_state, ref)
-    if width is not None:
-        blocks = psi0.reshape(batch, k, DIM).transpose(0, 2, 1)
-        block = propagate_schrodinger(h_fn, blocks, TimeGrid(n), duration=durations, n_frames=frames)
-        assert _same_trajectory(block, traj)
 
     noises = [kinds[b % len(kinds)] for b in range(batch)]
     rho0 = np.stack([_random_density(rng) for _ in range(batch)])

@@ -363,6 +363,24 @@ def test_effective_model_shortcut_is_exact(monkeypatch):
     assert shortcut.detail == f"F={fid:.6f}, max |P_phi0 - sin^2 mu| = {tracking:.2e}"
 
 
+def test_verify_integrator_verdict_fails_an_underresolved_effective_run():
+    """verify judges RK4 on its effective run's stored frames against the
+    exact dressed state. On verify's own grid the verdict passes; with the
+    effective spec alone moved to 100 steps, whose frames are about 1e-7
+    off, it fails, and only it."""
+    label = "integrator vs exact dressed state"
+    verify = CHECKS["verify"]
+    plan = verify.plan(2000, None)
+
+    def verdicts(plan):
+        return {v.label: v for v in verify.judge(_run_plan(plan, None))}
+
+    assert all(v.passed for v in verdicts(plan).values())
+    coarse = verdicts(plan._replace(specs=[replace(plan.specs[0], n_steps=100), *plan.specs[1:]]))
+    assert [v.label for v in coarse.values() if not v.passed] == [label]
+    assert float(coarse[label].detail.rsplit(" ", 1)[1]) > 1e-8
+
+
 # ---------------------------------------------------------------------------
 # variation modes
 
@@ -488,8 +506,8 @@ def test_evaluate_point_validation():
     for bad in (-3, 0, 1, MAX_FRAMES + 1, 10**6):
         with pytest.raises(ValueError, match=f"n_frames must be 2 to {MAX_FRAMES}, got {bad}"):
             RunSpec(n_steps=400, n_frames=bad)
-    # more frames than steps + 1 is accepted (the effective point of
-    # `verify --steps 100` asks for 500 over 101 steps)
+    # more frames than steps + 1 is accepted, as the propagators accept it:
+    # 500 frames over 101 steps store every step
     assert RunSpec(n_steps=100, n_frames=MAX_FRAMES).n_frames == MAX_FRAMES
     # a fractional step or frame count is refused, not truncated; numpy
     # integers are taken as ints

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import experiments
 from .dynamics import MAX_FRAMES, ConvergenceError, fidelity
-from .experiments import RunSpec, build_schedule
-from .pulse_design import ScheduleParams
+from .experiments import RunSpec
 
 ENV_OUTDIR = "SQUIDW_OUT"
 
@@ -45,7 +44,7 @@ class RunConfig:
     delta_t: float = 0.0
     delta_omega: float = 0.0
     delta_g: float = 0.0
-    omega0: float = 50.0
+    omega0: float | None = 50.0  # _resolve sets None unless the flavor is stirap
     n_steps: int = 2000
     outdir: str = "out"
     write_meta: bool = True
@@ -55,7 +54,7 @@ class RunConfig:
 # Every setting's flag: (option strings, add_argument keywords). A flag's dest
 # is its RunConfig field, and a flag not given stays None.
 _FLAGS = {
-    "flavor": (("--flavor",), {"choices": ("dressed", "gaussian", "stirap")}),
+    "flavor": (("--flavor",), {"choices": experiments._FLAVORS}),
     "g": (("--g",), {"type": float, "help": "cavity coupling, units 1/T"}),
     "A": (("--A",), {"type": float, "help": "dressing amplitude knob"}),
     "kappa": (("--kappa",), {"type": float, "help": "cavity decay rate, units 1/T"}),
@@ -68,7 +67,7 @@ _FLAGS = {
     "n_steps": (("--steps",), {"type": int, "help": "RK4 steps (default 2000)"}),
     "mode": (
         ("--mode",),
-        {"choices": ("rescale", "truncate"), "help": "duration-error interpretation"},
+        {"choices": experiments._MODES, "help": "duration-error interpretation"},
     ),
     "outdir": (("-o", "--out"), {"help": f"output directory (default ${ENV_OUTDIR}, else out)"}),
     "write_meta": (
@@ -130,7 +129,8 @@ def _resolve(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     and each flag given; with the settings given, each mapped to its flag.
     Refuses --omega0 unless the flavor is stirap, and --A unless it is
     dressed: no other flavor reads them. verify, which has no --flavor,
-    reads A."""
+    reads A. Only the stirap flavor has a channel peak, so any other
+    leaves omega0 None."""
     given = {name: _FLAGS[name][0][-1] for name in _FLAGS if getattr(args, name, None) is not None}
     env = {"outdir": os.environ[ENV_OUTDIR]} if os.environ.get(ENV_OUTDIR) else {}
     cfg = RunConfig(**env | {name: getattr(args, name) for name in given})
@@ -139,6 +139,8 @@ def _resolve(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         if name in given and hasattr(args, "flavor") and cfg.flavor != flavor:
             raise ValueError(f"{args.command} does not take {given[name]}: {given[name]} sets "
                              f"{what}; flavor {cfg.flavor!r} has none")
+    if cfg.flavor != "stirap":
+        cfg.omega0 = None
     return cfg, given
 
 
@@ -168,9 +170,8 @@ def _strip_meta(cfg: RunConfig, plans) -> None:
 def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
     if samples < 2:
         raise ValueError("--samples must be at least 2")
+    schedule = RunSpec(flavor=cfg.flavor, A=cfg.A, omega0=cfg.omega0).schedule()
     outdir = _ensure_outdir(cfg)
-    omega0 = cfg.omega0 if cfg.flavor == "stirap" else None
-    schedule = build_schedule(cfg.flavor, ScheduleParams(A=cfg.A), omega0)
     ts = np.linspace(0.0, schedule.duration, samples)
     amps = schedule.qubit_amplitudes(ts)
     paths = []
@@ -182,7 +183,7 @@ def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
         experiments.write_meta(
             os.path.join(outdir, f"pulses_{cfg.flavor}.meta.json"),
             "pulses",
-            {"flavor": cfg.flavor, "samples": samples, "omega0": omega0, "A": cfg.A},
+            {"flavor": cfg.flavor, "samples": samples, "omega0": cfg.omega0, "A": cfg.A},
         )
     for p in paths:
         print(f"wrote {p}")
@@ -213,7 +214,7 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experimen
         delta_t=cfg.delta_t,
         delta_omega=cfg.delta_omega,
         delta_g=cfg.delta_g,
-        omega0=cfg.omega0 if cfg.flavor == "stirap" else None,
+        omega0=cfg.omega0,
         n_steps=cfg.n_steps,
         mode=cfg.mode,
         n_frames=n_frames,
@@ -227,7 +228,7 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experimen
         replace(s, **{r: getattr(cfg, rate) / s.coupling.g for rate, r in _RATES if r not in swept})
         for s in ([base] if axes is None else experiments.sweep_grid(base, axes))
     ]
-    meta = {name: getattr(cfg, name) for name in _META_SETTINGS} | {"omega0": base.omega0}
+    meta = {name: getattr(cfg, name) for name in _META_SETTINGS} | {"omega0": cfg.omega0}
     if axes is None:
         return experiments._plan_trace("simulate", specs[0], meta | {"n_frames": n_frames})
     return experiments._plan_records("sweep", specs, meta | {"axes": experiments._axes_meta(axes)})

@@ -78,24 +78,15 @@ def dressed_state(t, params: ScheduleParams) -> np.ndarray:
     return np.cos(mu) * dark + 1j * np.sin(mu) * dark_state()
 
 
-def dressed_picture_hamiltonian(
-    t,
-    params: ScheduleParams,
-    g_x=None,
-    omega_plus_gz=None,
-) -> np.ndarray:
-    """Hamiltonian seen by the dressed states at time t; one 3x3 matrix per
-    time of an array.
+def dressed_picture_hamiltonian(t, params: ScheduleParams) -> np.ndarray:
+    """Hamiltonian seen by the dressed states at time t under the designed
+    gains (correction_gains); one 3x3 matrix per time of an array.
 
     Assembles V (H_ad + H_co) V^dag - i V dV^dag/dt. The derivative term is
-    -mu_dot M_x since V commutes with M_x. Passing explicit g_x or
-    omega_plus_gz overrides the designed gains (useful to demonstrate that the
-    cancellation genuinely needs them).
+    -mu_dot M_x since V commutes with M_x.
     """
     _, theta_dot, mu, mu_dot = schedule_angles(t, params)
-    gx_design, opz_design = correction_gains(t, params)
-    gx = gx_design if g_x is None else g_x
-    opz = opz_design if omega_plus_gz is None else omega_plus_gz
+    gx, opz = correction_gains(t, params)
     core = _per_time(opz) * M_Z + _per_time(theta_dot) * M_Y + _per_time(gx) * M_X
     v = dressing_matrix(mu)
     return v @ core @ v.conj().swapaxes(-1, -2) - _per_time(mu_dot) * M_X

@@ -20,31 +20,9 @@ ValueError. Every product, reduction and gate is taken point by point, so a
 point's bytes are the same whatever batch it ran in.
 
 H must be real symmetric float64, as every Hamiltonian of `state_space` is;
-anything else raises ValueError. The kernels use that form. H psi is a real
-matrix product on the float64 view of the complex state. The density matrix
-rho = A + iB (A real symmetric, B real antisymmetric) is integrated as the
-one real matrix M = A + B = Re rho + Im rho, which obeys
-
-    dM/dt = [H, M]^T + G o M + S diag(M)   (the last term on the diagonal)
-
-for the elementwise gain table G and population scatter S of the dissipator:
-two real products per node, and every elementwise op on half the bytes of
-the complex rho. A batch whose tables are all zero (no noise) skips the
-dissipator, which would add only zeros, so the bytes are those of the full
-form; a batch with any noise, dephasing alone included, computes every term.
-Stored frames and the final state are unpacked as
-rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly Hermitian.
-
-RK4 advances the state in place. Each propagator call allocates its buffers
-and builds every view of them once, before stepping, so no array is
-allocated inside the step loop. A right-hand side writes its slope through
-output arguments: one matmul for Schrodinger; for Lindblad three numpy
-calls without noise and six with any, its two products written by BLAS
-through transposed outputs and, with noise, the gain diagonal folded into
-the scatter, whose product writes the slope's diagonal. One BLAS GEMM with
-the weights (1, 2, 2, 1) sums the four slopes, exactly and left to
-right on the OpenBLAS kernels _rk4 names. The stepper yields its live state
-buffer, and the propagators copy whatever they store.
+anything else raises ValueError. The kernels work in real arithmetic on that
+form: propagate_schrodinger and propagate_lindblad say how each right-hand
+side uses it, and _rk4 how the steps are taken and summed.
 
 h_fn is a stream: the propagators call it exactly once per node, in
 increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
@@ -307,18 +285,27 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     the buffers once. h_fn is called once per node, in increasing k. The
     stage state, the four slopes (the rows of one (4, *x.shape) buffer) and
     the accumulator are allocated here, once, and nothing is allocated
-    inside the step loop. The slopes are summed by one product,
-    _RK4_WEIGHTS @ slopes on their float64 views, into a (2, *x.shape)
-    buffer whose row 0 is the accumulator: the weights 1 and 2 make every
+    inside the step loop. x is the propagator's own copy of its initial
+    state, so neither that state nor an earlier call's result is written.
+
+    The slopes are summed by one product, _RK4_WEIGHTS @ slopes on their
+    float64 views, into a (2, *x.shape) buffer whose row 0 is the
+    accumulator, then scaled and added to x: three numpy calls where the
+    elementwise combination takes seven. The weights 1 and 2 make every
     product exact, and the two-row product is a GEMM, whose K loop adds the
     four slopes left to right, so the sum is ((k1 + 2 k2) + 2 k3) + k4 bit
     for bit. Each sum and product is then the one of
     x + sixth * (k1 + 2 k2 + 2 k3 + k4) with its operands swapped at most,
     which leaves IEEE results bit for bit alike. A one-row product would be
     a gemv, which OpenBLAS's Haswell and Zen kernels do not sum in row
-    order. The GEMM order holds on OpenBLAS's SkylakeX, Haswell, Zen and
-    Sandybridge kernels, not on Nehalem's, where the bit pins of
-    tests/test_dynamics.py fail.
+    order. tests/reference_kernels.py keeps the elementwise combination, and
+    test_steps_match_the_stepwise_reference_bit_for_bit (tests/test_dynamics.py)
+    pins both propagators to it bit for bit. The GEMM order holds on
+    OpenBLAS's SkylakeX, Haswell, Zen and Sandybridge kernels, and CI runs
+    the pins under each of them (OPENBLAS_CORETYPE; SkylakeX only on a
+    runner with AVX-512) as well as on the runner's own core. Nehalem's GEMM
+    adds K in another order, so there the pins fail: a BLAS that sums in
+    another order fails them rather than change outputs silently.
     """
     y = np.empty_like(x)
     slopes = np.empty((4, *x.shape), dtype=x.dtype)
@@ -387,11 +374,10 @@ def propagate_schrodinger(
     n_steps + 1 frames keeps every step. h_fn(k) returns the (P, 10, 10)
     real symmetric float64 Hamiltonians at node k, point b's at node k of
     node_times(grid.n_steps, duration_b); any other shape raises ValueError.
-    It is called exactly once per node, in increasing k: node 2s+1 serves k2
-    and k3 of step s, node 2s+2 its k4 and the next step's k1. The returned
-    array may be overwritten by the next call. H psi is one real product on
-    the float64 view of psi, (10, 10) @ (10, 2) per point, and the -i sits
-    in the RK4 coefficients (-i h/2, -i h, -i h/6). Every product is taken
+    It is called as the stream the module docstring describes. The
+    right-hand side is one matmul: H psi as one real product on the float64
+    view of psi, (10, 10) @ (10, 2) per point, with the -i in the RK4
+    coefficients (-i h/2, -i h, -i h/6). Every product is taken
     point by point, so a point's result does not depend on the batch it runs
     in. A non-finite stored frame fails the run at once; the norm is gated
     at the end, before the run is packaged.
@@ -515,23 +501,49 @@ def propagate_lindblad(
     rho0 has shape (B, 10, 10). noises gives one NoiseModel per point, whose
     17 operators (lindblad_operators) enter only through the stacked gain
     and scatter tables (_dissipator_tables). h_fn, duration and n_frames
-    follow the contract of propagate_schrodinger: h_fn is called once per
-    node, in increasing k, each time just before the first stage that uses it.
+    follow the contract of propagate_schrodinger. Trace is checked at the
+    end, positivity with eigvalsh at each point's own stored frames; both
+    gate the result before it is packaged, and a non-finite stored frame
+    fails the run at once.
 
-    rho0 is symmetrized once on entry and packed as M = Re rho + Im rho (the
-    symmetric real part plus the antisymmetric imaginary part). For real
-    symmetric H, the real symmetric gain table G and the real population
-    scatter S, the master equation reads dM/dt = [H, M]^T + G o M plus
-    S diag(M) on the diagonal: two real products per RK4 stage. Whether the
-    batch has noise is decided once, from the stacked tables: its right-hand
-    side is 3 numpy calls when G and S are zero (the commutator written
-    straight into the slope) and 6 otherwise, dephasing alone included;
-    BLAS writes both products transposed and, with noise, the diagonal of G
-    is folded into S, whose product writes the slope's diagonal. Stored
-    frames and the final state are unpacked as (M + M^T)/2 + i (M - M^T)/2,
-    so they are exactly Hermitian. Trace is checked at the end; positivity
-    with eigvalsh at each point's own stored frames. Both gate the result
-    before it is packaged, and a non-finite stored frame fails the run at once.
+    rho0 is symmetrized once on entry, and rho = A + iB (A real symmetric,
+    B real antisymmetric) is integrated as the one real matrix
+    M = A + B = Re rho + Im rho. For real symmetric H, the real symmetric
+    gain table G and the real population scatter S it obeys
+
+        dM/dt = [H, M]^T + G o M + S diag(M)   (the last term on the diagonal)
+
+    which takes two real products per RK4 stage and does every elementwise
+    op on half the bytes of the complex rho. Stored frames and the final
+    state are unpacked as rho = (M + M^T)/2 + i (M - M^T)/2, which is
+    exactly Hermitian.
+
+    The right-hand side writes its slope through output arguments into
+    buffers allocated once per call. BLAS writes both products through
+    transposed outputs (np.matmul(H, M, out=hm_t.swapaxes(1, 2))), so the
+    scratch holds (HM)^T and (MH)^T contiguously, the transposed commutator
+    is the contiguous hm_t - mh_t, and no call reads or writes a strided
+    matrix; each entry of a product written that way is the same dot
+    product. Whether the batch has noise is decided once, from its stacked
+    tables. Without any (verify's zero-noise point) the right-hand side is
+    three numpy calls, the commutator written straight into the slope; the
+    skipped dissipator would only add zeros, so a point's bytes are the same
+    whichever right-hand side its batch runs. With any noise it is six: the
+    two products, the commutator difference, the gain product, the scatter
+    product and one add. The gain table's diagonal is then folded into the
+    scatter table once per call, so the scatter product writes the slope's
+    whole diagonal over the zeros the gain product left there. That keeps
+    every byte because no state both gains and loses population by jumps:
+    the states a jump lands on have a gain diagonal of exactly 0 and the
+    jump sources receive no scatter, so each diagonal entry adds the same
+    two terms as before. A cascade jump would break this and change the
+    rounding; test_no_state_both_loses_and_gains_population_by_jumps pins
+    the condition. Dephasing alone leaves a gain diagonal of exactly 0 and
+    no scatter, so such a batch (fig7's open points) runs the same six
+    calls. tests/reference_kernels.py keeps the strided transposed add and
+    the strided diagonal add, and
+    test_steps_match_the_stepwise_reference_bit_for_bit pins both kernels to
+    them bit for bit, each alone and in mixed batches.
     """
     grid = grid or TimeGrid()
     rho = np.array(rho0, dtype=complex)
@@ -546,11 +558,9 @@ def propagate_lindblad(
     if len(noises) != len(rho):
         raise ValueError(f"need one NoiseModel per point, got {len(noises)} for {len(rho)}")
     gain, scatter = (np.stack(t) for t in zip(*map(_dissipator_tables, noises)))
-    # Decided once: a batch without noise skips the dissipator, which would add zeros.
     noisy = bool(gain.any() or scatter.any())
 
     m = rho.real + rho.imag
-    # Both products are written through transposed outputs: [H, M]^T = hm_t - mh_t.
     hm_t, mh_t = np.empty_like(m), np.empty_like(m)
     hm, mh = hm_t.swapaxes(1, 2), mh_t.swapaxes(1, 2)
 
@@ -558,12 +568,7 @@ def propagate_lindblad(
         """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
         return a.reshape(-1, DIM * DIM)[:, :: DIM + 1][..., None]
 
-    if noisy:
-        # The gain diagonal joins the scatter, whose product then writes the
-        # slope's diagonal: exact because no state both gains and loses
-        # population by jumps (a receiving row has a gain diagonal of exactly
-        # 0, a source row no scatter); a cascade jump would change rounding.
-        # Dephasing alone leaves a gain diagonal of exactly 0 and no scatter.
+    if noisy:  # the fold
         diagonal(scatter)[...] += diagonal(gain)
         diagonal(gain)[...] = 0.0
 

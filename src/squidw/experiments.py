@@ -397,6 +397,9 @@ def _judge_fig8(records) -> list[Verdict]:
 
 
 def _judge_verify(m: dict) -> list[Verdict]:
+    """All ten verify bounds, the 1e-6 dressed-frame cancellation bound
+    included. The verdict lines keep their wording: only effective vs full
+    model states its bound."""
     report = m["cancellation"]
     peaks, bounds = m["peak_drives"], m["population_bounds"]
     return [
@@ -477,22 +480,6 @@ class ResultRecord:
 ResultRecord.CSV_HEADER = tuple(f.name for f in fields(ResultRecord))
 
 
-def build_schedule(
-    flavor: str,
-    params: ScheduleParams,
-    omega0: float | None = None,
-) -> PulseSchedule:
-    if flavor == "dressed":
-        return dressed_pulses(params)
-    if flavor == "gaussian":
-        return gaussian_fit_pulses(params)
-    if flavor == "stirap":
-        if omega0 is None:
-            raise ValueError("stirap flavor needs omega0")
-        return stirap_pulses(omega0, params=params)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One run from |psi1>: drive, coupling, noise, errors, grid and frames.
@@ -506,7 +493,10 @@ class RunSpec:
     spaced frames stored; fewer distinct ones are kept on a grid of fewer
     than n_frames - 1 steps. Only the dressed flavor reads the dressing
     amplitude A; the gaussian fit is the A = 0.5 fit, so the gaussian and
-    stirap flavors take no other A.
+    stirap flavors take no other A. omega0 is the stirap channel peak: the
+    stirap flavor needs one, and every other flavor takes none. The spec
+    builds its schedule when it is made, so an A outside (0, pi/2) or an
+    omega0 that is not finite and positive is refused then, before any run.
 
     An effective point runs the three-level effective model: H = a(t) D_a +
     b(t) D_b with the effective drives, no cavity (so g only labels its
@@ -548,16 +538,15 @@ class RunSpec:
         for name in ("delta_t", "delta_omega"):
             if not -1.0 < getattr(self, name) < math.inf:  # nan fails both
                 raise ValueError(f"{name} must be finite and exceed -1, got {getattr(self, name)}")
-        if self.omega0 is not None and self.flavor != "stirap":
-            raise ValueError(
-                f"omega0 is the stirap channel peak; flavor {self.flavor!r} takes none"
-            )
+        if (self.omega0 is None) == (self.flavor == "stirap"):
+            need = "needs one" if self.omega0 is None else "takes none"
+            raise ValueError(f"omega0 is the stirap channel peak; flavor {self.flavor!r} {need}")
         if self.A != 0.5 and self.flavor != "dressed":
             raise ValueError(
                 f"A is the dressing amplitude; flavor {self.flavor!r} is built for A = 0.5 "
                 f"and takes no other, got {self.A}"
             )
-        ScheduleParams(A=self.A)  # raises on an A outside (0, pi/2), which no dressing has
+        self.schedule()  # raises on an A outside (0, pi/2) or an omega0 that is not positive
         if self.effective and (
             self.master_equation
             or self.delta_g != 0.0
@@ -591,9 +580,16 @@ class RunSpec:
         return not self.master_equation and self.noise.is_closed
 
     def schedule(self) -> PulseSchedule:
-        # A truncated run keeps the nominal waveforms; its window is self.duration.
+        """The flavor's waveforms (stirap's peaking at omega0), scaled by
+        1 + delta_omega. A truncated run keeps the nominal waveforms; its
+        window is self.duration."""
         params = ScheduleParams(T=self.duration if self.mode == "rescale" else 1.0, A=self.A)
-        schedule = build_schedule(self.flavor, params, self.omega0)
+        if self.flavor == "dressed":
+            schedule = dressed_pulses(params)
+        elif self.flavor == "gaussian":
+            schedule = gaussian_fit_pulses(params)
+        else:
+            schedule = stirap_pulses(self.omega0, params=params)
         if self.delta_omega != 0.0:
             schedule = scaled(schedule, 1.0 + self.delta_omega)
         return schedule
@@ -1045,15 +1041,19 @@ def run_effective_model(point, A: float) -> tuple[float, float]:
 def _plan_verify(n_steps: int, mode=None, g: float = 30.0, A: float = 0.5) -> Plan:
     """The effective model, the zero-noise Schrodinger/Lindblad pair at g and
     the full dressed model at g = 300/T (one closed batch of three and one
-    open batch, every run on max(1000, min(n_steps, 2000)) steps), finished
-    as the numbers _judge_verify bounds, with those of the dressed-frame
-    algebra and the dressing-amplitude trade-off, which reads pulse
-    envelopes only. The integrator is judged on the effective run's 500
-    stored frames against the exact dressed state it should follow. A is the
-    amplitude of the two dressed points, the effective and the full model.
-    verify writes no file."""
+    open batch, every run on max(1000, n_steps) steps), finished as the
+    numbers _judge_verify bounds, with those of the dressed-frame algebra
+    and the dressing-amplitude trade-off, which reads pulse envelopes only.
+    The integrator is judged on the effective run's 500 stored frames
+    against the exact dressed state it should follow, permutation symmetry
+    on the Schrodinger point's final state and effective vs full model on
+    the overlap of the effective and g = 300 final states. The integrator's
+    error scales as h^4 and grows as A falls, since the corrected drives
+    grow as theta_dot / tan mu, so a small A needs more steps: A = 0.003
+    passes at 4000. A is the amplitude of the two dressed points, the
+    effective and the full model. verify writes no file."""
     params = ScheduleParams(A=A)
-    closed = RunSpec(g=g, n_steps=max(1000, min(n_steps, 2000)))
+    closed = RunSpec(g=g, n_steps=max(1000, n_steps))
     specs = [
         # the effective model under the exact corrected controls
         RunSpec(label="effective_model", flavor="dressed", A=A, n_steps=closed.n_steps,

@@ -458,15 +458,20 @@ def test_verify_prints_the_verdicts_of_its_check(capsys):
     assert len(verdicts) == 10 and all(v.passed for v in verdicts)
 
 
-@pytest.mark.parametrize("steps", [[], ["--steps", "100"], ["--steps", "4000"]],
-                         ids=["defaults", "steps100", "steps4000"])
+@pytest.mark.parametrize(
+    "steps",
+    [[], ["--steps", "100"], ["--steps", "4000"], ["--A", "0.003", "--steps", "4000"]],
+    ids=["defaults", "steps100", "steps4000", "a0.003-steps4000"],
+)
 def test_verify_runs_two_propagator_calls(capsys, monkeypatch, steps):
-    """Every verify run is on max(1000, min(steps, 2000)) steps, the
-    effective model included, so the effective model, the zero-noise
-    Schrodinger point and the full dressed model at g = 300/T are one closed
-    batch of three and the zero-noise Lindblad point runs alone, whatever
-    --steps asks. The integrator is judged on the effective run's own
-    frames, so no other run is made."""
+    """Every verify run is on max(1000, steps) steps, the effective model
+    included, so the effective model, the zero-noise Schrodinger point and
+    the full dressed model at g = 300/T are one closed batch of three and the
+    zero-noise Lindblad point runs alone, whatever --steps asks. The
+    integrator is judged on the effective run's own frames, so no other run
+    is made. Every check passes: at A = 0.003 too, whose corrected drives,
+    growing as theta_dot / tan mu, need more than 2000 steps to meet the
+    integrator bound."""
     calls = _propagator_calls(monkeypatch)
     code, out, _ = run(["verify", *steps], capsys)
     assert code == 0 and "FAIL" not in out
@@ -560,6 +565,11 @@ def test_unwritable_outdir_exits_one(tmp_path, capsys):
         ["simulate", "--mode", "truncate", "--delta-t", "inf"],
         ["sweep", "--mode", "truncate", "--axis", "dT_over_T=0,nan"],
         ["simulate", "--flavor", "dressed", "--A", "2.0"],
+        ["simulate", "--flavor", "stirap", "--omega0", "-1"],
+        ["simulate", "--flavor", "stirap", "--omega0", "nan"],
+        ["sweep", "--flavor", "stirap", "--axis", "omega0_stirap=10,-5"],
+        ["pulses", "--flavor", "stirap", "--omega0", "0"],
+        ["pulses", "--flavor", "dressed", "--A", "2.0"],
     ],
 )
 def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):

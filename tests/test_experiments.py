@@ -22,7 +22,6 @@ from squidw.experiments import (
     TABLE1_REFERENCE,
     TABLE2_QUADRANT_ORDER,
     TABLE2_REFERENCE,
-    build_schedule,
     quadrant_order,
     run_points,
     sweep_grid,
@@ -485,10 +484,17 @@ def test_evaluate_point_validation():
         RunSpec(g=0.0)
     with pytest.raises(ValueError, match="kappa"):
         RunSpec(kappa_over_g=-1e-3)
-    # only the stirap flavor has a channel peak omega0
+    # only the stirap flavor has a channel peak omega0, and it needs one that
+    # is finite and positive: refused when the spec is made, not when a batch
+    # that holds it is integrated
     for flavor in ("gaussian", "dressed"):
-        with pytest.raises(ValueError, match="omega0"):
+        with pytest.raises(ValueError, match=f"flavor '{flavor}' takes none"):
             RunSpec(flavor=flavor, omega0=50.0)
+    with pytest.raises(ValueError, match="flavor 'stirap' needs one"):
+        RunSpec(flavor="stirap", kappa_over_g=0.01)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"omega0 must be positive, got {bad}"):
+            RunSpec(flavor="stirap", omega0=bad)
     # only the dressed flavor reads A: the gaussian fit is the A = 0.5 fit,
     # and another A would only sample and integrate the same run again
     for flavor, omega0 in (("gaussian", None), ("stirap", 50.0)):
@@ -568,20 +574,17 @@ def test_sweepspec_validation():
         assert point == replace(BASE, label="delta_t=0.1", delta_t=0.1)
 
 
-def test_build_schedule_dispatch():
+def test_runspec_schedule_is_the_flavors_schedule():
+    """Each flavor's RunSpec.schedule() gives, bit for bit, the envelopes of
+    its pulse_design builder, on both channels."""
     p = ScheduleParams()
     ts = np.linspace(0.0, 1.0, 21)
-    for built, direct in (
-        (build_schedule("dressed", p), dressed_pulses(p)),
-        (build_schedule("gaussian", p), gaussian_fit_pulses(p)),
-        (build_schedule("stirap", p, 9.8), stirap_pulses(9.8, params=p)),
+    for spec, direct in (
+        (RunSpec(flavor="dressed"), dressed_pulses(p)),
+        (RunSpec(flavor="gaussian"), gaussian_fit_pulses(p)),
+        (RunSpec(flavor="stirap", omega0=9.8), stirap_pulses(9.8, params=p)),
     ):
-        # both columns: channel a and channel b
-        assert np.array_equal(built.envelopes(ts), direct.envelopes(ts))
-    with pytest.raises(ValueError):
-        build_schedule("stirap", p)
-    with pytest.raises(ValueError):
-        build_schedule("square", p)
+        assert np.array_equal(spec.schedule().envelopes(ts), direct.envelopes(ts))
 
 
 def test_two_axis_sweep_covers_product():

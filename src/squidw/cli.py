@@ -33,22 +33,22 @@ ENV_OUTDIR = "SQUIDW_OUT"
 
 @dataclass
 class RunConfig:
-    """A command's settings: the defaults, with each flag given."""
+    """A command's settings: the defaults, RunSpec's where it has one, with each flag given."""
 
-    flavor: str = "gaussian"
-    g: float = 30.0
-    A: float = 0.5
+    flavor: str = RunSpec.flavor
+    g: float = RunSpec.g
+    A: float = RunSpec.A
     kappa: float = 0.0
     gamma: float = 0.0
     gamma_phi: float = 0.0
-    delta_t: float = 0.0
-    delta_omega: float = 0.0
-    delta_g: float = 0.0
+    delta_t: float = RunSpec.delta_t
+    delta_omega: float = RunSpec.delta_omega
+    delta_g: float = RunSpec.delta_g
     omega0: float | None = 50.0  # _resolve sets None unless the flavor is stirap
-    n_steps: int = 2000
+    n_steps: int = RunSpec.n_steps
     outdir: str = "out"
     write_meta: bool = True
-    mode: str = "rescale"
+    mode: str = RunSpec.mode
 
 
 # Every setting's flag: (option strings, add_argument keywords). A flag's dest
@@ -64,7 +64,7 @@ _FLAGS = {
     "delta_t": (("--delta-t",), {"type": float, "help": "fractional duration error"}),
     "delta_omega": (("--delta-omega",), {"type": float, "help": "fractional amplitude error"}),
     "delta_g": (("--delta-g",), {"type": float, "help": "fractional coupling error"}),
-    "n_steps": (("--steps",), {"type": int, "help": "RK4 steps (default 2000)"}),
+    "n_steps": (("--steps",), {"type": int, "help": f"RK4 steps (default {RunSpec.n_steps})"}),
     "mode": (
         ("--mode",),
         {"choices": experiments._MODES, "help": "duration-error interpretation"},
@@ -104,14 +104,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
 
     p_sweep = add("sweep", "sweep up to two named axes", *_FLAGS)
+    axes = experiments._AXIS_TO_KEY
     p_sweep.add_argument(
         "--axis",
         action="append",
         default=[],
         metavar="NAME=V1,V2,...",
-        help="sweep axis (repeatable, max 2); names: g, kappa_over_g, gamma_over_g, "
-        "gammaphi_over_g, dT_over_T, dOmega_over_Omega, dg_over_g, omega0_stirap, or "
-        "the RunSpec field an alias names (delta_t, delta_omega, delta_g, omega0)",
+        help=f"sweep axis (repeatable, max 2); names: {', '.join(axes)}, or the RunSpec "
+        f"field an alias names ({', '.join(f for a, f in axes.items() if a != f)})",
     )
 
     p_rep = add("reproduce", "regenerate a named study with verdicts", "n_steps", "mode", *files)
@@ -156,11 +156,15 @@ def _ensure_outdir(cfg: RunConfig) -> str:
     return cfg.outdir
 
 
-def _strip_meta(cfg: RunConfig, plans) -> None:
-    """Under --no-meta, remove the sidecar each of these plans wrote, and no other file."""
+def _write_plans(cfg: RunConfig, plans) -> list:
+    """Run plans, each validated when it was built, into the output
+    directory; one output per plan. Under --no-meta, remove the sidecar each
+    plan wrote, and no other file."""
+    outputs = experiments._run_plans(plans, _ensure_outdir(cfg))
     if not cfg.write_meta:
         for plan in plans:
             os.remove(os.path.join(cfg.outdir, f"{plan.name}.meta.json"))
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -168,34 +172,33 @@ def _strip_meta(cfg: RunConfig, plans) -> None:
 
 
 def _cmd_pulses(cfg: RunConfig, samples: int) -> int:
+    """A plan with no specs: its finish samples the schedule into four
+    per-qubit CSVs and one pulses_<flavor>.meta.json."""
     if samples < 2:
         raise ValueError("--samples must be at least 2")
     schedule = RunSpec(flavor=cfg.flavor, A=cfg.A, omega0=cfg.omega0).schedule()
-    outdir = _ensure_outdir(cfg)
-    ts = np.linspace(0.0, schedule.duration, samples)
-    amps = schedule.qubit_amplitudes(ts)
-    paths = []
-    for k in range(4):
-        path = os.path.join(outdir, f"pulses_{cfg.flavor}_q{k + 1}.csv")
-        experiments.write_csv(path, ("t", f"{cfg.flavor}_qubit{k + 1}"), zip(ts, amps[k]))
-        paths.append(path)
-    if cfg.write_meta:
-        experiments.write_meta(
-            os.path.join(outdir, f"pulses_{cfg.flavor}.meta.json"),
-            "pulses",
-            {"flavor": cfg.flavor, "samples": samples, "omega0": cfg.omega0, "A": cfg.A},
-        )
-    for p in paths:
-        print(f"wrote {p}")
+    name = f"pulses_{cfg.flavor}"
+
+    def finish(results, outdir) -> None:
+        ts = np.linspace(0.0, schedule.duration, samples)
+        for k, amps in enumerate(schedule.qubit_amplitudes(ts), 1):
+            header = ("t", f"{cfg.flavor}_qubit{k}")
+            experiments._write(outdir, f"{name}_q{k}", header, zip(ts, amps))
+        meta = {"flavor": cfg.flavor, "samples": samples, "omega0": cfg.omega0, "A": cfg.A}
+        experiments.write_meta(os.path.join(outdir, f"{name}.meta.json"), "pulses", meta)
+
+    _write_plans(cfg, [experiments.Plan(name, [], finish)])
+    for k in range(1, 5):
+        print(f"wrote {os.path.join(cfg.outdir, f'{name}_q{k}.csv')}")
     return 0
 
 
 # simulate and sweep take absolute rates; a RunSpec holds them as ratios to g.
 _RATES = (("kappa", "kappa_over_g"), ("gamma", "gamma_over_g"), ("gamma_phi", "gammaphi_over_g"))
-# The settings simulate and sweep record in their meta, with omega0 and the
-# frame count (simulate) or the axes as given (sweep).
-_META_SETTINGS = ("flavor", "g", "A", "kappa", "gamma", "gamma_phi", "delta_t", "delta_omega",
-                  "delta_g", "mode", "n_steps")
+# The settings simulate and sweep pass to RunSpec as they are. Their meta
+# records these and the rates, with the frame count (simulate) or the axes as
+# given (sweep).
+_SETTINGS = ("flavor", "g", "A", "delta_t", "delta_omega", "delta_g", "omega0", "n_steps", "mode")
 
 
 def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experiments.Plan:
@@ -207,18 +210,7 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experimen
     whose RunSpec field a sweep axis sets is refused: the axis values would
     replace it.
     """
-    base = RunSpec(
-        flavor=cfg.flavor,
-        g=cfg.g,
-        A=cfg.A,
-        delta_t=cfg.delta_t,
-        delta_omega=cfg.delta_omega,
-        delta_g=cfg.delta_g,
-        omega0=cfg.omega0,
-        n_steps=cfg.n_steps,
-        mode=cfg.mode,
-        n_frames=n_frames,
-    )
+    base = RunSpec(n_frames=n_frames, **{name: getattr(cfg, name) for name in _SETTINGS})
     swept = {experiments._axis_field(name) for name, _ in axes or ()}
     for name, source in (given or {}).items():
         field = dict(_RATES).get(name, name)
@@ -228,7 +220,7 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experimen
         replace(s, **{r: getattr(cfg, rate) / s.coupling.g for rate, r in _RATES if r not in swept})
         for s in ([base] if axes is None else experiments.sweep_grid(base, axes))
     ]
-    meta = {name: getattr(cfg, name) for name in _META_SETTINGS} | {"omega0": cfg.omega0}
+    meta = {name: getattr(cfg, name) for name in (*_SETTINGS, *dict(_RATES))}
     if axes is None:
         return experiments._plan_trace("simulate", specs[0], meta | {"n_frames": n_frames})
     return experiments._plan_records("sweep", specs, meta | {"axes": experiments._axes_meta(axes)})
@@ -240,12 +232,9 @@ def _cmd_simulate(cfg: RunConfig, frames: int | None) -> int:
         frames = min(201, most)
     elif not 2 <= frames <= most:
         raise ValueError(f"--frames must be 2 to {most} at {cfg.n_steps} steps, got {frames}")
-    plan = _plan(cfg, n_frames=frames)
-    outdir = _ensure_outdir(cfg)
-    traj = experiments._run_plan(plan, outdir)
-    _strip_meta(cfg, [plan])
+    [traj] = _write_plans(cfg, [_plan(cfg, n_frames=frames)])
     print(f"F(T) = {fidelity(traj.final_state):.6f}")
-    print(f"drift = {traj.drift:.3e}, wrote {os.path.join(outdir, 'simulate.csv')}")
+    print(f"drift = {traj.drift:.3e}, wrote {os.path.join(cfg.outdir, 'simulate.csv')}")
     return 0
 
 
@@ -261,11 +250,9 @@ def _parse_axis(text: str):
 
 
 def _cmd_sweep(cfg: RunConfig, axis_args: list, given: dict) -> int:
-    plan = _plan(cfg, tuple(_parse_axis(a) for a in axis_args), given=given)
-    outdir = _ensure_outdir(cfg)
-    records = experiments._run_plan(plan, outdir)
-    _strip_meta(cfg, [plan])
-    print(f"{len(records)} points, wrote {os.path.join(outdir, 'sweep.csv')}")
+    axes = tuple(_parse_axis(a) for a in axis_args)
+    [records] = _write_plans(cfg, [_plan(cfg, axes, given=given)])
+    print(f"{len(records)} points, wrote {os.path.join(cfg.outdir, 'sweep.csv')}")
     return 0
 
 
@@ -303,10 +290,8 @@ def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
     fails that is not flagged as a known discrepancy."""
     targets = list(_REPRODUCERS) if target == "all" else [target]
     plans = [experiments.CHECKS[name].plan(cfg.n_steps, cfg.mode) for name in targets]
-    outdir = _ensure_outdir(cfg)
     judged = [p._replace(finish=partial(_REPRODUCERS[n], p.finish)) for n, p in zip(targets, plans)]
-    verdicts = [v for judged_target in experiments._run_plans(judged, outdir) for v in judged_target]
-    _strip_meta(cfg, plans)
+    verdicts = [v for judged_target in _write_plans(cfg, judged) for v in judged_target]
     passed = sum(1 for v in verdicts if v.passed)
     print(f"{passed} of {len(verdicts)} reference checks pass")
     return 0 if all(v.passed or v.known_discrepancy for v in verdicts) else 1

@@ -92,17 +92,19 @@ def dressed_picture_hamiltonian(t, params: ScheduleParams) -> np.ndarray:
     return v @ core @ v.conj().swapaxes(-1, -2) - _per_time(mu_dot) * M_X
 
 
-def verify_cancellation(params: ScheduleParams | None = None, n_grid: int = 100) -> dict:
-    """The worst off-diagonal residuals of H_V over n_grid interior times.
+_CANCELLATION_GRID = 100  # the interior times at which verify_cancellation samples H_V
+
+
+def verify_cancellation(params: ScheduleParams | None = None) -> dict:
+    """The worst off-diagonal residuals of H_V over _CANCELLATION_GRID interior times.
 
     Residuals are normalized by the local drive magnitude Omega_tilde. The
     (0,+) and (0,-) couplings should vanish; the (+,-) element is reported as
     well (it is structurally zero here since neither M_x nor M_y connects the
-    +/- pair). worst_time is where the larger of the (0,+-) residuals peaks.
-    The whole grid is evaluated at once.
+    +/- pair). The whole grid is evaluated at once.
     """
     p = params or ScheduleParams()
-    ts = np.arange(1, n_grid + 1) * p.T / (n_grid + 1)
+    ts = np.arange(1, _CANCELLATION_GRID + 1) * p.T / (_CANCELLATION_GRID + 1)
     gx, opz = correction_gains(ts, p)
     hv = dressed_picture_hamiltonian(ts, p)
     scale = np.maximum(np.hypot(gx, opz), 1e-30)
@@ -111,5 +113,4 @@ def verify_cancellation(params: ScheduleParams | None = None, n_grid: int = 100)
         "max_offdiag_0p": float(res_0p.max()),
         "max_offdiag_0m": float(res_0m.max()),
         "max_offdiag_pm": float(res_pm.max()),
-        "worst_time": float(ts[np.argmax(np.maximum(res_0p, res_0m))]),
     }

@@ -227,7 +227,9 @@ class Check(NamedTuple):
     judge: Callable
     note: str = ""
 
-    def __call__(self, outdir=None, n_steps: int = 2000, mode: str = "rescale") -> list[Verdict]:
+    def __call__(
+        self, outdir=None, n_steps: int = TimeGrid.n_steps, mode: str = "rescale"
+    ) -> list[Verdict]:
         """Plan, run, write and judge this target alone."""
         return self.judge(_run_plan(self.plan(n_steps, mode), outdir))
 
@@ -515,7 +517,7 @@ class RunSpec:
     delta_omega: float = 0.0
     delta_g: float = 0.0
     omega0: float | None = None
-    n_steps: int = 2000
+    n_steps: int = TimeGrid.n_steps
     mode: str = "rescale"
     n_frames: int = 2
     master_equation: bool = False
@@ -767,8 +769,6 @@ def run_points(specs) -> list[tuple[ResultRecord, Trajectory]]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -878,14 +878,15 @@ def _plan_coupling_sweep(n_steps: int, mode=None, g_values=None):
     return _plan_records("coupling_sweep", sweep_grid(base, axes), meta)
 
 
-def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int = 2000):
+def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int = TimeGrid.n_steps):
     """Closed-system final fidelity versus the coupling g (gaussian flavor)."""
     return _run_plan(_plan_coupling_sweep(n_steps, g_values=g_values), outdir)
 
 
 def _plan_population_trace(n_steps: int, mode=None):
-    meta = {"flavor": "gaussian", "g": 30.0, "n_steps": n_steps, "closed_system": True}
-    return _plan_trace("population_trace", RunSpec(n_steps=n_steps, n_frames=401), meta)
+    spec = RunSpec(n_steps=n_steps, n_frames=401)
+    meta = {"flavor": spec.flavor, "g": spec.g, "n_steps": n_steps, "closed_system": spec.closed}
+    return _plan_trace("population_trace", spec, meta)
 
 
 def _plan_stirap_comparison(n_steps: int, mode=None):
@@ -929,7 +930,7 @@ def _plan_decoherence_grid(n_steps: int, mode=None):
     return _plan_records(
         "decoherence_grid",
         [spec for axis in _DECOHERENCE_AXES for spec in sweep_grid(base, (axis,))],
-        {"axes": _axes_meta(_DECOHERENCE_AXES), "n_steps": n_steps, "g": 30.0},
+        {"axes": _axes_meta(_DECOHERENCE_AXES), "n_steps": n_steps, "g": base.g},
     )
 
 
@@ -944,11 +945,11 @@ def _plan_decoherence_table(n_steps: int, mode=None):
         )
         for kog, gog, pog, _ in TABLE1_REFERENCE
     ]
-    meta = {"rows": len(specs), "g": 30.0, "n_steps": n_steps}
+    meta = {"rows": len(specs), "g": specs[0].g, "n_steps": n_steps}
     return _plan_records("table1", specs, meta, [row[3] for row in TABLE1_REFERENCE])
 
 
-def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = 2000):
+def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = TimeGrid.n_steps):
     """All 17 reference decoherence rows plus the side-by-side comparison."""
     return _run_plan(_plan_decoherence_table(n_steps), outdir)
 
@@ -958,6 +959,7 @@ _DEPHASING_VALUES = tuple(np.linspace(0.0, 1.0e-3, 6))
 
 def _plan_dephasing_comparison(n_steps: int, mode=None):
     """Protocol versus the strongest STIRAP baseline as dephasing grows."""
+    omega0, g = STIRAP_STRONG
     specs = [
         RunSpec(label=f"protocol_p{v:g}", gammaphi_over_g=v, n_steps=n_steps)
         for v in _DEPHASING_VALUES
@@ -966,9 +968,9 @@ def _plan_dephasing_comparison(n_steps: int, mode=None):
         RunSpec(
             label=f"stirap_p{v:g}",
             flavor="stirap",
-            g=STIRAP_STRONG[1],
+            g=g,
             gammaphi_over_g=v,
-            omega0=STIRAP_STRONG[0],
+            omega0=omega0,
             n_steps=n_steps,
         )
         for v in _DEPHASING_VALUES
@@ -976,7 +978,7 @@ def _plan_dephasing_comparison(n_steps: int, mode=None):
     meta = {
         "gammaphi_over_g": [float(v) for v in _DEPHASING_VALUES],
         "n_steps": n_steps,
-        "assumption": "baseline pair (omega0, g) = (50, 150)/T, the only "
+        "assumption": f"baseline pair (omega0, g) = ({omega0:g}, {g:g})/T, the only "
         "configuration of the comparison set that clears 0.99 when closed",
     }
     return _plan_records("dephasing_comparison", specs, meta)
@@ -1038,22 +1040,22 @@ def run_effective_model(point, A: float) -> tuple[float, float]:
     return record.fidelity, tracking
 
 
-def _plan_verify(n_steps: int, mode=None, g: float = 30.0, A: float = 0.5) -> Plan:
+def _plan_verify(n_steps: int, mode=None, g: float = RunSpec.g, A: float = RunSpec.A) -> Plan:
     """The effective model, the zero-noise Schrodinger/Lindblad pair at g and
     the full dressed model at g = 300/T (one closed batch of three and one
-    open batch, every run on max(1000, n_steps) steps), finished as the
-    numbers _judge_verify bounds, with those of the dressed-frame algebra
-    and the dressing-amplitude trade-off, which reads pulse envelopes only.
-    The integrator is judged on the effective run's 500 stored frames
-    against the exact dressed state it should follow, permutation symmetry
-    on the Schrodinger point's final state and effective vs full model on
-    the overlap of the effective and g = 300 final states. The integrator's
-    error scales as h^4 and grows as A falls, since the corrected drives
-    grow as theta_dot / tan mu, so a small A needs more steps: A = 0.003
-    passes at 4000. A is the amplitude of the two dressed points, the
-    effective and the full model. verify writes no file."""
+    open batch, every run on max(1000, n_steps) steps, once TimeGrid has taken
+    n_steps), finished as the numbers _judge_verify bounds, with those of the
+    dressed-frame algebra and the dressing-amplitude trade-off, which reads
+    pulse envelopes only. The integrator is judged on the effective run's 500
+    stored frames against the exact dressed state it should follow,
+    permutation symmetry on the Schrodinger point's final state and effective
+    vs full model on the overlap of the effective and g = 300 final states.
+    The integrator's error scales as h^4 and grows as A falls, since the
+    corrected drives grow as theta_dot / tan mu, so a small A needs more
+    steps: A = 0.003 passes at 4000. A is the amplitude of the two dressed
+    points, the effective and the full model. verify writes no file."""
     params = ScheduleParams(A=A)
-    closed = RunSpec(g=g, n_steps=max(1000, n_steps))
+    closed = RunSpec(g=g, n_steps=max(1000, TimeGrid(n_steps).n_steps))
     specs = [
         # the effective model under the exact corrected controls
         RunSpec(label="effective_model", flavor="dressed", A=A, n_steps=closed.n_steps,
@@ -1076,7 +1078,7 @@ def _plan_verify(n_steps: int, mode=None, g: float = 30.0, A: float = 0.5) -> Pl
                 float(np.max(np.abs(dressed_frames.dressing_transform(t, params) - np.eye(3))))
                 for t in (0.0, params.T)
             ),
-            "cancellation": dressed_frames.verify_cancellation(params, n_grid=100),
+            "cancellation": dressed_frames.verify_cancellation(params),
         }
         hc = cavity_hamiltonian(CouplingConfig(g=g))
         eigs = np.sort(np.linalg.eigvalsh(hc[PSI2 : PSI6 + 1, PSI2 : PSI6 + 1]))

@@ -176,7 +176,8 @@ def test_criterion_09_property_suite(criterion, verify_verdicts):
         ],
     )
 
-    # scipy's expm, independent of the eigh-based exponential that verify uses
+    # an exact oracle for RK4 on a piecewise-constant drive: scipy's expm of
+    # each segment's H, which no squidw code computes
     p = ScheduleParams()
     hc30 = cavity_hamiltonian(CouplingConfig(g=30.0))
     sch = gaussian_fit_pulses(p)

@@ -64,7 +64,16 @@ def test_pulses_writes_four_files(tmp_path, capsys):
     assert (tmp_path / "pulses_gaussian.meta.json").exists()
 
 
-def check_no_meta(tmp_path, capsys, argv):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--steps", "400"],
+        ["sweep", "--axis", "g=10,20", "--steps", "400"],
+        ["reproduce", "realistic", "--steps", "1000"],
+        ["pulses", "--flavor", "dressed"],
+    ],
+)
+def test_no_meta_flag_suppresses_sidecars_of_every_command(tmp_path, capsys, argv):
     """The command writes its CSVs without sidecars, and leaves another
     run's sidecar in the same directory alone."""
     other = tmp_path / "other.meta.json"
@@ -74,22 +83,6 @@ def check_no_meta(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.glob("*.meta.json")] == ["other.meta.json"]
     assert other.read_text() == "{}\n"
     assert list(tmp_path.glob("*.csv"))
-
-
-def test_no_meta_flag_suppresses_sidecars(tmp_path, capsys):
-    check_no_meta(tmp_path, capsys, ["pulses", "--flavor", "dressed"])
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--steps", "400"],
-        ["sweep", "--axis", "g=10,20", "--steps", "400"],
-        ["reproduce", "realistic", "--steps", "1000"],
-    ],
-)
-def test_no_meta_flag_suppresses_sidecars_of_every_command(tmp_path, capsys, argv):
-    check_no_meta(tmp_path, capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--axis", "g=10,20"]])
@@ -476,6 +469,13 @@ def test_verify_runs_two_propagator_calls(capsys, monkeypatch, steps):
     code, out, _ = run(["verify", *steps], capsys)
     assert code == 0 and "FAIL" not in out
     assert calls == [("propagate_schrodinger", 3, 3), ("propagate_lindblad", 1, 1)]
+
+
+@pytest.mark.parametrize("steps", ["-5", "0", "50", "99"])
+def test_verify_refuses_a_step_count_every_command_refuses(capsys, steps):
+    """verify runs max(1000, steps) steps, but a count below the grid's 100
+    is refused before that, as simulate, sweep and reproduce refuse it."""
+    assert_refused(run(["verify", "--steps", steps], capsys), "n_steps", "verify")
 
 
 @pytest.mark.parametrize("command", ["pulses", "simulate", "sweep", "reproduce", "verify"])

@@ -176,12 +176,11 @@ def test_dressed_state_runs_from_psi1_to_w_outside_the_dark_subspace_by_sin2_mu(
 
 def test_verify_cancellation_passes_for_designed_gains():
     for a in (0.3, 0.5):
-        report = verify_cancellation(ScheduleParams(A=a), n_grid=100)
+        report = verify_cancellation(ScheduleParams(A=a))
         assert report["max_offdiag_0p"] < 1e-6
         assert report["max_offdiag_0m"] < 1e-6
         # the +/- coupling never appears in the first place
         assert report["max_offdiag_pm"] < 1e-12
-        assert 0.0 < report["worst_time"] < 1.0
 
 
 def _scaled_g_x(monkeypatch, factor: float) -> None:
@@ -199,7 +198,7 @@ def test_verify_cancellation_detects_sabotage(monkeypatch):
     """Without the g_x correction the (0,+-) residuals are large, and verify's
     judge, which holds the bound, fails its cancellation verdict."""
     _scaled_g_x(monkeypatch, 0.0)
-    report = verify_cancellation(ScheduleParams(A=0.5), n_grid=100)
+    report = verify_cancellation(ScheduleParams(A=0.5))
     assert max(report["max_offdiag_0p"], report["max_offdiag_0m"]) > 1e-2
     verdicts = {v.label: v for v in CHECKS["verify"](n_steps=100)}
     assert not verdicts["dressed-frame cancellation"].passed

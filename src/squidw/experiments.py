@@ -46,8 +46,9 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -211,32 +212,6 @@ class Plan(NamedTuple):
     name: str
     specs: list
     finish: Callable
-
-
-class Check(NamedTuple):
-    """A reproduce target, or verify: its plan, its judge, and the note its
-    known discrepancy prints.
-
-    plan(n_steps, mode) returns the target's Plan (verify's also takes g and
-    A); judge(output) turns the plan's output into verdicts. Planning apart
-    from running lets `reproduce all` integrate every target's points in one
-    run_points call.
-    """
-
-    plan: Callable
-    judge: Callable
-    note: str = ""
-
-    def __call__(
-        self, outdir=None, n_steps: int = TimeGrid.n_steps, mode: str = "rescale"
-    ) -> list[Verdict]:
-        """Plan, run, write and judge this target alone."""
-        return self.judge(_run_plan(self.plan(n_steps, mode), outdir))
-
-    def note_for(self, verdicts) -> str:
-        """The note if a known discrepancy shows among the verdicts, else ''."""
-        shown = any(v.known_discrepancy and not v.passed for v in verdicts)
-        return self.note if shown else ""
 
 
 def _compare(label: str, reference: float, computed: float, tol: float) -> dict:
@@ -478,8 +453,10 @@ class ResultRecord:
     code_version: str = CODE_VERSION
 
 
-# The CSV columns are the fields in order; a record's row is its astuple.
+# The CSV columns are the fields in order; a record's row is those fields'
+# values, read without the deep copy dataclasses.astuple makes.
 ResultRecord.CSV_HEADER = tuple(f.name for f in fields(ResultRecord))
+_csv_row = attrgetter(*ResultRecord.CSV_HEADER)
 
 
 @dataclass(frozen=True)
@@ -611,6 +588,32 @@ class RunSpec:
         )
 
 
+class Check(NamedTuple):
+    """A reproduce target, or verify: its plan, its judge, and the note its
+    known discrepancy prints.
+
+    plan(n_steps, mode) returns the target's Plan (verify's also takes g and
+    A); judge(output) turns the plan's output into verdicts. Planning apart
+    from running lets `reproduce all` integrate every target's points in one
+    run_points call.
+    """
+
+    plan: Callable
+    judge: Callable
+    note: str = ""
+
+    def __call__(
+        self, outdir=None, n_steps: int = TimeGrid.n_steps, mode: str = RunSpec.mode
+    ) -> list[Verdict]:
+        """Plan, run, write and judge this target alone."""
+        return self.judge(_run_plan(self.plan(n_steps, mode), outdir))
+
+    def note_for(self, verdicts) -> str:
+        """The note if a known discrepancy shows among the verdicts, else ''."""
+        shown = any(v.known_discrepancy and not v.passed for v in verdicts)
+        return self.note if shown else ""
+
+
 _AXIS_TO_KEY = {
     "g": "g",
     "kappa_over_g": "kappa_over_g",
@@ -682,13 +685,21 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     and it keeps one H buffer, starting as h0: at each node it rewrites only
     the entries where some point's D_a or D_b is nonzero, as
     h0 + a D_a + b D_b (a point whose drives are zero at such an entry gets
-    its h0 entry back exactly). When k leaves the current node block, the
-    next block's entries are summed in one broadcast into a contiguous
-    (nodes, B * entries) array; each node is then one write of its row
-    through a flat index of those entries in H. For a batch of cavity points
-    those are the same 8 entries as for one point. So H is assembled once
-    per node and never stored for the whole run. Open points pass their
-    NoiseModel, from which the propagator builds its dissipator tables.
+    its h0 entry back exactly). For a batch of cavity points those are the
+    same 8 entries as for one point.
+
+    Points that see one drive (the same schedule, and the same D_a, D_b and
+    h0 at those entries) form a group, and each group's entries are summed
+    once per node block, as (h0 + a D_a) + b D_b, into a (nodes, G, entries)
+    buffer; equal operands give equal floats, so every point of a group gets
+    the bytes it would get alone. When some group has more than one point,
+    np.take expands the block to a (nodes, B, entries) buffer, one row per
+    point; when every point is its own group (G == B) the group buffer is
+    the point buffer and nothing is expanded. These buffers are allocated
+    once per batch. Each node is then one write of its row through a flat
+    index of those entries in H. So H is assembled once per node and never
+    stored for the whole run. Open points pass their NoiseModel, from which
+    the propagator builds its dissipator tables.
     """
     first = specs[0]
     h0 = np.stack(
@@ -702,6 +713,17 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     schedules = [(s.schedule(), node_times(first.n_steps, s.duration)) for s in firsts]
     rows, cols = np.nonzero(((d_a != 0) | (d_b != 0)).any(axis=0))
     base, da, db = h0[:, rows, cols], d_a[:, rows, cols], d_b[:, rows, cols]
+    groups: dict[tuple, int] = {}
+    member = [
+        groups.setdefault((u, da[b].tobytes(), db[b].tobytes(), base[b].tobytes()), len(groups))
+        for b, u in enumerate(which)
+    ]
+    lead = [member.index(g) for g in range(len(groups))]
+    sched_of, base, da, db = [which[b] for b in lead], base[lead], da[lead], db[lead]
+    nodes = min(_NODE_BLOCK, len(schedules[0][1]))
+    sums, terms = np.empty((2, nodes, len(groups), rows.size))
+    expand = len(groups) < len(specs)
+    points = np.empty((nodes, len(specs), rows.size)) if expand else sums
     H = h0.copy()
     flat = H.reshape(-1)
     index = (np.arange(len(h0))[:, None] * (DIM * DIM) + rows * DIM + cols).ravel()
@@ -712,13 +734,19 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
         if k - start == len(entries):
             start = k
             samples = [sch.envelopes(t[start : start + _NODE_BLOCK]) for sch, t in schedules]
-            env = np.stack(samples, axis=1)[:, which, :, None]
-            # The block's drive entries, (nodes, B, entries), each summed as
-            # (base + a D_a) + b D_b, then one row per node.
-            block = env[:, :, 0] * da
+            env = np.stack(samples, axis=1)[:, sched_of, :, None]
+            n = len(env)
+            # Each group's drive entries for the block, summed as
+            # (base + a D_a) + b D_b.
+            block, term = sums[:n], terms[:n]
+            np.multiply(env[:, :, 0], da, out=block)
             block += base
-            block += env[:, :, 1] * db
-            entries = block.reshape(len(block), -1)
+            np.multiply(env[:, :, 1], db, out=term)
+            block += term
+            if expand:
+                # mode="raise" would make np.take buffer its output.
+                np.take(block, member, axis=1, out=points[:n], mode="clip")
+            entries = points[:n].reshape(n, -1)
         flat[index] = entries[k - start]
         return H
 
@@ -830,7 +858,7 @@ def _plan_records(name: str, specs, meta: dict, refs=None) -> Plan:
 
     def finish(results, outdir):
         records = [record for record, _ in results]
-        _write(outdir, name, ResultRecord.CSV_HEADER, map(astuple, records), meta)
+        _write(outdir, name, ResultRecord.CSV_HEADER, map(_csv_row, records), meta)
         if refs is None:
             return records
         comparisons = [
@@ -912,7 +940,7 @@ def _plan_stirap_comparison(n_steps: int, mode=None):
             (label, t, f) for label, traj in curves.items() for t, f in zip(traj.times, traj.fidelities)
         ]
         _write(outdir, "stirap_comparison", ("label", "t", "fidelity"), rows, meta)
-        _write(outdir, "stirap_comparison_final", ResultRecord.CSV_HEADER, map(astuple, records))
+        _write(outdir, "stirap_comparison_final", ResultRecord.CSV_HEADER, map(_csv_row, records))
         return records, curves
 
     return Plan("stirap_comparison", specs, finish)

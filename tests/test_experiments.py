@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import reference_kernels
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squidw import experiments
@@ -147,9 +147,10 @@ def test_batch_composition_does_not_change_bytes(tmp_path, monkeypatch):
 @st.composite
 def _pooled_spec(draw):
     """A 200-step point from a small pool: each flavor, g 5 or 30, a duration
-    error under either reading, 2 or 7 frames, and closed, open or effective.
-    The stirap peak is 10, at which every point of the pool passes the drift
-    gates in 200 steps."""
+    error under either reading, 2 or 7 frames, an amplitude error of 0 or 5%
+    (a scaled schedule), and closed, open or effective. The stirap peak is
+    10, at which every point of the pool passes the drift gates in 200
+    steps."""
     flavor = draw(st.sampled_from(("gaussian", "stirap", "dressed")))
     kind = draw(st.sampled_from(("closed", "open", "effective")))
     return RunSpec(
@@ -158,6 +159,7 @@ def _pooled_spec(draw):
         delta_t=draw(st.sampled_from((-0.1, 0.0, 0.1))),
         mode=draw(st.sampled_from(("rescale", "truncate"))),
         n_frames=draw(st.sampled_from((2, 7))),
+        delta_omega=draw(st.sampled_from((0.0, 0.05))),
         omega0=10.0 if flavor == "stirap" else None,
         kappa_over_g=1e-2 if kind == "open" else 0.0,
         gammaphi_over_g=1e-3 if kind == "open" else 0.0,
@@ -168,11 +170,29 @@ def _pooled_spec(draw):
 
 def test_batched_point_is_bitwise_its_solo_run():
     """Whatever batch a point shares, and in whatever order, run_points gives
-    it the states, fidelities, drift and minimum eigenvalue of its solo run."""
+    it the states, fidelities, drift and minimum eigenvalue of its solo run.
+    The two explicit batches cover both ways _run_batch assembles H: points
+    that share one drive (three cavity points of one schedule) beside
+    points that do not (the effective point of that schedule, a scaled
+    schedule), and a batch in which every point sees its own drive."""
     solo = {}
+    point = RunSpec(n_steps=200)
 
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(st.lists(_pooled_spec(), min_size=1, max_size=5))
+    @example([
+        replace(point, g=5.0),
+        point,
+        replace(point, n_frames=7),
+        replace(point, effective=True),
+        replace(point, g=5.0, delta_omega=0.05),
+    ])
+    @example([
+        point,
+        replace(point, flavor="stirap", omega0=10.0),
+        replace(point, flavor="dressed", delta_omega=0.05),
+        replace(point, effective=True),
+    ])
     def check(specs):
         for spec, (_, traj) in zip(specs, run_points(specs)):
             if spec not in solo:

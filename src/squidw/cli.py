@@ -298,8 +298,7 @@ def _cmd_reproduce(cfg: RunConfig, target: str) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    check = experiments.CHECKS["verify"]
-    verdicts = check.judge(experiments._run_plan(check.plan(cfg.n_steps, g=cfg.g, A=cfg.A), None))
+    verdicts = experiments.CHECKS["verify"](n_steps=cfg.n_steps, g=cfg.g, A=cfg.A)
     for v in verdicts:
         print(f"{'ok  ' if v.passed else 'FAIL'} {v.label}: {v.detail}")
     return 0 if all(v.passed for v in verdicts) else 1

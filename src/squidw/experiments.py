@@ -46,9 +46,8 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import islice
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -431,9 +430,9 @@ _FLAVORS = ("dressed", "gaussian", "stirap")
 _MODES = ("rescale", "truncate")
 
 
-@dataclass
-class ResultRecord:
-    """One resolved sweep point: inputs, final fidelity, diagnostics."""
+class ResultRecord(NamedTuple):
+    """One resolved sweep point: inputs, final fidelity, diagnostics. The
+    fields are the CSV columns, in order, so a record is its own CSV row."""
 
     label: str
     flavor: str
@@ -451,12 +450,6 @@ class ResultRecord:
     drift: float
     min_eigenvalue: float | None
     code_version: str = CODE_VERSION
-
-
-# The CSV columns are the fields in order; a record's row is those fields'
-# values, read without the deep copy dataclasses.astuple makes.
-ResultRecord.CSV_HEADER = tuple(f.name for f in fields(ResultRecord))
-_csv_row = attrgetter(*ResultRecord.CSV_HEADER)
 
 
 @dataclass(frozen=True)
@@ -581,7 +574,7 @@ class RunSpec:
         """The CSV row of this run, from its one-point trajectory: the fields
         it shares with ResultRecord by name, and the outcome."""
         return ResultRecord(
-            **{k: getattr(self, k) for k in ResultRecord.CSV_HEADER if hasattr(self, k)},
+            **{k: getattr(self, k) for k in ResultRecord._fields if hasattr(self, k)},
             fidelity=fidelity(traj.final_state),
             drift=traj.drift,
             min_eigenvalue=traj.min_eigenvalue,
@@ -603,10 +596,11 @@ class Check(NamedTuple):
     note: str = ""
 
     def __call__(
-        self, outdir=None, n_steps: int = TimeGrid.n_steps, mode: str = RunSpec.mode
+        self, outdir=None, n_steps: int = TimeGrid.n_steps, mode: str = RunSpec.mode, **settings
     ) -> list[Verdict]:
-        """Plan, run, write and judge this target alone."""
-        return self.judge(_run_plan(self.plan(n_steps, mode), outdir))
+        """Plan, run, write and judge this target alone; settings (verify's g
+        and A) go to the plan, which refuses any it does not take."""
+        return self.judge(_run_plan(self.plan(n_steps, mode, **settings), outdir))
 
     def note_for(self, verdicts) -> str:
         """The note if a known discrepancy shows among the verdicts, else ''."""
@@ -676,57 +670,46 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     """Integrate specs that share closed/open and n_steps from |psi1>, each at
     its own duration and with its own stored frames; one trajectory per spec.
 
-    Point b's H is h0[b] + a_b(t) D_a[b] + b_b(t) D_b[b]: h0 is its cavity
-    Hamiltonian, and (D_a, D_b) are the channel drives; an effective point
-    has h0 = 0 and the effective drives. Each distinct schedule is built
+    Point b's H is h0[b] + a_b(t) D_a + b_b(t) D_b: h0 is its cavity
+    Hamiltonian and (D_a, D_b) the channel drives, or, for an effective
+    point, h0 = 0 and the effective drives. Each distinct schedule is built
     once and sampled block by block at node_times(n_steps, duration) of its
-    duration, which every point that uses it shares, and its samples serve
-    all of them. The propagators call h_fn once per node, in increasing k,
-    and it keeps one H buffer, starting as h0: at each node it rewrites only
-    the entries where some point's D_a or D_b is nonzero, as
-    h0 + a D_a + b D_b (a point whose drives are zero at such an entry gets
-    its h0 entry back exactly). For a batch of cavity points those are the
-    same 8 entries as for one point.
+    duration, and its samples serve every point that uses it. The
+    propagators call h_fn once per node, in increasing k, and it keeps one H
+    buffer, starting as h0: at each node it rewrites only the entries where
+    a drive kind of the batch is nonzero (8 for cavity points alone).
 
-    Points that see one drive (the same schedule, and the same D_a, D_b and
-    h0 at those entries) form a group, and each group's entries are summed
-    once per node block, as (h0 + a D_a) + b D_b, into a (nodes, G, entries)
-    buffer; equal operands give equal floats, so every point of a group gets
-    the bytes it would get alone. When some group has more than one point,
-    np.take expands the block to a (nodes, B, entries) buffer, one row per
-    point; when every point is its own group (G == B) the group buffer is
-    the point buffer and nothing is expanded. These buffers are allocated
-    once per batch. Each node is then one write of its row through a flat
-    index of those entries in H. So H is assembled once per node and never
-    stored for the whole run. Open points pass their NoiseModel, from which
-    the propagator builds its dissipator tables.
+    Points of one schedule and one kind (cavity or effective) see one drive
+    and form a group. Each group's entries are summed once per node block as
+    a D_a + b D_b, with no h0 operand: no cavity Hamiltonian is nonzero
+    where a drive kind is, so each entry is h0 + a D_a + b D_b. Equal
+    operands give equal floats, so every point of a group gets the bytes it
+    would get alone. np.take expands the (nodes, G, entries) group buffer to
+    a (nodes, B, entries) one, one row per point; both are allocated once
+    per batch. Each node is then one write of its row through a flat index
+    of those entries in H, so H is never stored for the whole run. Open
+    points pass their NoiseModel, from which the propagator builds its
+    dissipator tables.
     """
     first = specs[0]
-    h0 = np.stack(
-        [np.zeros((DIM, DIM)) if s.effective else cavity_hamiltonian(s.coupling) for s in specs]
-    )
-    drives = [_EFFECTIVE_DRIVES if s.effective else _CHANNEL_DRIVES for s in specs]
-    d_a, d_b = (np.stack(d) for d in zip(*drives))
     distinct: dict[tuple, int] = {}
     which = [distinct.setdefault(s.schedule_key(), len(distinct)) for s in specs]
     firsts = [specs[which.index(u)] for u in range(len(distinct))]
     schedules = [(s.schedule(), node_times(first.n_steps, s.duration)) for s in firsts]
-    rows, cols = np.nonzero(((d_a != 0) | (d_b != 0)).any(axis=0))
-    base, da, db = h0[:, rows, cols], d_a[:, rows, cols], d_b[:, rows, cols]
     groups: dict[tuple, int] = {}
-    member = [
-        groups.setdefault((u, da[b].tobytes(), db[b].tobytes(), base[b].tobytes()), len(groups))
-        for b, u in enumerate(which)
-    ]
-    lead = [member.index(g) for g in range(len(groups))]
-    sched_of, base, da, db = [which[b] for b in lead], base[lead], da[lead], db[lead]
+    member = [groups.setdefault((u, s.effective), len(groups)) for u, s in zip(which, specs)]
+    sched_of = [u for u, _ in groups]
+    drives = np.array([_EFFECTIVE_DRIVES if e else _CHANNEL_DRIVES for _, e in groups])
+    rows, cols = np.nonzero((drives != 0).any(axis=(0, 1)))
+    da, db = drives[:, 0, rows, cols], drives[:, 1, rows, cols]
     nodes = min(_NODE_BLOCK, len(schedules[0][1]))
     sums, terms = np.empty((2, nodes, len(groups), rows.size))
-    expand = len(groups) < len(specs)
-    points = np.empty((nodes, len(specs), rows.size)) if expand else sums
-    H = h0.copy()
+    points = np.empty((nodes, len(specs), rows.size))
+    H = np.stack(
+        [np.zeros((DIM, DIM)) if s.effective else cavity_hamiltonian(s.coupling) for s in specs]
+    )
     flat = H.reshape(-1)
-    index = (np.arange(len(h0))[:, None] * (DIM * DIM) + rows * DIM + cols).ravel()
+    index = (np.arange(len(specs))[:, None] * (DIM * DIM) + rows * DIM + cols).ravel()
     start, entries = 0, np.empty((0, index.size))
 
     def h_fn(k: int) -> np.ndarray:
@@ -736,16 +719,13 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
             samples = [sch.envelopes(t[start : start + _NODE_BLOCK]) for sch, t in schedules]
             env = np.stack(samples, axis=1)[:, sched_of, :, None]
             n = len(env)
-            # Each group's drive entries for the block, summed as
-            # (base + a D_a) + b D_b.
+            # Each group's drive entries for the block, a D_a + b D_b.
             block, term = sums[:n], terms[:n]
             np.multiply(env[:, :, 0], da, out=block)
-            block += base
             np.multiply(env[:, :, 1], db, out=term)
             block += term
-            if expand:
-                # mode="raise" would make np.take buffer its output.
-                np.take(block, member, axis=1, out=points[:n], mode="clip")
+            # mode="raise" would make np.take buffer its output.
+            np.take(block, member, axis=1, out=points[:n], mode="clip")
             entries = points[:n].reshape(n, -1)
         flat[index] = entries[k - start]
         return H
@@ -858,7 +838,7 @@ def _plan_records(name: str, specs, meta: dict, refs=None) -> Plan:
 
     def finish(results, outdir):
         records = [record for record, _ in results]
-        _write(outdir, name, ResultRecord.CSV_HEADER, map(_csv_row, records), meta)
+        _write(outdir, name, ResultRecord._fields, records, meta)
         if refs is None:
             return records
         comparisons = [
@@ -940,7 +920,7 @@ def _plan_stirap_comparison(n_steps: int, mode=None):
             (label, t, f) for label, traj in curves.items() for t, f in zip(traj.times, traj.fidelities)
         ]
         _write(outdir, "stirap_comparison", ("label", "t", "fidelity"), rows, meta)
-        _write(outdir, "stirap_comparison_final", ResultRecord.CSV_HEADER, map(_csv_row, records))
+        _write(outdir, "stirap_comparison_final", ResultRecord._fields, records)
         return records, curves
 
     return Plan("stirap_comparison", specs, finish)

@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +118,7 @@ def test_reproduce_all_file_set(tmp_path, capsys):
         with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
             return tuple(next(csv.reader(fh)))
 
-    assert all(header(n) == experiments.ResultRecord.CSV_HEADER for n in records)
+    assert all(header(n) == experiments.ResultRecord._fields for n in records)
     assert all(header(n) == experiments.COMPARE_HEADER for n in compares)
     for name in metas:
         meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
@@ -220,7 +219,7 @@ def test_sweep_records_equal_simulate_records(tmp_path, capsys, monkeypatch, fla
         records.clear()
         assert run(["simulate", "--g", f"{point.g:g}", "--frames", "2", *common], capsys)[0] == 0
         [alone] = records
-        assert point == replace(alone, label=point.label)
+        assert point == alone._replace(label=point.label)
 
 
 @pytest.mark.parametrize(

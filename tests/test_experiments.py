@@ -33,7 +33,13 @@ from squidw.experiments import (
     _run_plan,
 )
 from squidw.pulse_design import ScheduleParams, dressed_pulses, gaussian_fit_pulses, stirap_pulses
-from squidw.state_space import PSI1, basis_state, cavity_hamiltonian, drive_hamiltonian
+from squidw.state_space import (
+    PSI1,
+    CouplingConfig,
+    basis_state,
+    cavity_hamiltonian,
+    drive_hamiltonian,
+)
 
 BASE = RunSpec(n_steps=500)
 
@@ -123,7 +129,7 @@ def test_batch_composition_does_not_change_bytes(tmp_path, monkeypatch):
     assert len(integrated) == len(MIXED) and copy not in integrated
     (copy_record, copy_traj), batched = batched[-1], batched[:-1]
     record, traj = batched[original]
-    assert copy_record == replace(record, label="o25 again")
+    assert copy_record == record._replace(label="o25 again")
     assert copy_traj.states.tobytes() == traj.states.tobytes()
     assert copy_traj.final_state.tobytes() == traj.final_state.tobytes()
     assert {r.min_eigenvalue is None for r, _ in batched} == {True, False}
@@ -171,10 +177,10 @@ def _pooled_spec(draw):
 def test_batched_point_is_bitwise_its_solo_run():
     """Whatever batch a point shares, and in whatever order, run_points gives
     it the states, fidelities, drift and minimum eigenvalue of its solo run.
-    The two explicit batches cover both ways _run_batch assembles H: points
-    that share one drive (three cavity points of one schedule) beside
-    points that do not (the effective point of that schedule, a scaled
-    schedule), and a batch in which every point sees its own drive."""
+    The two explicit batches are one with groups of several points (three
+    cavity points of one schedule, beside the effective point of that
+    schedule and a scaled schedule) and one in which every point is its own
+    group (each sees its own drive)."""
     solo = {}
     point = RunSpec(n_steps=200)
 
@@ -205,6 +211,18 @@ def test_batched_point_is_bitwise_its_solo_run():
             assert traj.min_eigenvalue == alone.min_eigenvalue
 
     check()
+
+
+@pytest.mark.parametrize("g", [0.5, 5.0, 30.0, 300.0])
+def test_no_drive_writes_where_a_cavity_hamiltonian_is_nonzero(g):
+    """_run_batch writes a D_a + b D_b, with no h0 operand, at every entry
+    where a drive kind is nonzero. That is h0 + a D_a + b D_b only because
+    the cavity Hamiltonian is zero at each of those entries."""
+    drives = np.array([experiments._CHANNEL_DRIVES, experiments._EFFECTIVE_DRIVES])
+    driven = (drives != 0).any(axis=(0, 1))
+    h0 = cavity_hamiltonian(CouplingConfig(g=g))
+    assert driven.any() and np.any(h0 != 0.0)
+    assert np.all(h0[driven] == 0.0)
 
 
 # Noiseless and dephasing-only density-matrix points. Alone, a noiseless
@@ -305,7 +323,7 @@ def test_csv_format(tmp_path):
     assert raw.count(b"\r\n") == 2  # header + one row, CRLF terminated
     with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == ResultRecord.CSV_HEADER
+    assert tuple(rows[0]) == ResultRecord._fields
     record = dict(zip(rows[0], rows[1]))
     assert record["flavor"] == "gaussian"
     assert float(record["g"]) == 15.0
@@ -458,6 +476,13 @@ def test_every_check_is_a_plan_and_a_judge():
     # verify included: each entry plans its runs apart from judging them
     assert all(isinstance(check, Check) for check in CHECKS.values())
     assert "verify" in CHECKS
+
+
+def test_check_refuses_a_setting_its_plan_does_not_take():
+    # a check passes its settings to its plan: fig3 sweeps g and takes no
+    # single g, so its plan refuses g before any run rather than ignore it
+    with pytest.raises(TypeError, match=r"_plan_coupling_sweep\(\) got an unexpected .* 'g'"):
+        CHECKS["fig3"](g=10.0)
 
 
 def test_only_known_discrepancies_fail():

@@ -306,6 +306,13 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     runner with AVX-512) as well as on the runner's own core. Nehalem's GEMM
     adds K in another order, so there the pins fail: a BLAS that sums in
     another order fails them rather than change outputs silently.
+
+    A batch of one point sums its slopes with np.dot instead. On the same
+    2-D views it reaches the same cblas_dgemm call, so the bytes are the
+    same, and it dispatches faster than np.matmul, whose dispatch costs more
+    than a one-point product's arithmetic. A batch of more points keeps
+    np.matmul, since np.dot is the slower of the two above about 3,000
+    columns.
     """
     y = np.empty_like(x)
     slopes = np.empty((4, *x.shape), dtype=x.dtype)
@@ -321,7 +328,8 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
     # against a dtype instance and a shape built here, once (comparing with
     # the np.float64 type costs twice as much). The operations, operands
     # and order are those of the plain form, and so are the bytes.
-    multiply, add, matmul = np.multiply, np.add, np.matmul
+    multiply, add = np.multiply, np.add
+    weigh = np.dot if len(x) == 1 else np.matmul
     real, shape = np.dtype(np.float64), (len(x), DIM, DIM)
 
     def checked(k: int) -> np.ndarray:
@@ -352,7 +360,7 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
         multiply(whole, k3, y)
         add(y, x, y)
         f4(H)
-        matmul(_RK4_WEIGHTS, weighted, summed)
+        weigh(_RK4_WEIGHTS, weighted, summed)
         multiply(acc, sixth, acc)
         add(x, acc, x)
         yield step + 1, x
@@ -379,8 +387,10 @@ def propagate_schrodinger(
     view of psi, (10, 10) @ (10, 2) per point, with the -i in the RK4
     coefficients (-i h/2, -i h, -i h/6). Every product is taken
     point by point, so a point's result does not depend on the batch it runs
-    in. A non-finite stored frame fails the run at once; the norm is gated
-    at the end, before the run is packaged.
+    in. A batch of one point takes its product as np.dot(H[0], psi) on the
+    2-D views, the same cblas_dgemm call with less dispatch than np.matmul
+    (as _rk4 sums its slopes). A non-finite stored frame fails the run at
+    once; the norm is gated at the end, before the run is packaged.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex, order="C")  # C order: the kernel views it as float64
@@ -401,7 +411,11 @@ def propagate_schrodinger(
 
     def bind(src: np.ndarray, dst: np.ndarray):
         # (P, 10, 10) @ (P, 10, 2): real and imaginary parts in one product.
-        p, out, matmul = src.view(np.float64), dst.view(np.float64), np.matmul
+        p, out = src.view(np.float64), dst.view(np.float64)
+        if len(p) == 1:
+            p, out, dot = p[0], out[0], np.dot
+            return lambda H: dot(H[0], p, out)
+        matmul = np.matmul
         return lambda H: matmul(H, p, out)
 
     # A diverging run overflows to inf and nan, which its next stored frame
@@ -540,8 +554,16 @@ def propagate_lindblad(
     rounding; test_no_state_both_loses_and_gains_population_by_jumps pins
     the condition. Dephasing alone leaves a gain diagonal of exactly 0 and
     no scatter, so such a batch (fig7's open points) runs the same six
-    calls. tests/reference_kernels.py keeps the strided transposed add and
-    the strided diagonal add, and
+    calls.
+
+    A batch of one point takes its two products with np.dot on the 2-D
+    views, as np.dot(M^T, H) into (HM)^T and np.dot(H, M^T) into (MH)^T,
+    since np.dot writes only C-contiguous outputs. np.matmul's transposed
+    output hands BLAS H^T where np.dot hands it H, the same operand for a
+    symmetric H, so each is the same cblas_dgemm product with less dispatch
+    (as _rk4 sums its slopes). Its scatter product keeps np.matmul, which
+    writes the strided diagonal. tests/reference_kernels.py keeps the
+    strided transposed add and the strided diagonal add, and
     test_steps_match_the_stepwise_reference_bit_for_bit pins both kernels to
     them bit for bit, each alone and in mixed batches.
     """
@@ -577,18 +599,38 @@ def propagate_lindblad(
         pops, diag = diagonal(src), diagonal(dst)
         matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
 
-        def noiseless(H: np.ndarray) -> None:
-            matmul(H, src, hm)
-            matmul(src, H, mh)
-            subtract(hm_t, mh_t, dst)
+        if len(src) == 1:  # (HM)^T = M^T H and (MH)^T = H M^T, as H is symmetric
+            dot, m_t, hm_1, mh_1 = np.dot, src[0].T, hm_t[0], mh_t[0]
 
-        def rhs(H: np.ndarray) -> None:
-            matmul(H, src, hm)
-            matmul(src, H, mh)
-            subtract(hm_t, mh_t, hm_t)
-            multiply(gain, src, dst)
-            matmul(scatter, pops, diag)
-            add(dst, hm_t, dst)
+            def noiseless(H: np.ndarray) -> None:
+                H = H[0]
+                dot(m_t, H, hm_1)
+                dot(H, m_t, mh_1)
+                subtract(hm_t, mh_t, dst)
+
+            def rhs(H: np.ndarray) -> None:
+                H = H[0]
+                dot(m_t, H, hm_1)
+                dot(H, m_t, mh_1)
+                subtract(hm_t, mh_t, hm_t)
+                multiply(gain, src, dst)
+                matmul(scatter, pops, diag)
+                add(dst, hm_t, dst)
+
+        else:
+
+            def noiseless(H: np.ndarray) -> None:
+                matmul(H, src, hm)
+                matmul(src, H, mh)
+                subtract(hm_t, mh_t, dst)
+
+            def rhs(H: np.ndarray) -> None:
+                matmul(H, src, hm)
+                matmul(src, H, mh)
+                subtract(hm_t, mh_t, hm_t)
+                multiply(gain, src, dst)
+                matmul(scatter, pops, diag)
+                add(dst, hm_t, dst)
 
         return rhs if noisy else noiseless
 

@@ -759,7 +759,9 @@ def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
     noiseless kernel, so each selection is pinned alone. A batch
     of only decay points runs the jump kernel without dephasing, whose
     rounding at a single point is the one that would show a cascade jump
-    breaking the scatter fold."""
+    breaking the scatter fold. A batch of one takes its products and slope
+    sum through np.dot, so the ids [1], [1-decay], [1-dephasing] and
+    [1-noiseless] pin that path against the reference's np.matmul."""
     rng = np.random.default_rng(batch)
     h_fn, n, durations = _random_batch(rng, batch)
     frames = [2 + b % 5 for b in range(batch)]
@@ -774,6 +776,46 @@ def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
     traj = propagate_lindblad(h_fn, noises, rho0, TimeGrid(n), duration=durations, n_frames=frames)
     ref = reference_kernels.lindblad_stepwise(h_fn, noises, rho0, n, durations)
     assert np.array_equal(traj.final_state, ref)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseModel(), _MIXED[0], _DEPHASING],
+    ids=["closed", "open-noiseless", "open-jumps-dephasing", "open-dephasing"],
+)
+def test_a_point_alone_is_bitwise_the_same_point_in_a_batch(noise):
+    """A batch of one point takes its products and its slope sum through
+    np.dot, a larger batch through np.matmul; each kernel selection gives a
+    point alone the bytes it gets in a batch of three, between two points of
+    other H, noise, duration and frame count."""
+    rng = np.random.default_rng(31)
+    n, durations, frames = 120, np.array([0.6, 1.0, 0.8]), [9, 4, 2]
+    h0, h1, h2 = (a + a.swapaxes(1, 2) for a in rng.normal(size=(3, 3, DIM, DIM)))
+    t = np.stack([node_times(n, d) for d in durations], axis=1)[..., None, None]
+    hs = h0 + np.cos(3.0 * t) * h1 + t * h2
+    if noise is None:
+        state0 = rng.normal(size=(3, DIM)) + 1j * rng.normal(size=(3, DIM))
+        state0 /= np.linalg.norm(state0, axis=1, keepdims=True)
+        run = lambda h_fn, pick: propagate_schrodinger(
+            h_fn, state0[pick], TimeGrid(n), duration=durations[pick], n_frames=frames[pick]
+        )
+    else:
+        state0 = np.stack([_random_density(rng) for _ in range(3)])
+        noises = [NoiseModel(kappa=0.3), noise, NoiseModel(gamma=0.2, gamma_phi=0.1)]
+        run = lambda h_fn, pick: propagate_lindblad(
+            h_fn,
+            noises[pick],
+            state0[pick],
+            TimeGrid(n),
+            duration=durations[pick],
+            n_frames=frames[pick],
+        )
+    batched = run(lambda k: hs[k], slice(0, 3)).point(1)
+    alone = run(lambda k: hs[k, 1:2], slice(1, 2)).point(0)
+    assert np.array_equal(alone.final_state, batched.final_state)
+    assert np.array_equal(alone.states, batched.states)
+    assert np.array_equal(alone.drift, batched.drift)
+    assert np.array_equal(alone.min_eigenvalue, batched.min_eigenvalue)
 
 
 # ---------------------------------------------------------------------------

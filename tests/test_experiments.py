@@ -176,7 +176,8 @@ def _pooled_spec(draw):
 
 def test_batched_point_is_bitwise_its_solo_run():
     """Whatever batch a point shares, and in whatever order, run_points gives
-    it the states, fidelities, drift and minimum eigenvalue of its solo run.
+    it the states, fidelities, drift and minimum eigenvalue of its solo run,
+    which takes its products through np.dot where a batch takes np.matmul.
     The two explicit batches are one with groups of several points (three
     cavity points of one schedule, beside the effective point of that
     schedule and a scaled schedule) and one in which every point is its own

@@ -6,8 +6,9 @@ lower levels, per-qubit dephasing on both transitions, cavity photon loss).
 Both propagators use fixed-step classical RK4 so results are bit-reproducible;
 norm and trace drift are tracked as convergence diagnostics, never corrected
 by renormalization. A run that fails a gate raises ConvergenceError before
-its trajectory is packaged, and a run whose stored frame is not finite
-raises it at that frame.
+its trajectory is packaged. A run with a stored frame that is not finite
+raises it too, after its last step and before any gate, naming the
+earliest such frame.
 
 Both propagators integrate a batch: B points that share a step count advance
 together, each state carrying a leading batch axis. Duration and stored
@@ -216,42 +217,55 @@ def _step_size(durations: np.ndarray, n_steps: int):
 class _Frames:
     """Each point's stored frames: only its own _frame_indices(n, n_frames_b).
 
-    at(step) gives the indices of the points that keep step (None when no
-    point does), and store(step, points, states) appends their states. Both
-    propagators store through it, so both stop at the first stored frame
-    that is not finite: a diverged run, which no later step can mend and no
-    gate can judge.
+    Points that keep the same steps share one (frames, points, *state)
+    block, whose row 0 is their rows of the live state buffer when the run
+    starts. store(step) copies the live rows of the points that keep step
+    into their block's row for it, one np.take per block and nothing else,
+    since it runs inside the step loop. stored[b] is point b's (frames,
+    *state) view of its block. A diverged run is judged once, after its last
+    step: check raises ConvergenceError at the earliest stored frame that is
+    not finite, which no later step can mend and no gate can judge.
     """
 
-    def __init__(self, n_steps: int, n_frames, state0: np.ndarray):
-        counts = np.broadcast_to(np.asarray(n_frames), (len(state0),)).tolist()
-        by_count = {c: _frame_indices(n_steps, c) for c in set(counts)}
-        self.keep = [by_count[c] for c in counts]
-        at: dict[int, list] = {}
-        for b, keep in enumerate(self.keep):
-            for step in keep[1:]:
-                at.setdefault(int(step), []).append(b)
-        self._at = {step: np.array(points) for step, points in at.items()}
-        self.stored = [[s] for s in state0.copy()]
+    def __init__(self, n_steps: int, n_frames, live: np.ndarray):
+        counts = np.broadcast_to(np.asarray(n_frames), (len(live),)).tolist()
+        self.keep, self.stored = [None] * len(live), [None] * len(live)
+        self._take, self._at = live.take, {}
+        for c in sorted(set(counts)):
+            keep = _frame_indices(n_steps, c)
+            points = np.array([b for b, count in enumerate(counts) if count == c])
+            block = np.empty((len(keep), len(points), *live.shape[1:]), live.dtype)
+            block[0] = live[points]
+            for row, step in enumerate(keep[1:], 1):
+                self._at.setdefault(int(step), []).append((points, block[row]))
+            for column, b in enumerate(points.tolist()):
+                self.keep[b], self.stored[b] = keep, block[:, column]
 
-    def at(self, step: int):
-        return self._at.get(step)
+    def store(self, step: int) -> None:
+        # The bound method skips np.take's Python wrapper, about 1.5 us a call;
+        # mode="raise" would make take buffer its output.
+        for points, row in self._at.get(step, ()):
+            self._take(points, 0, row, "clip")
 
-    def store(self, step: int, points: np.ndarray, states: np.ndarray) -> None:
-        finite = np.isfinite(states.reshape(len(states), -1)).all(axis=1)
-        if not finite.all():
-            b = int(points[np.argmin(finite)])
-            message = f"state is not finite after {step} steps{_which(b, self.stored)}"
-            raise ConvergenceError(message, b)
-        for b, s in zip(points, states):
-            self.stored[b].append(s)
+    def check(self, states: list) -> None:
+        """ConvergenceError unless every point's stored states (one array of
+        frames per point) are finite. It names the earliest stored step that
+        is not, and the first point that is not finite there."""
+        diverged = []
+        for b, (keep, frames) in enumerate(zip(self.keep, states)):
+            finite = np.isfinite(frames.reshape(len(frames), -1)).all(axis=1)
+            if not finite.all():
+                diverged.append((int(keep[np.argmin(finite)]), b))
+        if diverged:
+            step, b = min(diverged)
+            raise ConvergenceError(f"state is not finite after {step} steps{_which(b, states)}", b)
 
 
-def _trajectory(frames: _Frames, final, drift, min_eig, n_steps: int, durations) -> Trajectory:
-    """Package each point's stored states; fidelities are taken point by point."""
-    states = [np.array(s) for s in frames.stored]
+def _trajectory(keep: list, states: list, final, drift, min_eig, n_steps: int, durations) -> Trajectory:
+    """Package each point's stored states, kept at steps keep; fidelities
+    are taken point by point."""
     nodes = {d: node_times(n_steps, d) for d in set(durations.tolist())}
-    times = [nodes[d][2 * keep] for d, keep in zip(durations.tolist(), frames.keep)]
+    times = [nodes[d][2 * k] for d, k in zip(durations.tolist(), keep)]
     return Trajectory(
         times=times,
         states=states,
@@ -389,8 +403,9 @@ def propagate_schrodinger(
     point by point, so a point's result does not depend on the batch it runs
     in. A batch of one point takes its product as np.dot(H[0], psi) on the
     2-D views, the same cblas_dgemm call with less dispatch than np.matmul
-    (as _rk4 sums its slopes). A non-finite stored frame fails the run at
-    once; the norm is gated at the end, before the run is packaged.
+    (as _rk4 sums its slopes). The stored frames are checked for
+    finiteness after the last step (_Frames.check), then the norm is gated,
+    both before the run is packaged.
     """
     grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex, order="C")  # C order: the kernel views it as float64
@@ -418,14 +433,14 @@ def propagate_schrodinger(
         matmul = np.matmul
         return lambda H: matmul(H, p, out)
 
-    # A diverging run overflows to inf and nan, which its next stored frame
-    # rejects with ConvergenceError; float warnings on the way only repeat it.
-    # RK4 advances psi in place, through its (P, 10, 1) view.
+    # A diverging run overflows to inf and nan, which the check of its stored
+    # frames rejects with ConvergenceError after the last step; float warnings
+    # on the way only repeat it. RK4 advances psi in place, through its
+    # (P, 10, 1) view.
     with np.errstate(over="ignore", invalid="ignore"):
         for step, _ in _rk4(h_fn, bind, psi[..., None], n, half, whole, sixth):
-            points = frames.at(step)
-            if points is not None:
-                frames.store(step, points, psi[points])
+            frames.store(step)
+    frames.check(frames.stored)
 
     drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
     b = int(np.argmax(drift))
@@ -434,7 +449,7 @@ def propagate_schrodinger(
             f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}",
             b,
         )
-    return _trajectory(frames, psi, drift, None, n, durations)
+    return _trajectory(frames.keep, frames.stored, psi, drift, None, n, durations)
 
 
 def _noise_terms(noise: NoiseModel):
@@ -492,6 +507,12 @@ def _dissipator_tables(noise: NoiseModel):
     return dd - 0.5 * (k[:, None] + k[None, :]), scatter
 
 
+def _last_minimum(values: np.ndarray) -> float:
+    """The minimum of values, as np.minimum folds them in order: a tie keeps
+    the later value, which decides between 0.0 and -0.0."""
+    return values[len(values) - 1 - np.argmin(values[::-1])]
+
+
 def _unpack(m: np.ndarray) -> np.ndarray:
     """rho = (M + M^T)/2 + i (M - M^T)/2 from the packed M = Re rho + Im rho;
     exactly Hermitian, whatever M is."""
@@ -515,10 +536,10 @@ def propagate_lindblad(
     rho0 has shape (B, 10, 10). noises gives one NoiseModel per point, whose
     17 operators (lindblad_operators) enter only through the stacked gain
     and scatter tables (_dissipator_tables). h_fn, duration and n_frames
-    follow the contract of propagate_schrodinger. Trace is checked at the
-    end, positivity with eigvalsh at each point's own stored frames; both
-    gate the result before it is packaged, and a non-finite stored frame
-    fails the run at once.
+    follow the contract of propagate_schrodinger. After the last step the
+    stored frames are checked for finiteness (_Frames.check), then trace
+    and positivity are gated, the latter by one eigvalsh over each point's
+    own stored frames; all this happens before the run is packaged.
 
     rho0 is symmetrized once on entry, and rho = A + iB (A real symmetric,
     B real antisymmetric) is integrated as the one real matrix
@@ -528,9 +549,10 @@ def propagate_lindblad(
         dM/dt = [H, M]^T + G o M + S diag(M)   (the last term on the diagonal)
 
     which takes two real products per RK4 stage and does every elementwise
-    op on half the bytes of the complex rho. Stored frames and the final
-    state are unpacked as rho = (M + M^T)/2 + i (M - M^T)/2, which is
-    exactly Hermitian.
+    op on half the bytes of the complex rho. Frames are stored as rows of M
+    and, after the last step, each point's are unpacked by one call, as is
+    the final state, as rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly
+    Hermitian. Frame 0 stays the symmetrized rho0.
 
     The right-hand side writes its slope through output arguments into
     buffers allocated once per call. BLAS writes both products through
@@ -637,15 +659,15 @@ def propagate_lindblad(
     n = grid.n_steps
     durations = _durations(duration, len(rho))
     h = _step_size(durations, n)
-    frames = _Frames(n, n_frames, rho)
-    min_eig = np.linalg.eigvalsh(rho).min(axis=-1)
+    frames = _Frames(n, n_frames, m)
     with np.errstate(over="ignore", invalid="ignore"):  # as in propagate_schrodinger
-        for step, m in _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0):
-            points = frames.at(step)
-            if points is not None:
-                stored = _unpack(m[points])
-                frames.store(step, points, stored)  # before eigvalsh, which cannot judge nan
-                min_eig[points] = np.minimum(min_eig[points], np.linalg.eigvalsh(stored).min(axis=-1))
+        for step, _ in _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0):
+            frames.store(step)
+        states = [_unpack(s) for s in frames.stored]  # a diverged M unpacks to inf and nan
+    for s, r in zip(states, rho):
+        s[0] = r  # the symmetrized rho0, which M = Re rho + Im rho only rounds
+    frames.check(states)  # before eigvalsh, which cannot judge nan
+    min_eig = np.array([_last_minimum(np.linalg.eigvalsh(s).min(axis=-1)) for s in states])
 
     rho = _unpack(m)
     drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])
@@ -661,4 +683,4 @@ def propagate_lindblad(
             f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}{_which(b, min_eig)}",
             b,
         )
-    return _trajectory(frames, rho, drift, min_eig, n, durations)
+    return _trajectory(frames.keep, states, rho, drift, min_eig, n, durations)

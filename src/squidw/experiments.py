@@ -6,7 +6,7 @@ variation errors, grid, stored frames) and goes through one builder,
 groups the distinct runs into batches that share closed/open and n_steps;
 duration and stored frames stay per point. For each batch `_run_batch`
 stacks the cavity Hamiltonians H_c(g) as (B, 10, 10), samples the two channel
-envelopes of each distinct schedule at its 2n+1 RK4 nodes, block by block,
+envelopes of each distinct schedule once, at all its 2n+1 RK4 nodes,
 and integrates H = H_c + a(t) D_a + b(t) D_b for the whole batch in one
 propagator call (with the stacked dissipator tables for open runs). An
 effective point (the three-level model `verify` checks) has no H_c and its
@@ -677,8 +677,9 @@ _CHANNEL_DRIVES = (
 _EFFECTIVE_DRIVES = (effective_hamiltonian(1.0, 0.0), effective_hamiltonian(0.0, 1.0))
 
 
-# RK4 nodes whose envelopes are sampled at a time, so that a batch holds a
-# block of its drive history rather than all 2n+1 nodes of it.
+# RK4 nodes whose drive entries are assembled at a time, so that a batch
+# holds a block of its (nodes, B, entries) drive entries rather than all 2n+1
+# nodes of them.
 _NODE_BLOCK = 256
 
 
@@ -689,36 +690,40 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     Point b's H is h0[b] + a_b(t) D_a + b_b(t) D_b: h0 is its cavity
     Hamiltonian and (D_a, D_b) the channel drives, or, for an effective
     point, h0 = 0 and the effective drives. Each distinct schedule is built
-    once and sampled block by block at node_times(n_steps, duration) of its
-    duration, and its samples serve every point that uses it. The
+    and sampled once, at all node_times(n_steps, duration) of its duration,
+    and its samples serve every point that uses it: a (2n+1, S, 2) history
+    of S x (2n+1) x 16 bytes, 64 KB per schedule at 2000 steps. The
     propagators call h_fn once per node, in increasing k, and it keeps one H
     buffer, starting as h0: at each node it rewrites only the entries where
     a drive kind of the batch is nonzero (8 for cavity points alone).
 
     Points of one schedule and one kind (cavity or effective) see one drive
-    and form a group. Each group's entries are summed once per node block as
-    a D_a + b D_b, with no h0 operand: no cavity Hamiltonian is nonzero
-    where a drive kind is, so each entry is h0 + a D_a + b D_b. Equal
-    operands give equal floats, so every point of a group gets the bytes it
-    would get alone. np.take expands the (nodes, G, entries) group buffer to
-    a (nodes, B, entries) one, one row per point; both are allocated once
-    per batch. Each node is then one write of its row through a flat index
-    of those entries in H, so H is never stored for the whole run. Open
-    points pass their NoiseModel, from which the propagator builds its
-    dissipator tables.
+    and form a group. Each group's entries are summed once per block of
+    _NODE_BLOCK nodes, from that slice of the history, as a D_a + b D_b,
+    with no h0 operand: no cavity Hamiltonian is nonzero where a drive kind
+    is, so each entry is h0 + a D_a + b D_b. Equal operands give equal
+    floats, so every point of a group gets the bytes it would get alone.
+    np.take expands the (nodes, G, entries) group buffer to a (nodes, B,
+    entries) one, one row per point; both are allocated once per batch.
+    Each node is then one write of its row through a flat index of those
+    entries in H, so H is never stored for the whole run. Open points pass
+    their NoiseModel, from which the propagator builds its dissipator
+    tables.
     """
     first = specs[0]
     distinct: dict[tuple, int] = {}
     which = [distinct.setdefault(s.schedule_key(), len(distinct)) for s in specs]
     firsts = [specs[which.index(u)] for u in range(len(distinct))]
-    schedules = [(s.schedule(), node_times(first.n_steps, s.duration)) for s in firsts]
+    history = np.stack(
+        [s.schedule().envelopes(node_times(first.n_steps, s.duration)) for s in firsts], axis=1
+    )
     groups: dict[tuple, int] = {}
     member = [groups.setdefault((u, s.effective), len(groups)) for u, s in zip(which, specs)]
     sched_of = [u for u, _ in groups]
     drives = np.array([_EFFECTIVE_DRIVES if e else _CHANNEL_DRIVES for _, e in groups])
     rows, cols = np.nonzero((drives != 0).any(axis=(0, 1)))
     da, db = drives[:, 0, rows, cols], drives[:, 1, rows, cols]
-    nodes = min(_NODE_BLOCK, len(schedules[0][1]))
+    nodes = min(_NODE_BLOCK, len(history))
     sums, terms = np.empty((2, nodes, len(groups), rows.size))
     points = np.empty((nodes, len(specs), rows.size))
     H = np.stack(
@@ -732,8 +737,7 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
         nonlocal start, entries
         if k - start == len(entries):
             start = k
-            samples = [sch.envelopes(t[start : start + _NODE_BLOCK]) for sch, t in schedules]
-            env = np.stack(samples, axis=1)[:, sched_of, :, None]
+            env = history[start : start + _NODE_BLOCK][:, sched_of, :, None]
             n = len(env)
             # Each group's drive entries for the block, a D_a + b D_b.
             block, term = sums[:n], terms[:n]

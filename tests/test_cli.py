@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import re
 
 import numpy as np
@@ -378,7 +377,7 @@ def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
     """`reproduce all` plans every target first: its 110 points are 98
     distinct runs (specs that differ only in label run once), which run as
     one closed and one open batch. Each batch samples every distinct
-    schedule once per block of RK4 nodes. CI checks that each target alone
+    schedule once, on all 2n + 1 RK4 nodes. CI checks that each target alone
     writes the same bytes and verdicts."""
     from squidw.pulse_design import PulseSchedule
 
@@ -410,8 +409,7 @@ def test_reproduce_all_runs_two_propagator_calls(tmp_path, capsys, monkeypatch):
         for specs in batches
     ]
     assert sorted(distinct) == [2, 16]
-    blocks = math.ceil((2 * n_steps + 1) / experiments._NODE_BLOCK)
-    assert len(samples) == sum(distinct) * blocks
+    assert samples == [2 * n_steps + 1] * sum(distinct)
     assert sum(samples) == sum(distinct) * (2 * n_steps + 1)
 
 
@@ -622,11 +620,11 @@ def test_a_is_taken_by_the_dressed_flavor_and_by_verify(tmp_path, capsys):
 def test_a_diverged_run_is_a_convergence_failure(tmp_path, capsys, argv):
     """A step far too coarse for the coupling overflows to inf and nan. That
     is a convergence failure (exit 2), not a nan fidelity let through by
-    gates that compare nan, nor a crash in eigvalsh. Both propagators stop
-    at the first stored frame that is not finite: simulate stores every one
-    of its 100 steps, so it stops early; a sweep stores only the last. The
-    float overflow on the way is no warning: the one stderr line is the
-    convergence failure."""
+    gates that compare nan, nor a crash in eigvalsh. Both propagators run to
+    their last step and then name the first stored frame that is not finite:
+    simulate stores every one of its 100 steps, so it names an early one; a
+    sweep stores only the last. The float overflow on the way is no warning:
+    the one stderr line is the convergence failure."""
     code, out, err = run([*argv, "--steps", "100", "-o", str(tmp_path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("convergence failure:") and err.count("\n") == 1, err

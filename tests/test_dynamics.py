@@ -26,6 +26,7 @@ from squidw.dynamics import (
     TimeGrid,
     _dissipator_tables,
     _frame_indices,
+    _last_minimum,
     fidelity,
     lindblad_operators,
     node_times,
@@ -315,25 +316,40 @@ def test_rk4_is_fourth_order():
 
 def test_a_diverged_point_is_a_convergence_failure_that_names_it():
     """At g = 1e5 a 100-step run overflows to inf and then nan. Both
-    propagators raise ConvergenceError naming that point of the batch: each
-    stops at the first stored frame that is not finite, before a gate or
-    eigvalsh sees it, and the overflow on the way raises no float warning
-    (which this suite turns into an error)."""
+    propagators run to their last step and then raise ConvergenceError at
+    the earliest stored step that is not finite, naming the first point not
+    finite there, before a gate or eigvalsh sees it; the overflow on the way
+    raises no float warning (which this suite turns into an error). Each
+    case pins the step for the Schrodinger, noiseless and noisy Lindblad
+    runs: a point that diverges first but stores only its last step does
+    not decide the step, and a tie names the first point."""
     grid = TimeGrid(100)
-    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (1.0, 1e5)])
-    psi0 = np.tile(basis_state(PSI4), (2, 1))  # a state the cavity couples
-    rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (2, 1, 1))
-    runs = (
-        (propagate_schrodinger, (psi0,)),
-        (propagate_lindblad, ([NoiseModel(), NoiseModel()], rho0)),
-        (propagate_lindblad, ([NoiseModel(kappa=1.0)] * 2, rho0)),
+    psi = basis_state(PSI4)  # a state the cavity couples
+    cases = (
+        ((1e5,), 101, (26, 23, 23), 0),
+        ((1.0, 1e5), 5, (50, 25, 25), 1),
+        ((1.0, 3e4, 1e5), 101, (26, 23, 23), 2),
+        ((1.0, 3e4, 1e5), [2, 101, 2], (31, 28, 28), 1),
+        ((1e5, 3e4, 1.0), 2, (100, 100, 100), 0),
     )
-    for propagate, args in runs:
-        with pytest.raises(ConvergenceError, match=r"\(batch point 1\)") as raised:
-            propagate(lambda k: hc, *args, grid, n_frames=5)
-        assert raised.value.point == 1
+    for couplings, n_frames, steps, point in cases:
+        batch = len(couplings)
+        hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in couplings])
+        psi0 = np.tile(psi, (batch, 1))
+        rho0 = np.tile(np.outer(psi, psi.conj()), (batch, 1, 1))
+        runs = (
+            (propagate_schrodinger, (psi0,)),
+            (propagate_lindblad, ([NoiseModel()] * batch, rho0)),
+            (propagate_lindblad, ([NoiseModel(kappa=1.0)] * batch, rho0)),
+        )
+        named = f" (batch point {point})" if batch > 1 else ""
+        for (propagate, args), step in zip(runs, steps):
+            with pytest.raises(ConvergenceError) as raised:
+                propagate(lambda k: hc, *args, grid, n_frames=n_frames)
+            assert str(raised.value) == f"state is not finite after {step} steps{named}"
+            assert raised.value.point == point
     # the finite point alone passes
-    propagate_schrodinger(lambda k: hc[:1], psi0[:1], grid)
+    propagate_schrodinger(lambda k: hc[2:], psi0[2:], grid)
 
 
 def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
@@ -816,6 +832,45 @@ def test_a_point_alone_is_bitwise_the_same_point_in_a_batch(noise):
     assert np.array_equal(alone.states, batched.states)
     assert np.array_equal(alone.drift, batched.drift)
     assert np.array_equal(alone.min_eigenvalue, batched.min_eigenvalue)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_stored_frames_and_their_minimum_eigenvalue_are_exact(batch):
+    """A stored frame is a plain copy of the live state, and propagate_lindblad
+    takes eigvalsh once per point over all 50 of its stored frames, after
+    the last step. Frame 0 is the initial state (rho0 symmetrized, not its
+    round trip through M), the last frame is the final state, and
+    min_eigenvalue is, bit for bit, np.minimum folded in step order over
+    eigvalsh of each frame taken alone; the fold decides between 0.0 and
+    -0.0, since a tie keeps the later value."""
+    rng = np.random.default_rng(50 + batch)
+    n = 200
+    hs = rng.normal(size=(3, batch, DIM, DIM))
+    hs += hs.swapaxes(2, 3)
+    t = node_times(n, 1.0)[:, None, None, None]
+    h = hs[0] + np.cos(3.0 * t) * hs[1] + t * hs[2]
+    psi0 = rng.normal(size=(batch, DIM)) + 1j * rng.normal(size=(batch, DIM))
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    rho0 = np.stack([_random_density(rng) for _ in range(batch)])
+    noises = [NoiseModel(kappa=0.3, gamma=0.2 * b, gamma_phi=0.1) for b in range(batch)]
+    closed = propagate_schrodinger(lambda k: h[k], psi0, TimeGrid(n), n_frames=50)
+    opened = propagate_lindblad(lambda k: h[k], noises, rho0, TimeGrid(n), n_frames=50)
+    symmetrized = 0.5 * (rho0 + rho0.conj().swapaxes(1, 2))
+    for traj, state0 in ((closed, psi0), (opened, symmetrized)):
+        for b in range(batch):
+            assert len(traj.states[b]) == 50
+            assert traj.states[b][0].tobytes() == state0[b].tobytes()
+            assert traj.states[b][-1].tobytes() == traj.final_state[b].tobytes()
+    for b in range(batch):
+        folded = np.linalg.eigvalsh(opened.states[b][0]).min()
+        for rho in opened.states[b][1:]:
+            folded = np.minimum(folded, np.linalg.eigvalsh(rho).min())
+        assert opened.min_eigenvalue[b].tobytes() == folded.tobytes()
+    # np.min's SIMD reduction may keep either zero of a tie; the fold keeps the later
+    for first, later in ((0.0, -0.0), (-0.0, 0.0)):
+        values = np.linspace(1.0, 2.0, 500)
+        values[[252, 315]] = first, later
+        assert _last_minimum(values).tobytes() == np.float64(later).tobytes()
 
 
 # ---------------------------------------------------------------------------

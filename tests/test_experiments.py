@@ -13,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squidw import experiments
-from squidw.dynamics import MAX_FRAMES, ConvergenceError, fidelity, lindblad_operators
+from squidw.dynamics import (
+    MAX_FRAMES,
+    ConvergenceError,
+    TimeGrid,
+    fidelity,
+    lindblad_operators,
+    node_times,
+)
 from squidw.experiments import (
     CHECKS,
     Check,
@@ -631,6 +638,31 @@ def test_runspec_schedule_is_the_flavors_schedule():
         (RunSpec(flavor="stirap", omega0=9.8), stirap_pulses(9.8, params=p)),
     ):
         assert np.array_equal(spec.schedule().envelopes(ts), direct.envelopes(ts))
+
+
+def test_a_schedule_sampled_whole_is_its_node_blocks_bit_for_bit():
+    """_run_batch samples each distinct schedule once, on all 2n + 1 RK4
+    nodes, and reads the samples block by block. Sampled whole or in
+    _NODE_BLOCK-node blocks, a schedule gives the same bytes, for every
+    distinct schedule that `reproduce all` plans under either mode and that
+    verify plans, at its defaults and at A = 0.003 on 4000 steps: no
+    envelope sample depends on its neighbours."""
+    plans = [
+        check.plan(TimeGrid.n_steps, mode)
+        for name, check in CHECKS.items()
+        if name != "verify"
+        for mode in _MODES
+    ]
+    plans += [CHECKS["verify"].plan(TimeGrid.n_steps), CHECKS["verify"].plan(4000, A=0.003)]
+    distinct = {(s.schedule_key(), s.n_steps): s for plan in plans for s in plan.specs}
+    assert len(distinct) == 32
+    for spec in distinct.values():
+        schedule, ts = spec.schedule(), node_times(spec.n_steps, spec.duration)
+        blocks = [
+            schedule.envelopes(ts[start : start + experiments._NODE_BLOCK])
+            for start in range(0, len(ts), experiments._NODE_BLOCK)
+        ]
+        assert schedule.envelopes(ts).tobytes() == np.concatenate(blocks).tobytes(), spec
 
 
 def test_two_axis_sweep_covers_product():

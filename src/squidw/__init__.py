@@ -13,7 +13,6 @@ names below are the ones README documents.
 """
 
 from .dynamics import (
-    TimeGrid,
     lindblad_operators,
     node_times,
     propagate_lindblad,
@@ -25,7 +24,6 @@ __version__ = CODE_VERSION
 
 __all__ = [
     "RunSpec",
-    "TimeGrid",
     "lindblad_operators",
     "node_times",
     "propagate_lindblad",

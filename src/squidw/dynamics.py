@@ -10,15 +10,15 @@ its trajectory is packaged. A run with a stored frame that is not finite
 raises it too, after its last step and before any gate, naming the
 earliest such frame.
 
-Both propagators integrate a batch: B points that share a step count advance
-together, each state carrying a leading batch axis. Duration and stored
-frames belong to each point: point b steps by h_b = duration_b / n_steps and
-stores its own n_frames_b frames. The Hamiltonian is supplied as h_fn(k), the
-(B, 10, 10) stack at RK4 node k, which for point b is the time
-t_k = k h_b / 2 (see node_times), so callers sample their drives once on each
-point's node grid and assemble H there; a stack of any other shape raises
-ValueError. Every product, reduction and gate is taken point by point, so a
-point's bytes are the same whatever batch it ran in.
+Both propagators integrate a batch: B points that share n_steps, a plain int,
+advance together, each state carrying a leading batch axis. Duration and
+stored frames belong to each point: point b steps by
+h_b = duration_b / n_steps and stores its own n_frames_b frames. The
+Hamiltonian is supplied as h_fn(k), the (B, 10, 10) stack at RK4 node k, which
+for point b is the time t_k = k h_b / 2 (see node_times), so callers sample
+their drives once on each point's node grid and assemble H there; a stack of
+any other shape raises ValueError. Every product, reduction and gate is taken
+point by point, so a point's bytes are the same whatever batch it ran in.
 
 H must be real symmetric float64, as every Hamiltonian of `state_space` is;
 anything else raises ValueError. The kernels work in real arithmetic on that
@@ -93,18 +93,6 @@ class NoiseModel:
         return self.kappa == 0.0 and self.gamma == 0.0 and self.gamma_phi == 0.0
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Fixed integration grid; n_steps RK4 steps across the run window."""
-
-    n_steps: int = 2000
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_steps", _whole("n_steps", self.n_steps))
-        if self.n_steps < 100:
-            raise ValueError(f"n_steps must be at least 100, got {self.n_steps}")
-
-
 @dataclass
 class Trajectory:
     """Stored frames (at most MAX_FRAMES per point) plus endpoint diagnostics.
@@ -168,6 +156,14 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _step_count(n_steps) -> int:
+    """n_steps as an int; ValueError unless it is a whole number, at least 100."""
+    n_steps = _whole("n_steps", n_steps)
+    if n_steps < 100:
+        raise ValueError(f"n_steps must be at least 100, got {n_steps}")
+    return n_steps
+
+
 def _frame_count(n_frames) -> int:
     """n_frames as an int; ValueError unless it is a whole number from 2 to MAX_FRAMES."""
     n_frames = _whole("n_frames", n_frames)
@@ -189,18 +185,26 @@ def _frame_indices(n_steps: int, n_frames) -> np.ndarray:
     return steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
 
 
-def _durations(duration, batch: int) -> np.ndarray:
-    """One duration per point from a scalar or a (B,) sequence; ValueError
-    unless each is finite and positive, since a zero, negative or non-finite
-    one steps nowhere, backwards or into nan."""
-    d = np.asarray(duration, dtype=float)
-    if d.ndim > 1 or (d.ndim == 1 and len(d) != batch):
+def _per_point(name: str, value, batch: int) -> np.ndarray:
+    """A scalar or (B,) value as one entry per point; ValueError, naming it, for any other shape."""
+    v = np.asarray(value)
+    if v.shape not in ((), (batch,)):
         raise ValueError(
-            f"duration must be a scalar or have one entry per point, got shape {d.shape}"
+            f"{name} must be a scalar or have one entry per point, got shape {v.shape}"
         )
+    return np.broadcast_to(v, (batch,))
+
+
+def _steps(n_steps, duration, batch: int):
+    """(n, durations, h): n_steps as _step_count takes it, one duration per
+    point (_per_point) and their _step_size; ValueError unless each duration
+    is finite and positive, since a zero, negative or non-finite one steps
+    nowhere, backwards or into nan."""
+    n = _step_count(n_steps)
+    d = _per_point("duration", np.asarray(duration, dtype=float), batch)
     if not ((d > 0) & (d < math.inf)).all():
-        raise ValueError(f"duration must be finite and positive, got {d}")
-    return np.broadcast_to(d, (batch,))
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+    return n, d, _step_size(d, n)
 
 
 def _step_size(durations: np.ndarray, n_steps: int):
@@ -228,7 +232,7 @@ class _Frames:
     """
 
     def __init__(self, n_steps: int, n_frames, live: np.ndarray):
-        counts = np.broadcast_to(np.asarray(n_frames), (len(live),)).tolist()
+        counts = _per_point("n_frames", n_frames, len(live)).tolist()
         self.keep, self.stored = [None] * len(live), [None] * len(live)
         self._take, self._at = live.take, {}
         for c in sorted(set(counts)):
@@ -286,14 +290,25 @@ def _which(b: int, values: np.ndarray) -> str:
     return f" (batch point {b})" if len(values) > 1 else ""
 
 
+def _drift(what: str, values: list, tol: float, n_steps: int) -> np.ndarray:
+    """|value - 1| per point, value its norm or trace; ConvergenceError,
+    naming the worst point, unless every one is within tol."""
+    drift = np.array([abs(v - 1.0) for v in values])
+    b = int(np.argmax(drift))
+    if not drift[b] <= tol:
+        message = f"{what} drift {drift[b]:.3e} exceeds {tol:.0e} after {n_steps} steps"
+        raise ConvergenceError(message + _which(b, drift), b)
+    return drift
+
+
 _RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]] * 2)  # k1 + 2 k2 + 2 k3 + k4, twice: a GEMM
 
 
-def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
-    """Advance x in place through n RK4 steps, yielding (step + 1, x) after each.
+def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth, store) -> None:
+    """Advance x in place through n RK4 steps, calling store(step) after each.
 
-    The yielded x is the live state buffer, which the next step overwrites,
-    so a caller copies whatever it keeps. bind(src, dst) returns the
+    x is the live state buffer, which the next step overwrites, so store
+    copies whatever it keeps (_Frames.store). bind(src, dst) returns the
     right-hand side f(H) that writes the slope at state src into dst; bind
     runs once per stage, before stepping, so a kernel builds its views of
     the buffers once. h_fn is called once per node, in increasing k. The
@@ -377,25 +392,25 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth):
         weigh(_RK4_WEIGHTS, weighted, summed)
         multiply(acc, sixth, acc)
         add(x, acc, x)
-        yield step + 1, x
+        store(step + 1)
 
 
 def propagate_schrodinger(
     h_fn,
     psi0: np.ndarray,
-    grid: TimeGrid | None = None,
+    n_steps: int,
     duration: float | np.ndarray = 1.0,
     n_frames: int | list = 2,
 ) -> Trajectory:
     """Fixed-step RK4 on i dpsi/dt = H(t) psi for a batch of states; no renormalization.
 
-    psi0 has shape (P, 10), P points; any other shape raises ValueError.
-    duration and n_frames are scalars or one value per point; a duration
-    that is not finite and positive, or an n_frames that is not a whole
-    number from 2 to MAX_FRAMES, raises ValueError, and more than
-    n_steps + 1 frames keeps every step. h_fn(k) returns the (P, 10, 10)
+    psi0 has shape (P, 10), P points, n_steps is a whole number of at least
+    100, and duration and n_frames are scalars or one value per point; any
+    other shape, a duration that is not finite and positive, or an n_frames
+    that is not a whole number from 2 to MAX_FRAMES raises ValueError, and more
+    than n_steps + 1 frames keeps every step. h_fn(k) returns the (P, 10, 10)
     real symmetric float64 Hamiltonians at node k, point b's at node k of
-    node_times(grid.n_steps, duration_b); any other shape raises ValueError.
+    node_times(n_steps, duration_b); any other shape raises it too.
     It is called as the stream the module docstring describes. The
     right-hand side is one matmul: H psi as one real product on the float64
     view of psi, (10, 10) @ (10, 2) per point, with the -i in the RK4
@@ -407,7 +422,6 @@ def propagate_schrodinger(
     finiteness after the last step (_Frames.check), then the norm is gated,
     both before the run is packaged.
     """
-    grid = grid or TimeGrid()
     psi = np.array(psi0, dtype=complex, order="C")  # C order: the kernel views it as float64
     if psi.ndim != 2 or psi.shape[1] != DIM:
         raise ValueError(f"psi0 must have shape (P, {DIM})")
@@ -415,9 +429,7 @@ def propagate_schrodinger(
         raise ValueError("psi0 must be finite")
     if any(not abs(np.linalg.norm(p) - 1.0) <= 1e-9 for p in psi):
         raise ValueError("psi0 must be normalized")
-    n = grid.n_steps
-    durations = _durations(duration, len(psi))
-    h = _step_size(durations, n)
+    n, durations, h = _steps(n_steps, duration, len(psi))
     # The stages are H psi; the -i of dpsi/dt = -i H psi rides on the RK4
     # coefficients. A product with -i only swaps parts and flips a sign, so
     # this gives the bytes of stages -i H psi with real coefficients.
@@ -438,17 +450,9 @@ def propagate_schrodinger(
     # on the way only repeat it. RK4 advances psi in place, through its
     # (P, 10, 1) view.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, _ in _rk4(h_fn, bind, psi[..., None], n, half, whole, sixth):
-            frames.store(step)
+        _rk4(h_fn, bind, psi[..., None], n, half, whole, sixth, frames.store)
     frames.check(frames.stored)
-
-    drift = np.array([abs(np.linalg.norm(p) - 1.0) for p in psi])
-    b = int(np.argmax(drift))
-    if not drift[b] <= NORM_TOL:
-        raise ConvergenceError(
-            f"norm drift {drift[b]:.3e} exceeds {NORM_TOL:.0e} after {n} steps{_which(b, drift)}",
-            b,
-        )
+    drift = _drift("norm", [np.linalg.norm(p) for p in psi], NORM_TOL, n)
     return _trajectory(frames.keep, frames.stored, psi, drift, None, n, durations)
 
 
@@ -527,7 +531,7 @@ def propagate_lindblad(
     h_fn,
     noises,
     rho0: np.ndarray,
-    grid: TimeGrid | None = None,
+    n_steps: int,
     duration: float | np.ndarray = 1.0,
     n_frames: int | list = 2,
 ) -> Trajectory:
@@ -557,26 +561,28 @@ def propagate_lindblad(
     The right-hand side writes its slope through output arguments into
     buffers allocated once per call. BLAS writes both products through
     transposed outputs (np.matmul(H, M, out=hm_t.swapaxes(1, 2))), so the
-    scratch holds (HM)^T and (MH)^T contiguously, the transposed commutator
-    is the contiguous hm_t - mh_t, and no call reads or writes a strided
-    matrix; each entry of a product written that way is the same dot
-    product. Whether the batch has noise is decided once, from its stacked
-    tables. Without any (verify's zero-noise point) the right-hand side is
-    three numpy calls, the commutator written straight into the slope; the
-    skipped dissipator would only add zeros, so a point's bytes are the same
-    whichever right-hand side its batch runs. With any noise it is six: the
-    two products, the commutator difference, the gain product, the scatter
-    product and one add. The gain table's diagonal is then folded into the
-    scatter table once per call, so the scatter product writes the slope's
-    whole diagonal over the zeros the gain product left there. That keeps
-    every byte because no state both gains and loses population by jumps:
-    the states a jump lands on have a gain diagonal of exactly 0 and the
-    jump sources receive no scatter, so each diagonal entry adds the same
-    two terms as before. A cascade jump would break this and change the
-    rounding; test_no_state_both_loses_and_gains_population_by_jumps pins
-    the condition. Dephasing alone leaves a gain diagonal of exactly 0 and
-    no scatter, so such a batch (fig7's open points) runs the same six
-    calls.
+    scratch holds (HM)^T and (MH)^T contiguously, the commutator writes the
+    contiguous hm_t - mh_t straight into the slope, and no call reads or
+    writes a strided matrix; each entry of a product written that way is the
+    same dot product. Whether the batch has noise is decided once, from its
+    stacked tables. Without any (verify's zero-noise point) the commutator
+    is the whole right-hand side, three numpy calls; the skipped dissipator
+    would only add zeros, so a point's bytes are the same whichever
+    right-hand side its batch runs. With any noise the slope is the
+    commutator plus the dissipator: the gain and scatter products write the
+    dissipator into the spent hm_t and one add sums it in, six calls. IEEE
+    addition commutes bit for bit (c + d == d + c, zeros included), so this
+    has the bytes of the reference's dissipator + commutator. The gain
+    table's diagonal is folded into the scatter table once per call, so the
+    scatter product writes the dissipator's whole diagonal over the zeros
+    the gain product left there. That keeps every byte because no state
+    both gains and loses population by jumps: the states a jump lands on
+    have a gain diagonal of exactly 0 and the jump sources receive no
+    scatter, so each diagonal entry adds the same two terms as before. A
+    cascade jump would break this and change the rounding;
+    test_no_state_both_loses_and_gains_population_by_jumps pins the
+    condition. Dephasing alone leaves a gain diagonal of exactly 0 and no
+    scatter, so such a batch (fig7's open points) runs the same six calls.
 
     A batch of one point takes its two products with np.dot on the 2-D
     views, as np.dot(M^T, H) into (HM)^T and np.dot(H, M^T) into (MH)^T,
@@ -589,7 +595,6 @@ def propagate_lindblad(
     test_steps_match_the_stepwise_reference_bit_for_bit pins both kernels to
     them bit for bit, each alone and in mixed batches.
     """
-    grid = grid or TimeGrid()
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (DIM, DIM):
         raise ValueError(f"rho0 must have shape (B, {DIM}, {DIM})")
@@ -618,51 +623,40 @@ def propagate_lindblad(
 
     def bind(src: np.ndarray, dst: np.ndarray):
         # Local ufuncs and positional outputs, as in _rk4's loop.
-        pops, diag = diagonal(src), diagonal(dst)
         matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
 
         if len(src) == 1:  # (HM)^T = M^T H and (MH)^T = H M^T, as H is symmetric
             dot, m_t, hm_1, mh_1 = np.dot, src[0].T, hm_t[0], mh_t[0]
 
-            def noiseless(H: np.ndarray) -> None:
+            def commutator(H: np.ndarray) -> None:
                 H = H[0]
                 dot(m_t, H, hm_1)
                 dot(H, m_t, mh_1)
                 subtract(hm_t, mh_t, dst)
-
-            def rhs(H: np.ndarray) -> None:
-                H = H[0]
-                dot(m_t, H, hm_1)
-                dot(H, m_t, mh_1)
-                subtract(hm_t, mh_t, hm_t)
-                multiply(gain, src, dst)
-                matmul(scatter, pops, diag)
-                add(dst, hm_t, dst)
 
         else:
 
-            def noiseless(H: np.ndarray) -> None:
+            def commutator(H: np.ndarray) -> None:
                 matmul(H, src, hm)
                 matmul(src, H, mh)
                 subtract(hm_t, mh_t, dst)
 
-            def rhs(H: np.ndarray) -> None:
-                matmul(H, src, hm)
-                matmul(src, H, mh)
-                subtract(hm_t, mh_t, hm_t)
-                multiply(gain, src, dst)
-                matmul(scatter, pops, diag)
-                add(dst, hm_t, dst)
+        if not noisy:
+            return commutator
+        pops, diag = diagonal(src), diagonal(hm_t)
 
-        return rhs if noisy else noiseless
+        def rhs(H: np.ndarray) -> None:
+            commutator(H)
+            multiply(gain, src, hm_t)
+            matmul(scatter, pops, diag)
+            add(dst, hm_t, dst)
 
-    n = grid.n_steps
-    durations = _durations(duration, len(rho))
-    h = _step_size(durations, n)
+        return rhs
+
+    n, durations, h = _steps(n_steps, duration, len(rho))
     frames = _Frames(n, n_frames, m)
     with np.errstate(over="ignore", invalid="ignore"):  # as in propagate_schrodinger
-        for step, _ in _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0):
-            frames.store(step)
+        _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0, frames.store)
         states = [_unpack(s) for s in frames.stored]  # a diverged M unpacks to inf and nan
     for s, r in zip(states, rho):
         s[0] = r  # the symmetrized rho0, which M = Re rho + Im rho only rounds
@@ -670,17 +664,9 @@ def propagate_lindblad(
     min_eig = np.array([_last_minimum(np.linalg.eigvalsh(s).min(axis=-1)) for s in states])
 
     rho = _unpack(m)
-    drift = np.array([abs(float(np.trace(r).real) - 1.0) for r in rho])
-    b = int(np.argmax(drift))
-    if not drift[b] <= TRACE_TOL:
-        raise ConvergenceError(
-            f"trace drift {drift[b]:.3e} exceeds {TRACE_TOL:.0e} after {n} steps{_which(b, drift)}",
-            b,
-        )
+    drift = _drift("trace", [np.trace(r).real for r in rho], TRACE_TOL, n)
     b = int(np.argmin(min_eig))
     if not min_eig[b] >= EIG_TOL:
-        raise ConvergenceError(
-            f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}{_which(b, min_eig)}",
-            b,
-        )
+        message = f"density matrix eigenvalue {min_eig[b]:.3e} below {EIG_TOL:.0e}"
+        raise ConvergenceError(message + _which(b, min_eig), b)
     return _trajectory(frames.keep, states, rho, drift, min_eig, n, durations)

@@ -56,9 +56,9 @@ from . import dressed_frames
 from .dynamics import (
     ConvergenceError,
     NoiseModel,
-    TimeGrid,
     Trajectory,
     _frame_count,
+    _step_count,
     fidelity,
     node_times,
     propagate_lindblad,
@@ -503,7 +503,7 @@ class RunSpec:
     delta_omega: float = 0.0
     delta_g: float = 0.0
     omega0: float | None = None
-    n_steps: int = TimeGrid.n_steps
+    n_steps: int = 2000
     mode: str = "rescale"
     n_frames: int = 2
     master_equation: bool = False
@@ -516,8 +516,8 @@ class RunSpec:
         if self.omega0 is not None:
             object.__setattr__(self, "omega0", float(self.omega0))
         object.__setattr__(self, "label", str(self.label))
-        # The integration grid's and the propagators' own rules, applied here.
-        object.__setattr__(self, "n_steps", TimeGrid(self.n_steps).n_steps)
+        # The propagators' own rules, applied here.
+        object.__setattr__(self, "n_steps", _step_count(self.n_steps))
         object.__setattr__(self, "n_frames", _frame_count(self.n_frames))
         if self.flavor not in _FLAVORS:
             raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
@@ -612,7 +612,7 @@ class Check(NamedTuple):
     note: str = ""
 
     def __call__(
-        self, outdir=None, n_steps: int = TimeGrid.n_steps, mode: str = RunSpec.mode, **settings
+        self, outdir=None, n_steps: int = RunSpec.n_steps, mode: str = RunSpec.mode, **settings
     ) -> list[Verdict]:
         """Plan, run, write and judge this target alone; settings (verify's g
         and A) go to the plan, which refuses any it does not take."""
@@ -756,9 +756,9 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     else:
         rho0 = np.tile(np.outer(psi1, psi1.conj()), (len(specs), 1, 1))
         propagate, states = propagate_lindblad, ([s.noise for s in specs], rho0)
-    grid, duration = TimeGrid(first.n_steps), np.array([s.duration for s in specs])
+    duration, frames = np.array([s.duration for s in specs]), [s.n_frames for s in specs]
     try:
-        traj = propagate(h_fn, *states, grid, duration=duration, n_frames=[s.n_frames for s in specs])
+        traj = propagate(h_fn, *states, first.n_steps, duration=duration, n_frames=frames)
     except ConvergenceError as exc:
         # A batch mixes drivers' points; name the one that failed.
         if exc.point is None or not specs[exc.point].label:
@@ -906,7 +906,7 @@ def _plan_coupling_sweep(n_steps: int, mode=None, g_values=None):
     return _plan_records("coupling_sweep", sweep_grid(base, axes), meta)
 
 
-def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int = TimeGrid.n_steps):
+def run_coupling_sweep(g_values=None, outdir=None, jobs: int = 1, n_steps: int = RunSpec.n_steps):
     """Closed-system final fidelity versus the coupling g (gaussian flavor)."""
     return _run_plan(_plan_coupling_sweep(n_steps, g_values=g_values), outdir)
 
@@ -977,7 +977,7 @@ def _plan_decoherence_table(n_steps: int, mode=None):
     return _plan_records("table1", specs, meta, [row[3] for row in TABLE1_REFERENCE])
 
 
-def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = TimeGrid.n_steps):
+def run_reference_decoherence_table(outdir=None, jobs: int = 1, n_steps: int = RunSpec.n_steps):
     """All 17 reference decoherence rows plus the side-by-side comparison."""
     return _run_plan(_plan_decoherence_table(n_steps), outdir)
 
@@ -1071,8 +1071,8 @@ def run_effective_model(point, A: float) -> tuple[float, float]:
 def _plan_verify(n_steps: int, mode=None, g: float = RunSpec.g, A: float = RunSpec.A) -> Plan:
     """The effective model, the zero-noise Schrodinger/Lindblad pair at g and
     the full dressed model at g = 300/T (one closed batch of three and one
-    open batch, every run on max(1000, n_steps) steps, once TimeGrid has taken
-    n_steps), finished as the numbers _judge_verify bounds, with those of the
+    open batch, every run on max(1000, n_steps) steps, once _step_count has
+    taken n_steps), finished as the numbers _judge_verify bounds, with those of the
     dressed-frame algebra and the dressing-amplitude trade-off, which reads
     pulse envelopes only. The integrator is judged on the effective run's 500
     stored frames against the exact dressed state it should follow,
@@ -1083,7 +1083,7 @@ def _plan_verify(n_steps: int, mode=None, g: float = RunSpec.g, A: float = RunSp
     steps: A = 0.003 passes at 4000. A is the amplitude of the two dressed
     points, the effective and the full model. verify writes no file."""
     params = ScheduleParams(A=A)
-    closed = RunSpec(g=g, n_steps=max(1000, TimeGrid(n_steps).n_steps))
+    closed = RunSpec(g=g, n_steps=max(1000, _step_count(n_steps)))
     specs = [
         # the effective model under the exact corrected controls
         RunSpec(label="effective_model", flavor="dressed", A=A, n_steps=closed.n_steps,

@@ -11,15 +11,15 @@ def one_point(propagate, h_of_t, *args, duration=1.0, n_frames=2):
 
     h_of_t(t) returns one 10x10 H; it is evaluated at the RK4 nodes that the
     propagator asks for. args are the propagator's positional arguments
-    after h_fn, for one point: (psi0, grid) or (noise, rho0, grid).
+    after h_fn, for one point: (psi0, n_steps) or (noise, rho0, n_steps).
     """
-    *noise, state0, grid = args
-    nodes = node_times(grid.n_steps, duration)
+    *noise, state0, n_steps = args
+    nodes = node_times(n_steps, duration)
     traj = propagate(
         lambda k: np.asarray(h_of_t(nodes[k]))[None],
         *[[n] for n in noise],
         np.asarray(state0)[None],
-        grid,
+        n_steps,
         duration=duration,
         n_frames=n_frames,
     )

@@ -22,7 +22,7 @@ import pytest
 from scipy.linalg import expm
 from single_point import one_point
 
-from squidw.dynamics import TimeGrid, propagate_schrodinger
+from squidw.dynamics import propagate_schrodinger
 from squidw.experiments import (
     CHECKS,
     run_coupling_sweep,
@@ -193,7 +193,7 @@ def test_criterion_09_property_suite(criterion, verify_verdicts):
             propagate_schrodinger,
             lambda t, h=h: h,
             psi_rk,
-            TimeGrid(per_seg),
+            per_seg,
             duration=1.0 / segments,
         ).final_state
     oracle = float(np.max(np.abs(psi_rk - psi_exact)))

@@ -23,10 +23,10 @@ from squidw.dynamics import (
     ConvergenceError,
     NoiseModel,
     TRACE_TOL,
-    TimeGrid,
     _dissipator_tables,
     _frame_indices,
     _last_minimum,
+    _step_count,
     fidelity,
     lindblad_operators,
     node_times,
@@ -113,10 +113,10 @@ def test_batched_propagators_keep_the_call_contract():
     """One call integrates the batch: one Trajectory with the integer step
     count, per-point endpoint diagnostics, and h_fn called exactly once per
     RK4 node, in increasing k = 0, 1, ..., 2n."""
-    grid = TimeGrid(120)
+    n = 120
     sch = gaussian_fit_pulses(ScheduleParams())
     hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (5.0, 10.0, 20.0)])
-    nodes = node_times(grid.n_steps, 1.0)
+    nodes = node_times(n, 1.0)
     calls = []
 
     def h_fn(k):
@@ -124,21 +124,20 @@ def test_batched_propagators_keep_the_call_contract():
         return hc + drive_hamiltonian(sch.qubit_amplitudes(nodes[k]))
 
     psi0 = np.tile(basis_state(PSI1), (3, 1))
-    traj = propagate_schrodinger(h_fn, psi0, grid)
-    n = grid.n_steps
+    traj = propagate_schrodinger(h_fn, psi0, n)
     assert calls == list(range(2 * n + 1))
     assert type(traj.n_steps) is int and traj.n_steps == n
     assert traj.final_state.shape == (3, DIM) and traj.drift.shape == (3,)
     assert traj.min_eigenvalue is None
     for b in range(3):
-        alone = propagate_schrodinger(lambda k: h_fn(k)[b : b + 1], psi0[b : b + 1], grid)
+        alone = propagate_schrodinger(lambda k: h_fn(k)[b : b + 1], psi0[b : b + 1], n)
         assert np.array_equal(alone.final_state[0], traj.final_state[b])
         assert alone.drift[0] == traj.drift[b]
 
     calls.clear()
     noises = [NoiseModel(kappa=k, gamma_phi=0.1) for k in (0.5, 1.0, 2.0)]
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
-    traj = propagate_lindblad(h_fn, noises, rho0, grid, n_frames=4)
+    traj = propagate_lindblad(h_fn, noises, rho0, n, n_frames=4)
     assert calls == list(range(2 * n + 1))
     assert type(traj.n_steps) is int and traj.n_steps == n
     assert traj.final_state.shape == (3, DIM, DIM)
@@ -151,7 +150,7 @@ def test_batched_propagators_keep_the_call_contract():
     assert np.array_equal(one.final_state, traj.final_state[1])
     # each per-frame field is a list of B arrays, point(b)'s own, whether
     # the points store equal frame counts or mixed ones
-    mixed = propagate_lindblad(h_fn, noises, rho0, grid, n_frames=[2, 5, 11])
+    mixed = propagate_lindblad(h_fn, noises, rho0, n, n_frames=[2, 5, 11])
     for run, counts in ((traj, [4, 4, 4]), (mixed, [2, 5, 11])):
         for name in ("times", "states", "fidelities", "populations"):
             field = getattr(run, name)
@@ -167,11 +166,11 @@ def test_h_fn_may_overwrite_the_array_it_returned():
     """The propagators use each H before the next h_fn call, so an h_fn that
     rewrites one buffer in place gives the same bytes as one that returns a
     fresh array each call, on a batch of mixed durations and frame counts."""
-    grid = TimeGrid(150)
+    n_steps = 150
     durations = np.array([1.0, 0.9, 1.1])
     sch = gaussian_fit_pulses(ScheduleParams())
     hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (10.0, 20.0, 30.0)])
-    nodes = [node_times(grid.n_steps, d) for d in durations]
+    nodes = [node_times(n_steps, d) for d in durations]
 
     def fresh(k):
         return hc + np.stack([drive_hamiltonian(sch.qubit_amplitudes(t[k])) for t in nodes])
@@ -187,7 +186,7 @@ def test_h_fn_may_overwrite_the_array_it_returned():
     noises = [NoiseModel(kappa=k, gamma=0.2, gamma_phi=0.1) for k in (0.5, 1.0, 2.0)]
     for propagate, args in ((propagate_schrodinger, (psi0,)), (propagate_lindblad, (noises, rho0))):
         a, b = (
-            propagate(h_fn, *args, grid, duration=durations, n_frames=[2, 5, 11])
+            propagate(h_fn, *args, n_steps, duration=durations, n_frames=[2, 5, 11])
             for h_fn in (fresh, in_place)
         )
         assert np.array_equal(a.final_state, b.final_state)
@@ -217,11 +216,11 @@ def test_in_place_stepping_leaves_inputs_frames_and_results_alone():
     noises = [NoiseModel(kappa=k, gamma=0.2, gamma_phi=0.1) for k in (0.5, 1.0)]
     for propagate, state0, pre in ((propagate_schrodinger, psi0, ()), (propagate_lindblad, rho0, (noises,))):
         given_state = state0.copy()
-        full = propagate(h_fn, *pre, state0, TimeGrid(200), duration=1.0, n_frames=3)
+        full = propagate(h_fn, *pre, state0, 200, duration=1.0, n_frames=3)
         assert np.array_equal(state0, given_state)
         frames = lambda traj: b"".join(s.tobytes() for s in traj.states)
         kept = full.final_state.tobytes(), frames(full)
-        half = propagate(h_fn, *pre, state0, TimeGrid(100), duration=0.5)
+        half = propagate(h_fn, *pre, state0, 100, duration=0.5)
         assert full.times[0][1] == half.times[0][-1] == 0.5
         assert np.stack([s[1] for s in full.states]).tobytes() == half.final_state.tobytes()
         assert (full.final_state.tobytes(), frames(full)) == kept
@@ -232,28 +231,28 @@ def test_every_node_passes_the_float64_check(bad_node):
     """An h_fn that turns complex mid-run is refused at that node, an odd
     one or the last, by both propagators: the check is not made on node 0
     alone."""
-    grid = TimeGrid(120)
+    n_steps = 120
     hc = cavity_hamiltonian(CouplingConfig(g=10.0))[None]
     h_fn = lambda k: hc.astype(complex) if k == bad_node else hc
     psi0 = basis_state(PSI1)[None]
     rho0 = np.outer(psi0[0], psi0[0].conj())[None]
     with pytest.raises(ValueError, match="float64"):
-        propagate_schrodinger(h_fn, psi0, grid)
+        propagate_schrodinger(h_fn, psi0, n_steps)
     with pytest.raises(ValueError, match="float64"):
-        propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)], rho0, grid)
+        propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)], rho0, n_steps)
 
 
 def test_a_mis_sized_hamiltonian_stack_is_refused():
     """h_fn returns one H per point; a stack of any other length, or a
     single H that matmul would broadcast over the whole batch, is refused by
     both propagators, at whichever node it appears."""
-    grid = TimeGrid(100)
+    n_steps = 100
     hc = cavity_hamiltonian(CouplingConfig(g=1.0))
     psi0 = np.tile(basis_state(PSI1), (3, 1))
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
     runs = (
-        lambda h_fn: propagate_schrodinger(h_fn, psi0, grid),
-        lambda h_fn: propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)] * 3, rho0, grid),
+        lambda h_fn: propagate_schrodinger(h_fn, psi0, n_steps),
+        lambda h_fn: propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)] * 3, rho0, n_steps),
     )
     good = np.stack([hc] * 3)
     for run in runs:
@@ -275,7 +274,7 @@ def test_a_mis_sized_hamiltonian_stack_is_refused():
 
 def test_no_drive_leaves_initial_state_alone():
     hc = cavity_hamiltonian(CouplingConfig(g=30.0))
-    traj = one_point(propagate_schrodinger, lambda t: hc, basis_state(PSI1), TimeGrid(500))
+    traj = one_point(propagate_schrodinger, lambda t: hc, basis_state(PSI1), 500)
     assert abs(abs(traj.final_state[PSI1]) - 1.0) < 1e-12
     assert fidelity(traj.final_state) < 1e-24
 
@@ -296,7 +295,7 @@ def test_rk4_matches_piecewise_matrix_exponential():
             propagate_schrodinger,
             lambda t, h=h: h,
             psi_rk,
-            TimeGrid(per_seg),
+            per_seg,
             duration=1.0 / segments,
         ).final_state
     assert np.max(np.abs(psi_rk - psi_exact)) < 1e-8
@@ -304,10 +303,10 @@ def test_rk4_matches_piecewise_matrix_exponential():
 
 def test_rk4_is_fourth_order():
     h_fn = _gaussian_h(5.0)
-    ref = one_point(propagate_schrodinger, h_fn, basis_state(PSI1), TimeGrid(6400)).final_state
+    ref = one_point(propagate_schrodinger, h_fn, basis_state(PSI1), 6400).final_state
     errs = [
         np.linalg.norm(
-            one_point(propagate_schrodinger, h_fn, basis_state(PSI1), TimeGrid(n)).final_state - ref
+            one_point(propagate_schrodinger, h_fn, basis_state(PSI1), n).final_state - ref
         )
         for n in (200, 400)
     ]
@@ -323,7 +322,7 @@ def test_a_diverged_point_is_a_convergence_failure_that_names_it():
     case pins the step for the Schrodinger, noiseless and noisy Lindblad
     runs: a point that diverges first but stores only its last step does
     not decide the step, and a tie names the first point."""
-    grid = TimeGrid(100)
+    n_steps = 100
     psi = basis_state(PSI4)  # a state the cavity couples
     cases = (
         ((1e5,), 101, (26, 23, 23), 0),
@@ -345,11 +344,11 @@ def test_a_diverged_point_is_a_convergence_failure_that_names_it():
         named = f" (batch point {point})" if batch > 1 else ""
         for (propagate, args), step in zip(runs, steps):
             with pytest.raises(ConvergenceError) as raised:
-                propagate(lambda k: hc, *args, grid, n_frames=n_frames)
+                propagate(lambda k: hc, *args, n_steps, n_frames=n_frames)
             assert str(raised.value) == f"state is not finite after {step} steps{named}"
             assert raised.value.point == point
     # the finite point alone passes
-    propagate_schrodinger(lambda k: hc[2:], psi0[2:], grid)
+    propagate_schrodinger(lambda k: hc[2:], psi0[2:], n_steps)
 
 
 def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
@@ -358,16 +357,16 @@ def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
     finite open run whose trace drifted."""
     calls = []
     monkeypatch.setattr(squidw.dynamics, "fidelity", lambda state: calls.append(state))
-    grid = TimeGrid(100)
+    n_steps = 100
     hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (1.0, 1e5)])
     psi0 = np.tile(basis_state(PSI4), (2, 1))
     hc_stiff, sch = cavity_hamiltonian(CouplingConfig(g=150.0)), stirap_pulses(50.0)
     stiff = lambda t: hc_stiff + drive_hamiltonian(sch.qubit_amplitudes(t))
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1)).astype(complex)
     with pytest.raises(ConvergenceError, match="not finite"):
-        propagate_schrodinger(lambda k: hc, psi0, grid, n_frames=5)
+        propagate_schrodinger(lambda k: hc, psi0, n_steps, n_frames=5)
     with pytest.raises(ConvergenceError, match="trace drift"):
-        one_point(propagate_lindblad, stiff, NoiseModel(kappa=1.0), rho0, grid, n_frames=5)
+        one_point(propagate_lindblad, stiff, NoiseModel(kappa=1.0), rho0, n_steps, n_frames=5)
     assert calls == []
 
 
@@ -376,11 +375,11 @@ def test_schrodinger_norm_gate_trips_on_stiff_underresolved_run():
     sch = stirap_pulses(50.0)
     h_fn = lambda t: hc + drive_hamiltonian(sch.qubit_amplitudes(t))
     with pytest.raises(ConvergenceError):
-        one_point(propagate_schrodinger, h_fn, basis_state(PSI1), TimeGrid(100))
+        one_point(propagate_schrodinger, h_fn, basis_state(PSI1), 100)
 
 
 def test_permutation_symmetry_of_closed_dynamics():
-    traj = one_point(propagate_schrodinger, _gaussian_h(30.0), basis_state(PSI1), TimeGrid(2000))
+    traj = one_point(propagate_schrodinger, _gaussian_h(30.0), basis_state(PSI1), 2000)
     psi = traj.final_state
     for a, b in ((PSI4, PSI5), (PSI7, PSI8)):
         swapped = psi.copy()
@@ -391,7 +390,7 @@ def test_permutation_symmetry_of_closed_dynamics():
 
 def test_trajectory_frames_and_populations():
     traj = one_point(
-        propagate_schrodinger, _gaussian_h(30.0), basis_state(PSI1), TimeGrid(1000), n_frames=101
+        propagate_schrodinger, _gaussian_h(30.0), basis_state(PSI1), 1000, n_frames=101
     )
     assert len(traj.states) == 101
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
@@ -402,7 +401,7 @@ def test_trajectory_frames_and_populations():
     assert traj.fidelities[0] == pytest.approx(0.0, abs=1e-30)
     assert traj.fidelities[-1] > 0.99
     big = one_point(
-        propagate_schrodinger, _gaussian_h(10.0), basis_state(PSI1), TimeGrid(1000),
+        propagate_schrodinger, _gaussian_h(10.0), basis_state(PSI1), 1000,
         n_frames=MAX_FRAMES,
     )
     assert len(big.states) == MAX_FRAMES
@@ -413,7 +412,7 @@ def test_propagators_refuse_a_frame_count_outside_2_to_max_frames(open_system):
     """A count outside 2 to MAX_FRAMES is refused, not clamped, for a point
     and for one point of a batch; more frames than steps + 1 store every
     step: a count is judged against MAX_FRAMES alone, not against the grid."""
-    grid = TimeGrid(100)
+    n_steps = 100
     hc = cavity_hamiltonian(CouplingConfig(g=10.0))
     psi0 = basis_state(PSI1)
 
@@ -422,11 +421,11 @@ def test_propagators_refuse_a_frame_count_outside_2_to_max_frames(open_system):
         if open_system:
             rho0 = np.tile(np.outer(psi0, psi0), (batch, 1, 1))
             traj = propagate_lindblad(
-                lambda k: h, [NoiseModel(kappa=0.1)] * batch, rho0, grid, n_frames=n_frames
+                lambda k: h, [NoiseModel(kappa=0.1)] * batch, rho0, n_steps, n_frames=n_frames
             )
         else:
             psi = np.tile(psi0, (batch, 1))
-            traj = propagate_schrodinger(lambda k: h, psi, grid, n_frames=n_frames)
+            traj = propagate_schrodinger(lambda k: h, psi, n_steps, n_frames=n_frames)
         return [len(traj.point(b).times) for b in range(batch)]
 
     for bad in (0, 1, -3, MAX_FRAMES + 1, 10**6):
@@ -440,6 +439,9 @@ def test_propagators_refuse_a_frame_count_outside_2_to_max_frames(open_system):
             frames_of(bad)
         with pytest.raises(ValueError, match=f"n_frames must be an integer, got {bad}$"):
             frames_of([5, bad], batch=2)
+    # a list of the wrong length is refused by name, not by numpy's broadcast
+    with pytest.raises(ValueError, match="n_frames must be a scalar or have one entry per point"):
+        frames_of([5, 6], batch=3)
     assert frames_of(np.int64(7)) == [7] and frames_of(7.0) == [7]
     assert frames_of(MAX_FRAMES) == [101]
     assert frames_of([2, 101, 102], batch=3) == [2, 101, 101]
@@ -474,15 +476,15 @@ def test_integrating_does_not_import_numpy_ma():
 
 def test_schrodinger_input_validation():
     with pytest.raises(ValueError):
-        one_point(propagate_schrodinger, _gaussian_h(10.0), 2.0 * basis_state(PSI1), TimeGrid(100))
+        one_point(propagate_schrodinger, _gaussian_h(10.0), 2.0 * basis_state(PSI1), 100)
     complex_h = lambda t: _gaussian_h(10.0)(t).astype(complex)
     with pytest.raises(ValueError, match="float64"):
-        one_point(propagate_schrodinger, complex_h, basis_state(PSI1), TimeGrid(100))
-    with pytest.raises(ValueError):
-        TimeGrid(50)
+        one_point(propagate_schrodinger, complex_h, basis_state(PSI1), 100)
+    with pytest.raises(ValueError, match="n_steps must be at least 100, got 50"):
+        one_point(propagate_schrodinger, _gaussian_h(10.0), basis_state(PSI1), 50)
     with pytest.raises(ValueError, match="n_steps must be an integer, got 150.5"):
-        TimeGrid(150.5)
-    assert type(TimeGrid(np.int64(150)).n_steps) is int
+        _step_count(150.5)
+    assert type(_step_count(np.int64(150))) is int
     with pytest.raises(ValueError):
         NoiseModel(kappa=-1.0)
     # a duration that is not finite and positive is refused, not integrated
@@ -490,13 +492,13 @@ def test_schrodinger_input_validation():
     h_fn, psi0 = lambda k: np.zeros((2, DIM, DIM)), np.tile(basis_state(PSI1), (2, 1))
     for bad in (0.0, -0.5, np.nan, np.inf, [1.0, 0.0], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="duration must be finite and positive"):
-            propagate_schrodinger(h_fn, psi0, TimeGrid(100), duration=bad)
+            propagate_schrodinger(h_fn, psi0, 100, duration=bad)
     with pytest.raises(ValueError, match="one entry per point, got shape"):
-        propagate_schrodinger(h_fn, psi0, TimeGrid(100), duration=[1.0, 1.0, 1.0])
+        propagate_schrodinger(h_fn, psi0, 100, duration=[1.0, 1.0, 1.0])
     # psi0 is P states of 10 amplitudes; a stack of state columns is refused
     for bad in (basis_state(PSI1), psi0[..., None], np.tile(np.eye(DIM), (2, 1, 1))):
         with pytest.raises(ValueError, match=re.escape(f"psi0 must have shape (P, {DIM})")):
-            propagate_schrodinger(h_fn, bad, TimeGrid(100))
+            propagate_schrodinger(h_fn, bad, 100)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -504,7 +506,7 @@ def test_schrodinger_refuses_a_non_finite_state(bad):
     psi0 = basis_state(PSI1)
     psi0[PSI2] = bad
     with pytest.raises(ValueError, match="finite"):
-        one_point(propagate_schrodinger, _gaussian_h(10.0), psi0, TimeGrid(100))
+        one_point(propagate_schrodinger, _gaussian_h(10.0), psi0, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +516,9 @@ def test_schrodinger_refuses_a_non_finite_state(bad):
 def test_zero_noise_master_equation_matches_schrodinger():
     h_fn = _gaussian_h(30.0)
     psi0 = basis_state(PSI1)
-    traj_s = one_point(propagate_schrodinger, h_fn, psi0, TimeGrid(2000))
+    traj_s = one_point(propagate_schrodinger, h_fn, psi0, 2000)
     rho0 = np.outer(psi0, psi0.conj())
-    traj_l = one_point(propagate_lindblad, h_fn, NoiseModel(), rho0, TimeGrid(2000))
+    traj_l = one_point(propagate_lindblad, h_fn, NoiseModel(), rho0, 2000)
     assert abs(fidelity(traj_s.final_state) - fidelity(traj_l.final_state)) < 1e-7
     pure = np.outer(traj_s.final_state, traj_s.final_state.conj())
     assert np.max(np.abs(traj_l.final_state - pure)) < 1e-7
@@ -526,7 +528,7 @@ def test_cavity_decay_follows_exponential_law():
     kappa = 0.8
     rho0 = np.outer(basis_state(PSI3), basis_state(PSI3).conj())
     traj = one_point(
-        propagate_lindblad, lambda t: np.zeros((DIM, DIM)), NoiseModel(kappa=kappa), rho0, TimeGrid(1000)
+        propagate_lindblad, lambda t: np.zeros((DIM, DIM)), NoiseModel(kappa=kappa), rho0, 1000
     )
     p3 = traj.final_state[PSI3, PSI3].real
     pg = traj.final_state[GROUND, GROUND].real
@@ -552,7 +554,7 @@ def test_fast_dissipator_matches_superoperator_oracle():
 
     rho0 = _random_density(rng)
     duration, n = 0.3, 200
-    traj = one_point(propagate_lindblad, lambda t: h, noise, rho0, TimeGrid(n), duration=duration)
+    traj = one_point(propagate_lindblad, lambda t: h, noise, rho0, n, duration=duration)
 
     vec = rho0.reshape(-1)
     dt = duration / n
@@ -581,7 +583,7 @@ def test_packed_kernel_matches_complex_reference_on_a_general_state():
     assert np.all(((rho0.real != 0) & (rho0.imag != 0)) | np.eye(DIM, dtype=bool))
     duration, n = 0.7, 300
     traj = one_point(
-        propagate_lindblad, h_of_t, noise, rho0, TimeGrid(n), duration=duration, n_frames=31
+        propagate_lindblad, h_of_t, noise, rho0, n, duration=duration, n_frames=31
     )
     ref = reference_kernels.lindblad_final(h_of_t, lindblad_operators(noise), rho0, n, duration)
     assert np.max(np.abs(traj.final_state - ref)) <= 1e-12
@@ -638,7 +640,7 @@ def test_open_run_preserves_trace_hermiticity_positivity():
     h_fn = _gaussian_h(30.0)
     noise = NoiseModel(kappa=0.033 * 30, gamma=0.0073 * 30, gamma_phi=0.001 * 30)
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
-    traj = one_point(propagate_lindblad, h_fn, noise, rho0, TimeGrid(2000), n_frames=51)
+    traj = one_point(propagate_lindblad, h_fn, noise, rho0, 2000, n_frames=51)
     assert traj.drift < 1e-10
     assert traj.min_eigenvalue is not None and traj.min_eigenvalue > EIG_TOL
     for rho in traj.states:
@@ -668,8 +670,8 @@ def test_open_runs_keep_trace_hermiticity_positivity_under_random_rates():
     keeps its smallest stored eigenvalue at or above EIG_TOL. (At 200 steps
     RK4 itself breaks positivity: the noiseless dressed run at g = 19 ends
     at eigenvalue -1.07e-6, and 400 steps leave -1.5e-7 at g = 30.)"""
-    grid = TimeGrid(400)
-    nodes = node_times(grid.n_steps, 1.0)
+    n_steps = 400
+    nodes = node_times(n_steps, 1.0)
     drives = {
         name: np.stack([drive_hamiltonian(w) for w in sch.qubit_amplitudes(nodes).T])
         for name, sch in _FLAVORS.items()
@@ -681,7 +683,7 @@ def test_open_runs_keep_trace_hermiticity_positivity_under_random_rates():
         h = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) + drives[f] for _, f, g in points], axis=1)
         rho0 = np.tile(np.outer(basis_state(PSI1), basis_state(PSI1).conj()), (len(points), 1, 1))
         noises = [noise for noise, _, _ in points]
-        traj = propagate_lindblad(h.__getitem__, noises, rho0, grid, n_frames=n_frames)
+        traj = propagate_lindblad(h.__getitem__, noises, rho0, n_steps, n_frames=n_frames)
         assert np.all(traj.drift <= TRACE_TOL)
         assert np.all(traj.min_eigenvalue >= EIG_TOL)
         for b in range(len(points)):
@@ -696,7 +698,7 @@ def test_open_runs_keep_trace_hermiticity_positivity_under_random_rates():
 def test_permutation_symmetry_of_open_dynamics():
     noise = NoiseModel(kappa=0.1, gamma=0.05, gamma_phi=0.02)
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
-    traj = one_point(propagate_lindblad, _gaussian_h(30.0), noise, rho0, TimeGrid(1000))
+    traj = one_point(propagate_lindblad, _gaussian_h(30.0), noise, rho0, 1000)
     rho = traj.final_state
     perm = list(range(DIM))
     perm[PSI4], perm[PSI5] = perm[PSI5], perm[PSI4]
@@ -709,26 +711,26 @@ def test_lindblad_input_validation():
     noise = NoiseModel()
     good = np.outer(basis_state(PSI1), basis_state(PSI1).conj())
     with pytest.raises(ValueError):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, 2.0 * good, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, 2.0 * good, 100)
     skew = good.copy()
     skew[0, 1] = 0.5
     with pytest.raises(ValueError):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, skew, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, skew, 100)
     with pytest.raises(ValueError):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, np.eye(4), TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, np.eye(4), 100)
     with pytest.raises(ValueError, match="float64"):
-        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM), dtype=complex), noise, good, TimeGrid(100))
+        one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM), dtype=complex), noise, good, 100)
     with pytest.raises(ValueError, match="one NoiseModel per point"):
-        propagate_lindblad(lambda k: np.zeros((2, DIM, DIM)), [noise], np.stack([good, good]), TimeGrid(100))
+        propagate_lindblad(lambda k: np.zeros((2, DIM, DIM)), [noise], np.stack([good, good]), 100)
     # a duration that is not finite and positive is refused, not stored as
     # the frame times [0, 0], integrated backwards or into nan
     h_fn, rho0 = lambda k: np.zeros((2, DIM, DIM)), np.stack([good, good])
     for bad in (0.0, -0.5, np.nan, np.inf, [1.0, 0.0], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="duration must be finite and positive"):
-            propagate_lindblad(h_fn, [noise] * 2, rho0, TimeGrid(100), duration=bad)
+            propagate_lindblad(h_fn, [noise] * 2, rho0, 100, duration=bad)
     # Hermitian to 1e-11 is accepted, and symmetrized once on entry
     skew[0, 1] = 1e-11
-    traj = one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, skew, TimeGrid(100))
+    traj = one_point(propagate_lindblad, lambda t: np.zeros((DIM, DIM)), noise, skew, 100)
     assert np.array_equal(traj.states[0], traj.states[0].conj().T)
 
 
@@ -737,7 +739,7 @@ def test_lindblad_refuses_a_non_finite_state(bad):
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1))
     rho0[PSI1, PSI2] = rho0[PSI2, PSI1] = bad
     with pytest.raises(ValueError, match="finite"):
-        one_point(propagate_lindblad, _gaussian_h(10.0), NoiseModel(gamma=0.3), rho0, TimeGrid(100))
+        one_point(propagate_lindblad, _gaussian_h(10.0), NoiseModel(gamma=0.3), rho0, 100)
 
 
 def _random_batch(rng, batch: int):
@@ -783,13 +785,13 @@ def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
     frames = [2 + b % 5 for b in range(batch)]
     psi0 = rng.normal(size=(batch, DIM)) + 1j * rng.normal(size=(batch, DIM))
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
-    traj = propagate_schrodinger(h_fn, psi0, TimeGrid(n), duration=durations, n_frames=frames)
+    traj = propagate_schrodinger(h_fn, psi0, n, duration=durations, n_frames=frames)
     ref = reference_kernels.schrodinger_stepwise(h_fn, psi0, n, durations)
     assert np.array_equal(traj.final_state, ref)
 
     noises = [kinds[b % len(kinds)] for b in range(batch)]
     rho0 = np.stack([_random_density(rng) for _ in range(batch)])
-    traj = propagate_lindblad(h_fn, noises, rho0, TimeGrid(n), duration=durations, n_frames=frames)
+    traj = propagate_lindblad(h_fn, noises, rho0, n, duration=durations, n_frames=frames)
     ref = reference_kernels.lindblad_stepwise(h_fn, noises, rho0, n, durations)
     assert np.array_equal(traj.final_state, ref)
 
@@ -813,7 +815,7 @@ def test_a_point_alone_is_bitwise_the_same_point_in_a_batch(noise):
         state0 = rng.normal(size=(3, DIM)) + 1j * rng.normal(size=(3, DIM))
         state0 /= np.linalg.norm(state0, axis=1, keepdims=True)
         run = lambda h_fn, pick: propagate_schrodinger(
-            h_fn, state0[pick], TimeGrid(n), duration=durations[pick], n_frames=frames[pick]
+            h_fn, state0[pick], n, duration=durations[pick], n_frames=frames[pick]
         )
     else:
         state0 = np.stack([_random_density(rng) for _ in range(3)])
@@ -822,7 +824,7 @@ def test_a_point_alone_is_bitwise_the_same_point_in_a_batch(noise):
             h_fn,
             noises[pick],
             state0[pick],
-            TimeGrid(n),
+            n,
             duration=durations[pick],
             n_frames=frames[pick],
         )
@@ -853,8 +855,8 @@ def test_stored_frames_and_their_minimum_eigenvalue_are_exact(batch):
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     rho0 = np.stack([_random_density(rng) for _ in range(batch)])
     noises = [NoiseModel(kappa=0.3, gamma=0.2 * b, gamma_phi=0.1) for b in range(batch)]
-    closed = propagate_schrodinger(lambda k: h[k], psi0, TimeGrid(n), n_frames=50)
-    opened = propagate_lindblad(lambda k: h[k], noises, rho0, TimeGrid(n), n_frames=50)
+    closed = propagate_schrodinger(lambda k: h[k], psi0, n, n_frames=50)
+    opened = propagate_lindblad(lambda k: h[k], noises, rho0, n, n_frames=50)
     symmetrized = 0.5 * (rho0 + rho0.conj().swapaxes(1, 2))
     for traj, state0 in ((closed, psi0), (opened, symmetrized)):
         for b in range(batch):

@@ -16,7 +16,6 @@ from squidw import experiments
 from squidw.dynamics import (
     MAX_FRAMES,
     ConvergenceError,
-    TimeGrid,
     fidelity,
     lindblad_operators,
     node_times,
@@ -648,12 +647,12 @@ def test_a_schedule_sampled_whole_is_its_node_blocks_bit_for_bit():
     verify plans, at its defaults and at A = 0.003 on 4000 steps: no
     envelope sample depends on its neighbours."""
     plans = [
-        check.plan(TimeGrid.n_steps, mode)
+        check.plan(RunSpec.n_steps, mode)
         for name, check in CHECKS.items()
         if name != "verify"
         for mode in _MODES
     ]
-    plans += [CHECKS["verify"].plan(TimeGrid.n_steps), CHECKS["verify"].plan(4000, A=0.003)]
+    plans += [CHECKS["verify"].plan(RunSpec.n_steps), CHECKS["verify"].plan(4000, A=0.003)]
     distinct = {(s.schedule_key(), s.n_steps): s for plan in plans for s in plan.specs}
     assert len(distinct) == 32
     for spec in distinct.values():

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import experiments
-from .dynamics import MAX_FRAMES, ConvergenceError, fidelity
+from .dynamics import MAX_FRAMES, ConvergenceError, _step_count, fidelity
 from .experiments import RunSpec
 
 ENV_OUTDIR = "SQUIDW_OUT"
@@ -217,7 +217,7 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experimen
         if field in swept:
             raise ValueError(f"sweep does not take {source}: a sweep axis sets {field}")
     specs = [
-        replace(s, **{r: getattr(cfg, rate) / s.coupling.g for rate, r in _RATES if r not in swept})
+        replace(s, **{r: getattr(cfg, rate) / s.coupling for rate, r in _RATES if r not in swept})
         for s in ([base] if axes is None else experiments.sweep_grid(base, axes))
     ]
     meta = {name: getattr(cfg, name) for name in (*_SETTINGS, *dict(_RATES))}
@@ -227,7 +227,7 @@ def _plan(cfg: RunConfig, axes=None, n_frames: int = 2, given=None) -> experimen
 
 
 def _cmd_simulate(cfg: RunConfig, frames: int | None) -> int:
-    most = min(MAX_FRAMES, cfg.n_steps + 1)
+    most = min(MAX_FRAMES, _step_count(cfg.n_steps) + 1)
     if frames is None:
         frames = min(201, most)
     elif not 2 <= frames <= most:
@@ -323,9 +323,7 @@ def main(argv=None) -> int:
             return _cmd_sweep(cfg, args.axis, given)
         if args.command == "reproduce":
             return _cmd_reproduce(cfg, args.target)
-        if args.command == "verify":
-            return _cmd_verify(cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _cmd_verify(cfg)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2

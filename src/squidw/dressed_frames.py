@@ -95,7 +95,7 @@ def dressed_picture_hamiltonian(t, params: ScheduleParams) -> np.ndarray:
 _CANCELLATION_GRID = 100  # the interior times at which verify_cancellation samples H_V
 
 
-def verify_cancellation(params: ScheduleParams | None = None) -> dict:
+def verify_cancellation(params: ScheduleParams = ScheduleParams()) -> dict:
     """The worst off-diagonal residuals of H_V over _CANCELLATION_GRID interior times.
 
     Residuals are normalized by the local drive magnitude Omega_tilde. The
@@ -103,10 +103,9 @@ def verify_cancellation(params: ScheduleParams | None = None) -> dict:
     well (it is structurally zero here since neither M_x nor M_y connects the
     +/- pair). The whole grid is evaluated at once.
     """
-    p = params or ScheduleParams()
-    ts = np.arange(1, _CANCELLATION_GRID + 1) * p.T / (_CANCELLATION_GRID + 1)
-    gx, opz = correction_gains(ts, p)
-    hv = dressed_picture_hamiltonian(ts, p)
+    ts = np.arange(1, _CANCELLATION_GRID + 1) * params.T / (_CANCELLATION_GRID + 1)
+    gx, opz = correction_gains(ts, params)
+    hv = dressed_picture_hamiltonian(ts, params)
     scale = np.maximum(np.hypot(gx, opz), 1e-30)
     res_0p, res_0m, res_pm = (np.abs(hv[:, i, j]) / scale for i, j in ((0, 1), (0, 2), (1, 2)))
     return {

@@ -84,7 +84,6 @@ from .state_space import (
     PSI7,
     PSI8,
     PSI9,
-    CouplingConfig,
     basis_state,
     cavity_hamiltonian,
     dark_state,
@@ -472,8 +471,9 @@ class ResultRecord(NamedTuple):
 class RunSpec:
     """One run from |psi1>: drive, coupling, noise, errors, grid and frames.
 
-    Rates are ratios to the nominal coupling g and act at the erroneous
-    coupling g (1 + delta_g). The run lasts 1 + delta_t; mode="rescale"
+    Rates are ratios to the nominal coupling g and act at `coupling`, the
+    erroneous coupling g (1 + delta_g), a float that must be positive and
+    finite. The run lasts 1 + delta_t; mode="rescale"
     re-parameterizes the waveforms by that duration, mode="truncate" keeps the
     nominal waveforms and cuts or extends the run window (README, "Known
     discrepancy"). master_equation integrates the density matrix even when
@@ -544,19 +544,20 @@ class RunSpec:
                 "an effective point is closed and has no cavity: it takes no rates, "
                 "master_equation or delta_g"
             )
-        self.noise  # raises on a coupling or rate that CouplingConfig or NoiseModel refuses
+        cavity_hamiltonian(self.coupling)  # raises on a g (1 + delta_g) not positive and finite
+        self.noise  # raises on a rate that NoiseModel refuses
 
     @property
     def duration(self) -> float:
         return 1.0 + self.delta_t
 
     @property
-    def coupling(self) -> CouplingConfig:
-        return CouplingConfig(g=self.g * (1.0 + self.delta_g))
+    def coupling(self) -> float:
+        return self.g * (1.0 + self.delta_g)
 
     @property
     def noise(self) -> NoiseModel:
-        g_eff = self.coupling.g
+        g_eff = self.coupling
         return NoiseModel(
             kappa=self.kappa_over_g * g_eff,
             gamma=self.gamma_over_g * g_eff,
@@ -612,11 +613,11 @@ class Check(NamedTuple):
     note: str = ""
 
     def __call__(
-        self, outdir=None, n_steps: int = RunSpec.n_steps, mode: str = RunSpec.mode, **settings
+        self, n_steps: int = RunSpec.n_steps, mode: str = RunSpec.mode, **settings
     ) -> list[Verdict]:
-        """Plan, run, write and judge this target alone; settings (verify's g
-        and A) go to the plan, which refuses any it does not take."""
-        return self.judge(_run_plan(self.plan(n_steps, mode, **settings), outdir))
+        """Plan, run and judge this target alone, writing no file; settings
+        (verify's g and A) go to the plan, which refuses any it does not take."""
+        return self.judge(_run_plan(self.plan(n_steps, mode, **settings), None))
 
     def note_for(self, verdicts) -> str:
         """The note if a known discrepancy shows among the verdicts, else ''."""
@@ -1108,7 +1109,7 @@ def _plan_verify(n_steps: int, mode=None, g: float = RunSpec.g, A: float = RunSp
             ),
             "cancellation": dressed_frames.verify_cancellation(params),
         }
-        hc = cavity_hamiltonian(CouplingConfig(g=g))
+        hc = cavity_hamiltonian(g)
         eigs = np.sort(np.linalg.eigvalsh(hc[PSI2 : PSI6 + 1, PSI2 : PSI6 + 1]))
         expected = np.sort([-math.sqrt(6) * g, 0.0, 0.0, 0.0, math.sqrt(6) * g])
         out["spectrum"] = float(np.max(np.abs(eigs - expected)))

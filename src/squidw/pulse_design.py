@@ -200,28 +200,26 @@ class PulseSchedule:
         return float(_SQRT2 * np.max(np.abs(self.envelopes(ts))))
 
 
-def dressed_pulses(params: ScheduleParams | None = None) -> PulseSchedule:
+def dressed_pulses(params: ScheduleParams = ScheduleParams()) -> PulseSchedule:
     """Exact corrected controls as a schedule; zero outside [0, T]."""
-    p = params or ScheduleParams()
 
     def envelope(t):
         out = np.zeros((len(t), 2))
-        inside = (t >= 0.0) & (t <= p.T)
-        c = modified_controls(t[inside], p)
+        inside = (t >= 0.0) & (t <= params.T)
+        c = modified_controls(t[inside], params)
         out[inside] = np.stack([c.omega_a, c.omega_b], axis=-1)
         return out
 
-    return PulseSchedule(p.T, envelope)
+    return PulseSchedule(params.T, envelope)
 
 
-def gaussian_fit_pulses(params: ScheduleParams | None = None) -> PulseSchedule:
+def gaussian_fit_pulses(params: ScheduleParams = ScheduleParams()) -> PulseSchedule:
     """Two-component Gaussian approximations of the dressed controls."""
-    p = params or ScheduleParams()
-    fits = (GAUSSIAN_FIT_A, GAUSSIAN_FIT_B)
-    return PulseSchedule(p.T, lambda t: np.stack([sum(c(t, p.T) for c in f) for f in fits], -1))
+    T, fits = params.T, (GAUSSIAN_FIT_A, GAUSSIAN_FIT_B)
+    return PulseSchedule(T, lambda t: np.stack([sum(c(t, T) for c in f) for f in fits], -1))
 
 
-def stirap_pulses(omega0: float, params: ScheduleParams | None = None) -> PulseSchedule:
+def stirap_pulses(omega0: float, params: ScheduleParams = ScheduleParams()) -> PulseSchedule:
     """Counterintuitive Gaussian pair of width 0.2 T.
 
     The channel on the initially empty branch (qubits 1-3) peaks first at
@@ -229,10 +227,9 @@ def stirap_pulses(omega0: float, params: ScheduleParams | None = None) -> PulseS
     """
     if not (omega0 > 0 and math.isfinite(omega0)):
         raise ValueError(f"omega0 must be positive, got {omega0}")
-    p = params or ScheduleParams()
-    t0, tc = 0.15 * p.T, 0.20 * p.T
-    peaks = np.array([0.5 * p.T - t0, 0.5 * p.T + t0])
-    return PulseSchedule(p.T, lambda t: omega0 * np.exp(-(((t[:, None] - peaks) / tc) ** 2)))
+    t0, tc = 0.15 * params.T, 0.20 * params.T
+    peaks = np.array([0.5 * params.T - t0, 0.5 * params.T + t0])
+    return PulseSchedule(params.T, lambda t: omega0 * np.exp(-(((t[:, None] - peaks) / tc) ** 2)))
 
 
 def scaled(schedule: PulseSchedule, factor: float) -> PulseSchedule:

@@ -29,7 +29,6 @@ form. States stay complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,21 +56,6 @@ _EXCITED_OF_QUBIT = (PSI4, PSI5, PSI6, PSI2)
 _ONE_OF_QUBIT = (PSI7, PSI8, PSI9, PSI1)
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Cavity coupling configuration. Qubits 1-3 share g, qubit 4 uses sqrt(3)*g."""
-
-    g: float
-
-    def __post_init__(self) -> None:
-        if not (self.g > 0 and math.isfinite(self.g)):
-            raise ValueError(f"coupling g must be positive and finite, got {self.g}")
-
-    @property
-    def g4(self) -> float:
-        return math.sqrt(3.0) * self.g
-
-
 def basis_state(index: int) -> np.ndarray:
     psi = np.zeros(DIM, dtype=complex)
     psi[index] = 1.0
@@ -96,18 +80,18 @@ def dark_state() -> np.ndarray:
     return phi
 
 
-def cavity_hamiltonian(cfg: CouplingConfig) -> np.ndarray:
-    """Qubit-cavity exchange on the ten-state space.
+def cavity_hamiltonian(g: float) -> np.ndarray:
+    """Qubit-cavity exchange on the ten-state space at coupling g.
 
     Nonzero couplings: <psi2|H|psi3> = sqrt(3) g (qubit 4 absorbs the photon)
     and <psi4..6|H|psi3> = g (qubits 1-3), plus their transposes; real
-    symmetric float64.
+    symmetric float64. A g that is not positive and finite is refused.
     """
+    if not (g > 0 and math.isfinite(g)):
+        raise ValueError(f"coupling g must be positive and finite, got {g}")
     h = np.zeros((DIM, DIM))
-    h[PSI2, PSI3] = cfg.g4
-    h[PSI4, PSI3] = cfg.g
-    h[PSI5, PSI3] = cfg.g
-    h[PSI6, PSI3] = cfg.g
+    h[PSI2, PSI3] = math.sqrt(3.0) * g
+    h[[PSI4, PSI5, PSI6], PSI3] = g
     return h + h.T
 
 

@@ -32,7 +32,6 @@ from squidw.experiments import (
 from squidw.pulse_design import ScheduleParams, gaussian_fit_pulses
 from squidw.state_space import (
     PSI1,
-    CouplingConfig,
     basis_state,
     cavity_hamiltonian,
     drive_hamiltonian,
@@ -179,7 +178,7 @@ def test_criterion_09_property_suite(criterion, verify_verdicts):
     # an exact oracle for RK4 on a piecewise-constant drive: scipy's expm of
     # each segment's H, which no squidw code computes
     p = ScheduleParams()
-    hc30 = cavity_hamiltonian(CouplingConfig(g=30.0))
+    hc30 = cavity_hamiltonian(30.0)
     sch = gaussian_fit_pulses(p)
     segments, per_seg = 10, 400
     seg_h = [

@@ -254,6 +254,14 @@ def test_simulate_refuses_frames_it_cannot_store(tmp_path, capsys, argv):
     assert not outdir.exists()
 
 
+def test_simulate_judges_its_step_count_before_its_frames(tmp_path, capsys):
+    """A refused step count is reported, not a --frames bound built from it."""
+    outdir = tmp_path / "never"
+    result = run(["simulate", "--steps", "50", "--frames", "70", "-o", str(outdir)], capsys)
+    assert_refused(result, "n_steps must be at least 100, got 50", "simulate")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("argv, rows", [(["--frames", "201"], 201), (["--steps", "100"], 101)])
 def test_simulate_stores_every_frame_it_takes(tmp_path, capsys, argv, rows):
     """At most steps + 1 frames; without --frames, 201 or every step if fewer."""
@@ -567,6 +575,7 @@ def test_unwritable_outdir_exits_one(tmp_path, capsys):
         ["sweep", "--flavor", "stirap", "--axis", "omega0_stirap=10,-5"],
         ["pulses", "--flavor", "stirap", "--omega0", "0"],
         ["pulses", "--flavor", "dressed", "--A", "2.0"],
+        ["simulate", "--delta-g", "-1"],
     ],
 )
 def test_rejected_run_creates_no_output_directory(tmp_path, capsys, argv):

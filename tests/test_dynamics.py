@@ -49,7 +49,6 @@ from squidw.state_space import (
     PSI5,
     PSI7,
     PSI8,
-    CouplingConfig,
     basis_state,
     cavity_hamiltonian,
     drive_hamiltonian,
@@ -58,7 +57,7 @@ from squidw.state_space import (
 
 
 def _gaussian_h(g: float):
-    hc = cavity_hamiltonian(CouplingConfig(g=g))
+    hc = cavity_hamiltonian(g)
     sch = gaussian_fit_pulses(ScheduleParams())
     return lambda t: hc + drive_hamiltonian(sch.qubit_amplitudes(t))
 
@@ -115,7 +114,7 @@ def test_batched_propagators_keep_the_call_contract():
     RK4 node, in increasing k = 0, 1, ..., 2n."""
     n = 120
     sch = gaussian_fit_pulses(ScheduleParams())
-    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (5.0, 10.0, 20.0)])
+    hc = np.stack([cavity_hamiltonian(g) for g in (5.0, 10.0, 20.0)])
     nodes = node_times(n, 1.0)
     calls = []
 
@@ -169,7 +168,7 @@ def test_h_fn_may_overwrite_the_array_it_returned():
     n_steps = 150
     durations = np.array([1.0, 0.9, 1.1])
     sch = gaussian_fit_pulses(ScheduleParams())
-    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (10.0, 20.0, 30.0)])
+    hc = np.stack([cavity_hamiltonian(g) for g in (10.0, 20.0, 30.0)])
     nodes = [node_times(n_steps, d) for d in durations]
 
     def fresh(k):
@@ -204,7 +203,7 @@ def test_in_place_stepping_leaves_inputs_frames_and_results_alone():
     not overwrite it), and a second call leaves the first one's result as
     it was."""
     sch = gaussian_fit_pulses(ScheduleParams())
-    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (10.0, 30.0)])
+    hc = np.stack([cavity_hamiltonian(g) for g in (10.0, 30.0)])
     # 200 steps over 1.0 and 100 over 0.5 share h = 0.005 and nodes k h / 2
     nodes = node_times(200, 1.0)
 
@@ -232,7 +231,7 @@ def test_every_node_passes_the_float64_check(bad_node):
     one or the last, by both propagators: the check is not made on node 0
     alone."""
     n_steps = 120
-    hc = cavity_hamiltonian(CouplingConfig(g=10.0))[None]
+    hc = cavity_hamiltonian(10.0)[None]
     h_fn = lambda k: hc.astype(complex) if k == bad_node else hc
     psi0 = basis_state(PSI1)[None]
     rho0 = np.outer(psi0[0], psi0[0].conj())[None]
@@ -247,7 +246,7 @@ def test_a_mis_sized_hamiltonian_stack_is_refused():
     single H that matmul would broadcast over the whole batch, is refused by
     both propagators, at whichever node it appears."""
     n_steps = 100
-    hc = cavity_hamiltonian(CouplingConfig(g=1.0))
+    hc = cavity_hamiltonian(1.0)
     psi0 = np.tile(basis_state(PSI1), (3, 1))
     rho0 = np.tile(np.outer(psi0[0], psi0[0].conj()), (3, 1, 1))
     runs = (
@@ -273,7 +272,7 @@ def test_a_mis_sized_hamiltonian_stack_is_refused():
 
 
 def test_no_drive_leaves_initial_state_alone():
-    hc = cavity_hamiltonian(CouplingConfig(g=30.0))
+    hc = cavity_hamiltonian(30.0)
     traj = one_point(propagate_schrodinger, lambda t: hc, basis_state(PSI1), 500)
     assert abs(abs(traj.final_state[PSI1]) - 1.0) < 1e-12
     assert fidelity(traj.final_state) < 1e-24
@@ -281,7 +280,7 @@ def test_no_drive_leaves_initial_state_alone():
 
 def test_rk4_matches_piecewise_matrix_exponential():
     segments, per_seg = 10, 400
-    hc = cavity_hamiltonian(CouplingConfig(g=30.0))
+    hc = cavity_hamiltonian(30.0)
     sch = gaussian_fit_pulses(ScheduleParams())
     seg_h = [
         hc + drive_hamiltonian(sch.qubit_amplitudes((i + 0.5) / segments))
@@ -333,7 +332,7 @@ def test_a_diverged_point_is_a_convergence_failure_that_names_it():
     )
     for couplings, n_frames, steps, point in cases:
         batch = len(couplings)
-        hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in couplings])
+        hc = np.stack([cavity_hamiltonian(g) for g in couplings])
         psi0 = np.tile(psi, (batch, 1))
         rho0 = np.tile(np.outer(psi, psi.conj()), (batch, 1, 1))
         runs = (
@@ -358,9 +357,9 @@ def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
     calls = []
     monkeypatch.setattr(squidw.dynamics, "fidelity", lambda state: calls.append(state))
     n_steps = 100
-    hc = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) for g in (1.0, 1e5)])
+    hc = np.stack([cavity_hamiltonian(g) for g in (1.0, 1e5)])
     psi0 = np.tile(basis_state(PSI4), (2, 1))
-    hc_stiff, sch = cavity_hamiltonian(CouplingConfig(g=150.0)), stirap_pulses(50.0)
+    hc_stiff, sch = cavity_hamiltonian(150.0), stirap_pulses(50.0)
     stiff = lambda t: hc_stiff + drive_hamiltonian(sch.qubit_amplitudes(t))
     rho0 = np.outer(basis_state(PSI1), basis_state(PSI1)).astype(complex)
     with pytest.raises(ConvergenceError, match="not finite"):
@@ -371,7 +370,7 @@ def test_a_run_that_fails_a_gate_is_not_packaged(monkeypatch):
 
 
 def test_schrodinger_norm_gate_trips_on_stiff_underresolved_run():
-    hc = cavity_hamiltonian(CouplingConfig(g=150.0))
+    hc = cavity_hamiltonian(150.0)
     sch = stirap_pulses(50.0)
     h_fn = lambda t: hc + drive_hamiltonian(sch.qubit_amplitudes(t))
     with pytest.raises(ConvergenceError):
@@ -413,7 +412,7 @@ def test_propagators_refuse_a_frame_count_outside_2_to_max_frames(open_system):
     and for one point of a batch; more frames than steps + 1 store every
     step: a count is judged against MAX_FRAMES alone, not against the grid."""
     n_steps = 100
-    hc = cavity_hamiltonian(CouplingConfig(g=10.0))
+    hc = cavity_hamiltonian(10.0)
     psi0 = basis_state(PSI1)
 
     def frames_of(n_frames, batch=1):
@@ -680,7 +679,7 @@ def test_open_runs_keep_trace_hermiticity_positivity_under_random_rates():
     @settings(max_examples=10, derandomize=True, deadline=None, database=None)
     @given(st.lists(_open_point(), min_size=1, max_size=3), st.integers(2, 21))
     def check(points, n_frames):
-        h = np.stack([cavity_hamiltonian(CouplingConfig(g=g)) + drives[f] for _, f, g in points], axis=1)
+        h = np.stack([cavity_hamiltonian(g) + drives[f] for _, f, g in points], axis=1)
         rho0 = np.tile(np.outer(basis_state(PSI1), basis_state(PSI1).conj()), (len(points), 1, 1))
         noises = [noise for noise, _, _ in points]
         traj = propagate_lindblad(h.__getitem__, noises, rho0, n_steps, n_frames=n_frames)

@@ -41,7 +41,6 @@ from squidw.experiments import (
 from squidw.pulse_design import ScheduleParams, dressed_pulses, gaussian_fit_pulses, stirap_pulses
 from squidw.state_space import (
     PSI1,
-    CouplingConfig,
     basis_state,
     cavity_hamiltonian,
     drive_hamiltonian,
@@ -227,7 +226,7 @@ def test_no_drive_writes_where_a_cavity_hamiltonian_is_nonzero(g):
     the cavity Hamiltonian is zero at each of those entries."""
     drives = np.array([experiments._CHANNEL_DRIVES, experiments._EFFECTIVE_DRIVES])
     driven = (drives != 0).any(axis=(0, 1))
-    h0 = cavity_hamiltonian(CouplingConfig(g=g))
+    h0 = cavity_hamiltonian(g)
     assert driven.any() and np.any(h0 != 0.0)
     assert np.all(h0[driven] == 0.0)
 
@@ -532,8 +531,12 @@ def test_evaluate_point_validation():
     for bad, mode, name in itertools.product(bads, _MODES, ("delta_t", "delta_omega")):
         with pytest.raises(ValueError, match=f"{name} must be finite and exceed -1, got {bad}"):
             RunSpec(mode=mode, **{name: bad})
-    with pytest.raises(ValueError, match="coupling g"):
-        RunSpec(g=0.0)
+    # the coupling g (1 + delta_g) must be positive and finite, effective
+    # points included
+    for bad in ({"g": 0.0}, {"delta_g": -1.0}, {"delta_g": math.nan}, {"g": math.inf},
+                {"flavor": "dressed", "effective": True, "g": -1.0}):
+        with pytest.raises(ValueError, match="coupling g must be positive and finite"):
+            RunSpec(**bad)
     with pytest.raises(ValueError, match="kappa"):
         RunSpec(kappa_over_g=-1e-3)
     # only the stirap flavor has a channel peak omega0, and it needs one that

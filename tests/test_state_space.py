@@ -26,7 +26,6 @@ from squidw.state_space import (
     PSI7,
     PSI8,
     PSI9,
-    CouplingConfig,
     basis_state,
     cavity_hamiltonian,
     dark_state,
@@ -131,7 +130,7 @@ def test_embedding_is_isometry():
 
 @pytest.mark.parametrize("g", [1.0, 7.3, 30.0])
 def test_cavity_hamiltonian_matches_full_space(g):
-    h10 = cavity_hamiltonian(CouplingConfig(g=g))
+    h10 = cavity_hamiltonian(g)
     h_full = _full_cavity_hamiltonian(g)
     assert np.max(np.abs(h_full @ E - E @ h10)) < 1e-12
     # the ten-state space is invariant: nothing leaks out
@@ -171,7 +170,7 @@ def test_excitation_conserved_by_model_hamiltonians():
     n_op = EXCITATIONS
     rng = np.random.default_rng(3)
     for _ in range(20):
-        h = cavity_hamiltonian(CouplingConfig(g=rng.uniform(1, 50))) + drive_hamiltonian(
+        h = cavity_hamiltonian(rng.uniform(1, 50)) + drive_hamiltonian(
             rng.normal(size=4) * 8
         )
         assert np.max(np.abs(n_op @ h - h @ n_op)) == 0.0
@@ -183,7 +182,7 @@ def test_excitation_conserved_by_model_hamiltonians():
 
 def test_cavity_block_spectrum():
     g = 11.0
-    h = cavity_hamiltonian(CouplingConfig(g=g))
+    h = cavity_hamiltonian(g)
     block = h[PSI2 : PSI6 + 1, PSI2 : PSI6 + 1]
     eigs = np.sort(np.linalg.eigvalsh(block))
     expected = np.sort([-math.sqrt(6) * g, 0.0, 0.0, 0.0, math.sqrt(6) * g])
@@ -197,7 +196,7 @@ def test_cavity_block_spectrum():
 
 def test_dark_state_is_cavity_null_vector():
     phi0 = dark_state()
-    h = cavity_hamiltonian(CouplingConfig(g=17.0))
+    h = cavity_hamiltonian(17.0)
     assert abs(np.linalg.norm(phi0) - 1.0) < 1e-15
     assert np.max(np.abs(h @ phi0)) < 1e-14
     assert phi0[PSI3] == 0.0  # no photon component
@@ -207,7 +206,7 @@ def test_dark_state_is_cavity_null_vector():
 def test_bright_partner_state():
     # (psi2 + sqrt(2) psi3 + varsigma)/2 is the +sqrt(6) g eigenvector
     g = 5.0
-    h = cavity_hamiltonian(CouplingConfig(g=g))
+    h = cavity_hamiltonian(g)
     phi1 = np.zeros(DIM, dtype=complex)
     phi1[PSI2] = 0.5
     phi1[PSI3] = math.sqrt(2.0) / 2.0
@@ -234,10 +233,10 @@ def test_effective_hamiltonian_action():
 
 
 def test_validation_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        CouplingConfig(g=0.0)
-    with pytest.raises(ValueError):
-        CouplingConfig(g=-3.0)
+    with pytest.raises(ValueError, match="coupling g must be positive and finite"):
+        cavity_hamiltonian(0.0)
+    with pytest.raises(ValueError, match="coupling g must be positive and finite"):
+        cavity_hamiltonian(-3.0)
     with pytest.raises(ValueError):
         drive_hamiltonian([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
@@ -245,8 +244,6 @@ def test_validation_rejects_bad_inputs():
 
 
 def test_coupling_ratio():
-    cfg = CouplingConfig(g=12.0)
-    assert cfg.g4 == pytest.approx(12.0 * math.sqrt(3.0), rel=1e-15)
-    h = cavity_hamiltonian(cfg)
-    assert h[PSI2, PSI3].real == pytest.approx(cfg.g4)
+    h = cavity_hamiltonian(12.0)
+    assert h[PSI2, PSI3].real == pytest.approx(12.0 * math.sqrt(3.0), rel=1e-15)
     assert h[PSI4, PSI3].real == pytest.approx(12.0)

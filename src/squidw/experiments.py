@@ -203,6 +203,9 @@ TRADEOFF_AMPLITUDES = (0.2, 0.35, 0.5)
 
 # ---------------------------------------------------------------------------
 # reference checks: one entry per reproduce target, plus verify
+#
+# A comment on each numeric bound of the judges gives its source, physics or
+# numerics, and what it reads at reproduce's default 2000 steps.
 
 
 class Verdict(NamedTuple):
@@ -283,15 +286,22 @@ def _judge_fig4(traj) -> list[Verdict]:
     max_p3 = float(np.max(pops[:, PSI3]))
     tracking, peak = _dark_mode(traj, ScheduleParams())
     return [
+        # Source: numerics, the run starts in |psi1> exactly; reads 0.0.
         Verdict("fig4 P1(0)", abs(p1_start - 1.0) < 1e-9, f"P1(0)={p1_start:.6f}"),
         Verdict(
             "fig4 W components",
+            # Source: physics, W's thirds read off fig. 4; the worst reads
+            # 3.32e-5 from 1/3.
             all(abs(p - 1.0 / 3.0) <= 0.01 for p in thirds),
             "P7,P8,P9(T)=" + ",".join(f"{p:.4f}" for p in thirds) + ", need 1/3 each +-0.01",
         ),
+        # Source: physics, fig. 4's cavity-excited population is negligible at
+        # g = 30/T; reads 0.00883.
         Verdict("fig4 max P3", max_p3 < 0.01, f"max={max_p3:.5f}, need < 0.01"),
         Verdict(
             "fig4 dark-mode tracking",
+            # Source: physics, the dark mode rides sin^2 mu up to the finite g
+            # and peaks at sin^2 A = 0.2298; reads 0.00614 and 0.2249.
             tracking <= 0.02 and peak <= 0.25,
             f"max |P_phi0 - sin^2 mu| = {tracking:.4f}, need <= 0.02; "
             f"peak P_phi0 = {peak:.4f}, need <= 0.25",
@@ -312,6 +322,8 @@ def _judge_fig5(output) -> list[Verdict]:
     out.append(
         Verdict(
             f"fig5 stirap ({omega0:g},{g:g})",
+            # Source: physics, fig. 5's strongest STIRAP curve ends near 1;
+            # reads 0.9963 against the protocol's 0.9999.
             strong > 0.99 and strong < protocol,
             f"F={strong:.4f}, need > 0.99 and below protocol {protocol:.4f}",
         )
@@ -320,28 +332,22 @@ def _judge_fig5(output) -> list[Verdict]:
 
 
 def _judge_fig6(records) -> list[Verdict]:
-    """Fidelity falls along each rate axis, up to 1e-4 of integrator noise."""
-    names = ("kappa_over_g", "gamma_over_g", "gammaphi_over_g")
-    per_axis: dict[str, list] = {}
-    for rec in records:
-        coords = (rec.kappa_over_g, rec.gamma_over_g, rec.gammaphi_over_g)
-        nonzero = [i for i, c in enumerate(coords) if c > 0]
-        if nonzero:
-            per_axis.setdefault(names[nonzero[0]], []).append((coords[nonzero[0]], rec.fidelity))
-        else:
-            for name in names:
-                per_axis.setdefault(name, []).append((0.0, rec.fidelity))
-    out = []
-    for name, pts in sorted(per_axis.items()):
-        fids = [f for _, f in sorted(pts)]
-        out.append(
-            Verdict(
-                f"fig6 {name} monotone",
-                all(fids[i + 1] <= fids[i] + 1e-4 for i in range(len(fids) - 1)),
-                f"F drops {fids[0]:.4f} -> {fids[-1]:.4f} over the scan",
-            )
+    """Fidelity falls along each rate axis, up to 1e-4 of integrator noise.
+    The records come in _plan_decoherence_grid's order: one block per axis of
+    _DECOHERENCE_AXES, one record per value, values rising. The verdicts are
+    printed by axis name."""
+    records = iter(records)
+    fids = {name: [next(records).fidelity for _ in values] for name, values in _DECOHERENCE_AXES}
+    return [
+        Verdict(
+            f"fig6 {name} monotone",
+            # Source: numerics, RK4's noise. Every step falls, the kappa
+            # steps least, by 1.30e-4.
+            all(f[i + 1] <= f[i] + 1e-4 for i in range(len(f) - 1)),
+            f"F drops {f[0]:.4f} -> {f[-1]:.4f} over the scan",
         )
-    return out
+        for name, f in sorted(fids.items())
+    ]
 
 
 def _judge_fig7(records) -> list[Verdict]:
@@ -372,6 +378,9 @@ def _judge_fig8(records) -> list[Verdict]:
     return [
         Verdict(
             "fig8 dg insensitivity",
+            # Source: physics, the effective model holds at any large g, so a
+            # 10% coupling error barely moves F; reads 3.83e-5 under both
+            # duration readings.
             dg_dev < 1e-3,
             f"|F(dg=+-10%) - F(0)| = {dg_dev:.2e}, need < 1e-3",
         ),
@@ -393,35 +402,48 @@ def _judge_verify(m: dict) -> list[Verdict]:
     model states its bound."""
     report = m["cancellation"]
     peaks, bounds = m["peak_drives"], m["population_bounds"]
+    # Readings are at verify's defaults, g = 30/T and A = 0.5; those that
+    # depend on RK4 are at 1000 steps, the fewest verify runs.
     return [
+        # Source: numerics, float rounding of exact 3x3 products; reads 2.2e-16.
         Verdict("spin-1 commutators", m["commutator"] < 1e-15, f"max residual {m['commutator']:.2e}"),
+        # Source: numerics, float rounding, since V(0) = V(T) = I exactly; reads 0.0.
         Verdict("dressing endpoints", m["endpoints"] < 1e-10, f"max |V - I| {m['endpoints']:.2e}"),
         Verdict(
             "dressed-frame cancellation",
+            # Source: numerics, float rounding of an exact cancellation; reads 9.64e-17.
             report["max_offdiag_0p"] < 1e-6 and report["max_offdiag_0m"] < 1e-6,
             f"worst (0,+-) residual {max(report['max_offdiag_0p'], report['max_offdiag_0m']):.2e} "
             f"relative, (+,-) {report['max_offdiag_pm']:.2e}",
         ),
+        # Source: numerics, eigvalsh's rounding at eigenvalues +-sqrt(6) g; reads 4.26e-14.
         Verdict(
             "cavity spectrum", m["spectrum"] < 1e-9, f"max eigenvalue deviation {m['spectrum']:.2e}"
         ),
         Verdict(
             "effective-model shortcut",
+            # Source: physics, the shortcut is exact in the effective model, so
+            # F = 1 and the population rides sin^2 mu up to RK4's error; reads
+            # 1 - 4.4e-14 and 8.70e-12.
             m["effective_fidelity"] >= 0.9999 and m["tracking"] <= 1e-3,
             f"F={m['effective_fidelity']:.6f}, max |P_phi0 - sin^2 mu| = {m['tracking']:.2e}",
         ),
         Verdict(
             "zero-noise equivalence",
+            # Source: numerics, RK4 on psi and on rho at 1000 steps; reads 4.62e-12.
             m["zero_noise_gap"] < 1e-7,
             f"|F_schrodinger - F_lindblad| = {m['zero_noise_gap']:.2e}",
         ),
         Verdict(
             "integrator vs exact dressed state",
+            # Source: numerics, RK4 at 1000 steps; reads 9.69e-12.
             m["integrator"] < 1e-8,
             f"max state deviation {m['integrator']:.2e}",
         ),
         Verdict(
             "permutation symmetry",
+            # Source: numerics, float rounding, since qubits 1-3 get equal
+            # drives; reads 0.0.
             m["symmetry"] < 1e-9,
             f"max amplitude difference among qubits 1-3 {m['symmetry']:.2e}",
         ),
@@ -435,6 +457,8 @@ def _judge_verify(m: dict) -> list[Verdict]:
         ),
         Verdict(
             "effective vs full model",
+            # Source: physics, the effective model is the large-g limit of
+            # the full one, here at g = 300/T; reads 1 - 6.3e-10.
             m["effective_overlap"] >= 0.999,
             f"|<psi_eff|psi_full>|^2 = {m['effective_overlap']:.10f} at g=300, need >= 0.999",
         ),
@@ -473,7 +497,8 @@ class RunSpec:
 
     Rates are ratios to the nominal coupling g and act at `coupling`, the
     erroneous coupling g (1 + delta_g), a float that must be positive and
-    finite. The run lasts 1 + delta_t; mode="rescale"
+    finite; each error, delta_t, delta_omega and delta_g, must be finite and
+    exceed -1. The run lasts 1 + delta_t; mode="rescale"
     re-parameterizes the waveforms by that duration, mode="truncate" keeps the
     nominal waveforms and cuts or extends the run window (README, "Known
     discrepancy"). master_equation integrates the density matrix even when
@@ -523,7 +548,7 @@ class RunSpec:
             raise ValueError(f"flavor must be one of {_FLAVORS}, got {self.flavor!r}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown variation mode {self.mode!r}")
-        for name in ("delta_t", "delta_omega"):
+        for name in ("delta_t", "delta_omega", "delta_g"):
             if not -1.0 < getattr(self, name) < math.inf:  # nan fails both
                 raise ValueError(f"{name} must be finite and exceed -1, got {getattr(self, name)}")
         if (self.omega0 is None) == (self.flavor == "stirap"):
@@ -798,9 +823,8 @@ def run_points(specs) -> list[tuple[ResultRecord, Trajectory]]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
+        # repr(float(...)): numpy 2 writes repr(np.float64(x)) as np.float64(x)
         return repr(float(value))
     return str(value)
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,19 +98,9 @@ def correction_gains(t, params: ScheduleParams) -> tuple:
     return mu_dot, -ratio
 
 
-@dataclass(frozen=True)
-class DressedControls:
-    """Corrected control parameters at one instant, or one array per field
-    over an array of instants."""
-
-    theta_tilde: float | np.ndarray
-    omega_tilde: float | np.ndarray
-    omega_a: float | np.ndarray
-    omega_b: float | np.ndarray
-
-
-def modified_controls(t, params: ScheduleParams) -> DressedControls:
-    """Exact corrected drive at time t, or at every time of an array.
+def modified_controls(t, params: ScheduleParams) -> np.ndarray:
+    """Exact corrected channel envelopes (Omega_a, Omega_b) at time t, shape
+    (2,), or at every time of an array, shape np.shape(t) + (2,).
 
     Omega_tilde = hypot(g_x, Omega + g_z) and theta_tilde = theta +
     atan2(g_x, -(Omega + g_z)); the two-argument form keeps the correction
@@ -123,12 +112,7 @@ def modified_controls(t, params: ScheduleParams) -> DressedControls:
     g_x, omega_plus_gz = correction_gains(t, params)
     omega_tilde = np.hypot(g_x, omega_plus_gz)
     theta_tilde = theta + np.arctan2(g_x, -omega_plus_gz)
-    return DressedControls(
-        theta_tilde=theta_tilde,
-        omega_tilde=omega_tilde,
-        omega_a=omega_tilde * np.cos(theta_tilde),
-        omega_b=omega_tilde * np.sin(theta_tilde),
-    )
+    return np.stack([omega_tilde * np.cos(theta_tilde), omega_tilde * np.sin(theta_tilde)], -1)
 
 
 def intermediate_population_bound(t, params: ScheduleParams):
@@ -137,20 +121,12 @@ def intermediate_population_bound(t, params: ScheduleParams):
     return np.sin(mu) ** 2
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
+class GaussianComponent(NamedTuple):
     """One Gaussian pulse component: amplitude * exp(-((t-center)/width)^2)."""
 
     amplitude: float  # units 1/T
     center: float  # fraction of T
     width: float  # fraction of T
-
-    def __post_init__(self) -> None:
-        if self.amplitude <= 0 or self.width <= 0:
-            raise ValueError("Gaussian component needs positive amplitude and width")
-
-    def __call__(self, t, T: float):
-        return (self.amplitude / T) * np.exp(-(((t - self.center * T) / (self.width * T)) ** 2))
 
 
 # Two-component fits to the exact dressed controls (A = 0.5). Channel a drives
@@ -193,7 +169,7 @@ class PulseSchedule:
         ts = np.asarray(ts, dtype=float)
         return self.envelope(ts.reshape(-1)).reshape(ts.shape + (2,))
 
-    @cached_property
+    @property
     def peak_amplitude(self) -> float:
         """Max per-qubit Rabi amplitude over a dense grid (units 1/T)."""
         ts = np.linspace(0.0, self.duration, 2001)
@@ -206,8 +182,7 @@ def dressed_pulses(params: ScheduleParams = ScheduleParams()) -> PulseSchedule:
     def envelope(t):
         out = np.zeros((len(t), 2))
         inside = (t >= 0.0) & (t <= params.T)
-        c = modified_controls(t[inside], params)
-        out[inside] = np.stack([c.omega_a, c.omega_b], axis=-1)
+        out[inside] = modified_controls(t[inside], params)
         return out
 
     return PulseSchedule(params.T, envelope)
@@ -216,7 +191,11 @@ def dressed_pulses(params: ScheduleParams = ScheduleParams()) -> PulseSchedule:
 def gaussian_fit_pulses(params: ScheduleParams = ScheduleParams()) -> PulseSchedule:
     """Two-component Gaussian approximations of the dressed controls."""
     T, fits = params.T, (GAUSSIAN_FIT_A, GAUSSIAN_FIT_B)
-    return PulseSchedule(T, lambda t: np.stack([sum(c(t, T) for c in f) for f in fits], -1))
+
+    def channel(t, fit):
+        return sum((a / T) * np.exp(-(((t - c * T) / (w * T)) ** 2)) for a, c, w in fit)
+
+    return PulseSchedule(T, lambda t: np.stack([channel(t, f) for f in fits], -1))
 
 
 def stirap_pulses(omega0: float, params: ScheduleParams = ScheduleParams()) -> PulseSchedule:

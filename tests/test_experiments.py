@@ -424,6 +424,32 @@ def test_verify_integrator_verdict_fails_an_underresolved_effective_run():
     assert float(coarse[label].detail.rsplit(" ", 1)[1]) > 1e-8
 
 
+def test_fig6_judges_each_axis_of_its_plan():
+    """fig6 reads its records in its plan's order, one block of six rising
+    values per rate axis, and prints one verdict per axis, by name. A last
+    point raised 2e-4 above its neighbour, twice the noise allowance, fails
+    its own axis's verdict and no other."""
+    fig6 = CHECKS["fig6"]
+    records = _run_plan(fig6.plan(1000, "rescale"), None)
+    verdicts = fig6.judge(records)
+    assert [v.label for v in verdicts] == [
+        "fig6 gamma_over_g monotone",
+        "fig6 gammaphi_over_g monotone",
+        "fig6 kappa_over_g monotone",
+    ]
+    assert all(v.passed for v in verdicts)
+    details = {v.label: v.detail for v in verdicts}
+    rates = ("kappa_over_g", "gamma_over_g", "gammaphi_over_g")
+    for block, axis in enumerate(rates):
+        last = 6 * block + 5
+        assert [getattr(records[last], rate) > 0 for rate in rates] == [r == axis for r in rates]
+        detail = f"F drops {records[0].fidelity:.4f} -> {records[last].fidelity:.4f} over the scan"
+        assert details[f"fig6 {axis} monotone"] == detail
+        raised = list(records)
+        raised[last] = records[last]._replace(fidelity=records[last - 1].fidelity + 2e-4)
+        assert [v.label for v in fig6.judge(raised) if not v.passed] == [f"fig6 {axis} monotone"]
+
+
 # ---------------------------------------------------------------------------
 # variation modes
 
@@ -525,16 +551,16 @@ def test_evaluate_point_validation():
     """A RunSpec refuses settings no run can have, when it is made."""
     with pytest.raises(ValueError, match="stretch"):
         RunSpec(mode="stretch")
-    # a duration or amplitude error that is not finite, or at or below -1,
-    # under either duration reading
+    # a duration, amplitude or coupling error that is not finite, or at or
+    # below -1, under either duration reading, is refused by name
     bads = (math.nan, math.inf, -math.inf, -1.0, -3.0)
-    for bad, mode, name in itertools.product(bads, _MODES, ("delta_t", "delta_omega")):
+    names = ("delta_t", "delta_omega", "delta_g")
+    for bad, mode, name in itertools.product(bads, _MODES, names):
         with pytest.raises(ValueError, match=f"{name} must be finite and exceed -1, got {bad}"):
             RunSpec(mode=mode, **{name: bad})
     # the coupling g (1 + delta_g) must be positive and finite, effective
     # points included
-    for bad in ({"g": 0.0}, {"delta_g": -1.0}, {"delta_g": math.nan}, {"g": math.inf},
-                {"flavor": "dressed", "effective": True, "g": -1.0}):
+    for bad in ({"g": 0.0}, {"g": math.inf}, {"flavor": "dressed", "effective": True, "g": -1.0}):
         with pytest.raises(ValueError, match="coupling g must be positive and finite"):
             RunSpec(**bad)
     with pytest.raises(ValueError, match="kappa"):

@@ -11,7 +11,6 @@ from squidw.pulse_design import (
     GAUSSIAN_FIT_A,
     GAUSSIAN_FIT_B,
     GUARD_BAND,
-    GaussianComponent,
     ScheduleParams,
     correction_gains,
     dressed_pulses,
@@ -74,12 +73,12 @@ def test_midpoint_closed_forms():
     assert theta_dot == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
     assert mu == pytest.approx(0.5, rel=1e-14)
     assert abs(mu_dot) < 1e-14
-    ctrl = modified_controls(0.5, p)
+    omega_a, omega_b = modified_controls(0.5, p)
     omega_mid = 4.0 * math.pi / (3.0 * math.tan(0.5))
-    assert ctrl.omega_tilde == pytest.approx(omega_mid, rel=1e-12)
-    assert ctrl.theta_tilde == pytest.approx(math.pi / 4.0, abs=1e-12)
-    assert ctrl.omega_a == pytest.approx(ctrl.omega_b, rel=1e-12)
-    assert ctrl.omega_a == pytest.approx(omega_mid / math.sqrt(2.0), rel=1e-12)
+    assert np.hypot(omega_a, omega_b) == pytest.approx(omega_mid, rel=1e-12)
+    assert np.arctan2(omega_b, omega_a) == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert omega_a == pytest.approx(omega_b, rel=1e-12)
+    assert omega_a == pytest.approx(omega_mid / math.sqrt(2.0), rel=1e-12)
 
 
 def test_correction_gains_do_not_depend_on_bare_amplitude():
@@ -125,14 +124,16 @@ def test_array_controls_match_scalar_controls():
             ):
                 np.testing.assert_allclose([a[i] for a in array], scalar, rtol=0, atol=1e-13)
             c = modified_controls(t, p)
-            fields = ("theta_tilde", "omega_tilde", "omega_a", "omega_b")
+            assert controls.shape == ts.shape + (2,) and c.shape == (2,)
+            # theta_tilde, Omega_tilde, Omega_a and Omega_b
+            (a, b), (ca, cb) = controls[i], c
             np.testing.assert_allclose(
-                [getattr(controls, f)[i] for f in fields],
-                [getattr(c, f) for f in fields],
+                [np.arctan2(b, a), np.hypot(a, b), a, b],
+                [np.arctan2(cb, ca), np.hypot(ca, cb), ca, cb],
                 rtol=0,
                 atol=1e-13,
             )
-            np.testing.assert_allclose(envelopes[i], [c.omega_a, c.omega_b], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(envelopes[i], c, rtol=0, atol=1e-13)
     assert np.all(gains[1][ts < eps] == 0.0) and np.all(gains[1][ts > p.T - eps] == 0.0)
     for bad in (np.array([0.2, -1e-9]), np.array([0.2, p.T + 1e-9]), np.array([[0.1], [np.nan]])):
         for fn in (schedule_angles, correction_gains, modified_controls):
@@ -148,11 +149,11 @@ def test_array_controls_match_scalar_controls():
 def test_modified_controls_mirror_symmetry():
     p = ScheduleParams()
     for t in (0.08, 0.21, 0.33, 0.45):
-        c1 = modified_controls(t, p)
-        c2 = modified_controls(p.T - t, p)
-        assert c1.omega_a == pytest.approx(c2.omega_b, rel=1e-10, abs=1e-12)
-        assert c1.omega_b == pytest.approx(c2.omega_a, rel=1e-10, abs=1e-12)
-        assert c1.omega_tilde == pytest.approx(c2.omega_tilde, rel=1e-10)
+        a1, b1 = modified_controls(t, p)
+        a2, b2 = modified_controls(p.T - t, p)
+        assert a1 == pytest.approx(b2, rel=1e-10, abs=1e-12)
+        assert b1 == pytest.approx(a2, rel=1e-10, abs=1e-12)
+        assert np.hypot(a1, b1) == pytest.approx(np.hypot(a2, b2), rel=1e-10)
 
 
 def test_dressed_channel_a_peaks_before_channel_b():
@@ -176,15 +177,33 @@ def test_intermediate_population_bound_profile():
 
 
 def test_gaussian_component_form_and_validation():
-    c = GaussianComponent(amplitude=2.0, center=0.3, width=0.1)
-    assert c(0.3, 1.0) == pytest.approx(2.0)
-    assert c(0.4, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+    """Each channel of the fit is the sum of its published components,
+    amplitude/T * exp(-((t - center T)/(width T))^2): full amplitude at a
+    center, e^-1 of it one width away, and the same shape when t and T
+    stretch together."""
+
+    def closed_form(t, T, fit):
+        return sum(a / T * math.exp(-(((t - c * T) / (w * T)) ** 2)) for a, c, w in fit)
+
+    def fit_at(t, T):
+        return gaussian_fit_pulses(ScheduleParams(T=T)).envelopes(t)
+
+    fits = (GAUSSIAN_FIT_A, GAUSSIAN_FIT_B)
+    for T in (1.0, 2.0):
+        for t in np.linspace(0.0, T, 11):
+            np.testing.assert_allclose(
+                fit_at(t, T), [closed_form(t, T, f) for f in fits], rtol=1e-14, atol=0
+            )
+    # less its second component, channel a is a/T at the first component's
+    # center and e^-1 of that one width away
+    (a, c, w), second = GAUSSIAN_FIT_A
+    for t, share in ((c, 1.0), (c + w, math.exp(-1.0))):
+        assert fit_at(t, 1.0)[0] - closed_form(t, 1.0, [second]) == pytest.approx(
+            a * share, rel=1e-14
+        )
     # scale-invariant in T: same shape when t and T stretch together
-    assert c(0.6, 2.0) == pytest.approx(c(0.3, 1.0) / 2.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        GaussianComponent(amplitude=0.0, center=0.3, width=0.1)
-    with pytest.raises(ValueError):
-        GaussianComponent(amplitude=1.0, center=0.3, width=-0.1)
+    for t in (0.1, c, 0.6, 0.9):
+        np.testing.assert_allclose(fit_at(2.0 * t, 2.0), fit_at(t, 1.0) / 2.0, rtol=1e-14)
 
 
 def test_published_fit_constants():

@@ -30,6 +30,12 @@ increasing k = 0, 1, ..., 2 n_steps; a step's last H also serves the next
 step's first stage, and the midpoint H both middle stages. Each H is used
 before the next call, which may overwrite it, so a caller can keep one H
 buffer and rewrite only its drive entries. Every H passes the float64 check.
+
+A stack with batch stride 0 (np.broadcast_to(H, (B, 10, 10))) means one H
+shared by every point, and once given it must stay one: when node 0's
+stack is such a broadcast, propagate_lindblad may take each product once
+for the whole batch, and then refuses, naming the node, any later stack
+whose batch stride is not 0.
 """
 
 from __future__ import annotations
@@ -223,23 +229,25 @@ class _Frames:
 
     Points that keep the same steps share one (frames, points, *state)
     block, whose row 0 is their rows of the live state buffer when the run
-    starts. store(step) copies the live rows of the points that keep step
-    into their block's row for it, one np.take per block and nothing else,
-    since it runs inside the step loop. stored[b] is point b's (frames,
-    *state) view of its block. A diverged run is judged once, after its last
-    step: check raises ConvergenceError at the earliest stored frame that is
-    not finite, which no later step can mend and no gate can judge.
+    starts; blocks lists each block with its points. store(step) copies the
+    live rows of the points that keep step into their block's row for it,
+    one np.take per block and nothing else, since it runs inside the step
+    loop. stored[b] is point b's (frames, *state) view of its block. A
+    diverged run is judged once, after its last step: check raises
+    ConvergenceError at the earliest stored frame that is not finite, which
+    no later step can mend and no gate can judge.
     """
 
     def __init__(self, n_steps: int, n_frames, live: np.ndarray):
         counts = _per_point("n_frames", n_frames, len(live)).tolist()
         self.keep, self.stored = [None] * len(live), [None] * len(live)
-        self._take, self._at = live.take, {}
+        self.blocks, self._take, self._at = [], live.take, {}
         for c in sorted(set(counts)):
             keep = _frame_indices(n_steps, c)
             points = np.array([b for b, count in enumerate(counts) if count == c])
             block = np.empty((len(keep), len(points), *live.shape[1:]), live.dtype)
             block[0] = live[points]
+            self.blocks.append((points, block))
             for row, step in enumerate(keep[1:], 1):
                 self._at.setdefault(int(step), []).append((points, block[row]))
             for column, b in enumerate(points.tolist()):
@@ -304,18 +312,25 @@ def _drift(what: str, values: list, tol: float, n_steps: int) -> np.ndarray:
 _RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]] * 2)  # k1 + 2 k2 + 2 k3 + k4, twice: a GEMM
 
 
-def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth, store) -> None:
+def _rk4(
+    H, h_fn, bind, x: np.ndarray, batch: int, n: int, half, whole, sixth, store, shared=False
+) -> None:
     """Advance x in place through n RK4 steps, calling store(step) after each.
 
-    x is the live state buffer, which the next step overwrites, so store
-    copies whatever it keeps (_Frames.store). bind(src, dst) returns the
-    right-hand side f(H) that writes the slope at state src into dst; bind
-    runs once per stage, before stepping, so a kernel builds its views of
-    the buffers once. h_fn is called once per node, in increasing k. The
-    stage state, the four slopes (the rows of one (4, *x.shape) buffer) and
-    the accumulator are allocated here, once, and nothing is allocated
-    inside the step loop. x is the propagator's own copy of its initial
-    state, so neither that state nor an earlier call's result is written.
+    x is the live state buffer of a batch of batch points, which the next
+    step overwrites, so store copies whatever it keeps (_Frames.store).
+    bind(src, dst) returns the right-hand side f(H) that writes the slope at
+    state src into dst; bind runs once per stage, before stepping, so a
+    kernel builds its views of the buffers once. H is node 0's stack, which
+    the propagator fetched to choose its kernel, and h_fn is called for
+    every later node, once each, in increasing k. Every node's stack is
+    checked, node 0's included: shared says the kernel takes the products
+    once for the whole batch, so every node must then be a batch-stride-0
+    stack. The stage state, the four slopes (the rows of one (4, *x.shape)
+    buffer) and the accumulator are allocated here, once, and nothing is
+    allocated inside the step loop. x is the propagator's own copy of its
+    initial state, so neither that state nor an earlier call's result is
+    written.
 
     The slopes are summed by one product, _RK4_WEIGHTS @ slopes on their
     float64 views, into a (2, *x.shape) buffer whose row 0 is the
@@ -358,14 +373,14 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth, store) -> None:
     # the np.float64 type costs twice as much). The operations, operands
     # and order are those of the plain form, and so are the bytes.
     multiply, add = np.multiply, np.add
-    weigh = np.dot if len(x) == 1 else np.matmul
-    real, shape = np.dtype(np.float64), (len(x), DIM, DIM)
+    weigh = np.dot if batch == 1 else np.matmul
+    real, shape = np.dtype(np.float64), (batch, DIM, DIM)
 
-    def checked(k: int) -> np.ndarray:
-        """h_fn(k), checked at every node: a float64 array, since the kernels
+    def checked(H, k: int) -> np.ndarray:
+        """H, node k's stack, checked: a float64 array, since the kernels
         view H as real, with one H per point, since matmul would broadcast a
-        shorter stack over the whole batch."""
-        H = h_fn(k)
+        shorter stack over the whole batch, and, for a shared kernel, one H
+        for them all."""
         if not (isinstance(H, np.ndarray) and H.dtype == real):
             raise ValueError("h_fn must return real symmetric float64 Hamiltonians")
         if H.shape != shape:
@@ -373,19 +388,25 @@ def _rk4(h_fn, bind, x: np.ndarray, n: int, half, whole, sixth, store) -> None:
                 f"h_fn must return one Hamiltonian per point, shape "
                 f"{shape}, got {H.shape} at node {k}"
             )
+        if shared and H.strides[0]:
+            raise ValueError(
+                f"h_fn returned one shared Hamiltonian (a batch-stride-0 stack) at node 0 "
+                f"and must at every node, got a stack with batch stride {H.strides[0]} at node {k}"
+            )
         return H
 
-    H = checked(0)
+    H = checked(H, 0)
     for step in range(n):
         f1(H)
-        H = checked(2 * step + 1)
+        k = 2 * step + 1
+        H = checked(h_fn(k), k)
         multiply(half, k1, y)
         add(y, x, y)
         f2(H)
         multiply(half, k2, y)
         add(y, x, y)
         f3(H)
-        H = checked(2 * step + 2)
+        H = checked(h_fn(k + 1), k + 1)
         multiply(whole, k3, y)
         add(y, x, y)
         f4(H)
@@ -450,7 +471,7 @@ def propagate_schrodinger(
     # on the way only repeat it. RK4 advances psi in place, through its
     # (P, 10, 1) view.
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(h_fn, bind, psi[..., None], n, half, whole, sixth, frames.store)
+        _rk4(h_fn(0), h_fn, bind, psi[..., None], len(psi), n, half, whole, sixth, frames.store)
     frames.check(frames.stored)
     drift = _drift("norm", [np.linalg.norm(p) for p in psi], NORM_TOL, n)
     return _trajectory(frames.keep, frames.stored, psi, drift, None, n, durations)
@@ -527,6 +548,16 @@ def _unpack(m: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
+    return a.reshape(-1, DIM * DIM)[:, :: DIM + 1][..., None]
+
+
+def _point_innermost_diagonal(a: np.ndarray) -> np.ndarray:
+    """The (B, 10, 1) strided view of the diagonals of a (10, 10, B) buffer."""
+    return a.reshape(DIM * DIM, -1)[:: DIM + 1].T[..., None]
+
+
 def propagate_lindblad(
     h_fn,
     noises,
@@ -542,8 +573,10 @@ def propagate_lindblad(
     and scatter tables (_dissipator_tables). h_fn, duration and n_frames
     follow the contract of propagate_schrodinger. After the last step the
     stored frames are checked for finiteness (_Frames.check), then trace
-    and positivity are gated, the latter by one eigvalsh over each point's
-    own stored frames; all this happens before the run is packaged.
+    and positivity are gated, the latter over each point's own stored
+    frames by one eigvalsh per block of points that store the same frames
+    (LAPACK decomposes each matrix alone, whatever the stack); all this
+    happens before the run is packaged.
 
     rho0 is symmetrized once on entry, and rho = A + iB (A real symmetric,
     B real antisymmetric) is integrated as the one real matrix
@@ -554,9 +587,9 @@ def propagate_lindblad(
 
     which takes two real products per RK4 stage and does every elementwise
     op on half the bytes of the complex rho. Frames are stored as rows of M
-    and, after the last step, each point's are unpacked by one call, as is
-    the final state, as rho = (M + M^T)/2 + i (M - M^T)/2, which is exactly
-    Hermitian. Frame 0 stays the symmetrized rho0.
+    and, after the last step, each block of them is unpacked by one call, as
+    is the final state, as rho = (M + M^T)/2 + i (M - M^T)/2, which is
+    exactly Hermitian. Frame 0 stays the symmetrized rho0.
 
     The right-hand side writes its slope through output arguments into
     buffers allocated once per call. BLAS writes both products through
@@ -594,6 +627,27 @@ def propagate_lindblad(
     strided transposed add and the strided diagonal add, and
     test_steps_match_the_stepwise_reference_bit_for_bit pins both kernels to
     them bit for bit, each alone and in mixed batches.
+
+    A batch of more than DIM points whose node-0 stack has batch stride 0
+    sees one H (the module docstring's rule) and runs the point-innermost
+    kernel. M, the gain table and the scratch are held in (row, col, point)
+    layout, and (HM)^T is np.matmul(H, M.transpose(1, 0, 2), hm_t) and
+    (MH)^T np.matmul(H, M, mh_t.transpose(1, 0, 2)): each is DIM GEMMs of
+    (10, 10) @ (10, B) where the per-point kernel takes B GEMMs of
+    (10, 10) @ (10, 10), and both land in the state's own layout, so the
+    commutator is still one contiguous subtract. Both kernels do the same
+    flops, but the shared one makes 2 DIM BLAS calls per commutator where
+    the per-point one makes 2 B, hence B > DIM. The scatter stays one
+    per-point gemv, through (B, 10, 1) strided diagonal views, and a
+    per-point step size lies along the point axis. _Frames stores through
+    the (B, 10, 10) transposed view, so the stored frames, their unpacking,
+    eigvalsh and the gates are those of the per-point kernel. The bytes
+    agree: each entry of (HM)^T and (MH)^T is the same 10-term dot product,
+    its factors at most swapped (H is symmetric), summed over K in the same
+    order in either GEMM shape, and every elementwise op sees the same
+    operands. test_a_shared_hamiltonian_is_bitwise_its_stacked_copy pins
+    this against the per-point kernel and the stepwise reference, and CI
+    runs it on each OpenBLAS core type, as _rk4's pins.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.ndim != 3 or rho.shape[1:] != (DIM, DIM):
@@ -608,24 +662,37 @@ def propagate_lindblad(
         raise ValueError(f"need one NoiseModel per point, got {len(noises)} for {len(rho)}")
     gain, scatter = (np.stack(t) for t in zip(*map(_dissipator_tables, noises)))
     noisy = bool(gain.any() or scatter.any())
-
+    n, durations, h = _steps(n_steps, duration, len(rho))
     m = rho.real + rho.imag
-    hm_t, mh_t = np.empty_like(m), np.empty_like(m)
-    hm, mh = hm_t.swapaxes(1, 2), mh_t.swapaxes(1, 2)
-
-    def diagonal(a: np.ndarray) -> np.ndarray:
-        """The (B, 10, 1) strided view of the diagonals of a (B, 10, 10) buffer."""
-        return a.reshape(-1, DIM * DIM)[:, :: DIM + 1][..., None]
-
     if noisy:  # the fold
-        diagonal(scatter)[...] += diagonal(gain)
-        diagonal(gain)[...] = 0.0
+        _diagonal(scatter)[...] += _diagonal(gain)
+        _diagonal(gain)[...] = 0.0
+    H = h_fn(0)
+    shared = len(m) > DIM and isinstance(H, np.ndarray) and H.strides[:1] == (0,)
+    if shared:  # the state, the gain table and the scratch in (row, col, point) layout
+        x, gain = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (m, gain))
+        if not isinstance(h, float):
+            h = h.reshape(-1)  # one step size per point, along the point axis
+        m = x.transpose(2, 0, 1)
+        diagonal = _point_innermost_diagonal
+    else:
+        x, diagonal = m, _diagonal
+    hm_t, mh_t = np.empty_like(x), np.empty_like(x)
 
     def bind(src: np.ndarray, dst: np.ndarray):
         # Local ufuncs and positional outputs, as in _rk4's loop.
         matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
 
-        if len(src) == 1:  # (HM)^T = M^T H and (MH)^T = H M^T, as H is symmetric
+        if shared:  # DIM GEMMs of (10, 10) @ (10, B) per product
+            src_t, mh = src.transpose(1, 0, 2), mh_t.transpose(1, 0, 2)
+
+            def commutator(H: np.ndarray) -> None:
+                H = H[0]
+                matmul(H, src_t, hm_t)
+                matmul(H, src, mh)
+                subtract(hm_t, mh_t, dst)
+
+        elif len(src) == 1:  # (HM)^T = M^T H and (MH)^T = H M^T, as H is symmetric
             dot, m_t, hm_1, mh_1 = np.dot, src[0].T, hm_t[0], mh_t[0]
 
             def commutator(H: np.ndarray) -> None:
@@ -635,6 +702,7 @@ def propagate_lindblad(
                 subtract(hm_t, mh_t, dst)
 
         else:
+            hm, mh = hm_t.swapaxes(1, 2), mh_t.swapaxes(1, 2)
 
             def commutator(H: np.ndarray) -> None:
                 matmul(H, src, hm)
@@ -653,15 +721,21 @@ def propagate_lindblad(
 
         return rhs
 
-    n, durations, h = _steps(n_steps, duration, len(rho))
     frames = _Frames(n, n_frames, m)
     with np.errstate(over="ignore", invalid="ignore"):  # as in propagate_schrodinger
-        _rk4(h_fn, bind, m, n, 0.5 * h, h, h / 6.0, frames.store)
-        states = [_unpack(s) for s in frames.stored]  # a diverged M unpacks to inf and nan
-    for s, r in zip(states, rho):
-        s[0] = r  # the symmetrized rho0, which M = Re rho + Im rho only rounds
+        _rk4(H, h_fn, bind, x, len(m), n, 0.5 * h, h, h / 6.0, frames.store, shared)
+        # One unpack per block of stored frames; a diverged M unpacks to inf and nan.
+        blocks = [(points, _unpack(block)) for points, block in frames.blocks]
+    states = [None] * len(m)
+    for points, block in blocks:
+        block[0] = rho[points]  # the symmetrized rho0, which M = Re rho + Im rho only rounds
+        for column, b in enumerate(points.tolist()):
+            states[b] = block[:, column]
     frames.check(states)  # before eigvalsh, which cannot judge nan
-    min_eig = np.array([_last_minimum(np.linalg.eigvalsh(s).min(axis=-1)) for s in states])
+    min_eig = np.empty(len(m))
+    for points, block in blocks:  # LAPACK takes each matrix alone, whatever the stack
+        lows = np.linalg.eigvalsh(block).min(axis=-1)
+        min_eig[points] = [_last_minimum(lows[:, column]) for column in range(len(points))]
 
     rho = _unpack(m)
     drift = _drift("trace", [np.trace(r).real for r in rho], TRACE_TOL, n)

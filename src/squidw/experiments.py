@@ -331,11 +331,27 @@ def _judge_fig5(output) -> list[Verdict]:
     return out
 
 
+# The least total drop F(first) - F(last) along each fig6 axis, half of
+# what it reads at 2000 steps, so a curve that barely falls, or not at all,
+# fails its axis.
+_FIG6_DROPS = {
+    # Source: physics, fig. 6's cavity-loss curve is the flattest, as the
+    # dark state keeps the cavity almost empty; reads 6.5e-4.
+    "kappa_over_g": 3.2e-4,
+    # Source: physics, fig. 6's spontaneous-emission curve; reads 0.0441.
+    "gamma_over_g": 0.022,
+    # Source: physics, fig. 6's dephasing curve, over a scan ten times
+    # shorter; reads 0.0173.
+    "gammaphi_over_g": 0.0086,
+}
+
+
 def _judge_fig6(records) -> list[Verdict]:
-    """Fidelity falls along each rate axis, up to 1e-4 of integrator noise.
-    The records come in _plan_decoherence_grid's order: one block per axis of
-    _DECOHERENCE_AXES, one record per value, values rising. The verdicts are
-    printed by axis name."""
+    """Fidelity falls along each rate axis, up to 1e-4 of integrator noise
+    per step, and by at least _FIG6_DROPS over the scan. The records come in
+    _plan_decoherence_grid's order: one block per axis of _DECOHERENCE_AXES,
+    one record per value, values rising. The verdicts are printed by axis
+    name."""
     records = iter(records)
     fids = {name: [next(records).fidelity for _ in values] for name, values in _DECOHERENCE_AXES}
     return [
@@ -343,7 +359,8 @@ def _judge_fig6(records) -> list[Verdict]:
             f"fig6 {name} monotone",
             # Source: numerics, RK4's noise. Every step falls, the kappa
             # steps least, by 1.30e-4.
-            all(f[i + 1] <= f[i] + 1e-4 for i in range(len(f) - 1)),
+            all(f[i + 1] <= f[i] + 1e-4 for i in range(len(f) - 1))
+            and f[0] - f[-1] >= _FIG6_DROPS[name],
             f"F drops {f[0]:.4f} -> {f[-1]:.4f} over the scan",
         )
         for name, f in sorted(fids.items())
@@ -735,6 +752,13 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     entries in H, so H is never stored for the whole run. Open points pass
     their NoiseModel, from which the propagator builds its dissipator
     tables.
+
+    When the batch is one group and its cavity Hamiltonians are equal,
+    every point sees one H at every node. The buffer is then that one H,
+    each node writes its 8 drive entries once rather than once per point,
+    and h_fn hands it over as np.broadcast_to(H, (B, 10, 10)), a
+    batch-stride-0 view, from which propagate_lindblad may take each
+    product once for the whole batch (the dynamics module's h_fn rule).
     """
     first = specs[0]
     distinct: dict[tuple, int] = {}
@@ -749,14 +773,17 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     drives = np.array([_EFFECTIVE_DRIVES if e else _CHANNEL_DRIVES for _, e in groups])
     rows, cols = np.nonzero((drives != 0).any(axis=(0, 1)))
     da, db = drives[:, 0, rows, cols], drives[:, 1, rows, cols]
-    nodes = min(_NODE_BLOCK, len(history))
-    sums, terms = np.empty((2, nodes, len(groups), rows.size))
-    points = np.empty((nodes, len(specs), rows.size))
-    H = np.stack(
+    h0 = np.stack(
         [np.zeros((DIM, DIM)) if s.effective else cavity_hamiltonian(s.coupling) for s in specs]
     )
-    flat = H.reshape(-1)
-    index = (np.arange(len(specs))[:, None] * (DIM * DIM) + rows * DIM + cols).ravel()
+    if len(groups) == 1 and (h0 == h0[0]).all():  # every point sees one H
+        h0, member = h0[:1], [0]
+    H = np.broadcast_to(h0, (len(specs), DIM, DIM))
+    nodes = min(_NODE_BLOCK, len(history))
+    sums, terms = np.empty((2, nodes, len(groups), rows.size))
+    points = np.empty((nodes, len(h0), rows.size))
+    flat = h0.reshape(-1)
+    index = (np.arange(len(h0))[:, None] * (DIM * DIM) + rows * DIM + cols).ravel()
     start, entries = 0, np.empty((0, index.size))
 
     def h_fn(k: int) -> np.ndarray:

@@ -265,6 +265,18 @@ def test_a_mis_sized_hamiltonian_stack_is_refused():
             message = f"shape (3, {DIM}, {DIM}), got {bad.shape} at node {node}"
             with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 run(lambda k: bad if k == node else good)
+    # A batch-stride-0 stack at node 0 means one H for every point, from
+    # which a batch of more than DIM points takes each product once for the
+    # whole batch; a full stack at a later node, odd or the last, is refused
+    # at that node. At DIM points the per-point kernel runs, and takes both.
+    for batch, node in itertools.product((DIM + 1, 17), (1, 2 * n_steps)):
+        shared, full = np.broadcast_to(hc, (batch, DIM, DIM)), np.stack([hc] * batch)
+        h_fn = lambda k: full if k == node else shared
+        rho = np.tile(rho0[:1], (batch, 1, 1))
+        message = f"got a stack with batch stride {full.strides[0]} at node {node}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            propagate_lindblad(h_fn, [NoiseModel(kappa=0.5)] * batch, rho, n_steps)
+        propagate_lindblad(lambda k: h_fn(k)[:DIM], [NoiseModel(kappa=0.5)] * DIM, rho[:DIM], n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +845,46 @@ def test_a_point_alone_is_bitwise_the_same_point_in_a_batch(noise):
     assert np.array_equal(alone.states, batched.states)
     assert np.array_equal(alone.drift, batched.drift)
     assert np.array_equal(alone.min_eigenvalue, batched.min_eigenvalue)
+
+
+@pytest.mark.parametrize(
+    "batch, kinds, durations",
+    [pytest.param(b, _MIXED, (0.6, 1.0), id=str(b)) for b in (11, 17, 38)]
+    + [pytest.param(17, _MIXED, (1.0,), id="17-one-duration")]
+    + [
+        pytest.param(b, [noise], (0.6, 1.0), id=f"{b}-{name}")
+        for name, noise in (("decay", _DECAY), ("dephasing", _DEPHASING), ("noiseless", NoiseModel()))
+        for b in (11, 17)
+    ],
+)
+def test_a_shared_hamiltonian_is_bitwise_its_stacked_copy(batch, kinds, durations):
+    """An h_fn that returns one H as a batch-stride-0 broadcast makes a batch
+    of more than DIM points run the point-innermost kernel, whose products
+    are DIM GEMMs over the whole batch. Every point gets the bytes of the
+    same batch with the stack copied (np.stack), which runs the per-point
+    kernel, and the stepwise reference's final state, with jumps, dephasing
+    alone or no noise, at mixed or equal durations and mixed frame counts."""
+    rng = np.random.default_rng(batch + len(kinds) + len(durations))
+    n = 120
+    h0, h1, h2 = (a + a.T for a in rng.normal(size=(3, DIM, DIM)))
+    t = node_times(n, 1.0)[:, None, None]
+    hs = h0 + np.cos(3.0 * t) * h1 + t * h2
+    shared = lambda k: np.broadcast_to(hs[k], (batch, DIM, DIM))
+    stacked = lambda k: np.stack([hs[k]] * batch)
+    duration = rng.choice(durations, size=batch)
+    frames = [2 + b % 5 for b in range(batch)]
+    noises = [kinds[b % len(kinds)] for b in range(batch)]
+    rho0 = np.stack([_random_density(rng) for _ in range(batch)])
+    one, copied = (
+        propagate_lindblad(h_fn, noises, rho0, n, duration=duration, n_frames=frames)
+        for h_fn in (shared, stacked)
+    )
+    assert one.final_state.tobytes() == copied.final_state.tobytes()
+    assert [s.tobytes() for s in one.states] == [s.tobytes() for s in copied.states]
+    assert one.drift.tobytes() == copied.drift.tobytes()
+    assert one.min_eigenvalue.tobytes() == copied.min_eigenvalue.tobytes()
+    ref = reference_kernels.lindblad_stepwise(stacked, noises, rho0, n, duration)
+    assert one.final_state.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 3])

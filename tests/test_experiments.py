@@ -183,10 +183,11 @@ def test_batched_point_is_bitwise_its_solo_run():
     """Whatever batch a point shares, and in whatever order, run_points gives
     it the states, fidelities, drift and minimum eigenvalue of its solo run,
     which takes its products through np.dot where a batch takes np.matmul.
-    The two explicit batches are one with groups of several points (three
+    The three explicit batches are one with groups of several points (three
     cavity points of one schedule, beside the effective point of that
-    schedule and a scaled schedule) and one in which every point is its own
-    group (each sees its own drive)."""
+    schedule and a scaled schedule), one in which every point is its own
+    group (each sees its own drive), and twelve open points of one H, each
+    with its own rates, which take each product once for the whole batch."""
     solo = {}
     point = RunSpec(n_steps=200)
 
@@ -204,6 +205,16 @@ def test_batched_point_is_bitwise_its_solo_run():
         replace(point, flavor="stirap", omega0=10.0),
         replace(point, flavor="dressed", delta_omega=0.05),
         replace(point, effective=True),
+    ])
+    @example([
+        replace(
+            point,
+            kappa_over_g=1e-3 * (i % 4),
+            gamma_over_g=1e-3 * (i % 3),
+            gammaphi_over_g=1e-4 * (i % 5),
+            n_frames=(2, 7)[i % 2],
+        )
+        for i in range(1, 13)
     ])
     def check(specs):
         for spec, (_, traj) in zip(specs, run_points(specs)):
@@ -428,7 +439,8 @@ def test_fig6_judges_each_axis_of_its_plan():
     """fig6 reads its records in its plan's order, one block of six rising
     values per rate axis, and prints one verdict per axis, by name. A last
     point raised 2e-4 above its neighbour, twice the noise allowance, fails
-    its own axis's verdict and no other."""
+    its own axis's verdict and no other, and so does a flat block: each
+    axis must fall by its least total drop, not only never rise."""
     fig6 = CHECKS["fig6"]
     records = _run_plan(fig6.plan(1000, "rescale"), None)
     verdicts = fig6.judge(records)
@@ -448,6 +460,9 @@ def test_fig6_judges_each_axis_of_its_plan():
         raised = list(records)
         raised[last] = records[last]._replace(fidelity=records[last - 1].fidelity + 2e-4)
         assert [v.label for v in fig6.judge(raised) if not v.passed] == [f"fig6 {axis} monotone"]
+    # the kappa block flattened to its first value never rises, but falls by nothing
+    flat = [r._replace(fidelity=records[0].fidelity) if i < 6 else r for i, r in enumerate(records)]
+    assert [v.label for v in fig6.judge(flat) if not v.passed] == ["fig6 kappa_over_g monotone"]
 
 
 # ---------------------------------------------------------------------------

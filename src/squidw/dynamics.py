@@ -216,9 +216,15 @@ def _steps(n_steps, duration, batch: int):
 def _step_size(durations: np.ndarray, n_steps: int):
     """h = duration / n_steps: one Python float when every point has the same
     duration, else one per point shaped (B, 1, 1) to scale a batch of
-    states. Both give the same bytes; scaling by a Python float is about a
-    third cheaper than broadcasting a (B, 1, 1) factor, and about 0.4 us per
-    product cheaper than a numpy float64 on a batch of one."""
+    states. The propagators build their RK4 coefficients from it once per
+    run, each in its cheapest form; every form gives the same bytes, since
+    each product is elementwise on the same operands. propagate_schrodinger
+    writes its complex coefficients out over the state's shape, for one
+    duration or many (timeit minima: 0.5 against 0.9 us a product at 30
+    points of one duration, 0.8 against 1.7 us at 60 of mixed ones).
+    propagate_lindblad does so for mixed durations only, in its kernel's
+    layout, and keeps Python floats for one, where an array is no faster.
+    """
     if len(set(durations.tolist())) == 1:
         return float(durations[0]) / n_steps
     return (durations / n_steps)[:, None, None]
@@ -229,11 +235,12 @@ class _Frames:
 
     Points that keep the same steps share one (frames, points, *state)
     block, whose row 0 is their rows of the live state buffer when the run
-    starts; blocks lists each block with its points. store(step) copies the
-    live rows of the points that keep step into their block's row for it,
-    one np.take per block and nothing else, since it runs inside the step
-    loop. stored[b] is point b's (frames, *state) view of its block. A
-    diverged run is judged once, after its last step: check raises
+    starts; blocks lists each block with its points. steps is the set of
+    steps after 0 that some point keeps, and store(step), for one of them,
+    copies the live rows of the points that keep step into their block's
+    row for it, one np.take per block and nothing else, since it runs
+    inside the step loop. stored[b] is point b's (frames, *state) view of
+    its block. A diverged run is judged once, after its last step: check raises
     ConvergenceError at the earliest stored frame that is not finite, which
     no later step can mend and no gate can judge.
     """
@@ -252,11 +259,12 @@ class _Frames:
                 self._at.setdefault(int(step), []).append((points, block[row]))
             for column, b in enumerate(points.tolist()):
                 self.keep[b], self.stored[b] = keep, block[:, column]
+        self.steps = frozenset(self._at)
 
     def store(self, step: int) -> None:
         # The bound method skips np.take's Python wrapper, about 1.5 us a call;
         # mode="raise" would make take buffer its output.
-        for points, row in self._at.get(step, ()):
+        for points, row in self._at[step]:
             self._take(points, 0, row, "clip")
 
     def check(self, states: list) -> None:
@@ -311,26 +319,36 @@ def _drift(what: str, values: list, tol: float, n_steps: int) -> np.ndarray:
 
 _RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]] * 2)  # k1 + 2 k2 + 2 k3 + k4, twice: a GEMM
 
+# The state columns (float64 values per slope) from which _rk4 sums its
+# slopes with np.matmul rather than np.dot: 2,400, 24 open or 120 closed points.
+_DOT_COLUMNS = 2400
+
 
 def _rk4(
-    H, h_fn, bind, x: np.ndarray, batch: int, n: int, half, whole, sixth, store, shared=False
+    H, h_fn, bind, x: np.ndarray, batch: int, n: int, half, whole, sixth, frames, shared=False
 ) -> None:
-    """Advance x in place through n RK4 steps, calling store(step) after each.
+    """Advance x in place through n RK4 steps, storing the steps frames keeps.
 
     x is the live state buffer of a batch of batch points, which the next
-    step overwrites, so store copies whatever it keeps (_Frames.store).
-    bind(src, dst) returns the right-hand side f(H) that writes the slope at
-    state src into dst; bind runs once per stage, before stepping, so a
-    kernel builds its views of the buffers once. H is node 0's stack, which
-    the propagator fetched to choose its kernel, and h_fn is called for
-    every later node, once each, in increasing k. Every node's stack is
-    checked, node 0's included: shared says the kernel takes the products
-    once for the whole batch, so every node must then be a batch-stride-0
-    stack. The stage state, the four slopes (the rows of one (4, *x.shape)
-    buffer) and the accumulator are allocated here, once, and nothing is
-    allocated inside the step loop. x is the propagator's own copy of its
-    initial state, so neither that state nor an earlier call's result is
-    written.
+    step overwrites, so frames.store copies whatever it keeps; it is called
+    after the steps in frames.steps and no other (_Frames). half, whole and
+    sixth are the propagator's RK4 coefficients, each a Python scalar or an
+    array of x's shape. bind(src, dst) returns the right-hand side f(H)
+    that writes the slope at state src into dst; bind runs once per stage,
+    before stepping, so a kernel builds its views of the buffers once. H is
+    node 0's stack, which the propagator fetched to choose its kernel, and
+    h_fn is called for every later node, once each, in increasing k. Every
+    node's stack is checked, node 0's included: shared says the kernel
+    takes the products once for the whole batch, so every node must then be
+    a batch-stride-0 stack. The loop tests the accepted case inline (a
+    plain ndarray whose dtype is the float64 instance, of shape
+    (batch, 10, 10), with batch stride 0 when shared) and calls checked,
+    which refuses with its message or accepts a subclass, only when that
+    test fails. The stage state, the four slopes (the rows of one
+    (4, *x.shape) buffer) and the accumulator are allocated here, once, and
+    nothing is allocated inside the step loop. x is the propagator's own
+    copy of its initial state, so neither that state nor an earlier call's
+    result is written.
 
     The slopes are summed by one product, _RK4_WEIGHTS @ slopes on their
     float64 views, into a (2, *x.shape) buffer whose row 0 is the
@@ -351,12 +369,13 @@ def _rk4(
     adds K in another order, so there the pins fail: a BLAS that sums in
     another order fails them rather than change outputs silently.
 
-    A batch of one point sums its slopes with np.dot instead. On the same
-    2-D views it reaches the same cblas_dgemm call, so the bytes are the
-    same, and it dispatches faster than np.matmul, whose dispatch costs more
-    than a one-point product's arithmetic. A batch of more points keeps
-    np.matmul, since np.dot is the slower of the two above about 3,000
-    columns.
+    The slopes are summed with np.dot below _DOT_COLUMNS state columns (the
+    float64 values of one slope) and with np.matmul from there. On the same
+    2-D views both reach the same cblas_dgemm call, so the bytes are the
+    same; np.dot dispatches faster, but its time grows faster with the
+    columns, and the two cross near 2,400 (timeit minima: 0.9 against
+    1.5 us at 600 columns, 2.3 against 2.7 at 1,700, 5.1 against 4.6 at
+    3,800).
     """
     y = np.empty_like(x)
     slopes = np.empty((4, *x.shape), dtype=x.dtype)
@@ -368,13 +387,14 @@ def _rk4(
     # A step is about 21 numpy calls on tens to hundreds of doubles, so the
     # interpreter around each call costs about as much as its arithmetic.
     # Each ufunc is therefore a local name given its output positionally (a
-    # keyword out= costs about 45 ns more per call), and H is checked
-    # against a dtype instance and a shape built here, once (comparing with
-    # the np.float64 type costs twice as much). The operations, operands
-    # and order are those of the plain form, and so are the bytes.
+    # keyword out= costs about 45 ns more per call), H is tested inline
+    # against names bound here, once (the dtype by identity with the
+    # float64 instance), and store runs only at kept steps. The operations,
+    # operands and order are those of the plain form, and so are the bytes.
     multiply, add = np.multiply, np.add
-    weigh = np.dot if batch == 1 else np.matmul
-    real, shape = np.dtype(np.float64), (batch, DIM, DIM)
+    weigh = np.dot if weighted.shape[1] < _DOT_COLUMNS else np.matmul
+    ndarray, real, shape = np.ndarray, np.dtype(np.float64), (batch, DIM, DIM)
+    store, kept = frames.store, frames.steps
 
     def checked(H, k: int) -> np.ndarray:
         """H, node k's stack, checked: a float64 array, since the kernels
@@ -396,24 +416,29 @@ def _rk4(
         return H
 
     H = checked(H, 0)
-    for step in range(n):
+    for step in range(1, n + 1):
         f1(H)
-        k = 2 * step + 1
-        H = checked(h_fn(k), k)
+        k = 2 * step - 1
+        H = h_fn(k)
+        if not (type(H) is ndarray and H.dtype is real and H.shape == shape) or shared and H.strides[0]:
+            H = checked(H, k)
         multiply(half, k1, y)
         add(y, x, y)
         f2(H)
         multiply(half, k2, y)
         add(y, x, y)
         f3(H)
-        H = checked(h_fn(k + 1), k + 1)
+        H = h_fn(k + 1)
+        if not (type(H) is ndarray and H.dtype is real and H.shape == shape) or shared and H.strides[0]:
+            H = checked(H, k + 1)
         multiply(whole, k3, y)
         add(y, x, y)
         f4(H)
         weigh(_RK4_WEIGHTS, weighted, summed)
         multiply(acc, sixth, acc)
         add(x, acc, x)
-        store(step + 1)
+        if step in kept:
+            store(step)
 
 
 def propagate_schrodinger(
@@ -435,13 +460,15 @@ def propagate_schrodinger(
     It is called as the stream the module docstring describes. The
     right-hand side is one matmul: H psi as one real product on the float64
     view of psi, (10, 10) @ (10, 2) per point, with the -i in the RK4
-    coefficients (-i h/2, -i h, -i h/6). Every product is taken
+    coefficients -i h/2, -i h and -i h/6, each a complex array of the
+    state's (P, 10, 1) shape built once per call, whether the points share
+    one duration or not (_step_size). Every product is taken
     point by point, so a point's result does not depend on the batch it runs
     in. A batch of one point takes its product as np.dot(H[0], psi) on the
     2-D views, the same cblas_dgemm call with less dispatch than np.matmul
-    (as _rk4 sums its slopes). The stored frames are checked for
-    finiteness after the last step (_Frames.check), then the norm is gated,
-    both before the run is packaged.
+    (as _rk4 sums its slopes below _DOT_COLUMNS). The stored frames are
+    checked for finiteness after the last step (_Frames.check), then the
+    norm is gated, both before the run is packaged.
     """
     psi = np.array(psi0, dtype=complex, order="C")  # C order: the kernel views it as float64
     if psi.ndim != 2 or psi.shape[1] != DIM:
@@ -451,10 +478,12 @@ def propagate_schrodinger(
     if any(not abs(np.linalg.norm(p) - 1.0) <= 1e-9 for p in psi):
         raise ValueError("psi0 must be normalized")
     n, durations, h = _steps(n_steps, duration, len(psi))
+    x = psi[..., None]  # RK4 advances psi in place, through its (P, 10, 1) view
     # The stages are H psi; the -i of dpsi/dt = -i H psi rides on the RK4
     # coefficients. A product with -i only swaps parts and flips a sign, so
     # this gives the bytes of stages -i H psi with real coefficients.
-    half, whole, sixth = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
+    coefficients = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
+    half, whole, sixth = (np.broadcast_to(c, x.shape).copy() for c in coefficients)
     frames = _Frames(n, n_frames, psi)
 
     def bind(src: np.ndarray, dst: np.ndarray):
@@ -468,10 +497,9 @@ def propagate_schrodinger(
 
     # A diverging run overflows to inf and nan, which the check of its stored
     # frames rejects with ConvergenceError after the last step; float warnings
-    # on the way only repeat it. RK4 advances psi in place, through its
-    # (P, 10, 1) view.
+    # on the way only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        _rk4(h_fn(0), h_fn, bind, psi[..., None], len(psi), n, half, whole, sixth, frames.store)
+        _rk4(h_fn(0), h_fn, bind, x, len(psi), n, half, whole, sixth, frames)
     frames.check(frames.stored)
     drift = _drift("norm", [np.linalg.norm(p) for p in psi], NORM_TOL, n)
     return _trajectory(frames.keep, frames.stored, psi, drift, None, n, durations)
@@ -589,7 +617,10 @@ def propagate_lindblad(
     op on half the bytes of the complex rho. Frames are stored as rows of M
     and, after the last step, each block of them is unpacked by one call, as
     is the final state, as rho = (M + M^T)/2 + i (M - M^T)/2, which is
-    exactly Hermitian. Frame 0 stays the symmetrized rho0.
+    exactly Hermitian. Frame 0 stays the symmetrized rho0. The RK4
+    coefficients h/2, h and h/6 are Python floats when the points share one
+    duration and float arrays of the state's shape, in its kernel's layout,
+    when they do not (_step_size).
 
     The right-hand side writes its slope through output arguments into
     buffers allocated once per call. BLAS writes both products through
@@ -639,7 +670,8 @@ def propagate_lindblad(
     flops, but the shared one makes 2 DIM BLAS calls per commutator where
     the per-point one makes 2 B, hence B > DIM. The scatter stays one
     per-point gemv, through (B, 10, 1) strided diagonal views, and a
-    per-point step size lies along the point axis. _Frames stores through
+    per-point step size is written out over the (10, 10, B) state, so it
+    lies along the point axis. _Frames stores through
     the (B, 10, 10) transposed view, so the stored frames, their unpacking,
     eigvalsh and the gates are those of the per-point kernel. The bytes
     agree: each entry of (HM)^T and (MH)^T is the same 10-term dot product,
@@ -671,12 +703,12 @@ def propagate_lindblad(
     shared = len(m) > DIM and isinstance(H, np.ndarray) and H.strides[:1] == (0,)
     if shared:  # the state, the gain table and the scratch in (row, col, point) layout
         x, gain = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (m, gain))
-        if not isinstance(h, float):
-            h = h.reshape(-1)  # one step size per point, along the point axis
         m = x.transpose(2, 0, 1)
         diagonal = _point_innermost_diagonal
     else:
         x, diagonal = m, _diagonal
+    if not isinstance(h, float):  # one step size per point, written out over the state
+        h = np.broadcast_to(h.reshape(-1) if shared else h, x.shape).copy()
     hm_t, mh_t = np.empty_like(x), np.empty_like(x)
 
     def bind(src: np.ndarray, dst: np.ndarray):
@@ -723,7 +755,7 @@ def propagate_lindblad(
 
     frames = _Frames(n, n_frames, m)
     with np.errstate(over="ignore", invalid="ignore"):  # as in propagate_schrodinger
-        _rk4(H, h_fn, bind, x, len(m), n, 0.5 * h, h, h / 6.0, frames.store, shared)
+        _rk4(H, h_fn, bind, x, len(m), n, 0.5 * h, h, h / 6.0, frames, shared)
         # One unpack per block of stored frames; a diverged M unpacks to inf and nan.
         blocks = [(points, _unpack(block)) for points, block in frames.blocks]
     states = [None] * len(m)

@@ -748,10 +748,11 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     floats, so every point of a group gets the bytes it would get alone.
     np.take expands the (nodes, G, entries) group buffer to a (nodes, B,
     entries) one, one row per point; both are allocated once per batch.
-    Each node is then one write of its row through a flat index of those
-    entries in H, so H is never stored for the whole run. Open points pass
-    their NoiseModel, from which the propagator builds its dissipator
-    tables.
+    Each block's node rows are listed as views once, when it is filled,
+    so each node is one write of a ready-made row through a flat index of
+    those entries in H, and H is never stored for the whole run. Open
+    points pass their NoiseModel, from which the propagator builds its
+    dissipator tables.
 
     When the batch is one group and its cavity Hamiltonians are equal,
     every point sees one H at every node. The buffer is then that one H,
@@ -784,11 +785,11 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
     points = np.empty((nodes, len(h0), rows.size))
     flat = h0.reshape(-1)
     index = (np.arange(len(h0))[:, None] * (DIM * DIM) + rows * DIM + cols).ravel()
-    start, entries = 0, np.empty((0, index.size))
+    start, node_rows = 0, []
 
     def h_fn(k: int) -> np.ndarray:
-        nonlocal start, entries
-        if k - start == len(entries):
+        nonlocal start, node_rows
+        if k - start == len(node_rows):
             start = k
             env = history[start : start + _NODE_BLOCK][:, sched_of, :, None]
             n = len(env)
@@ -799,8 +800,8 @@ def _run_batch(specs: list[RunSpec]) -> list[Trajectory]:
             block += term
             # mode="raise" would make np.take buffer its output.
             np.take(block, member, axis=1, out=points[:n], mode="clip")
-            entries = points[:n].reshape(n, -1)
-        flat[index] = entries[k - start]
+            node_rows = list(points[:n].reshape(n, -1))  # one view per node, made once per block
+        flat[index] = node_rows[k - start]
         return H
 
     psi1 = basis_state(PSI1)

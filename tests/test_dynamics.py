@@ -18,6 +18,7 @@ from single_point import one_point
 
 import squidw
 from squidw.dynamics import (
+    _DOT_COLUMNS,
     EIG_TOL,
     MAX_FRAMES,
     ConvergenceError,
@@ -753,11 +754,11 @@ def test_lindblad_refuses_a_non_finite_state(bad):
         one_point(propagate_lindblad, _gaussian_h(10.0), NoiseModel(gamma=0.3), rho0, 100)
 
 
-def _random_batch(rng, batch: int):
+def _random_batch(rng, batch: int, durations=(0.6, 1.0)):
     """h_fn for a batch of random real symmetric H(t) = h0 + cos(3t) h1 + t h2,
-    each point on the node grid of its own duration."""
+    each point on the node grid of its own duration, drawn from durations."""
     h0, h1, h2 = (a + a.swapaxes(1, 2) for a in rng.normal(size=(3, batch, DIM, DIM)))
-    durations = rng.choice([0.6, 1.0], size=batch)
+    durations = rng.choice(list(durations), size=batch)
     n = 120
     t = np.stack([node_times(n, d) for d in durations], axis=1)[..., None, None]
     hs = h0 + np.cos(3.0 * t) * h1 + t * h2
@@ -767,18 +768,27 @@ def _random_batch(rng, batch: int):
 _DEPHASING = NoiseModel(gamma_phi=0.5)
 _DECAY = NoiseModel(gamma=0.4)
 _MIXED = [NoiseModel(kappa=0.9, gamma=0.4, gamma_phi=0.6), _DEPHASING, NoiseModel()]
+# The smallest batches whose slopes _rk4 sums through np.matmul: an open
+# point is DIM * DIM state columns, a closed one 2 DIM (real and imaginary).
+_OPEN_MATMUL, _CLOSED_MATMUL = (-(-_DOT_COLUMNS // columns) for columns in (DIM * DIM, 2 * DIM))
 
 
 @pytest.mark.parametrize(
-    "batch, kinds",
-    [pytest.param(b, _MIXED, id=str(b)) for b in (1, 3, 17, 38, 60)]
+    "batch, kinds, durations",
+    [pytest.param(b, _MIXED, (0.6, 1.0), id=str(b)) for b in (1, 3, 17, 38, 60)]
     + [
-        pytest.param(b, [noise], id=f"{b}-{name}")
+        pytest.param(b, [noise], (0.6, 1.0), id=f"{b}-{name}")
         for name, noise in (("decay", _DECAY), ("dephasing", _DEPHASING), ("noiseless", NoiseModel()))
         for b in (1, 7)
+    ]
+    + [pytest.param(b, _MIXED, (1.0,), id=f"{b}-one-duration") for b in (30, 17)]
+    + [
+        pytest.param(b, _MIXED, (0.6, 1.0), id=f"{b}-{kind}-{form}")
+        for kind, at in (("open", _OPEN_MATMUL), ("closed", _CLOSED_MATMUL))
+        for b, form in ((at - 1, "dot"), (at, "matmul"))
     ],
 )
-def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
+def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds, durations):
     """The stacked sum of the slopes, the products written through transposed
     outputs and the scatter written on the slope's diagonal give the bytes of
     the seven-call combination, the transposed add and the strided diagonal
@@ -788,11 +798,20 @@ def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
     noiseless kernel, so each selection is pinned alone. A batch
     of only decay points runs the jump kernel without dephasing, whose
     rounding at a single point is the one that would show a cascade jump
-    breaking the scatter fold. A batch of one takes its products and slope
-    sum through np.dot, so the ids [1], [1-decay], [1-dephasing] and
-    [1-noiseless] pin that path against the reference's np.matmul."""
+    breaking the scatter fold. A batch of one takes its products through
+    np.dot, so the ids [1], [1-decay], [1-dephasing] and [1-noiseless] pin
+    that path against the reference's np.matmul. A batch sums its slopes
+    through np.dot below _DOT_COLUMNS state columns and through np.matmul
+    from there; the ids [*-open-dot] and [*-open-matmul] are the batches
+    just below and at that count for propagate_lindblad, [*-closed-dot]
+    and [*-closed-matmul] for propagate_schrodinger. The reference scales
+    by _step_size's Python float or (B, 1, 1) array, where the propagators
+    scale by arrays of the state's shape, except propagate_lindblad at one
+    duration, which keeps Python floats. Most ids draw each point's
+    duration from 0.6 and 1.0, which mixes them; [30-one-duration] (the
+    shape of a closed coupling sweep) and [17-one-duration] run one."""
     rng = np.random.default_rng(batch)
-    h_fn, n, durations = _random_batch(rng, batch)
+    h_fn, n, durations = _random_batch(rng, batch, durations)
     frames = [2 + b % 5 for b in range(batch)]
     psi0 = rng.normal(size=(batch, DIM)) + 1j * rng.normal(size=(batch, DIM))
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
@@ -813,10 +832,14 @@ def test_steps_match_the_stepwise_reference_bit_for_bit(batch, kinds):
     ids=["closed", "open-noiseless", "open-jumps-dephasing", "open-dephasing"],
 )
 def test_a_point_alone_is_bitwise_the_same_point_in_a_batch(noise):
-    """A batch of one point takes its products and its slope sum through
-    np.dot, a larger batch through np.matmul; each kernel selection gives a
-    point alone the bytes it gets in a batch of three, between two points of
-    other H, noise, duration and frame count."""
+    """A batch of one point takes its products through np.dot, a larger
+    batch through np.matmul; each kernel selection gives a point alone the
+    bytes it gets in a batch of three, between two points of other H,
+    noise, duration and frame count. Both sum their slopes through np.dot,
+    being below _DOT_COLUMNS state columns;
+    test_batched_point_is_bitwise_its_solo_run (tests/test_experiments.py)
+    pins a point alone against the same point in a batch that sums them
+    through np.matmul."""
     rng = np.random.default_rng(31)
     n, durations, frames = 120, np.array([0.6, 1.0, 0.8]), [9, 4, 2]
     h0, h1, h2 = (a + a.swapaxes(1, 2) for a in rng.normal(size=(3, 3, DIM, DIM)))

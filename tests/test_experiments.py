@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from squidw import experiments
 from squidw.dynamics import (
+    _DOT_COLUMNS,
     MAX_FRAMES,
     ConvergenceError,
     fidelity,
@@ -40,6 +41,7 @@ from squidw.experiments import (
 )
 from squidw.pulse_design import ScheduleParams, dressed_pulses, gaussian_fit_pulses, stirap_pulses
 from squidw.state_space import (
+    DIM,
     PSI1,
     basis_state,
     cavity_hamiltonian,
@@ -183,13 +185,33 @@ def test_batched_point_is_bitwise_its_solo_run():
     """Whatever batch a point shares, and in whatever order, run_points gives
     it the states, fidelities, drift and minimum eigenvalue of its solo run,
     which takes its products through np.dot where a batch takes np.matmul.
-    The three explicit batches are one with groups of several points (three
+    The four explicit batches are one with groups of several points (three
     cavity points of one schedule, beside the effective point of that
     schedule and a scaled schedule), one in which every point is its own
-    group (each sees its own drive), and twelve open points of one H, each
-    with its own rates, which take each product once for the whole batch."""
+    group (each sees its own drive), and twelve and twenty-five open points
+    of one H, each with its own rates, which take each product once for the
+    whole batch. The twenty-five are 2,500 state columns, at least
+    _DOT_COLUMNS, so their batch sums its slopes through np.matmul
+    where each point alone sums them through np.dot."""
     solo = {}
     point = RunSpec(n_steps=200)
+
+    def open_points(count: int) -> list[RunSpec]:
+        # i = 15, 30, ... would be cavity loss alone, whose density matrix
+        # breaks the eigenvalue gate at 200 steps
+        indices = itertools.islice((i for i in itertools.count(1) if i % 15), count)
+        return [
+            replace(
+                point,
+                kappa_over_g=1e-3 * (i % 4),
+                gamma_over_g=1e-3 * (i % 3),
+                gammaphi_over_g=1e-4 * (i % 5),
+                n_frames=(2, 7)[i % 2],
+            )
+            for i in indices
+        ]
+
+    assert 25 * DIM * DIM >= _DOT_COLUMNS  # the 25 sum their slopes through np.matmul
 
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(st.lists(_pooled_spec(), min_size=1, max_size=5))
@@ -206,16 +228,8 @@ def test_batched_point_is_bitwise_its_solo_run():
         replace(point, flavor="dressed", delta_omega=0.05),
         replace(point, effective=True),
     ])
-    @example([
-        replace(
-            point,
-            kappa_over_g=1e-3 * (i % 4),
-            gamma_over_g=1e-3 * (i % 3),
-            gammaphi_over_g=1e-4 * (i % 5),
-            n_frames=(2, 7)[i % 2],
-        )
-        for i in range(1, 13)
-    ])
+    @example(open_points(12))
+    @example(open_points(25))
     def check(specs):
         for spec, (_, traj) in zip(specs, run_points(specs)):
             if spec not in solo:

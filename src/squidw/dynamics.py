@@ -217,13 +217,9 @@ def _step_size(durations: np.ndarray, n_steps: int):
     """h = duration / n_steps: one Python float when every point has the same
     duration, else one per point shaped (B, 1, 1) to scale a batch of
     states. The propagators build their RK4 coefficients from it once per
-    run, each in its cheapest form; every form gives the same bytes, since
-    each product is elementwise on the same operands. propagate_schrodinger
-    writes its complex coefficients out over the state's shape, for one
-    duration or many (timeit minima: 0.5 against 0.9 us a product at 30
-    points of one duration, 0.8 against 1.7 us at 60 of mixed ones).
-    propagate_lindblad does so for mixed durations only, in its kernel's
-    layout, and keeps Python floats for one, where an array is no faster.
+    run, each in its cheapest form, which each propagator's docstring
+    gives; every form gives the same bytes, since each product is
+    elementwise on the same operands.
     """
     if len(set(durations.tolist())) == 1:
         return float(durations[0]) / n_steps
@@ -319,10 +315,6 @@ def _drift(what: str, values: list, tol: float, n_steps: int) -> np.ndarray:
 
 _RK4_WEIGHTS = np.array([[1.0, 2.0, 2.0, 1.0]] * 2)  # k1 + 2 k2 + 2 k3 + k4, twice: a GEMM
 
-# The state columns (float64 values per slope) from which _rk4 sums its
-# slopes with np.matmul rather than np.dot: 2,400, 24 open or 120 closed points.
-_DOT_COLUMNS = 2400
-
 
 def _rk4(
     H, h_fn, bind, x: np.ndarray, batch: int, n: int, half, whole, sixth, frames, shared=False
@@ -350,10 +342,10 @@ def _rk4(
     copy of its initial state, so neither that state nor an earlier call's
     result is written.
 
-    The slopes are summed by one product, _RK4_WEIGHTS @ slopes on their
-    float64 views, into a (2, *x.shape) buffer whose row 0 is the
-    accumulator, then scaled and added to x: three numpy calls where the
-    elementwise combination takes seven. The weights 1 and 2 make every
+    The slopes are summed by one np.dot GEMM, _RK4_WEIGHTS @ slopes on
+    their float64 views, at every batch size, into a (2, *x.shape) buffer
+    whose row 0 is the accumulator, then scaled and added to x: three numpy
+    calls where the elementwise combination takes seven. The weights 1 and 2 make every
     product exact, and the two-row product is a GEMM, whose K loop adds the
     four slopes left to right, so the sum is ((k1 + 2 k2) + 2 k3) + k4 bit
     for bit. Each sum and product is then the one of
@@ -368,14 +360,6 @@ def _rk4(
     runner with AVX-512) as well as on the runner's own core. Nehalem's GEMM
     adds K in another order, so there the pins fail: a BLAS that sums in
     another order fails them rather than change outputs silently.
-
-    The slopes are summed with np.dot below _DOT_COLUMNS state columns (the
-    float64 values of one slope) and with np.matmul from there. On the same
-    2-D views both reach the same cblas_dgemm call, so the bytes are the
-    same; np.dot dispatches faster, but its time grows faster with the
-    columns, and the two cross near 2,400 (timeit minima: 0.9 against
-    1.5 us at 600 columns, 2.3 against 2.7 at 1,700, 5.1 against 4.6 at
-    3,800).
     """
     y = np.empty_like(x)
     slopes = np.empty((4, *x.shape), dtype=x.dtype)
@@ -391,8 +375,7 @@ def _rk4(
     # against names bound here, once (the dtype by identity with the
     # float64 instance), and store runs only at kept steps. The operations,
     # operands and order are those of the plain form, and so are the bytes.
-    multiply, add = np.multiply, np.add
-    weigh = np.dot if weighted.shape[1] < _DOT_COLUMNS else np.matmul
+    multiply, add, dot = np.multiply, np.add, np.dot
     ndarray, real, shape = np.ndarray, np.dtype(np.float64), (batch, DIM, DIM)
     store, kept = frames.store, frames.steps
 
@@ -434,7 +417,7 @@ def _rk4(
         multiply(whole, k3, y)
         add(y, x, y)
         f4(H)
-        weigh(_RK4_WEIGHTS, weighted, summed)
+        dot(_RK4_WEIGHTS, weighted, summed)
         multiply(acc, sixth, acc)
         add(x, acc, x)
         if step in kept:
@@ -462,13 +445,14 @@ def propagate_schrodinger(
     view of psi, (10, 10) @ (10, 2) per point, with the -i in the RK4
     coefficients -i h/2, -i h and -i h/6, each a complex array of the
     state's (P, 10, 1) shape built once per call, whether the points share
-    one duration or not (_step_size). Every product is taken
-    point by point, so a point's result does not depend on the batch it runs
-    in. A batch of one point takes its product as np.dot(H[0], psi) on the
-    2-D views, the same cblas_dgemm call with less dispatch than np.matmul
-    (as _rk4 sums its slopes below _DOT_COLUMNS). The stored frames are
-    checked for finiteness after the last step (_Frames.check), then the
-    norm is gated, both before the run is packaged.
+    one duration or not. Written out, a product with one costs less than
+    with _step_size's scalar or (P, 1, 1) form (timeit minima: 0.5 against
+    0.9 us at the closed coupling sweep's 30 points of one duration, 0.8
+    against 1.7 us at reproduce all's 60 of mixed ones). Every product is
+    taken point by point, so a point's result does not depend on the batch
+    it runs in. The stored frames are checked for finiteness after the last
+    step (_Frames.check), then the norm is gated, both before the run is
+    packaged.
     """
     psi = np.array(psi0, dtype=complex, order="C")  # C order: the kernel views it as float64
     if psi.ndim != 2 or psi.shape[1] != DIM:
@@ -488,11 +472,7 @@ def propagate_schrodinger(
 
     def bind(src: np.ndarray, dst: np.ndarray):
         # (P, 10, 10) @ (P, 10, 2): real and imaginary parts in one product.
-        p, out = src.view(np.float64), dst.view(np.float64)
-        if len(p) == 1:
-            p, out, dot = p[0], out[0], np.dot
-            return lambda H: dot(H[0], p, out)
-        matmul = np.matmul
+        p, out, matmul = src.view(np.float64), dst.view(np.float64), np.matmul
         return lambda H: matmul(H, p, out)
 
     # A diverging run overflows to inf and nan, which the check of its stored
@@ -619,8 +599,10 @@ def propagate_lindblad(
     is the final state, as rho = (M + M^T)/2 + i (M - M^T)/2, which is
     exactly Hermitian. Frame 0 stays the symmetrized rho0. The RK4
     coefficients h/2, h and h/6 are Python floats when the points share one
-    duration and float arrays of the state's shape, in its kernel's layout,
-    when they do not (_step_size).
+    duration, as every open batch of reproduce all and verify does, where
+    an array is slower (timeit minima: 1.58 against 2.58 us a product at
+    reproduce all's 38 open points). When they do not, they are float
+    arrays of the state's shape, in its kernel's layout (_step_size).
 
     The right-hand side writes its slope through output arguments into
     buffers allocated once per call. BLAS writes both products through
@@ -648,21 +630,23 @@ def propagate_lindblad(
     condition. Dephasing alone leaves a gain diagonal of exactly 0 and no
     scatter, so such a batch (fig7's open points) runs the same six calls.
 
-    A batch of one point takes its two products with np.dot on the 2-D
-    views, as np.dot(M^T, H) into (HM)^T and np.dot(H, M^T) into (MH)^T,
-    since np.dot writes only C-contiguous outputs. np.matmul's transposed
-    output hands BLAS H^T where np.dot hands it H, the same operand for a
-    symmetric H, so each is the same cblas_dgemm product with less dispatch
-    (as _rk4 sums its slopes). Its scatter product keeps np.matmul, which
-    writes the strided diagonal. tests/reference_kernels.py keeps the
+    A batch of one point (verify's open point) takes its two products with
+    np.dot on the 2-D views, as np.dot(M^T, H) into (HM)^T and np.dot(H,
+    M^T) into (MH)^T, since np.dot writes only C-contiguous outputs.
+    np.matmul's transposed output hands BLAS H^T where np.dot hands it H,
+    the same operand for a symmetric H, so each is the same cblas_dgemm
+    product with less dispatch (timeit minima: 1.3 against 1.9 us for the
+    two products). Its scatter product keeps np.matmul, which writes the
+    strided diagonal. tests/reference_kernels.py keeps the
     strided transposed add and the strided diagonal add, and
     test_steps_match_the_stepwise_reference_bit_for_bit pins both kernels to
     them bit for bit, each alone and in mixed batches.
 
     A batch of more than DIM points whose node-0 stack has batch stride 0
-    sees one H (the module docstring's rule) and runs the point-innermost
-    kernel. M, the gain table and the scratch are held in (row, col, point)
-    layout, and (HM)^T is np.matmul(H, M.transpose(1, 0, 2), hm_t) and
+    (table1's 17 open rows, run alone) sees one H (the module docstring's
+    rule) and runs the point-innermost kernel. M, the gain table and the
+    scratch are held in (row, col, point) layout, and (HM)^T is
+    np.matmul(H, M.transpose(1, 0, 2), hm_t) and
     (MH)^T np.matmul(H, M, mh_t.transpose(1, 0, 2)): each is DIM GEMMs of
     (10, 10) @ (10, B) where the per-point kernel takes B GEMMs of
     (10, 10) @ (10, 10), and both land in the state's own layout, so the

@@ -690,8 +690,8 @@ def _axis_field(name: str) -> str:
 
 def sweep_grid(base: RunSpec, axes) -> list[RunSpec]:
     """The cartesian grid of up to two (name, values) axes on distinct fields
-    over base: one RunSpec per point, which sets each axis's _axis_field to
-    one of its values and is labelled by them."""
+    over base, values any iterable: one RunSpec per point, which sets each
+    axis's _axis_field to one of its values and is labelled by them."""
     if len(axes) > 2:
         raise ValueError("at most two sweep axes are supported")
     points = [{}]
@@ -699,7 +699,8 @@ def sweep_grid(base: RunSpec, axes) -> list[RunSpec]:
         key = _axis_field(name)
         if key in points[0]:
             raise ValueError(f"axis {name!r} sets {key}, which another axis sets")
-        if len(tuple(values)) == 0:
+        values = tuple(values)  # a one-shot iterable is read once
+        if not values:
             raise ValueError(f"axis {name!r} has no values")
         points = [dict(p, **{key: float(v)}) for p in points for v in values]
     return [

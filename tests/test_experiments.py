@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from squidw import experiments
 from squidw.dynamics import (
-    _DOT_COLUMNS,
     MAX_FRAMES,
     ConvergenceError,
     fidelity,
@@ -41,7 +40,6 @@ from squidw.experiments import (
 )
 from squidw.pulse_design import ScheduleParams, dressed_pulses, gaussian_fit_pulses, stirap_pulses
 from squidw.state_space import (
-    DIM,
     PSI1,
     basis_state,
     cavity_hamiltonian,
@@ -184,15 +182,15 @@ def _pooled_spec(draw):
 def test_batched_point_is_bitwise_its_solo_run():
     """Whatever batch a point shares, and in whatever order, run_points gives
     it the states, fidelities, drift and minimum eigenvalue of its solo run,
-    which takes its products through np.dot where a batch takes np.matmul.
+    which takes its open products through np.dot where a batch takes
+    np.matmul.
     The four explicit batches are one with groups of several points (three
     cavity points of one schedule, beside the effective point of that
     schedule and a scaled schedule), one in which every point is its own
     group (each sees its own drive), and twelve and twenty-five open points
     of one H, each with its own rates, which take each product once for the
-    whole batch. The twenty-five are 2,500 state columns, at least
-    _DOT_COLUMNS, so their batch sums its slopes through np.matmul
-    where each point alone sums them through np.dot."""
+    whole batch. The twenty-five are 2,500 state columns, which one np.dot
+    sums as it sums each point's 100 alone."""
     solo = {}
     point = RunSpec(n_steps=200)
 
@@ -210,8 +208,6 @@ def test_batched_point_is_bitwise_its_solo_run():
             )
             for i in indices
         ]
-
-    assert 25 * DIM * DIM >= _DOT_COLUMNS  # the 25 sum their slopes through np.matmul
 
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(st.lists(_pooled_spec(), min_size=1, max_size=5))
@@ -663,7 +659,8 @@ def test_evaluate_point_rejects_unknown_keys():
 
 
 def test_sweepspec_validation():
-    """sweep_grid refuses more than two axes, an unknown name and an empty axis."""
+    """sweep_grid refuses more than two axes, an unknown name and an empty
+    axis, and reads a one-shot iterable of values as its tuple."""
     with pytest.raises(ValueError, match="flavor"):
         replace(BASE, flavor="square")
     with pytest.raises(ValueError, match="mode"):
@@ -678,6 +675,10 @@ def test_sweepspec_validation():
         sweep_grid(BASE, (("voltage", (1.0,)),))
     with pytest.raises(ValueError, match="no values"):
         sweep_grid(BASE, (("g", ()),))
+    # a generator of values gives the specs its tuple does
+    assert sweep_grid(BASE, (("g", (float(x) for x in (10, 20))),)) == sweep_grid(
+        BASE, (("g", (10.0, 20.0)),)
+    )
     # an alias and the RunSpec field it names set the same field
     for name in ("dT_over_T", "delta_t"):
         [point] = sweep_grid(BASE, ((name, (0.1,)),))

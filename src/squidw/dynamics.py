@@ -229,39 +229,31 @@ def _step_size(durations: np.ndarray, n_steps: int):
 class _Frames:
     """Each point's stored frames: only its own _frame_indices(n, n_frames_b).
 
-    Points that keep the same steps share one (frames, points, *state)
-    block, whose row 0 is their rows of the live state buffer when the run
-    starts; blocks lists each block with its points. steps is the set of
+    stored[b] is point b's own (frames, *state) array, whose frame 0 is its
+    row of the live state buffer when the run starts. steps is the set of
     steps after 0 that some point keeps, and store(step), for one of them,
-    copies the live rows of the points that keep step into their block's
-    row for it, one np.take per block and nothing else, since it runs
-    inside the step loop. stored[b] is point b's (frames, *state) view of
-    its block. A diverged run is judged once, after its last step: check raises
+    copies the live row of each point that keeps step into its frame for
+    it, one assignment per point and nothing else, since it runs inside the
+    step loop. A diverged run is judged once, after its last step: check raises
     ConvergenceError at the earliest stored frame that is not finite, which
     no later step can mend and no gate can judge.
     """
 
     def __init__(self, n_steps: int, n_frames, live: np.ndarray):
         counts = _per_point("n_frames", n_frames, len(live)).tolist()
-        self.keep, self.stored = [None] * len(live), [None] * len(live)
-        self.blocks, self._take, self._at = [], live.take, {}
-        for c in sorted(set(counts)):
-            keep = _frame_indices(n_steps, c)
-            points = np.array([b for b, count in enumerate(counts) if count == c])
-            block = np.empty((len(keep), len(points), *live.shape[1:]), live.dtype)
-            block[0] = live[points]
-            self.blocks.append((points, block))
-            for row, step in enumerate(keep[1:], 1):
-                self._at.setdefault(int(step), []).append((points, block[row]))
-            for column, b in enumerate(points.tolist()):
-                self.keep[b], self.stored[b] = keep, block[:, column]
+        keeps = {c: _frame_indices(n_steps, c) for c in sorted(set(counts))}
+        self.keep, self.stored, self._at = [keeps[c] for c in counts], [], {}
+        for keep, row in zip(self.keep, live):
+            frames = np.empty((len(keep), *row.shape), live.dtype)
+            frames[0] = row
+            self.stored.append(frames)
+            for frame, step in zip(frames[1:], keep[1:].tolist()):
+                self._at.setdefault(step, []).append((frame, row))
         self.steps = frozenset(self._at)
 
     def store(self, step: int) -> None:
-        # The bound method skips np.take's Python wrapper, about 1.5 us a call;
-        # mode="raise" would make take buffer its output.
-        for points, row in self._at[step]:
-            self._take(points, 0, row, "clip")
+        for frame, row in self._at[step]:
+            frame[...] = row
 
     def check(self, states: list) -> None:
         """ConvergenceError unless every point's stored states (one array of
@@ -582,9 +574,8 @@ def propagate_lindblad(
     follow the contract of propagate_schrodinger. After the last step the
     stored frames are checked for finiteness (_Frames.check), then trace
     and positivity are gated, the latter over each point's own stored
-    frames by one eigvalsh per block of points that store the same frames
-    (LAPACK decomposes each matrix alone, whatever the stack); all this
-    happens before the run is packaged.
+    frames by one eigvalsh call per point (LAPACK decomposes each matrix
+    alone, whatever the stack); all this happens before the run is packaged.
 
     rho0 is symmetrized once on entry, and rho = A + iB (A real symmetric,
     B real antisymmetric) is integrated as the one real matrix
@@ -594,10 +585,10 @@ def propagate_lindblad(
         dM/dt = [H, M]^T + G o M + S diag(M)   (the last term on the diagonal)
 
     which takes two real products per RK4 stage and does every elementwise
-    op on half the bytes of the complex rho. Frames are stored as rows of M
-    and, after the last step, each block of them is unpacked by one call, as
-    is the final state, as rho = (M + M^T)/2 + i (M - M^T)/2, which is
-    exactly Hermitian. Frame 0 stays the symmetrized rho0. The RK4
+    op on half the bytes of the complex rho. Frames are stored as copies of
+    M and, after the last step, each point's frames are unpacked by one
+    call, as is the final state, as rho = (M + M^T)/2 + i (M - M^T)/2, which
+    is exactly Hermitian. Frame 0 stays the symmetrized rho0. The RK4
     coefficients h/2, h and h/6 are Python floats when the points share one
     duration, as every open batch of reproduce all and verify does, where
     an array is slower (timeit minima: 1.58 against 2.58 us a product at
@@ -740,18 +731,12 @@ def propagate_lindblad(
     frames = _Frames(n, n_frames, m)
     with np.errstate(over="ignore", invalid="ignore"):  # as in propagate_schrodinger
         _rk4(H, h_fn, bind, x, len(m), n, 0.5 * h, h, h / 6.0, frames, shared)
-        # One unpack per block of stored frames; a diverged M unpacks to inf and nan.
-        blocks = [(points, _unpack(block)) for points, block in frames.blocks]
-    states = [None] * len(m)
-    for points, block in blocks:
-        block[0] = rho[points]  # the symmetrized rho0, which M = Re rho + Im rho only rounds
-        for column, b in enumerate(points.tolist()):
-            states[b] = block[:, column]
+        # One unpack per point's stored frames; a diverged M unpacks to inf and nan.
+        states = [_unpack(stored) for stored in frames.stored]
+    for state, r in zip(states, rho):
+        state[0] = r  # the symmetrized rho0, which M = Re rho + Im rho only rounds
     frames.check(states)  # before eigvalsh, which cannot judge nan
-    min_eig = np.empty(len(m))
-    for points, block in blocks:  # LAPACK takes each matrix alone, whatever the stack
-        lows = np.linalg.eigvalsh(block).min(axis=-1)
-        min_eig[points] = [_last_minimum(lows[:, column]) for column in range(len(points))]
+    min_eig = np.array([_last_minimum(np.linalg.eigvalsh(s).min(axis=-1)) for s in states])
 
     rho = _unpack(m)
     drift = _drift("trace", [np.trace(r).real for r in rho], TRACE_TOL, n)

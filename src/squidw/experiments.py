@@ -518,7 +518,8 @@ class RunSpec:
     exceed -1. The run lasts 1 + delta_t; mode="rescale"
     re-parameterizes the waveforms by that duration, mode="truncate" keeps the
     nominal waveforms and cuts or extends the run window (README, "Known
-    discrepancy"). master_equation integrates the density matrix even when
+    discrepancy"). master_equation and effective are True or False;
+    master_equation integrates the density matrix even when
     every rate is zero. n_frames, 2 to MAX_FRAMES, is the number of evenly
     spaced frames stored; fewer distinct ones are kept on a grid of fewer
     than n_frames - 1 steps. Only the dressed flavor reads the dressing
@@ -558,6 +559,10 @@ class RunSpec:
         if self.omega0 is not None:
             object.__setattr__(self, "omega0", float(self.omega0))
         object.__setattr__(self, "label", str(self.label))
+        for name in ("master_equation", "effective"):  # bool("False") is True
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be True or False, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bool(getattr(self, name)))
         # The propagators' own rules, applied here.
         object.__setattr__(self, "n_steps", _step_count(self.n_steps))
         object.__setattr__(self, "n_frames", _frame_count(self.n_frames))

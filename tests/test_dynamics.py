@@ -904,12 +904,13 @@ def test_a_shared_hamiltonian_is_bitwise_its_stacked_copy(batch, kinds, duration
 @pytest.mark.parametrize("batch", [1, 3])
 def test_stored_frames_and_their_minimum_eigenvalue_are_exact(batch):
     """A stored frame is a plain copy of the live state, and propagate_lindblad
-    takes eigvalsh once per point over all 50 of its stored frames, after
-    the last step. Frame 0 is the initial state (rho0 symmetrized, not its
-    round trip through M), the last frame is the final state, and
-    min_eigenvalue is, bit for bit, np.minimum folded in step order over
-    eigvalsh of each frame taken alone; the fold decides between 0.0 and
-    -0.0, since a tie keeps the later value."""
+    takes eigvalsh once per point over all of its stored frames, after the
+    last step; a batch's points store 50, 2 and 17 frames. Each point's frame
+    0 is its initial state (rho0 symmetrized, not its round trip through M),
+    its last frame is its final state, and min_eigenvalue is, bit for bit,
+    np.minimum folded in step order over eigvalsh of each frame taken alone;
+    the fold decides between 0.0 and -0.0, since a tie keeps the later
+    value."""
     rng = np.random.default_rng(50 + batch)
     n = 200
     hs = rng.normal(size=(3, batch, DIM, DIM))
@@ -920,12 +921,13 @@ def test_stored_frames_and_their_minimum_eigenvalue_are_exact(batch):
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     rho0 = np.stack([_random_density(rng) for _ in range(batch)])
     noises = [NoiseModel(kappa=0.3, gamma=0.2 * b, gamma_phi=0.1) for b in range(batch)]
-    closed = propagate_schrodinger(lambda k: h[k], psi0, n, n_frames=50)
-    opened = propagate_lindblad(lambda k: h[k], noises, rho0, n, n_frames=50)
+    counts = [50, 2, 17][:batch]
+    closed = propagate_schrodinger(lambda k: h[k], psi0, n, n_frames=counts)
+    opened = propagate_lindblad(lambda k: h[k], noises, rho0, n, n_frames=counts)
     symmetrized = 0.5 * (rho0 + rho0.conj().swapaxes(1, 2))
     for traj, state0 in ((closed, psi0), (opened, symmetrized)):
         for b in range(batch):
-            assert len(traj.states[b]) == 50
+            assert len(traj.states[b]) == counts[b]
             assert traj.states[b][0].tobytes() == state0[b].tobytes()
             assert traj.states[b][-1].tobytes() == traj.final_state[b].tobytes()
     for b in range(batch):

@@ -629,6 +629,15 @@ def test_evaluate_point_validation():
         RunSpec(n_steps=400, n_frames=7.5)
     spec = RunSpec(n_steps=np.int64(400), n_frames=np.int32(7))
     assert (type(spec.n_steps), type(spec.n_frames)) == (int, int)
+    # the two switches are True or False, not anything truthy: "False" would
+    # otherwise run the effective model and "no" the master equation
+    switches, bads = ("master_equation", "effective"), ("False", "no", 0, 1, None)
+    for name, bad in itertools.product(switches, bads):
+        with pytest.raises(ValueError, match=f"{name} must be True or False, got {bad!r}"):
+            RunSpec(flavor="dressed", **{name: bad})
+    spec = RunSpec(flavor="dressed", master_equation=np.True_, effective=np.False_)
+    assert (spec.master_equation, spec.effective) == (True, False)
+    assert (type(spec.master_equation), type(spec.effective)) == (bool, bool)
 
 
 def test_effective_spec_rejects_settings_it_would_ignore():
